@@ -8,6 +8,13 @@ operator on a bump, the PV constant on the explicit extremal family).
 Convolutions are group convolutions (f * K)(x) = int f(y) K(y^{-1} x) dv_H(y)
 on midpoint grids, with the singular cell replaced by the analytic average of
 the kernel over the Koranyi ball of equal volume.
+
+The grid quadrature is written in w = y^{-1} x: every pair weight is the
+midpoint kernel K(w) or a sub-cell average of K(d^{-1} w).  Since t is the
+centre of H^N, w depends on t_x and t_y only through t_x - t_y, so on each
+pair of grid columns the weights are Toeplitz in the level difference and are
+tabulated once per (source column, output column, level difference).  The
+singular cell x = y is the only term that depends on z_y itself.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from .heisenberg import (
     ScalarFieldH,
     ShellScheme,
     gauge_zt,
-    hermitian_im,
     inv_zt,
     kappa_haar,
     koranyi_ball_volume,
@@ -80,15 +86,14 @@ class KernelSpec:
 def _int_power(x: Array, n: int) -> Array:
     if n < 0:
         return 1.0 / _int_power(x, -n)
-    out = np.ones_like(x)
-    p = x
+    out = None
     while n:
         if n & 1:
-            out = out * p
+            out = x if out is None else out * x
         n >>= 1
         if n:
-            p = p * p
-    return out
+            x = x * x
+    return np.ones_like(x) if out is None else out
 
 
 def _gauge_sq_power(gauge_sq: Array, e: float) -> Array:
@@ -97,27 +102,71 @@ def _gauge_sq_power(gauge_sq: Array, e: float) -> Array:
     if half == int(half):
         return _int_power(gauge_sq, int(half))
     if e == int(e):
-        return _int_power(np.sqrt(gauge_sq), int(e))
+        # e = 2h + 1: gauge^e = gauge * (gauge^2)^h
+        h = (int(e) - 1) // 2
+        root = np.sqrt(gauge_sq)
+        return root / _int_power(gauge_sq, -h) if h < 0 else root * _int_power(gauge_sq, h)
     return gauge_sq**half
 
 
-def _subcell_offsets(steps: tuple[float, ...], N: int, subs: tuple[int, ...]) -> list[tuple[Array, Array]]:
+# Values per work array: table entries or (source, output) pairs per block,
+# and entry x offset values per block of sub-cell averaging; both keep the
+# working set of a block in cache.
+_BLOCK = 1 << 15
+_SUB = 1 << 14
+
+
+def _subcell_offsets(steps: tuple[float, ...], N: int, subs: tuple[int, ...]) -> tuple[Array, Array, Array]:
     """Midpoints of a per-axis subdivision of one grid cell, as group offsets.
 
-    The t-axis needs the finest split: in gauge geometry a coordinate cell is
-    far taller in t (height ~ sqrt(h_t)) than wide in z, and homogeneous
-    kernels vary in t on the squared-gauge scale.
+    Returned as the x and y parts (M_h, N) of the horizontal offsets and the
+    vertical offsets (M_t,); the offsets are all of their combinations.  The
+    t-axis needs the finest split: in gauge geometry a coordinate cell is far
+    taller in t (height ~ sqrt(h_t)) than wide in z, and homogeneous kernels
+    vary in t on the squared-gauge scale.
     """
     axes = [(np.arange(s) + 0.5) / s * h - h / 2.0 for h, s in zip(steps, subs)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = [m.reshape(-1) for m in mesh]
-    z = np.stack(flat[:N], axis=-1) + 1.0j * np.stack(flat[N : 2 * N], axis=-1)
-    t = flat[2 * N]
-    return [(z[i], t[i]) for i in range(len(t))]
+    mesh = np.meshgrid(*axes[: 2 * N], indexing="ij")
+    flat = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    return flat[:, :N], flat[:, N:], axes[2 * N]
 
 
-def _sheared_diagonal(spec: KernelSpec, steps: tuple[float, ...], z_src: Array, subs: tuple[int, ...] = (12, 12, 16)) -> Array:
-    """Average of the kernel over a source cell seen from its own midpoint.
+def _offset_gauge_sq(wx: Array, wy: Array, wt: Array, sx: Array, sy: Array, offsets) -> Array:
+    """gauge(w_z - d_z, w_t - d_t - 2 Im<d_z, s_z>)^2 per entry and offset d, shape (E, M_h, M_t).
+
+    With s = w this is the gauge of d^{-1} w; with w = 0 and s = z_y it is
+    the gauge of (y + d)^{-1} y, the coordinate cell seen from its midpoint.
+    """
+    dx, dy, dt = offsets
+    zz = np.zeros((len(wt), len(dx)))
+    tb = np.repeat(wt[:, None], len(dx), axis=1)
+    for n in range(dx.shape[1]):
+        for w, d in ((wx, dx), (wy, dy)):
+            u = w[:, n, None] - d[:, n]
+            u *= u
+            zz += u
+        tb -= 2.0 * (sx[:, n, None] * dy[:, n] - sy[:, n, None] * dx[:, n])
+    zz *= zz
+    tt = tb[:, :, None] - dt
+    tt *= tt
+    tt += zz[:, :, None]
+    return np.sqrt(tt, out=tt)
+
+
+def _subcell_mean(spec: KernelSpec, wx: Array, wy: Array, wt: Array, offsets) -> Array:
+    """Mean of the kernel at d^{-1} w over the sub-cell offsets d, for each entry w."""
+    m = len(offsets[0]) * len(offsets[2])
+    step = max(1, _SUB // m)
+    total = np.empty(len(wt))
+    for a in range(0, len(wt), step):
+        b = slice(a, a + step)
+        gsq = _offset_gauge_sq(wx[b], wy[b], wt[b], wx[b], wy[b], offsets)
+        total[b] = _gauge_sq_power(gsq, spec.exponent).sum(axis=(1, 2))
+    return spec.constant * total / m
+
+
+def _sheared_diagonal(spec: KernelSpec, steps: tuple[float, ...], xs: Array, ys: Array, subs: tuple[int, ...] = (12, 12, 16)) -> Array:
+    """Average of the kernel over a source cell seen from its own midpoint z_y = xs + i ys.
 
     In difference coordinates w = (y + d)^{-1} y the cell is sheared in t by
     2 Im<dz, z_y>, and the map d -> w preserves volume, so excluding the gauge
@@ -126,40 +175,44 @@ def _sheared_diagonal(spec: KernelSpec, steps: tuple[float, ...], z_src: Array, 
     """
     N = spec.N
     if N != 1:
-        return np.full(len(z_src), _singular_cell_average(spec, float(np.prod(steps))))
+        return np.full(len(xs), _singular_cell_average(spec, float(np.prod(steps))))
     hx, hy, ht = steps
-    a = np.abs(z_src[:, 0])
+    a = np.hypot(xs[:, 0], ys[:, 0])
     rho = np.minimum(0.45 * hx, 0.45 * hy)
     rho = np.minimum(rho, -a + np.sqrt(a * a + 0.45 * ht))
     offsets = _subcell_offsets(steps, N, subs)
-    subvol = hx * hy * ht / len(offsets)
-    total = np.zeros(len(z_src))
-    for off_z, off_t in offsets:
-        # w = inv(y . d) . y: z-part -dz, t-part -dt - 2 Im<dz, z_y>
-        wt = -off_t - 2.0 * hermitian_im(off_z[None, :], z_src).reshape(-1)
-        gsq = np.sqrt(np.abs(off_z[0]) ** 4 + wt * wt)
-        outside = gsq > rho * rho
-        contrib = np.where(outside, _gauge_sq_power(np.maximum(gsq, 1e-300), spec.exponent), 0.0)
-        total += contrib * subvol
+    m = len(offsets[0]) * len(offsets[2])
+    step = max(1, _SUB // m)
+    total = np.empty(len(xs))
+    zero = np.zeros_like(xs)
+    for i in range(0, len(xs), step):
+        b = slice(i, i + step)
+        gsq = _offset_gauge_sq(zero[b], zero[b], zero[b, 0], xs[b], ys[b], offsets)
+        k = _gauge_sq_power(np.maximum(gsq, 1e-300), spec.exponent)
+        k[gsq <= (rho[b] * rho[b])[:, None, None]] = 0.0
+        total[b] = k.sum(axis=(1, 2))
+    total *= hx * hy * ht / m
     vol1 = koranyi_ball_volume(1, 1.0, HaarMeasure(1.0))
     core = spec.Q * vol1 * rho ** (spec.Q + spec.exponent) / (spec.Q + spec.exponent)
     return spec.constant * (total + core) / (hx * hy * ht)
 
 
-def _pair_gauge_sq(z_inv: Array, t_inv: Array, zo: Array, to: Array) -> Array:
-    """gauge(y^{-1} x)^2 for all (source, output) pairs, allocation-lean."""
-    if z_inv.shape[-1] == 1:
-        a = z_inv[:, 0][:, None]
-        b = zo[:, 0][None, :]
-        xr = a.real + b.real
-        xi = a.imag + b.imag
-        zz = xr * xr + xi * xi
-        td = t_inv[:, None] + to[None, :] + 2.0 * (a.imag * b.real - a.real * b.imag)
-        return np.sqrt(zz * zz + td * td)
-    zd = z_inv[:, None, :] + zo[None, :, :]
-    td = t_inv[:, None] + to[None, :] + 2.0 * hermitian_im(z_inv[:, None, :], zo[None, :, :])
-    zz = np.sum(zd.real**2 + zd.imag**2, axis=-1)
-    return np.sqrt(zz * zz + td * td)
+def _pair_w(xs: Array, ys: Array, xo: Array, yo: Array) -> tuple[Array, Array]:
+    """|z_w|^2 and the twist of w = y^{-1} x for every (source y, output x) pair.
+
+    z_w = z_x - z_y and t_w = t_x - t_y + 2 Im<-z_y, z_x>; the twist is the
+    last term.  Inputs are real and imaginary parts, (n, N) arrays.
+    """
+    zz = np.zeros((len(xs), len(xo)))
+    for a, b in ((xs, xo), (ys, yo)):
+        for n in range(a.shape[1]):
+            d = b[:, n] - a[:, n, None]
+            d *= d
+            zz += d
+    twist = xs @ yo.T
+    twist -= ys @ xo.T
+    twist *= 2.0
+    return zz, twist
 
 
 def kernel_eval_zt(spec: KernelSpec, z: Array, t: Array) -> Array:
@@ -307,24 +360,80 @@ def convolve(
 ) -> GridFieldH | Array:
     """(f * K)(x) = sum_y f(y) K(y^{-1} x) dv_H-cell, with singular-cell repair.
 
-    ``out_indices`` restricts the output to a flat subset of grid points (the
-    full-grid output is quadratic in the source support size).  Only source
-    cells with |f| > support_threshold * max|f| contribute.
+    ``out_indices`` restricts the output to a flat subset of grid points, a
+    1-D integer array of in-range indices; anything else is refused.  Only
+    source cells with |f| > support_threshold * max|f| contribute.
+
+    Each weight is the midpoint kernel K(w) at w = y^{-1} x or, near the
+    singularity, a sub-cell average of K(d^{-1} w), since the sub-cell y . d
+    is seen from x at (y . d)^{-1} x = d^{-1} w.  As t is central, on a pair of
+    grid columns these weights are Toeplitz in the level difference: each is
+    evaluated once per (source column, output column, level difference) and
+    the sum over t reads from that table.  The singular cell x = y is the only
+    weight that depends on z_y itself (``_sheared_diagonal``), one value per
+    column.  Full-grid, subset and symmetry-class outputs share this path.
     """
     if spec.kind == "riesz" and not 0 < spec.alpha < spec.Q:
         raise DomainError("riesz order outside (0, Q)")
+    n_all = f.values.size
+    if out_indices is None:
+        out_idx = np.arange(n_all)
+    else:
+        out_idx = np.asarray(out_indices)
+        if out_idx.ndim != 1 or not (np.issubdtype(out_idx.dtype, np.integer) or out_idx.size == 0):
+            raise DomainError("out_indices must be a 1-D integer array")
+        if out_idx.size and (out_idx.min() < 0 or out_idx.max() >= n_all):
+            raise DomainError(f"out_indices must lie in [0, {n_all})")
+        out_idx = out_idx.astype(np.int64)
     measure = measure or HaarMeasure.standard(f.N)
-    z_all, t_all = f.points()
     vals = f.values.reshape(-1)
     thresh = support_threshold * np.max(np.abs(vals), initial=0.0)
-    src = np.nonzero(np.abs(vals) > thresh)[0]
+    src = np.flatnonzero(np.abs(vals) > thresh)
+    out = np.zeros(len(out_idx))
+    if len(src) and len(out_idx):
+        _toeplitz_sum(f, spec, vals, src, out_idx, out)
+    out *= f.cell_volume * measure.kappa_H
     if out_indices is None:
-        zo, to = z_all, t_all
-    else:
-        zo, to = z_all[out_indices], t_all[out_indices]
-    cell = f.cell_volume * measure.kappa_H
-    out = np.zeros(len(zo))
-    chunk = max(1, int(1.0e7 // max(len(zo), 1)))
+        return GridFieldH(f.box, f.shape, out.reshape(f.shape))
+    return out
+
+
+def _grid_columns(flat: Array, nt: int, n_cols: int) -> tuple[Array, Array, Array, Array, Array]:
+    """Split flat grid indices into (column, level) with column = flat // n_t.
+
+    Returns the distinct columns (ascending), each point's position among
+    them, each point's level, and the lowest and highest level per column.
+    """
+    col, k = np.divmod(flat, nt)
+    present = np.zeros(n_cols, dtype=bool)
+    present[col] = True
+    cols = np.flatnonzero(present)
+    ci = (np.cumsum(present) - 1)[col]
+    k_lo = np.full(len(cols), nt)
+    k_hi = np.full(len(cols), -1)
+    np.minimum.at(k_lo, ci, k)
+    np.maximum.at(k_hi, ci, k)
+    return cols, ci, k, k_lo, k_hi
+
+
+def _toeplitz_sum(f: GridFieldH, spec: KernelSpec, vals: Array, src: Array, out_idx: Array, out: Array) -> None:
+    """out[o] += sum over sources s of vals[s] K(s, o), via per-column-pair tables in the level difference.
+
+    A block of output columns is taken at a time; for every (source column,
+    output column) pair its table covers the level differences from the
+    lowest to the highest pairing of the two columns' levels.
+    """
+    N, nt, steps = f.N, f.shape[-1], f.steps
+    mesh = np.meshgrid(*f.axes()[: 2 * N], indexing="ij")
+    cx = np.stack([m.reshape(-1) for m in mesh[:N]], axis=-1)
+    cy = np.stack([m.reshape(-1) for m in mesh[N:]], axis=-1)
+    cs, s_ci, s_k, ks_lo, ks_hi = _grid_columns(src, nt, len(cx))
+    co, o_ci, o_k, ko_lo, ko_hi = _grid_columns(out_idx, nt, len(cx))
+    span_s, span_o = ks_hi - ks_lo, ko_hi - ko_lo
+    counts = np.bincount(o_ci, minlength=len(co))
+    order = np.argsort(o_ci, kind="stable")
+    o_start = np.concatenate(([0], np.cumsum(counts)))
+
     # midpoint kernel values are biased near the singularity: coordinate cells
     # are tall in gauge geometry (height ~ sqrt(h_t)) and the group twist
     # shears their t-extent by ~ 2 |dz| |z|.  Two correction tiers replace the
@@ -332,44 +441,61 @@ def convolve(
     # (4,4,8) split on the core, a t-only split on the surrounding ring where
     # only the vertical variation still matters -- and the singular cell gets
     # the sheared average with an analytic core (_sheared_diagonal).
-    sqrt_ht = f.steps[-1] ** 0.5
-    core_rad = max(3.5 * max(f.steps[: 2 * f.N]), 1.5 * sqrt_ht)
+    sqrt_ht = steps[-1] ** 0.5
+    core_rad = max(3.5 * max(steps[: 2 * N]), 1.5 * sqrt_ht)
     ring_rad = max(3.2 * sqrt_ht, core_rad)
     tiers = (
-        (core_rad, _subcell_offsets(f.steps, f.N, (4,) * (2 * f.N) + (8,))),
-        (ring_rad, _subcell_offsets(f.steps, f.N, (1,) * (2 * f.N) + (6,))),
+        (core_rad, _subcell_offsets(steps, N, (4,) * (2 * N) + (8,))),
+        (ring_rad, _subcell_offsets(steps, N, (1,) * (2 * N) + (6,))),
     )
-    sing_tol = (1e-6 * min(f.steps)) ** 2
-    for c0 in range(0, len(src), chunk):
-        idx = src[c0 : c0 + chunk]
-        zi, ti = inv_zt(z_all[idx], t_all[idx])
-        gsq = _pair_gauge_sq(zi, ti, zo, to)
-        kv = spec.constant * _gauge_sq_power(np.maximum(gsq, sing_tol), spec.exponent)
-        sing = gsq <= sing_tol
+    sing_tol = (1e-6 * min(steps)) ** 2
+    diag = np.zeros(len(cs))
+    own = np.isin(cs, co)
+    if np.any(own):
+        diag[own] = _sheared_diagonal(spec, steps, cx[cs[own]], cy[cs[own]])
+
+    # output columns in blocks of bounded table size and pair count
+    cost = np.maximum(len(cs) * (span_o + 1) + span_s.sum(), len(src) * counts)
+    before = np.cumsum(cost) - cost
+    edges = np.concatenate(([0], np.flatnonzero(np.diff(before // _BLOCK)) + 1, [len(co)]))
+    v_src = vals[src]
+    for j0, j1 in zip(edges[:-1], edges[1:]):
+        nb = j1 - j0
+        zz, twist = _pair_w(cx[cs], cy[cs], cx[co[j0:j1]], cy[co[j0:j1]])
+        lo = ko_lo[None, j0:j1] - ks_hi[:, None]
+        length = (span_o[None, j0:j1] + span_s[:, None] + 1).ravel()
+        # table index of level difference 0 for each column pair
+        zero_at = np.cumsum(length) - length - lo.ravel()
+        pair = np.repeat(np.arange(len(length)), length)
+        wt = np.arange(len(pair)) - zero_at[pair]
+        wt = wt * steps[-1] + twist.ravel()[pair]
+        gsq = zz.ravel()[pair]
+        gsq *= gsq
+        gsq += wt * wt
+        np.sqrt(gsq, out=gsq)
+        table = spec.constant * _gauge_sq_power(np.maximum(gsq, sing_tol), spec.exponent)
         lower = sing_tol
         for rad, offsets in tiers:
-            band = (gsq > lower) & (gsq <= rad * rad)
+            band = np.flatnonzero((gsq > lower) & (gsq <= rad * rad))
             lower = rad * rad
-            if not np.any(band):
-                continue
-            rows, cols = np.nonzero(band)
-            gidx = idx[rows]
-            acc = np.zeros(len(rows))
-            for off_z, off_t in offsets:
-                zs, ts = mul_zt(z_all[gidx], t_all[gidx], off_z, off_t)
-                zi2, ti2 = inv_zt(zs, ts)
-                zd2, td2 = mul_zt(zi2, ti2, zo[cols], to[cols])
-                gg = gauge_zt(zd2, td2)
-                acc += spec.constant * _gauge_sq_power(gg * gg, spec.exponent)
-            kv[rows, cols] = acc / len(offsets)
-        if np.any(sing):
-            rows, cols = np.nonzero(sing)
-            kv[rows, cols] = _sheared_diagonal(spec, f.steps, z_all[idx[rows]])
-        out += vals[idx] @ kv
-    out *= cell
-    if out_indices is None:
-        return GridFieldH(f.box, f.shape, out.reshape(f.shape))
-    return out
+            if len(band):
+                ps, po = np.divmod(pair[band], nb)
+                wx = cx[co[j0 + po]] - cx[cs[ps]]
+                wy = cy[co[j0 + po]] - cy[cs[ps]]
+                table[band] = _subcell_mean(spec, wx, wy, wt[band], offsets)
+        sing = np.flatnonzero(gsq <= sing_tol)
+        table[sing] = diag[pair[sing] // nb]
+        # the pair (s, o) reads its column pair's table at level difference k_o - k_s
+        zero_at = zero_at.reshape(len(cs), nb)
+        sel = order[o_start[j0] : o_start[j1]]
+        o_rel, ko = o_ci[sel] - j0, o_k[sel]
+        step = max(1, _BLOCK // len(sel))
+        for a in range(0, len(src), step):
+            b = slice(a, a + step)
+            idx = zero_at[s_ci[b]][:, o_rel]
+            idx += ko
+            idx -= s_k[b, None]
+            out[sel] += v_src[b] @ table[idx]
 
 
 def _far_field_composition(
@@ -422,11 +548,17 @@ def _far_field_composition(
             continue
         gy = gauge_zt(zy, ty)
         src_w = _gauge_sq_power(gy * gy, exponent_src)
-        chunk = max(1, int(1.0e7 // max(len(zo), 1)))
+        chunk = max(1, _BLOCK // max(len(zo), 1))
         for c0 in range(0, len(zy), chunk):
-            zi, ti = inv_zt(zy[c0 : c0 + chunk], ty[c0 : c0 + chunk])
-            gsq2 = _pair_gauge_sq(zi, ti, zo, to)
-            out += measure.kappa_H * cellv * mass * (src_w[c0 : c0 + chunk] @ _gauge_sq_power(gsq2, exponent_ker))
+            b = slice(c0, c0 + chunk)
+            zz, wt = _pair_w(zy[b].real, zy[b].imag, zo.real, zo.imag)
+            wt += to
+            wt -= ty[b, None]
+            zz *= zz
+            wt *= wt
+            zz += wt
+            gsq2 = np.sqrt(zz, out=zz)
+            out += measure.kappa_H * cellv * mass * (src_w[b] @ _gauge_sq_power(gsq2, exponent_ker))
         L *= 2.0
     return out
 
@@ -482,6 +614,8 @@ def semigroup_check(
     single proportionality factor and reports the relative L^2 shape residual
     on a random subsample of grid points.
     """
+    if n_eval < 1:
+        raise DomainError("semigroup check needs n_eval >= 1 evaluation points")
     hw, hwt = half_widths
     box = BoxDomain((-hw,) * (2 * N) + (-hwt,), (hw,) * (2 * N) + (hwt,))
     f = gaussian_bump(box, shape, width=bump_width)
@@ -713,6 +847,8 @@ def mapping_bound_probe(
     Only finiteness and stability are meaningful (the sharp constant is not
     modeled); the probe reports the max and spread of the ratios.
     """
+    if n_bumps < 1:
+        raise DomainError("mapping bound probe needs n_bumps >= 1")
     Q = 2 * N + 2
     inv_p = 1.0 / q - alpha / Q
     if inv_p <= 0:

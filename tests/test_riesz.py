@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,10 +7,23 @@ from hypothesis import given, settings, strategies as st
 
 from cryamabe.energy import BubbleParams, YamabeConstants, bubble_eval_zt, bubble_field
 from cryamabe.errors import DomainError, SingularPointError
-from cryamabe.heisenberg import BoxDomain, HeisPoint, ScalarFieldH, dilate_zt, sub_laplacian
+from cryamabe.heisenberg import (
+    BoxDomain,
+    HaarMeasure,
+    HeisPoint,
+    ScalarFieldH,
+    dilate_zt,
+    gauge_zt,
+    hermitian_im,
+    inv_zt,
+    koranyi_ball_volume,
+    mul_zt,
+    sub_laplacian,
+)
 from cryamabe.riesz import (
     GridFieldH,
     KernelSpec,
+    _grid_symmetry_classes,
     convolve,
     decay_exponent_fit,
     fit_pv_constant,
@@ -26,6 +40,84 @@ from cryamabe.riesz import (
 )
 
 BOX = BoxDomain((-3.0, -3.0, -6.0), (3.0, 3.0, 6.0))
+
+
+# ---------------------------------------------------------------------------
+# dense reference (N = 1): the pair-by-pair convolution in group coordinates,
+# with loop-form sub-cell sums; full-grid output
+
+
+def _ref_subcell_offsets(steps, N, subs):
+    axes = [(np.arange(s) + 0.5) / s * h - h / 2.0 for h, s in zip(steps, subs)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    flat = [m.reshape(-1) for m in mesh]
+    z = np.stack(flat[:N], axis=-1) + 1.0j * np.stack(flat[N : 2 * N], axis=-1)
+    t = flat[2 * N]
+    return [(z[i], t[i]) for i in range(len(t))]
+
+
+def _ref_power(gauge_sq, e):
+    return gauge_sq ** (e / 2.0)
+
+
+def _ref_sheared_diagonal(spec, steps, z_src, subs=(12, 12, 16)):
+    hx, hy, ht = steps
+    a = np.abs(z_src[:, 0])
+    rho = np.minimum(0.45 * hx, 0.45 * hy)
+    rho = np.minimum(rho, -a + np.sqrt(a * a + 0.45 * ht))
+    offsets = _ref_subcell_offsets(steps, spec.N, subs)
+    subvol = hx * hy * ht / len(offsets)
+    total = np.zeros(len(z_src))
+    for off_z, off_t in offsets:
+        wt = -off_t - 2.0 * hermitian_im(off_z[None, :], z_src).reshape(-1)
+        gsq = np.sqrt(np.abs(off_z[0]) ** 4 + wt * wt)
+        outside = gsq > rho * rho
+        contrib = np.where(outside, _ref_power(np.maximum(gsq, 1e-300), spec.exponent), 0.0)
+        total += contrib * subvol
+    vol1 = koranyi_ball_volume(1, 1.0, HaarMeasure(1.0))
+    core = spec.Q * vol1 * rho ** (spec.Q + spec.exponent) / (spec.Q + spec.exponent)
+    return spec.constant * (total + core) / (hx * hy * ht)
+
+
+def _ref_convolve(f, spec, support_threshold=0.0):
+    z_all, t_all = f.points()
+    zo, to = z_all, t_all
+    vals = f.values.reshape(-1)
+    thresh = support_threshold * np.max(np.abs(vals), initial=0.0)
+    src = np.nonzero(np.abs(vals) > thresh)[0]
+    sqrt_ht = f.steps[-1] ** 0.5
+    core_rad = max(3.5 * max(f.steps[: 2 * f.N]), 1.5 * sqrt_ht)
+    ring_rad = max(3.2 * sqrt_ht, core_rad)
+    tiers = (
+        (core_rad, _ref_subcell_offsets(f.steps, f.N, (4,) * (2 * f.N) + (8,))),
+        (ring_rad, _ref_subcell_offsets(f.steps, f.N, (1,) * (2 * f.N) + (6,))),
+    )
+    sing_tol = (1e-6 * min(f.steps)) ** 2
+    out = np.zeros(len(zo))
+    chunk = max(1, 10**6 // len(zo))
+    for c0 in range(0, len(src), chunk):
+        idx = src[c0 : c0 + chunk]
+        zi, ti = inv_zt(z_all[idx], t_all[idx])
+        zd = zi[:, None, :] + zo[None, :, :]
+        td = ti[:, None] + to[None, :] + 2.0 * hermitian_im(zi[:, None, :], zo[None, :, :])
+        zz = np.sum(zd.real**2 + zd.imag**2, axis=-1)
+        gsq = np.sqrt(zz * zz + td * td)
+        kv = spec.constant * _ref_power(np.maximum(gsq, sing_tol), spec.exponent)
+        lower = sing_tol
+        for rad, offsets in tiers:
+            rows, cols = np.nonzero((gsq > lower) & (gsq <= rad * rad))
+            lower = rad * rad
+            acc = np.zeros(len(rows))
+            for off_z, off_t in offsets:
+                zs, ts = mul_zt(z_all[idx[rows]], t_all[idx[rows]], off_z, off_t)
+                zd2, td2 = mul_zt(*inv_zt(zs, ts), zo[cols], to[cols])
+                gg = gauge_zt(zd2, td2)
+                acc += spec.constant * _ref_power(gg * gg, spec.exponent)
+            kv[rows, cols] = acc / len(offsets)
+        rows, cols = np.nonzero(gsq <= sing_tol)
+        kv[rows, cols] = _ref_sheared_diagonal(spec, f.steps, z_all[idx[rows]])
+        out += vals[idx] @ kv
+    return out * f.cell_volume * HaarMeasure.standard(f.N).kappa_H
 
 
 class TestKernels:
@@ -86,7 +178,52 @@ class TestGridFields:
         assert np.array_equal(g.values, f.values)
 
 
+@functools.lru_cache(maxsize=None)
+def _oracle_case(n, kind, field):
+    """A source field, its kernel and the dense reference on the full grid."""
+    shape = (n,) * 3
+    if field == "centred":
+        f = gaussian_bump(BOX, shape, width=0.6)
+    elif field == "off_centre":
+        f = gaussian_bump(BOX, shape, width=0.5, center=HeisPoint([0.7 - 0.4j], 0.9))
+    else:
+        vals = np.zeros(shape)
+        vals[n // 2 - 1, n // 2 + 2, n // 2 + 1] = 1.0
+        f = GridFieldH(BOX, shape, vals)
+    spec = KernelSpec(1.0, 1, "riesz") if kind == "riesz" else KernelSpec(2.0, 1, "green")
+    return f, spec, _ref_convolve(f, spec, support_threshold=1e-9)
+
+
 class TestConvolution:
+    @pytest.mark.parametrize("outputs", ["full", "subset", "classes"])
+    @pytest.mark.parametrize("field", ["centred", "off_centre", "delta"])
+    @pytest.mark.parametrize("kind", ["riesz", "green"])
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_matches_dense_reference(self, n, kind, field, outputs):
+        f, spec, ref = _oracle_case(n, kind, field)
+        if outputs == "full":
+            idx = np.arange(n**3)
+            got = convolve(f, spec, support_threshold=1e-9).values.reshape(-1)
+        else:
+            if outputs == "subset":
+                idx = np.random.default_rng(n).choice(n**3, 128, replace=False)
+            else:
+                idx = _grid_symmetry_classes(f.shape)[0]
+            got = convolve(f, spec, out_indices=idx, support_threshold=1e-9)
+        assert np.max(np.abs(got - ref[idx]) / ref[idx]) <= 1e-12
+
+    def test_out_indices_out_of_range(self):
+        with pytest.raises(DomainError):
+            convolve(gaussian_bump(BOX, (8, 8, 8)), KernelSpec(1.0, 1), out_indices=np.array([0, 512]))
+
+    def test_out_indices_negative(self):
+        with pytest.raises(DomainError):
+            convolve(gaussian_bump(BOX, (8, 8, 8)), KernelSpec(1.0, 1), out_indices=np.array([3, -1]))
+
+    def test_out_indices_non_integer(self):
+        with pytest.raises(DomainError):
+            convolve(gaussian_bump(BOX, (8, 8, 8)), KernelSpec(1.0, 1), out_indices=np.array([0.0, 1.0]))
+
     def test_linearity_exact(self):
         spec = KernelSpec(1.0, 1)
         f = gaussian_bump(BOX, (12, 12, 12), width=0.8)
@@ -124,6 +261,10 @@ class TestConvolution:
 
 
 class TestSemigroup:
+    def test_needs_evaluation_points(self):
+        with pytest.raises(DomainError):
+            semigroup_check(shape=(16, 16, 16), n_eval=0)
+
     def test_small_grid_shape_agreement(self):
         rep = semigroup_check(shape=(32, 32, 32), n_eval=256)
         assert rep["shape_residual"] < 0.10
@@ -230,6 +371,10 @@ class TestMappingBound:
         rep = mapping_bound_probe(1.0, 1, q=2.0, n_bumps=8, shape=(20, 20, 20), seed=5)
         assert math.isfinite(rep["max_ratio"]) and rep["max_ratio"] > 0
         assert rep["spread"] < 3.0
+
+    def test_needs_a_bump(self):
+        with pytest.raises(DomainError):
+            mapping_bound_probe(1.0, 1, q=2.0, n_bumps=0)
 
     def test_exponent_relation_guard(self):
         with pytest.raises(DomainError):
