@@ -34,6 +34,7 @@ from .heisenberg import (
     HeisPoint,
     ScalarFieldH,
     ShellScheme,
+    _flow_stencil,
     gauge_zt,
     integrate_decaying,
     sub_laplacian,
@@ -43,6 +44,7 @@ from .energy import (
     BubbleParams,
     YamabeConstants,
     YamabeProblem,
+    _dirichlet_density,
     bubble_eval_zt,
     bubble_horizontal_gradient_zt,
     dirichlet_form,
@@ -243,6 +245,11 @@ def bubble_piece_report(
     v_n with the weak limit in both the quadratic and p*-parts, and the
     L^2-against-smooth pairing used for the weak-convergence diagnostic.
     Only the local case k = 1 supports the Dirichlet-form route.
+
+    The four integrals share one shell walk: per node the transported bubble
+    W is evaluated at the base point and at the four Dirichlet stencil
+    points, and the chart map and Jacobian of the base point serve both
+    couplings.
     """
     constants = prob.constants
     if abs(constants.k - 1.0) > 1e-14:
@@ -250,37 +257,35 @@ def bubble_piece_report(
     R = chart.radii[n]
     scheme = scheme or ShellScheme.reaching(4.0 / R, l0=1.5, n_inner=64, n_shell=48)
     conf = chart.chart(n)
-    beta_n = _cutoff_on_group(chart, n, constants)
-    w_c = chart.group_center
     p_star = constants.p_star
-
-    def W(z, t):  # transported bubble with cutoff
-        return beta_n(z, t) * chart.profile_factor * bubble_eval_zt(chart.profile, z, t, constants)
-
-    a_n = dirichlet_form(W, constants, scheme)
-    m_n, _ = integrate_decaying(
-        lambda z, t: np.abs(W(z, t)) ** p_star, constants.N, scheme, constants.measure
-    )
-
+    e_quad = (constants.Q + 2 * constants.k) / (2.0 * constants.Q)
     # couplings with the weak limit, all pulled to the group side
     Au = SpectralFunction(prob.basis.multipliers(constants.k) * u_infty.coeffs, prob.basis)
 
-    def cross_quad_integrand(z, t):
-        lam = conf.jacobian_zt(z, t)
-        g = Au.eval(conf.map_zt(z, t))
-        return lam ** ((constants.Q + 2 * constants.k) / (2.0 * constants.Q)) * g * W(z, t)
+    def W_at(z, t, zeta):  # transported bubble with cutoff; zeta = conf.map_zt(z, t)
+        U = bubble_eval_zt(chart.profile, z, t, constants)
+        return chart.cutoff.value(zeta) * chart.profile_factor * U
 
-    cross_quad, _ = integrate_decaying(cross_quad_integrand, constants.N, scheme, constants.measure)
+    def W(z, t):
+        return W_at(z, t, conf.map_zt(z, t))
 
-    def coupling_integrand(z, t):
+    def integrand(z, t):
+        zeta = conf.map_zt(z, t)
         lam = conf.jacobian_zt(z, t)
-        a = u_infty.eval(conf.map_zt(z, t))
-        b = lam ** (-1.0 / p_star) * W(z, t)
-        return lam * (
-            np.abs(a + b) ** p_star - np.abs(a) ** p_star - np.abs(b) ** p_star
+        w = W_at(z, t, zeta)
+        a = u_infty.eval(zeta)
+        b = lam ** (-1.0 / p_star) * w
+        return np.stack(
+            [
+                _dirichlet_density(W, z, t),
+                np.abs(w) ** p_star,
+                lam**e_quad * Au.eval(zeta) * w,
+                lam * (np.abs(a + b) ** p_star - np.abs(a) ** p_star - np.abs(b) ** p_star),
+            ]
         )
 
-    coupling, _ = integrate_decaying(coupling_integrand, constants.N, scheme, constants.measure)
+    values, _ = integrate_decaying(integrand, constants.N, scheme, constants.measure)
+    a_n, m_n, cross_quad, coupling = values
 
     return {
         "R_n": R,
@@ -375,24 +380,24 @@ def residual_report(
     # the weak limit must be an exact critical point for L(A) = A^{p*-1}
     resid_inf = prob.residual(spec.u_infty)
 
-    def A_fn(z, t):
-        lam = conf.jacobian_zt(z, t)
-        return lam**expo * spec.u_infty.eval(conf.map_zt(z, t))
-
     def G_fn(z, t):
         om = bubble_eval_zt(chart.profile, z, t, constants)
-        beta = beta_n(z, t)
-        A = A_fn(z, t)
-        # L(beta c om) = beta c om^3 + c om L(beta) + c H(beta, om), L = -Delta_b
+        zeta = conf.map_zt(z, t)
+        beta = chart.cutoff.value(zeta)
+        A = conf.jacobian_zt(z, t) ** expo * spec.u_infty.eval(zeta)
+        # L(beta c om) = beta c om^3 + c om L(beta) + c H(beta, om), L = -Delta_b;
+        # one flow stencil gives Delta_b beta and the X_j/Y_j derivatives of beta
         h = _beta_step(z, t)
-        lap_beta = sub_laplacian(beta_n, z, t, h=h)
+        lap = np.zeros_like(beta)
+        grad = {"X": [], "Y": []}
+        for kind, _, (zp, tp), (zm, tm) in _flow_stencil(z, t, h):
+            bp, bm = beta_n(zp, tp), beta_n(zm, tm)
+            lap = lap + (bp + bm - 2.0 * beta)
+            grad[kind].append((bp - bm) / (2.0 * h))
+        lap_beta = lap / (4.0 * h * h)
         gx_om, gy_om = bubble_horizontal_gradient_zt(z, t, constants)
-        gx_b = np.stack(
-            [vector_field(("X", j + 1), beta_n, z, t, h=h) for j in range(constants.N)], axis=-1
-        )
-        gy_b = np.stack(
-            [vector_field(("Y", j + 1), beta_n, z, t, h=h) for j in range(constants.N)], axis=-1
-        )
+        gx_b = np.stack(grad["X"], axis=-1)
+        gy_b = np.stack(grad["Y"], axis=-1)
         cross = -0.5 * (np.sum(gx_b * gx_om, axis=-1) + np.sum(gy_b * gy_om, axis=-1))
         L_betaU = c_prof * (beta * om**3 - om * lap_beta + cross)
         W = A + c_prof * beta * om

@@ -28,6 +28,7 @@ from .heisenberg import (
     HaarMeasure,
     HeisPoint,
     ShellScheme,
+    _flow_stencil,
     dilate_zt,
     gauge_zt,
     inv_zt,
@@ -282,6 +283,20 @@ def sobolev_quotient(u: SpectralFunction, prob: YamabeProblem) -> float:
 # Heisenberg-side energy
 
 
+def _dirichlet_density(U, z, t, h=None, h_factor: float = 0.01) -> Array:
+    """1/4 sum_j (X_j U)^2 + (Y_j U)^2 at (z, t) by the exact-flow central stencil.
+
+    The step is ``h`` or, by default, ``h_factor * (1 + gauge)``: it scales
+    with the gauge, so far shells stay accurate.
+    """
+    step = h if h is not None else h_factor * (1.0 + gauge_zt(z, t))
+    acc = np.zeros(t.shape)
+    for _, _, (zp, tp), (zm, tm) in _flow_stencil(z, t, step):
+        d = (np.asarray(U(zp, tp)) - np.asarray(U(zm, tm))) / (2.0 * step)
+        acc += d * d
+    return 0.25 * acc
+
+
 def dirichlet_form(
     U,
     constants: YamabeConstants,
@@ -295,24 +310,13 @@ def dirichlet_form(
     First derivatives use the exact-flow central stencil with a step that
     scales with the gauge, so far shells stay accurate.
     """
-    N = constants.N
-
-    def integrand(z, t):
-        step = h if h is not None else h_factor * (1.0 + gauge_zt(z, t))
-        acc = np.zeros(t.shape)
-        zeros = np.zeros_like(t)
-        for jj in range(N):
-            for kind in ("X", "Y"):
-                e = np.zeros(N, dtype=np.complex128)
-                e[jj] = 1.0 if kind == "X" else 1.0j
-                he = step[..., None] * e
-                zp, tp = mul_zt(z, t, he, zeros)
-                zm, tm = mul_zt(z, t, -he, zeros)
-                d = (np.asarray(U(zp, tp)) - np.asarray(U(zm, tm))) / (2.0 * step)
-                acc += d * d
-        return 0.25 * acc
-
-    val, _ = integrate_decaying(integrand, N, scheme, constants.measure, center=center)
+    val, _ = integrate_decaying(
+        lambda z, t: _dirichlet_density(U, z, t, h, h_factor),
+        constants.N,
+        scheme,
+        constants.measure,
+        center=center,
+    )
     return val
 
 

@@ -7,13 +7,20 @@ Points of the group are pairs (z, t) with z in C^N and t real.  The group law is
 anisotropic dilations are d_lam(z, t) = (lam z, lam^2 t), and the homogeneous
 dimension is Q = 2N + 2.  All numerical kernels are vectorized: they accept z of
 shape (..., N) and t of shape (...), broadcasting over leading axes.
+
+Integrals over all of H^N run on nested Koranyi shells (:class:`ShellScheme`).
+The shell loop exists once, as the block walker :func:`shell_nodes`; the
+quadrature :func:`integrate_decaying`, the PV operator and the far field of
+iterated convolutions in :mod:`riesz` all walk it.  An integrand may return
+several stacked rows, so integrals that share their expensive inputs (chart
+maps, Jacobians, cutoffs, stencil values) are accumulated in one walk.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -205,6 +212,23 @@ def vector_field(which, f, z, t, h: float | None = None) -> Array:
     return (_field_eval(f, zp, tp) - _field_eval(f, zm, tm)) / (2.0 * hh)
 
 
+def _flow_stencil(z: Array, t: Array, h):
+    """Yield (kind, j, (z+, t+), (z-, t-)): the points p.(+-h e, 0) of X_j and Y_j.
+
+    ``h`` is a scalar or one step per point.  These are the central-difference
+    points of every horizontal derivative in the package, so a caller that
+    needs several derivatives of one field evaluates it once per point.
+    """
+    hh = np.asarray(h, dtype=np.float64)
+    zeros = np.zeros_like(t)
+    N = z.shape[-1]
+    for j in range(1, N + 1):
+        for kind in ("X", "Y"):
+            e = _flow_offsets(kind, j, N)
+            he = hh[..., None] * e if hh.ndim else hh * e
+            yield kind, j, mul_zt(z, t, he, zeros), mul_zt(z, t, -he, zeros)
+
+
 def sub_laplacian(f, z, t, h: float | None = None) -> Array:
     """Delta_b f = (1/4) sum_j (X_j^2 + Y_j^2) f by second differences along flows."""
     if isinstance(f, ScalarFieldH) and h is None:
@@ -213,17 +237,10 @@ def sub_laplacian(f, z, t, h: float | None = None) -> Array:
     z = np.asarray(z, dtype=np.complex128)
     t = np.asarray(t, dtype=np.float64)
     hh = np.asarray(h, dtype=np.float64)
-    N = z.shape[-1]
     f0 = _field_eval(f, z, t)
     acc = np.zeros_like(f0)
-    zeros = np.zeros_like(t)
-    for jj in range(1, N + 1):
-        for kind in ("X", "Y"):
-            e = _flow_offsets(kind, jj, N)
-            he = hh[..., None] * e if hh.ndim else hh * e
-            zp, tp = mul_zt(z, t, he, zeros)
-            zm, tm = mul_zt(z, t, -he, zeros)
-            acc = acc + (_field_eval(f, zp, tp) + _field_eval(f, zm, tm) - 2.0 * f0)
+    for _, _, (zp, tp), (zm, tm) in _flow_stencil(z, t, hh):
+        acc = acc + (_field_eval(f, zp, tp) + _field_eval(f, zm, tm) - 2.0 * f0)
     return acc / (4.0 * hh * hh)
 
 
@@ -362,18 +379,16 @@ def haar_integral(
 
 
 def koranyi_ball_volume(N: int, radius: float = 1.0, measure: HaarMeasure | None = None) -> float:
-    """dv_H volume of a Koranyi ball.  Closed form for N=1, Monte Carlo otherwise."""
+    """dv_H volume of a Koranyi ball, kappa_H pi^N B(N/2, 3/2) / (N-1)! R^Q.
+
+    The Lebesgue volume of {|z|^4 + t^2 <= 1} is int_{|z| <= 1} 2 sqrt(1 - |z|^4) dz;
+    in polar coordinates (|S^{2N-1}| = 2 pi^N / (N-1)!) and u = |z|^4 the
+    radial integral is B(N/2, 3/2) / 2.  At N = 1 this is pi^2 / 2.
+    """
     measure = measure or HaarMeasure.standard(N)
-    if N == 1:
-        # Lebesgue volume of the unit gauge ball in R^3 is pi^2 / 2
-        return measure.kappa_H * (math.pi**2 / 2.0) * radius**4
-    return haar_integral(
-        lambda z, t: np.ones_like(t),
-        KoranyiBall(HeisPoint.origin(N), radius),
-        200_000,
-        measure,
-        rng=np.random.default_rng(7),
-    )
+    beta = math.gamma(N / 2.0) * math.gamma(1.5) / math.gamma(N / 2.0 + 1.5)
+    unit = math.pi**N * beta / math.factorial(N - 1)
+    return measure.kappa_H * unit * radius ** homogeneous_dim(N)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +423,47 @@ class ShellScheme:
         return ShellScheme(l0=l0, n_shells=n, n_inner=n_inner, n_shell=n_shell)
 
 
+# nodes per block of a shell walk; the block size riesz uses for its work arrays
+_WALK_BLOCK = 1 << 15
+
+
+def shell_nodes(
+    N: int, scheme: ShellScheme, center: HeisPoint | None = None
+) -> Iterator[tuple[int, Array, Array, float]]:
+    """Walk the nested Koranyi shells of ``scheme``: yield (shell_index, z, t, cell_weight).
+
+    Shell 0 is the midpoint grid of the box of half-width l0 with n_inner
+    nodes per axis; shell i > 0 is the n_shell grid of the box of half-width
+    l0 * 2^i with the nodes of the previous box removed.  Nodes come in blocks
+    of at most 2^15, in the row-major order of each shell's full grid, so an
+    integrand's work arrays stay cache-sized whatever the shell size.
+    ``cell_weight`` is the Lebesgue volume of the shell's cells, and with
+    ``center`` the nodes are left-translated to center . (z, t).
+    """
+    dim = 2 * N + 1
+    L = scheme.l0
+    for i in range(scheme.n_shells):
+        n = scheme.n_inner if i == 0 else scheme.n_shell
+        axes, cell = _box_grid(BoxDomain.koranyi(N, L), n)
+        for start in range(0, n**dim, _WALK_BLOCK):
+            idx = np.unravel_index(np.arange(start, min(start + _WALK_BLOCK, n**dim)), (n,) * dim)
+            coords = [ax[k] for ax, k in zip(axes, idx)]  # x_1..x_N, y_1..y_N, t
+            del idx  # block temporaries are freed before the caller allocates its work arrays
+            if i > 0:
+                Lin = L / 2.0
+                inner = np.abs(coords[-1]) <= Lin * Lin
+                for c in coords[:-1]:
+                    inner &= np.abs(c) <= Lin
+                coords = [c[~inner] for c in coords]
+            t = coords[-1]
+            z = np.stack(coords[:N], axis=-1) + 1.0j * np.stack(coords[N:-1], axis=-1)
+            del coords
+            if center is not None:
+                z, t = mul_zt(center.z, center.t, z, t)
+            yield i, z, t, cell
+        L *= 2.0
+
+
 def integrate_decaying(
     f,
     N: int,
@@ -415,32 +471,25 @@ def integrate_decaying(
     measure: HaarMeasure | None = None,
     center: HeisPoint | None = None,
     check_decay: bool = True,
-) -> tuple[float, list[float]]:
+) -> tuple[float, list[float]] | tuple[list[float], list[list[float]]]:
     """Integrate f dv_H over H^N by nested Koranyi boxes centered at ``center``.
 
-    Returns (value, per-shell contributions).  Raises DivergentIntegralError
-    when the outermost shells grow, which diagnoses a non-integrable input.
+    Returns (value, per-shell contributions).  An integrand that returns a
+    stacked (m, n) array for n nodes is m integrands over one walk: the
+    result is then (list of m values, list of m per-shell lists).  Raises
+    DivergentIntegralError when the outermost shells of any component grow,
+    which diagnoses a non-integrable input.
     """
     measure = measure or HaarMeasure.standard(N)
-    shells: list[float] = []
-    L = scheme.l0
-    for i in range(scheme.n_shells):
-        n = scheme.n_inner if i == 0 else scheme.n_shell
-        box = BoxDomain.koranyi(N, L)
-        axes, cell = _box_grid(box, (n,) * (2 * N) + (n,))
-        z, t = _grid_points(axes, N)
-        if i > 0:
-            Lin = L / 2.0
-            xy_in = np.all(np.abs(np.concatenate([z.real, z.imag], axis=-1)) <= Lin, axis=-1)
-            keep = ~(xy_in & (np.abs(t) <= Lin * Lin))
-            z, t = z[keep], t[keep]
-        if center is not None:
-            z, t = mul_zt(center.z, center.t, z, t)
-        vals = _field_eval(f, z, t)
-        shells.append(float(measure.kappa_H * cell * np.sum(vals)))
-        L *= 2.0
-    if check_decay and len(shells) >= 3:
-        tail = [abs(s) for s in shells[-3:]]
-        if tail[-1] > tail[-2] > tail[-3] and tail[-1] > 1e-12 * max(abs(s) for s in shells):
-            raise DivergentIntegralError(f"shell contributions grow: {shells}")
-    return float(sum(shells)), shells
+    acc = [0.0] * scheme.n_shells
+    for i, z, t, cell in shell_nodes(N, scheme, center):
+        acc[i] = acc[i] + measure.kappa_H * cell * np.sum(_field_eval(f, z, t), axis=-1)
+    table = np.stack(acc, axis=-1)  # (n_shells,) or (m, n_shells)
+    shells = table.reshape(-1, scheme.n_shells).tolist()
+    if check_decay and scheme.n_shells >= 3:
+        for row in shells:
+            tail = [abs(s) for s in row[-3:]]
+            if tail[-1] > tail[-2] > tail[-3] and tail[-1] > 1e-12 * max(abs(s) for s in row):
+                raise DivergentIntegralError(f"shell contributions grow: {row}")
+    values = [sum(row) for row in shells]
+    return (values[0], shells[0]) if table.ndim == 1 else (values, shells)

@@ -119,8 +119,3 @@ def poly_eval(p: Poly, zeta: np.ndarray) -> np.ndarray:
                 term = term * zb[..., j] ** b
         out += term
     return out
-
-
-def bidegree_of(key: Tuple[Multi, Multi]) -> Tuple[int, int]:
-    alpha, beta = key
-    return sum(alpha), sum(beta)

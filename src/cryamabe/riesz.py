@@ -33,10 +33,11 @@ from .heisenberg import (
     ScalarFieldH,
     ShellScheme,
     gauge_zt,
+    integrate_decaying,
     inv_zt,
-    kappa_haar,
     koranyi_ball_volume,
     mul_zt,
+    shell_nodes,
     sub_laplacian,
 )
 
@@ -515,14 +516,14 @@ def _far_field_composition(
     potential is within O(|y|^{e_src - 1}) of its leading homogeneous term, so
     the far field of the second convolution reduces to this smooth integral.
     """
-    from .heisenberg import _box_grid, _grid_points
-
     N = zo.shape[-1]
     out = np.zeros(len(zo))
-    # first Koranyi shell box must contain the grid box
+    # the first Koranyi shell box must contain the grid box: shell i is the
+    # box of half-width L 2^(i+1) less the box of half-width L 2^i
     hw_xy = max(abs(b) for b in (*box.lo[: 2 * N], *box.hi[: 2 * N]))
     hw_t = max(abs(box.lo[-1]), abs(box.hi[-1]))
     L = float(max(hw_xy, math.sqrt(hw_t)))
+    scheme = ShellScheme(2.0 * L, n_shells, n_axis, n_axis)
 
     def outside(zy, ty):
         xy = np.concatenate([zy.real, zy.imag], axis=-1)
@@ -532,23 +533,12 @@ def _far_field_composition(
         inside &= (ty >= box.lo[-1]) & (ty <= box.hi[-1])
         return ~inside
 
-    for i in range(n_shells):
-        outer = BoxDomain.koranyi(N, L * 2.0)
-        axes, cellv = _box_grid(outer, (n_axis,) * (2 * N) + (n_axis,))
-        zy, ty = _grid_points(axes, N)
+    chunk = max(1, _BLOCK // max(len(zo), 1))
+    for _, zy, ty, cellv in shell_nodes(N, scheme):
         keep = outside(zy, ty)
-        if i > 0:
-            xy_in = np.all(
-                np.abs(np.concatenate([zy.real, zy.imag], axis=-1)) <= L, axis=-1
-            )
-            keep &= ~(xy_in & (np.abs(ty) <= L * L))
         zy, ty = zy[keep], ty[keep]
-        if len(zy) == 0:
-            L *= 2.0
-            continue
         gy = gauge_zt(zy, ty)
         src_w = _gauge_sq_power(gy * gy, exponent_src)
-        chunk = max(1, _BLOCK // max(len(zo), 1))
         for c0 in range(0, len(zy), chunk):
             b = slice(c0, c0 + chunk)
             zz, wt = _pair_w(zy[b].real, zy[b].imag, zo.real, zo.imag)
@@ -559,7 +549,6 @@ def _far_field_composition(
             zz += wt
             gsq2 = np.sqrt(zz, out=zz)
             out += measure.kappa_H * cellv * mass * (src_w[b] @ _gauge_sq_power(gsq2, exponent_ker))
-        L *= 2.0
     return out
 
 
@@ -723,17 +712,16 @@ def _horizontal_moment_constant(N: int, alpha: float) -> float:
     key = (N, alpha)
     if key in _HORIZONTAL_MOMENT_CACHE:
         return _HORIZONTAL_MOMENT_CACHE[key]
-    from .heisenberg import _box_grid, _grid_points
-
     Q = 2 * N + 2
-    box = BoxDomain.koranyi(N, 1.0)
     n = 96 if N == 1 else 32
-    axes, cellv = _box_grid(box, (n,) * (2 * N) + (n,))
-    z0, t0 = _grid_points(axes, N)
-    g = gauge_zt(z0, t0)
-    keep = (g > 0.5) & (g <= 1.0)
-    zz = np.sum((z0[keep] * np.conj(z0[keep])).real, axis=-1)
-    annulus = kappa_haar(N) * cellv * float(np.sum(zz * g[keep] ** (-(Q + alpha))))
+
+    def annulus_density(z, t):
+        g = gauge_zt(z, t)
+        zz = np.sum((z * np.conj(z)).real, axis=-1)
+        return np.where((g > 0.5) & (g <= 1.0), zz * g ** (-(Q + alpha)), 0.0)
+
+    # one shell: the midpoint grid of the unit Koranyi box
+    annulus, _ = integrate_decaying(annulus_density, N, ShellScheme(1.0, 1, n, n), HaarMeasure.standard(N))
     val = annulus / (1.0 - 2.0 ** (alpha - 2.0))
     _HORIZONTAL_MOMENT_CACHE[key] = val
     return val
@@ -775,19 +763,7 @@ def pv_fractional(
 
     def run(d: float) -> float:
         total = 2.0 * mom1 * d ** (2.0 - alpha) * (-lap)
-        L = scheme.l0
-        from .heisenberg import _box_grid, _grid_points
-
-        for i in range(scheme.n_shells):
-            n = scheme.n_inner if i == 0 else scheme.n_shell
-            box = BoxDomain.koranyi(N, L)
-            axes, cellv = _box_grid(box, (n,) * (2 * N) + (n,))
-            z0, t0 = _grid_points(axes, N)
-            if i > 0:
-                Lin = L / 2.0
-                xy_in = np.all(np.abs(np.concatenate([z0.real, z0.imag], axis=-1)) <= Lin, axis=-1)
-                keep = ~(xy_in & (np.abs(t0) <= Lin * Lin))
-                z0, t0 = z0[keep], t0[keep]
+        for _, z0, t0, cellv in shell_nodes(N, scheme):
             g = gauge_zt(z0, t0)
             keep = g > d
             z0, t0, g = z0[keep], t0[keep], g[keep]
@@ -796,7 +772,6 @@ def pv_fractional(
             zm_, tm_ = mul_zt(p.z, p.t, -z0, -t0)
             incr = 2.0 * u_at_p - np.asarray(ue(zp_, tp_)) - np.asarray(ue(zm_, tm_))
             total += 0.5 * measure.kappa_H * cellv * float(np.sum(incr * g ** (-(Q + alpha))))
-            L *= 2.0
         return constant * total
 
     val = run(delta)
@@ -849,6 +824,8 @@ def mapping_bound_probe(
     """
     if n_bumps < 1:
         raise DomainError("mapping bound probe needs n_bumps >= 1")
+    if not (math.isfinite(q) and q >= 1.0):
+        raise DomainError(f"mapping bound probe needs a finite exponent q >= 1, got {q}")
     Q = 2 * N + 2
     inv_p = 1.0 / q - alpha / Q
     if inv_p <= 0:

@@ -610,10 +610,6 @@ def apply_A2k(u: SpectralFunction, k: float) -> SpectralFunction:
     return u.copy_with(u.coeffs * u.basis.multipliers(k))
 
 
-def solve_A2k(f: SpectralFunction, k: float) -> SpectralFunction:
-    return f.copy_with(f.coeffs / f.basis.multipliers(k))
-
-
 def norm_Hk(u: SpectralFunction, k: float) -> float:
     return math.sqrt(float(np.sum(u.basis.multipliers(k) * u.coeffs**2)))
 

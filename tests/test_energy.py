@@ -205,6 +205,17 @@ class TestHeisenbergEnergy:
         with pytest.raises(DomainError):
             energy_heis(lambda z, t: np.exp(-t * t), consts)
 
+    def test_dirichlet_form_fixed_step(self):
+        # a scalar step takes the same flow stencil; the gauge-scaled default
+        # step is coarser on the far shells, hence the 1e-3
+        from cryamabe.energy import dirichlet_form
+
+        consts = YamabeConstants.create(1, 1.0)
+        scheme = ShellScheme(l0=1.5, n_shells=4, n_inner=32, n_shell=32)
+        U = bubble_field(BubbleParams.standard(1), consts)
+        fixed = dirichlet_form(U, consts, scheme, h=1e-3)
+        assert fixed == pytest.approx(dirichlet_form(U, consts, scheme), rel=1e-3)
+
     def test_divergent_input_diagnosed(self):
         consts = YamabeConstants.create(1, 1.0)
         scheme = ShellScheme(l0=1.5, n_shells=5, n_inner=24, n_shell=24)

@@ -20,8 +20,10 @@ from cryamabe.heisenberg import (
     integrate_decaying,
     kappa_haar,
     koranyi_dist,
+    koranyi_ball_volume,
     koranyi_gauge,
     mul_zt,
+    shell_nodes,
     sub_laplacian,
     vector_field,
 )
@@ -230,7 +232,95 @@ class TestHaarQuadrature:
         with pytest.raises(DivergentIntegralError):
             integrate_decaying(lambda z, t: np.ones_like(t), 1, ShellScheme(n_shells=5))
 
+    def test_ball_volume_closed_form(self):
+        assert koranyi_ball_volume(1, 1.0, HaarMeasure(1.0)) == pytest.approx(math.pi**2 / 2.0, rel=1e-15)
+        assert koranyi_ball_volume(1, 2.0) == pytest.approx(kappa_haar(1) * 8.0 * math.pi**2, rel=1e-15)
+        # N = 2: midpoint rule on the (x1, y1, x2, y2) box with the t-extent
+        # 2 sqrt(1 - |z|^4) of the unit gauge ball integrated exactly
+        n = 40
+        h = 2.0 / n
+        c = -1.0 + h * (np.arange(n) + 0.5)
+        r2 = (c[:, None, None, None] ** 2 + c[None, :, None, None] ** 2
+              + c[None, None, :, None] ** 2 + c[None, None, None, :] ** 2)
+        box = h**4 * float(np.sum(2.0 * np.sqrt(np.clip(1.0 - r2 * r2, 0.0, None))))
+        vol = koranyi_ball_volume(2, 1.0, HaarMeasure(1.0))
+        assert vol == pytest.approx(2.0 * math.pi**2 / 3.0, rel=1e-14)
+        assert vol == pytest.approx(box, rel=5e-4)
+        assert koranyi_ball_volume(2, 1.5) == pytest.approx(kappa_haar(2) * vol * 1.5**6, rel=1e-14)
+
     def test_haar_measure_validation(self):
         with pytest.raises(DomainError):
             HaarMeasure(0.0)
         assert HaarMeasure.standard(2).kappa_H == 32.0
+
+
+def _unblocked_shells(N, scheme, center=None):
+    """The nested-shell loop as written before the walker: whole shells at once."""
+    from cryamabe.heisenberg import _box_grid, _grid_points
+
+    out = []
+    L = scheme.l0
+    for i in range(scheme.n_shells):
+        n = scheme.n_inner if i == 0 else scheme.n_shell
+        axes, cell = _box_grid(BoxDomain.koranyi(N, L), (n,) * (2 * N) + (n,))
+        z, t = _grid_points(axes, N)
+        if i > 0:
+            Lin = L / 2.0
+            xy_in = np.all(np.abs(np.concatenate([z.real, z.imag], axis=-1)) <= Lin, axis=-1)
+            keep = ~(xy_in & (np.abs(t) <= Lin * Lin))
+            z, t = z[keep], t[keep]
+        if center is not None:
+            z, t = mul_zt(center.z, center.t, z, t)
+        out.append((z, t, cell))
+        L *= 2.0
+    return out
+
+
+class TestShellWalker:
+    @pytest.mark.parametrize(
+        "N, scheme",
+        [
+            (1, ShellScheme(l0=1.5, n_shells=4, n_inner=64, n_shell=48)),
+            (1, ShellScheme(l0=0.7, n_shells=3, n_inner=36, n_shell=80)),
+            (2, ShellScheme(l0=1.0, n_shells=3, n_inner=12, n_shell=8)),
+        ],
+    )
+    @pytest.mark.parametrize("center", [None, HeisPoint([0.3 - 0.8j], 1.7)])
+    def test_same_nodes_and_weights_as_unblocked_loop(self, N, scheme, center):
+        if center is not None and N == 2:
+            center = HeisPoint([0.3 - 0.8j, -0.2 + 0.1j], 1.7)
+        blocks = list(shell_nodes(N, scheme, center))
+        assert all(len(t) <= 2**15 and z.shape == (len(t), N) for _, z, t, _ in blocks)
+        assert [i for i, _, _, _ in blocks] == sorted(i for i, _, _, _ in blocks)
+        for i, (z_ref, t_ref, cell_ref) in enumerate(_unblocked_shells(N, scheme, center)):
+            mine = [b for b in blocks if b[0] == i]
+            assert all(cell == cell_ref for _, _, _, cell in mine)
+            assert np.array_equal(np.concatenate([b[1] for b in mine]), z_ref)
+            assert np.array_equal(np.concatenate([b[2] for b in mine]), t_ref)
+
+    def test_stacked_integrand_equals_scalar_calls(self):
+        from cryamabe.energy import BubbleParams, YamabeConstants, bubble_eval_zt
+
+        consts = YamabeConstants.create(1, 1.0)
+        rows = (
+            lambda z, t: bubble_eval_zt(BubbleParams.standard(1), z, t, consts) ** 4,
+            lambda z, t: np.exp(-(np.abs(z[..., 0]) ** 4 + t * t)),
+            lambda z, t: np.sin(t) / (1.0 + np.abs(z[..., 0]) ** 2 + np.abs(t)) ** 4,
+        )
+        scheme = ShellScheme(l0=1.0, n_shells=5, n_inner=40, n_shell=32)
+        centre = HeisPoint([0.4 + 0.2j], -0.3)
+        values, shells = integrate_decaying(
+            lambda z, t: np.stack([f(z, t) for f in rows]), 1, scheme, center=centre
+        )
+        assert len(values) == len(shells) == len(rows)
+        for f, v, sh in zip(rows, values, shells):
+            v_ref, sh_ref = integrate_decaying(f, 1, scheme, center=centre)
+            assert abs(v - v_ref) <= 1e-15 * abs(v_ref)
+            assert np.max(np.abs(np.subtract(sh, sh_ref))) <= 1e-15 * max(map(abs, sh_ref))
+
+    def test_growing_row_of_a_stack_diagnosed(self):
+        decaying = lambda z, t: np.exp(-(np.abs(z[..., 0]) ** 4 + t * t))  # noqa: E731
+        scheme = ShellScheme(n_shells=5)
+        integrate_decaying(lambda z, t: np.stack([decaying(z, t), decaying(z, t)]), 1, scheme)
+        with pytest.raises(DivergentIntegralError):
+            integrate_decaying(lambda z, t: np.stack([decaying(z, t), np.ones_like(t)]), 1, scheme)

@@ -379,3 +379,15 @@ class TestMappingBound:
     def test_exponent_relation_guard(self):
         with pytest.raises(DomainError):
             mapping_bound_probe(3.5, 1, q=2.0)
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, -2.0, math.nan, math.inf])
+    def test_exponent_q_refused_before_work(self, q, monkeypatch):
+        import cryamabe.riesz as rz
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the probe started work before refusing q")
+
+        monkeypatch.setattr(rz, "gaussian_bump", no_work)
+        monkeypatch.setattr(rz, "convolve", no_work)
+        with pytest.raises(DomainError):
+            mapping_bound_probe(1.0, 1, q=q)
