@@ -3,9 +3,9 @@
 
 Runs the Nehari-constrained descent inside the odd subspace from random
 seeds, reports energies relative to the bubble level, and emits one JSON
-record per candidate.  Increasing --jmax emulates the unbounded sequence of
-levels: the attainable p*-mass grows with the truncation, which the summary
-records as a trend.
+record per candidate.  Increasing --jmax (up to spectral.JMAX_VERIFIED)
+emulates the unbounded sequence of levels: the attainable p*-mass grows with
+the truncation, which the summary records as a trend.
 
 Usage: python scripts/explore_minimax.py [--seeds 10] [--jmax 8] [--out out/]
 """
@@ -18,6 +18,7 @@ import numpy as np
 
 from cryamabe.energy import YamabeProblem
 from cryamabe.minimax import SubgroupSpec, minimax_search, write_reports
+from cryamabe.spectral import JMAX_VERIFIED
 
 
 def main() -> int:
@@ -28,6 +29,8 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", type=str, default="out")
     args = ap.parse_args()
+    if not 0 <= args.jmax <= JMAX_VERIFIED:
+        ap.error(f"--jmax must lie in [0, {JMAX_VERIFIED}]")
 
     prob = YamabeProblem.build(N=1, k=1.0, jmax=args.jmax)
     consts = prob.constants

@@ -55,11 +55,8 @@ from .energy import (
     bubble_eval,
     constant_solution,
     energy_heis,
-    energy_sphere,
-    gradient_sphere,
     p_star,
     sobolev_constant,
-    sobolev_quotient,
 )
 
 __version__ = "0.1.0"

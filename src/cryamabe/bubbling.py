@@ -49,7 +49,7 @@ from .energy import (
     bubble_horizontal_gradient_zt,
     dirichlet_form,
 )
-from .spectral import SpectralFunction, analyze, norm_Hk
+from .spectral import SpectralFunction, analyze, apply_A2k, h_minus_k_form, hk_form, norm_Hk
 
 # ---------------------------------------------------------------------------
 # cutoffs
@@ -260,7 +260,7 @@ def bubble_piece_report(
     p_star = constants.p_star
     e_quad = (constants.Q + 2 * constants.k) / (2.0 * constants.Q)
     # couplings with the weak limit, all pulled to the group side
-    Au = SpectralFunction(prob.basis.multipliers(constants.k) * u_infty.coeffs, prob.basis)
+    Au = apply_A2k(u_infty, constants.k)
 
     def W_at(z, t, zeta):  # transported bubble with cutoff; zeta = conf.map_zt(z, t)
         U = bubble_eval_zt(chart.profile, z, t, constants)
@@ -314,7 +314,7 @@ def ps_energy_report(
         raise DomainError("overlapping bubble supports are out of scope")
     E_inf = prob.energy(spec.u_infty)
     mass_inf = prob.lp_star_mass(spec.u_infty)
-    nsq_inf = float(np.sum(prob.basis.multipliers(constants.k) * spec.u_infty.coeffs**2))
+    nsq_inf = hk_form(spec.u_infty.coeffs, prob.basis.multipliers(constants.k))
     pieces = [bubble_piece_report(ch, n, spec.u_infty, prob, scheme) for ch in spec.bubbles]
     E_n = (
         E_inf
@@ -549,7 +549,7 @@ def hk_gradient_flow(
     status = "budget_exhausted"
     for it in range(max_iter):
         g = prob.gradient(u)
-        dual_sq = float(np.sum(g.coeffs**2 / mult))
+        dual_sq = h_minus_k_form(g.coeffs, mult)
         E0 = prob.energy(u)
         rows.append({"iter": it, "energy": E0, "hk_norm": norm_Hk(u, constants.k), "residual": math.sqrt(dual_sq)})
         if norm_Hk(u, constants.k) < target_norm:

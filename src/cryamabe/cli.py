@@ -3,7 +3,8 @@
 Every acceptance-style check is runnable by exactly one subcommand; outputs
 are written atomically (temp file + rename) so interrupted runs never leave
 half-written artifacts.  Exit codes: 0 all checks passed, 1 at least one
-assertion failed, 2 usage or configuration error.
+assertion failed, 2 usage or configuration error (out-of-range configurations
+are refused before any work).
 """
 
 from __future__ import annotations

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 
 from .errors import DomainError
+from .spectral import JMAX_VERIFIED
 
 
 @dataclass(frozen=True)
@@ -31,16 +33,17 @@ class ExperimentConfig:
         Q = 2 * self.N + 2
         if not (0 < 2 * self.k < Q):
             raise DomainError(f"need 0 < 2k < Q = {Q}")
+        bounds = {"jmax": (0, JMAX_VERIFIED), "lmax": (0, JMAX_VERIFIED), "quad_degree": (1, math.inf)}
+        for name, (low, high) in bounds.items():
+            value = getattr(self, name)
+            if value is not None and (type(value) is not int or not low <= value <= high):
+                raise DomainError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
         ladder = tuple(float(r) for r in self.rn_ladder)
         if any(b >= a for a, b in zip(ladder, ladder[1:])):
             raise DomainError("rn_ladder must decrease strictly")
         object.__setattr__(self, "rn_ladder", ladder)
         if self.tol_scale <= 0:
             raise DomainError("tol_scale must be positive")
-
-    @property
-    def lmax_resolved(self) -> int:
-        return self.jmax if self.lmax is None else self.lmax
 
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":

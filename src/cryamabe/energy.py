@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley import ConformalChart, conformal_pullback, conformal_pushforward
+from .cayley import ConformalChart, conformal_pullback, conformal_pushforward, lambda_cayley_zt
 from .errors import DomainError
 from .heisenberg import (
     Array,
@@ -43,6 +43,8 @@ from .spectral import (
     analyze,
     apply_A2k,
     build_basis,
+    constant_function,
+    hk_form,
     lambda_jk,
     norm_H_minus_k,
     total_sphere_mass,
@@ -225,9 +227,7 @@ class YamabeProblem:
     # --- elementary spectral objects ---------------------------------------
 
     def constant(self, value: float) -> SpectralFunction:
-        c = np.zeros(self.basis.n_basis)
-        c[self.basis.index_of(0, 0, 0)] = value * math.sqrt(self.constants.total_mass)
-        return SpectralFunction(c, self.basis)
+        return constant_function(value, self.basis)
 
     def ground_constant(self) -> SpectralFunction:
         return self.constant(self.constants.u0)
@@ -245,7 +245,7 @@ class YamabeProblem:
         return self.quad.integrate(np.abs(vals) ** self.constants.p_star)
 
     def energy(self, u: SpectralFunction) -> float:
-        quadratic = float(np.sum(self.basis.multipliers(self.constants.k) * u.coeffs**2))
+        quadratic = hk_form(u.coeffs, self.basis.multipliers(self.constants.k))
         return 0.5 * quadratic - self.lp_star_mass(u) / self.constants.p_star
 
     def gradient(self, u: SpectralFunction) -> SpectralFunction:
@@ -260,23 +260,11 @@ class YamabeProblem:
         return norm_H_minus_k(self.gradient(u), self.constants.k)
 
     def sobolev_quotient(self, u: SpectralFunction) -> float:
-        nsq = float(np.sum(self.basis.multipliers(self.constants.k) * u.coeffs**2))
+        nsq = hk_form(u.coeffs, self.basis.multipliers(self.constants.k))
         if nsq == 0.0:
             raise DomainError("Sobolev quotient of the zero function")
         mass = self.lp_star_mass(u)
         return mass ** (2.0 / self.constants.p_star) / nsq
-
-
-def energy_sphere(u: SpectralFunction, prob: YamabeProblem) -> float:
-    return prob.energy(u)
-
-
-def gradient_sphere(u: SpectralFunction, prob: YamabeProblem) -> SpectralFunction:
-    return prob.gradient(u)
-
-
-def sobolev_quotient(u: SpectralFunction, prob: YamabeProblem) -> float:
-    return prob.sobolev_quotient(u)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +355,7 @@ def calibrate_normalizations(constants: YamabeConstants, scheme: ShellScheme | N
     scheme = scheme or ShellScheme(n_shells=7)
     N = constants.N
     lam_integral, shells = integrate_decaying(
-        lambda z, t: np.ones_like(t) * _lambda_c(z, t, N),
+        lambda z, t: np.ones_like(t) * lambda_cayley_zt(z, t),
         N,
         scheme,
         HaarMeasure(1.0),
@@ -389,9 +377,3 @@ def calibrate_normalizations(constants: YamabeConstants, scheme: ShellScheme | N
         "bubble_constant_rel_err": cq_match,
         "lambda_shells": shells,
     }
-
-
-def _lambda_c(z, t, N):
-    from .cayley import lambda_cayley_zt
-
-    return lambda_cayley_zt(z, t)

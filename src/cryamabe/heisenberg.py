@@ -292,10 +292,9 @@ class BoxDomain:
         return any(h <= l for l, h in zip(self.lo, self.hi))
 
     @staticmethod
-    def koranyi(N: int, L: float, center: HeisPoint | None = None) -> "BoxDomain":
+    def koranyi(N: int, L: float) -> "BoxDomain":
         # anisotropic box [-L, L]^{2N} x [-L^2, L^2]; centering is applied by
         # left translation in the quadrature, not by shifting the bounds.
-        del center
         lo = tuple([-L] * (2 * N) + [-L * L])
         hi = tuple([L] * (2 * N) + [L * L])
         return BoxDomain(lo, hi)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, MaskEmptyError
 from .energy import YamabeProblem
-from .spectral import SpectralFunction, norm_Hk
+from .spectral import SpectralFunction, h_minus_k_form, norm_Hk
 
 Array = np.ndarray
 
@@ -202,7 +202,7 @@ def _masked_descent(
     message = ""
     for it in range(budget):
         g = prob.gradient(u).coeffs * mask
-        res = math.sqrt(float(np.sum(g**2 / mult)))
+        res = math.sqrt(h_minus_k_form(g, mult))
         if res < tol:
             return u, it, True, message
         step = 1.0
@@ -225,7 +225,7 @@ def _masked_descent(
             message = "line search stalled"
             break
     g = prob.gradient(u).coeffs * mask
-    res = math.sqrt(float(np.sum(g**2 / mult)))
+    res = math.sqrt(h_minus_k_form(g, mult))
     return u, budget, res < tol, message or ("budget exhausted" if res >= tol else "")
 
 
@@ -266,8 +266,8 @@ def minimax_search(
         u, iters, converged, message = _masked_descent(seed_fn, mask, prob, budget, tol)
         grad = prob.gradient(u)
         g_full = grad.coeffs
-        res_masked = math.sqrt(float(np.sum((g_full * mask) ** 2 / mult)))
-        res_full = math.sqrt(float(np.sum(g_full**2 / mult)))
+        res_masked = math.sqrt(h_minus_k_form(g_full * mask, mult))
+        res_full = math.sqrt(h_minus_k_form(g_full, mult))
         E = prob.energy(u)
         reports.append(
             CriticalPointReport(

@@ -16,6 +16,8 @@ import numpy as np
 Multi = Tuple[int, ...]
 Poly = Dict[Tuple[Multi, Multi], complex]
 
+_EVAL_CHUNK = 200_000  # points per monomial table in poly_eval
+
 
 def poly_add(p: Poly, q: Poly, coeff: complex = 1.0) -> Poly:
     out = dict(p)
@@ -104,18 +106,40 @@ def ambient_laplacian(p: Poly, N: int) -> Poly:
     return acc
 
 
-def poly_eval(p: Poly, zeta: np.ndarray) -> np.ndarray:
-    """Evaluate at points of shape (..., N+1)."""
-    zeta = np.asarray(zeta, dtype=np.complex128)
-    zb = np.conj(zeta)
-    out = np.zeros(zeta.shape[:-1], dtype=np.complex128)
-    for (alpha, beta), c in p.items():
-        term = np.full(zeta.shape[:-1], c, dtype=np.complex128)
-        for j, a in enumerate(alpha):
-            if a:
-                term = term * zeta[..., j] ** a
-        for j, b in enumerate(beta):
-            if b:
-                term = term * zb[..., j] ** b
-        out += term
+def monomial_values(keys, zeta: np.ndarray) -> np.ndarray:
+    """Values of each monomial (alpha, beta) at each point: (n_mon, n_pts).
+
+    Powers of every coordinate and its conjugate come from one table, so each
+    monomial costs one product per nonzero exponent.
+    """
+    zeta = zeta.reshape(-1, zeta.shape[-1])
+    npts, nvar = zeta.shape
+    maxdeg = max((max(max(a), max(b)) for a, b in keys), default=0)
+    pows = np.empty((nvar, maxdeg + 1, npts), dtype=np.complex128)
+    pows[:, 0] = 1.0
+    for p in range(1, maxdeg + 1):
+        pows[:, p] = pows[:, p - 1] * zeta.T
+    cpows = np.conj(pows)
+    out = np.empty((len(keys), npts), dtype=np.complex128)
+    for i, (alpha, beta) in enumerate(keys):
+        acc = pows[0, alpha[0]].copy()
+        for v in range(1, nvar):
+            if alpha[v]:
+                acc *= pows[v, alpha[v]]
+        for v in range(nvar):
+            if beta[v]:
+                acc *= cpows[v, beta[v]]
+        out[i] = acc
     return out
+
+
+def poly_eval(p: Poly, zeta: np.ndarray) -> np.ndarray:
+    """Evaluate at points of shape (..., N+1), in chunks of points to bound memory."""
+    zeta = np.asarray(zeta, dtype=np.complex128)
+    keys = list(p)
+    weights = np.array([p[key] for key in keys], dtype=np.complex128)
+    flat = zeta.reshape(-1, zeta.shape[-1])
+    out = np.empty(flat.shape[0], dtype=np.complex128)
+    for c0 in range(0, flat.shape[0], _EVAL_CHUNK):
+        out[c0 : c0 + _EVAL_CHUNK] = weights @ monomial_values(keys, flat[c0 : c0 + _EVAL_CHUNK])
+    return out.reshape(zeta.shape[:-1])

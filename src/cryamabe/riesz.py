@@ -19,6 +19,7 @@ singular cell x = y is the only term that depends on z_y itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -62,14 +63,10 @@ class KernelSpec:
 
     def __post_init__(self):
         Q = 2 * self.N + 2
-        if self.kind in ("riesz", "green"):
-            if not 0 < self.alpha < Q:
-                raise DomainError(f"{self.kind} order must lie in (0, {Q})")
-        elif self.kind == "hyper":
-            if not 0 < self.alpha < Q:
-                raise DomainError(f"hyper order 2k must lie in (0, {Q})")
-        else:
+        if self.kind not in ("riesz", "green", "hyper"):
             raise DomainError(f"unknown kernel kind {self.kind!r}")
+        if not 0 < self.alpha < Q:
+            raise DomainError(f"{self.kind} order must lie in (0, {Q})")
         if not self.constant > 0:
             raise DomainError("kernel constant must be positive")
 
@@ -296,32 +293,6 @@ class GridFieldH:
         )
 
 
-def save_grid_field(field: GridFieldH, prefix: str) -> None:
-    """Serialize a grid field as a CSV value table with a JSON geometry header."""
-    import json
-
-    header = {"lo": list(field.box.lo), "hi": list(field.box.hi), "shape": list(field.shape)}
-    with open(prefix + ".json", "w", encoding="utf-8") as fh:
-        json.dump(header, fh)
-    with open(prefix + ".csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("value\n")
-        for v in field.values.reshape(-1):
-            fh.write(repr(float(v)) + "\n")
-
-
-def load_grid_field(prefix: str) -> GridFieldH:
-    import json
-
-    with open(prefix + ".json", encoding="utf-8") as fh:
-        header = json.load(fh)
-    with open(prefix + ".csv", encoding="utf-8") as fh:
-        next(fh)
-        vals = np.array([float(line) for line in fh])
-    shape = tuple(header["shape"])
-    box = BoxDomain(tuple(header["lo"]), tuple(header["hi"]))
-    return GridFieldH(box, shape, vals.reshape(shape))
-
-
 def gaussian_bump(box: BoxDomain, shape: tuple[int, ...], width: float = 0.5, center: HeisPoint | None = None) -> GridFieldH:
     N = (len(shape) - 1) // 2
     c = center or HeisPoint.origin(N)
@@ -374,8 +345,6 @@ def convolve(
     weight that depends on z_y itself (``_sheared_diagonal``), one value per
     column.  Full-grid, subset and symmetry-class outputs share this path.
     """
-    if spec.kind == "riesz" and not 0 < spec.alpha < spec.Q:
-        raise DomainError("riesz order outside (0, Q)")
     n_all = f.values.size
     if out_indices is None:
         out_idx = np.arange(n_all)
@@ -700,18 +669,13 @@ def green_inversion_check(f: GridFieldH, margin: int = 6, centered_radial: bool 
 # principal-value fractional operator
 
 
-_HORIZONTAL_MOMENT_CACHE: dict[tuple[int, float], float] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _horizontal_moment_constant(N: int, alpha: float) -> float:
     """int_{B_1} |zeta|^2 gauge^{-Q-alpha} dv_H, by one annulus plus geometric scaling.
 
     The integrand is homogeneous of degree 2 - alpha - Q + (Q - 1) per radius,
     so the dyadic annuli form a geometric series with ratio 2^{alpha-2}.
     """
-    key = (N, alpha)
-    if key in _HORIZONTAL_MOMENT_CACHE:
-        return _HORIZONTAL_MOMENT_CACHE[key]
     Q = 2 * N + 2
     n = 96 if N == 1 else 32
 
@@ -722,9 +686,7 @@ def _horizontal_moment_constant(N: int, alpha: float) -> float:
 
     # one shell: the midpoint grid of the unit Koranyi box
     annulus, _ = integrate_decaying(annulus_density, N, ShellScheme(1.0, 1, n, n), HaarMeasure.standard(N))
-    val = annulus / (1.0 - 2.0 ** (alpha - 2.0))
-    _HORIZONTAL_MOMENT_CACHE[key] = val
-    return val
+    return annulus / (1.0 - 2.0 ** (alpha - 2.0))
 
 
 def pv_fractional(

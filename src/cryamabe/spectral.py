@@ -14,8 +14,6 @@ lam_j(k) = Gamma((Q+2k)/4 + j) / Gamma((Q-2k)/4 + j).
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,9 +22,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BasisConstructionError, DomainError
-from .polynomials import Poly, conformal_sublaplacian, poly_add, poly_conj, poly_eval, poly_scale
+from .polynomials import Poly, conformal_sublaplacian, monomial_values, poly_add, poly_conj, poly_eval, poly_scale
 
 Array = np.ndarray
+
+# Largest truncation degree whose N = 1 basis passes verify-spectral's
+# orthonormality check (1e-8); jmax 9 misses it and jmax 10 fails to build.
+JMAX_VERIFIED = 8
 
 # ---------------------------------------------------------------------------
 # closed-form combinatorics
@@ -62,6 +64,13 @@ def dim_H(j: int, l: int, N: int) -> int:
     return int(val)
 
 
+def _moment_fraction(kappa: tuple[int, ...], N: int) -> float:
+    num = Fraction(1)
+    for a in kappa:
+        num *= math.factorial(a)
+    return float(num * math.factorial(N) / math.factorial(N + sum(kappa)))
+
+
 def monomial_moment(alpha: Sequence[int], beta: Sequence[int], N: int, total_mass: float | None = None) -> float:
     """Integral of zeta^alpha conj(zeta)^beta over the sphere against dv_S.
 
@@ -72,17 +81,7 @@ def monomial_moment(alpha: Sequence[int], beta: Sequence[int], N: int, total_mas
     if alpha != beta:
         return 0.0
     mass = total_sphere_mass(N) if total_mass is None else total_mass
-    num = Fraction(1)
-    for a in alpha:
-        num *= math.factorial(a)
-    return mass * float(num * math.factorial(N) / math.factorial(N + sum(alpha)))
-
-
-def _moment_fraction(kappa: tuple[int, ...], N: int) -> float:
-    num = Fraction(1)
-    for a in kappa:
-        num *= math.factorial(a)
-    return float(num * math.factorial(N) / math.factorial(N + sum(kappa)))
+    return mass * _moment_fraction(alpha, N)
 
 
 def lambda_jk(j: int, k: float, Q: int) -> float:
@@ -132,62 +131,23 @@ class HarmonicBasis:
     def total_mass(self) -> float:
         return total_sphere_mass(self.N)
 
-    def label(self, idx: int) -> tuple[int, int, int]:
-        j, l = int(self.labels_j[idx]), int(self.labels_l[idx])
-        return j, l, idx - self.block_slices[(j, l)].start
-
     def index_of(self, j: int, l: int, m: int = 0) -> int:
         return self.block_slices[(j, l)].start + m
 
     def multipliers(self, k: float) -> Array:
-        Q = 2 * self.N + 2
-        lj = np.array([lambda_jk(int(j), k, Q) for j in self.labels_j])
-        ll = np.array([lambda_jk(int(l), k, Q) for l in self.labels_l])
-        return lj * ll
+        """lam_j(k) * lam_l(k) per element, from one lam per degree."""
+        lam = np.array([lambda_jk(d, k, 2 * self.N + 2) for d in range(max(self.jmax, self.lmax) + 1)])
+        return lam[self.labels_j] * lam[self.labels_l]
 
     def element_poly(self, idx: int) -> Poly:
         return {key: c for key, c in zip(self.mon_keys, self.coeff[idx]) if c != 0}
 
     def eval_elements(self, zeta: Array, indices: Sequence[int] | None = None) -> Array:
-        """Values of basis elements at points (..., N+1); returns (n_sel, ...)."""
+        """Values of basis elements at points (..., N+1); returns (n_sel, n_points), points flattened."""
         sel = np.arange(self.n_basis) if indices is None else np.asarray(indices)
-        mon_vals = _monomial_values(self.mon_keys, np.asarray(zeta, dtype=np.complex128))
+        mon_vals = monomial_values(self.mon_keys, np.asarray(zeta, dtype=np.complex128))
         vals = self.coeff[sel] @ mon_vals
         return vals.real
-
-
-def _monomial_values(keys, zeta: Array) -> Array:
-    """Values of each monomial at each point: (n_mon, n_pts)."""
-    zeta = zeta.reshape(-1, zeta.shape[-1])
-    npts, nvar = zeta.shape
-    maxdeg = max((max(max(a), max(b)) for a, b in keys), default=0)
-    pows = np.empty((nvar, maxdeg + 1, npts), dtype=np.complex128)
-    pows[:, 0] = 1.0
-    for p in range(1, maxdeg + 1):
-        pows[:, p] = pows[:, p - 1] * zeta.T
-    cpows = np.conj(pows)
-    out = np.empty((len(keys), npts), dtype=np.complex128)
-    for i, (alpha, beta) in enumerate(keys):
-        acc = pows[0, alpha[0]].copy()
-        for v in range(1, nvar):
-            if alpha[v]:
-                acc *= pows[v, alpha[v]]
-        for v in range(nvar):
-            if beta[v]:
-                acc *= cpows[v, beta[v]]
-        out[i] = acc
-    return out
-
-
-def _combine_monomials(keys, weights: Array, zeta: Array, chunk: int = 200_000) -> Array:
-    """sum_m weights[m] * monomial_m(zeta), chunked to bound peak memory."""
-    zeta = zeta.reshape(-1, zeta.shape[-1])
-    npts = zeta.shape[0]
-    out = np.empty(npts, dtype=np.complex128)
-    for c0 in range(0, npts, chunk):
-        vals = _monomial_values(keys, zeta[c0 : c0 + chunk])
-        out[c0 : c0 + chunk] = weights @ vals
-    return out
 
 
 class _MomentTable:
@@ -255,8 +215,8 @@ def build_basis(N: int, jmax: int, lmax: int | None = None) -> HarmonicBasis:
     labels; the diagonal blocks are realified through their 2d real Gram.
     """
     lmax = jmax if lmax is None else lmax
-    if jmax > 32 or lmax > 32:
-        raise DomainError("truncation above 32 is not supported")
+    if not (0 <= jmax <= JMAX_VERIFIED and 0 <= lmax <= JMAX_VERIFIED):
+        raise DomainError(f"truncation degrees must lie in [0, {JMAX_VERIFIED}]")
     mass = total_sphere_mass(N)
     moments = _MomentTable(N, mass)
 
@@ -561,12 +521,7 @@ class SpectralFunction:
         return {key: c for key, c in zip(self.basis.mon_keys, mon_c) if c != 0}
 
     def eval(self, zeta: Array) -> Array:
-        shape = np.asarray(zeta).shape[:-1]
-        mon_c = self.basis.coeff.T @ self.coeffs.astype(np.complex128)
-        live = np.abs(mon_c) > 0
-        keys = [k for k, m in zip(self.basis.mon_keys, live) if m]
-        out = _combine_monomials(keys, mon_c[live], np.asarray(zeta, dtype=np.complex128))
-        return out.real.reshape(shape)
+        return poly_eval(self.to_poly(), zeta).real
 
 
 def zero_function(basis: HarmonicBasis) -> SpectralFunction:
@@ -610,12 +565,22 @@ def apply_A2k(u: SpectralFunction, k: float) -> SpectralFunction:
     return u.copy_with(u.coeffs * u.basis.multipliers(k))
 
 
+def hk_form(coeffs: Array, mult: Array) -> float:
+    """Squared H^k norm sum_m mult_m c_m^2 of a coefficient vector."""
+    return float(np.sum(mult * coeffs**2))
+
+
+def h_minus_k_form(coeffs: Array, mult: Array) -> float:
+    """Squared H^{-k} norm sum_m c_m^2 / mult_m of a coefficient vector."""
+    return float(np.sum(coeffs**2 / mult))
+
+
 def norm_Hk(u: SpectralFunction, k: float) -> float:
-    return math.sqrt(float(np.sum(u.basis.multipliers(k) * u.coeffs**2)))
+    return math.sqrt(hk_form(u.coeffs, u.basis.multipliers(k)))
 
 
 def norm_H_minus_k(f: SpectralFunction, k: float) -> float:
-    return math.sqrt(float(np.sum(f.coeffs**2 / f.basis.multipliers(k))))
+    return math.sqrt(h_minus_k_form(f.coeffs, f.basis.multipliers(k)))
 
 
 def pairing(f: SpectralFunction, u: SpectralFunction) -> float:
@@ -639,91 +604,3 @@ def apply_A2_differential(u, zeta) -> float | Array:
     ap = conformal_sublaplacian(p, N)
     out = poly_eval(ap, zarr).real
     return float(out) if out.ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# disk cache (CSV tables with a JSON header)
-
-
-def save_basis(basis: HarmonicBasis, prefix: str) -> None:
-    header = {"N": basis.N, "jmax": basis.jmax, "lmax": basis.lmax, "n_basis": basis.n_basis}
-    with open(prefix + ".json", "w", encoding="utf-8") as fh:
-        json.dump(header, fh)
-    with open(prefix + ".csv", "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        nvar = basis.N + 1
-        wr.writerow(
-            ["element", "j", "l"]
-            + [f"alpha{i}" for i in range(nvar)]
-            + [f"beta{i}" for i in range(nvar)]
-            + ["re", "im"]
-        )
-        for e in range(basis.n_basis):
-            j, l = int(basis.labels_j[e]), int(basis.labels_l[e])
-            for key, c in zip(basis.mon_keys, basis.coeff[e]):
-                if c == 0:
-                    continue
-                wr.writerow([e, j, l, *key[0], *key[1], repr(float(c.real)), repr(float(c.imag))])
-
-
-def load_basis(prefix: str) -> HarmonicBasis:
-    with open(prefix + ".json", encoding="utf-8") as fh:
-        header = json.load(fh)
-    N, jmax, lmax, n_basis = header["N"], header["jmax"], header["lmax"], header["n_basis"]
-    nvar = N + 1
-    mon_index: dict[tuple, int] = {}
-    entries: list[tuple[int, int, complex]] = []
-    labels = [None] * n_basis
-    with open(prefix + ".csv", newline="", encoding="utf-8") as fh:
-        rd = csv.reader(fh)
-        next(rd)
-        for row in rd:
-            e = int(row[0])
-            labels[e] = (int(row[1]), int(row[2]))
-            alpha = tuple(int(x) for x in row[3 : 3 + nvar])
-            beta = tuple(int(x) for x in row[3 + nvar : 3 + 2 * nvar])
-            key = (alpha, beta)
-            idx = mon_index.setdefault(key, len(mon_index))
-            entries.append((e, idx, float(row[-2]) + 1.0j * float(row[-1])))
-    keys_list = [None] * len(mon_index)
-    for key, idx in mon_index.items():
-        keys_list[idx] = key
-    coeff = np.zeros((n_basis, len(keys_list)), dtype=np.complex128)
-    for e, idx, c in entries:
-        coeff[e, idx] = c
-    lj = np.array([j for j, _ in labels], dtype=np.int64)
-    ll = np.array([l for _, l in labels], dtype=np.int64)
-    slices: dict[tuple[int, int], slice] = {}
-    start = 0
-    for e in range(n_basis):
-        key = labels[e]
-        if key not in slices:
-            slices[key] = slice(e, e)
-    # rebuild slice extents
-    for key in slices:
-        idxs = [e for e in range(n_basis) if labels[e] == key]
-        slices[key] = slice(min(idxs), max(idxs) + 1)
-    return HarmonicBasis(N, jmax, lmax, keys_list, coeff, lj, ll, slices)
-
-
-def save_quadrature(quad: SphereQuadrature, prefix: str) -> None:
-    header = {
-        "N": quad.N,
-        "degree": quad.degree,
-        "total_mass": quad.total_mass,
-        "seed": quad.seed,
-        "n_phi": quad.n_phi,
-    }
-    with open(prefix + ".json", "w", encoding="utf-8") as fh:
-        json.dump(header, fh)
-    nodes, w = quad.nodes(), quad.weights()
-    with open(prefix + ".csv", "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        nvar = quad.N + 1
-        wr.writerow([f"re{i}" for i in range(nvar)] + [f"im{i}" for i in range(nvar)] + ["weight"])
-        for p, wi in zip(nodes, w):
-            wr.writerow(
-                [repr(float(x)) for x in p.real]
-                + [repr(float(x)) for x in p.imag]
-                + [repr(float(wi))]
-            )

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -23,6 +24,33 @@ def test_bad_config_exit_code(tmp_path):
 
 def test_flag_override_out_of_range():
     assert main(["verify-group", "--k", "7.0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-spectral", "--jmax", "10"],  # the basis fails to build at 10
+        ["verify-spectral", "--jmax", "40"],
+        ["sobolev-sharpness", "--jmax", "-1"],
+    ],
+)
+def test_out_of_range_flag_refused_before_work(tmp_path, argv):
+    start = time.perf_counter()
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("field", [{"lmax": 9}, {"lmax": -1}, {"quad_degree": 0}, {"jmax": 2.5}])
+def test_out_of_range_config_refused_before_work(tmp_path, field):
+    path = os.path.join(tmp_path, "cfg.json")
+    with open(path, "w") as fh:
+        json.dump(field, fh)
+    out = os.path.join(tmp_path, "out")
+    start = time.perf_counter()
+    assert main(["verify-spectral", "--config", path, "--out", out]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert not os.path.exists(out)
 
 
 def test_config_roundtrip(tmp_path):
@@ -60,9 +88,9 @@ def test_sobolev_subcommand_passes(tmp_path):
     assert os.path.exists(os.path.join(out, "sobolev_sharpness.csv"))
 
 
-def test_console_entry_point():
+def test_console_entry_point(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-m", "cryamabe.cli", "verify-group", "--out", "/tmp/cry_cli_test"],
+        [sys.executable, "-m", "cryamabe.cli", "verify-group", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
         timeout=300,

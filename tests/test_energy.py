@@ -13,12 +13,9 @@ from cryamabe.energy import (
     calibrate_normalizations,
     constant_solution,
     energy_heis,
-    energy_sphere,
-    gradient_sphere,
     lambda0,
     p_star,
     sobolev_constant,
-    sobolev_quotient,
 )
 from cryamabe.errors import DivergentIntegralError, DomainError
 from cryamabe.heisenberg import HeisPoint, ShellScheme
@@ -120,24 +117,24 @@ class TestBubbles:
 
 class TestSphereEnergy:
     def test_zero(self, prob6):
-        assert energy_sphere(SpectralFunction(np.zeros(prob6.basis.n_basis), prob6.basis), prob6) == 0.0
+        assert prob6.energy(SpectralFunction(np.zeros(prob6.basis.n_basis), prob6.basis)) == 0.0
 
     def test_ground_constant_level(self, prob6):
-        E = energy_sphere(prob6.ground_constant(), prob6)
+        E = prob6.energy(prob6.ground_constant())
         assert E == pytest.approx(prob6.constants.C_E, rel=1e-12)
 
     def test_ray_maximum_at_one(self, prob6):
         u0 = prob6.ground_constant()
         ts = np.linspace(0.2, 1.8, 33)
-        Es = [energy_sphere(float(t) * u0, prob6) for t in ts]
+        Es = [prob6.energy(float(t) * u0) for t in ts]
         assert np.argmax(Es) == np.argmin(np.abs(ts - 1.0))
 
     def test_gradient_at_critical_point(self, prob6):
-        g = gradient_sphere(prob6.ground_constant(), prob6)
+        g = prob6.gradient(prob6.ground_constant())
         assert norm_H_minus_k(g, 1.0) < 1e-6
 
     def test_gradient_at_zero(self, prob6):
-        g = gradient_sphere(SpectralFunction(np.zeros(prob6.basis.n_basis), prob6.basis), prob6)
+        g = prob6.gradient(SpectralFunction(np.zeros(prob6.basis.n_basis), prob6.basis))
         assert np.all(g.coeffs == 0.0)
 
     def test_directional_derivative(self, prob6):
@@ -145,9 +142,9 @@ class TestSphereEnergy:
         for _ in range(100):
             u = SpectralFunction(0.5 * rng.standard_normal(prob6.basis.n_basis), prob6.basis)
             phi = SpectralFunction(rng.standard_normal(prob6.basis.n_basis), prob6.basis)
-            g = gradient_sphere(u, prob6)
+            g = prob6.gradient(u)
             eps = 1e-5
-            fd = (energy_sphere(u + eps * phi, prob6) - energy_sphere(u - eps * phi, prob6)) / (2 * eps)
+            fd = (prob6.energy(u + eps * phi) - prob6.energy(u - eps * phi)) / (2 * eps)
             assert fd == pytest.approx(pairing(g, phi), rel=1e-5, abs=1e-7)
 
     def test_euler_identity(self, prob6):
@@ -155,18 +152,18 @@ class TestSphereEnergy:
         rng = np.random.default_rng(4)
         for _ in range(20):
             u = SpectralFunction(rng.standard_normal(prob6.basis.n_basis), prob6.basis)
-            lhs = 2 * energy_sphere(u, prob6) - pairing(gradient_sphere(u, prob6), u)
+            lhs = 2 * prob6.energy(u) - pairing(prob6.gradient(u), u)
             rhs = (1 - 2.0 / prob6.constants.p_star) * prob6.lp_star_mass(u)
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_quotient_properties(self, prob6):
         u0 = prob6.ground_constant()
-        assert sobolev_quotient(u0, prob6) == pytest.approx(prob6.constants.C_S, rel=5e-3)
+        assert prob6.sobolev_quotient(u0) == pytest.approx(prob6.constants.C_S, rel=5e-3)
         mode = basis_element(prob6.basis, 1, 0, 0)
-        assert sobolev_quotient(mode, prob6) < prob6.constants.C_S
-        assert sobolev_quotient(3.7 * mode, prob6) == pytest.approx(sobolev_quotient(mode, prob6), rel=1e-13)
+        assert prob6.sobolev_quotient(mode) < prob6.constants.C_S
+        assert prob6.sobolev_quotient(3.7 * mode) == pytest.approx(prob6.sobolev_quotient(mode), rel=1e-13)
         with pytest.raises(DomainError):
-            sobolev_quotient(SpectralFunction(np.zeros(prob6.basis.n_basis), prob6.basis), prob6)
+            prob6.sobolev_quotient(SpectralFunction(np.zeros(prob6.basis.n_basis), prob6.basis))
 
 
 class TestHeisenbergEnergy:

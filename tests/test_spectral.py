@@ -1,12 +1,11 @@
 import math
-import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cryamabe.errors import DomainError
-from cryamabe.polynomials import ambient_laplacian, poly_eval
+from cryamabe.polynomials import ambient_laplacian, conformal_sublaplacian, poly_eval
 from cryamabe.spectral import (
     SphereQuadrature,
     SpectralFunction,
@@ -18,13 +17,10 @@ from cryamabe.spectral import (
     constant_function,
     dim_H,
     lambda_jk,
-    load_basis,
     monomial_moment,
     norm_H_minus_k,
     norm_Hk,
     pairing,
-    save_basis,
-    save_quadrature,
     synthesize,
     total_sphere_mass,
 )
@@ -177,8 +173,9 @@ class TestBasisConstruction:
         assert np.allclose(lhs, 0.25, atol=1e-12)  # N^2/4 at N = 1
 
     def test_truncation_guard(self):
-        with pytest.raises(DomainError):
-            build_basis(1, 40)
+        for jmax, lmax in ((40, None), (9, None), (-1, None), (2, 9), (2, -1)):
+            with pytest.raises(DomainError):
+                build_basis(1, jmax, lmax)
 
     def test_n2_block_from_moments(self):
         basis = build_basis(2, 1)
@@ -279,6 +276,10 @@ class TestNorms:
         lam = lambda_jk(2, 1.0, 4) * lambda_jk(1, 1.0, 4)
         assert norm_Hk(u, 1.0) == pytest.approx(math.sqrt(lam), rel=1e-13)
         assert norm_H_minus_k(u, 1.0) == pytest.approx(1.0 / math.sqrt(lam), rel=1e-13)
+        basis = prob6.basis
+        for k in (1.0, 0.5):
+            expect = [lambda_jk(int(j), k, 4) * lambda_jk(int(l), k, 4) for j, l in zip(basis.labels_j, basis.labels_l)]
+            assert np.array_equal(basis.multipliers(k), np.array(expect))
 
     def test_duality_equality_case(self, prob6):
         rng = np.random.default_rng(7)
@@ -303,24 +304,140 @@ class TestNorms:
             assert lhs <= cs * norm_Hk(u, 1.0) ** 2 * (1 + 1e-10)
 
 
-class TestDiskCache:
-    def test_basis_roundtrip(self, tmp_path):
-        basis = build_basis(1, 2)
-        prefix = os.path.join(tmp_path, "basis")
-        save_basis(basis, prefix)
-        loaded = load_basis(prefix)
-        assert loaded.n_basis == basis.n_basis
-        rng = np.random.default_rng(10)
-        g = rng.standard_normal((10, 4))
-        zeta = g[:, :2] + 1.0j * g[:, 2:]
-        zeta /= np.linalg.norm(zeta, axis=1)[:, None]
-        assert np.max(np.abs(loaded.eval_elements(zeta) - basis.eval_elements(zeta))) < 1e-12
+# ---------------------------------------------------------------------------
+# differential tests: the one power-table evaluator against the earlier paths
 
-    def test_quadrature_dump(self, tmp_path):
-        quad = SphereQuadrature.build(1, degree=8)
-        prefix = os.path.join(tmp_path, "quad")
-        save_quadrature(quad, prefix)
-        assert os.path.exists(prefix + ".csv") and os.path.exists(prefix + ".json")
-        with open(prefix + ".csv") as fh:
-            header = fh.readline().strip().split(",")
-        assert header == ["re0", "re1", "im0", "im1", "weight"]
+
+def _ref_monomial_values(keys, zeta):
+    zeta = zeta.reshape(-1, zeta.shape[-1])
+    npts, nvar = zeta.shape
+    maxdeg = max((max(max(a), max(b)) for a, b in keys), default=0)
+    pows = np.empty((nvar, maxdeg + 1, npts), dtype=np.complex128)
+    pows[:, 0] = 1.0
+    for p in range(1, maxdeg + 1):
+        pows[:, p] = pows[:, p - 1] * zeta.T
+    cpows = np.conj(pows)
+    out = np.empty((len(keys), npts), dtype=np.complex128)
+    for i, (alpha, beta) in enumerate(keys):
+        acc = pows[0, alpha[0]].copy()
+        for v in range(1, nvar):
+            if alpha[v]:
+                acc *= pows[v, alpha[v]]
+        for v in range(nvar):
+            if beta[v]:
+                acc *= cpows[v, beta[v]]
+        out[i] = acc
+    return out
+
+
+def _ref_combine_monomials(keys, weights, zeta, chunk=200_000):
+    zeta = zeta.reshape(-1, zeta.shape[-1])
+    npts = zeta.shape[0]
+    out = np.empty(npts, dtype=np.complex128)
+    for c0 in range(0, npts, chunk):
+        vals = _ref_monomial_values(keys, zeta[c0 : c0 + chunk])
+        out[c0 : c0 + chunk] = weights @ vals
+    return out
+
+
+def _ref_eval(f, zeta):
+    """SpectralFunction.eval as it was: live monomials through the combiner."""
+    shape = np.asarray(zeta).shape[:-1]
+    mon_c = f.basis.coeff.T @ f.coeffs.astype(np.complex128)
+    live = np.abs(mon_c) > 0
+    keys = [k for k, m in zip(f.basis.mon_keys, live) if m]
+    out = _ref_combine_monomials(keys, mon_c[live], np.asarray(zeta, dtype=np.complex128))
+    return out.real.reshape(shape)
+
+
+def _ref_poly_eval(p, zeta):
+    """Term-wise evaluation: one product of coordinate powers per monomial."""
+    zeta = np.asarray(zeta, dtype=np.complex128)
+    zb = np.conj(zeta)
+    out = np.zeros(zeta.shape[:-1], dtype=np.complex128)
+    for (alpha, beta), c in p.items():
+        term = np.full(zeta.shape[:-1], c, dtype=np.complex128)
+        for j, a in enumerate(alpha):
+            if a:
+                term = term * zeta[..., j] ** a
+        for j, b in enumerate(beta):
+            if b:
+                term = term * zb[..., j] ** b
+        out += term
+    return out
+
+
+def _sphere_points(n, seed):
+    g = np.random.default_rng(seed).standard_normal((n, 4))
+    zeta = g[:, :2] + 1.0j * g[:, 2:]
+    return zeta / np.linalg.norm(zeta, axis=1)[:, None]
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestEvaluatorDifferential:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_eval_bitwise_at_quadrature_nodes(self, prob8, seed):
+        # every 47th node of the jmax-8 rule keeps the monomial table small
+        nodes = prob8.quad.nodes()[::47]
+        f = SpectralFunction(np.random.default_rng(seed).standard_normal(prob8.basis.n_basis), prob8.basis)
+        assert np.array_equal(f.eval(nodes), _ref_eval(f, nodes))
+
+    def test_eval_bitwise_at_random_points(self, prob8):
+        zeta = _sphere_points(600, 11)
+        for j, l, m in ((0, 0, 0), (8, 3, 2), (5, 5, 4)):
+            f = basis_element(prob8.basis, j, l, m)
+            assert np.array_equal(f.eval(zeta), _ref_eval(f, zeta))
+        f = SpectralFunction(np.random.default_rng(12).standard_normal(prob8.basis.n_basis), prob8.basis)
+        assert np.array_equal(f.eval(zeta), _ref_eval(f, zeta))
+        grid = zeta[:60].reshape(3, 20, 2)
+        assert np.array_equal(f.eval(grid), _ref_eval(f, grid))
+        assert f.eval(zeta[7]).shape == () and f.eval(zeta[7]) == _ref_eval(f, zeta[7])
+
+    def test_eval_elements_bitwise(self, prob8):
+        basis = prob8.basis
+        zeta = _sphere_points(200, 13)
+        ref = (basis.coeff @ _ref_monomial_values(basis.mon_keys, zeta)).real
+        assert np.array_equal(basis.eval_elements(zeta), ref)
+
+    def test_poly_eval_matches_termwise(self, prob8):
+        basis = prob8.basis
+        zeta = _sphere_points(300, 14)
+        for idx in range(0, basis.n_basis, 9):
+            p = basis.element_poly(idx)
+            assert _rel(poly_eval(p, zeta), _ref_poly_eval(p, zeta)) <= 1e-12
+        off_sphere = 1.7 * zeta.reshape(15, 20, 2)
+        p = SpectralFunction(np.random.default_rng(15).standard_normal(basis.n_basis), basis).to_poly()
+        assert _rel(poly_eval(p, off_sphere), _ref_poly_eval(p, off_sphere)) <= 1e-12
+        assert np.array_equal(poly_eval({}, zeta), np.zeros(len(zeta), dtype=np.complex128))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_apply_A2_differential_matches_termwise(self, prob6, seed):
+        # jmax 6 is the criterion-2 basis; observed 1.6e-13
+        basis = prob6.basis
+        zeta = _sphere_points(300, 16 + seed)
+        u = SpectralFunction(np.random.default_rng(seed).standard_normal(basis.n_basis), basis)
+        ref = _ref_poly_eval(conformal_sublaplacian(u.to_poly(), 1), zeta).real
+        assert _rel(apply_A2_differential(u, zeta), ref) <= 1e-12
+
+    def test_apply_A2_differential_rounding_at_jmax8(self, prob8):
+        # At jmax 8 the monomial sum of A_2 u cancels ~4e3-fold, so both
+        # evaluators sit ~1e-12 from the exact value and ~3e-12 from each
+        # other.  Bound the error by a few ulps of the summed term magnitudes,
+        # against the term-wise sum in extended precision.
+        basis = prob8.basis
+        zeta = _sphere_points(200, 18)
+        u = SpectralFunction(np.random.default_rng(0).standard_normal(basis.n_basis), basis)
+        p = conformal_sublaplacian(u.to_poly(), 1)
+        z = zeta.astype(np.clongdouble)
+        exact = np.zeros(len(z), dtype=np.clongdouble)
+        scale = np.zeros(len(z), dtype=np.longdouble)
+        for (alpha, beta), c in p.items():
+            term = np.clongdouble(c) * z[:, 0] ** alpha[0] * z[:, 1] ** alpha[1]
+            term = term * np.conj(z[:, 0]) ** beta[0] * np.conj(z[:, 1]) ** beta[1]
+            exact += term
+            scale += np.abs(term)
+        err = np.abs(apply_A2_differential(u, zeta) - exact.real.astype(np.float64))
+        assert np.all(err <= 16 * np.finfo(np.float64).eps * scale.astype(np.float64))
