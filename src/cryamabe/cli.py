@@ -27,7 +27,7 @@ _cap_threads()
 
 import numpy as np  # noqa: E402  (thread caps must precede the first import)
 
-from .config import ExperimentConfig  # noqa: E402
+from .config import ExperimentConfig, atomic_write  # noqa: E402
 from .errors import CRYamabeError  # noqa: E402
 
 
@@ -54,7 +54,7 @@ class CheckTable:
         lines = ["check,value,threshold,passed"]
         for check, value, threshold, ok in self.rows:
             lines.append(f"{check},{value!r},{threshold!r},{int(ok)}")
-        _atomic_write(path, "\n".join(lines) + "\n")
+        atomic_write(path, "\n".join(lines) + "\n")
 
     def echo(self) -> None:
         for check, value, threshold, ok in self.rows:
@@ -63,16 +63,8 @@ class CheckTable:
         print(f"{self.name}: {'PASS' if self.passed else 'FAIL'}")
 
 
-def _atomic_write(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_json(path: str, payload) -> None:
-    _atomic_write(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 def _problem(cfg: ExperimentConfig):
@@ -553,7 +545,7 @@ def main(argv=None) -> int:
                 lines.append(
                     f"{r['n']},{r['R_n']!r},{r['E_n']!r},{r['energy_gap']!r},{r['mass_n']!r},{r['mass_gap']!r},{r['hk_norm_sq']!r}"
                 )
-            _atomic_write(os.path.join(out, "ps_quantization_ladder.csv"), "\n".join(lines) + "\n")
+            atomic_write(os.path.join(out, "ps_quantization_ladder.csv"), "\n".join(lines) + "\n")
         elif args.subcommand == "gradient-decay":
             table, reps = run_gradient_decay(cfg)
             lines = ["control,n,R_n,residual_upper,residual_lower,residual_spectral"]
@@ -562,7 +554,7 @@ def main(argv=None) -> int:
                     lines.append(
                         f"{tag},{r['n']},{r['R_n']!r},{r['residual_upper']!r},{r['residual_lower']!r},{r['residual_spectral']!r}"
                     )
-            _atomic_write(os.path.join(out, "gradient_decay_ladder.csv"), "\n".join(lines) + "\n")
+            atomic_write(os.path.join(out, "gradient_decay_ladder.csv"), "\n".join(lines) + "\n")
         elif args.subcommand == "subcritical-flow":
             table = run_subcritical_flow(cfg)
         elif args.subcommand == "riesz-check":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, replace
 
 from .errors import DomainError
@@ -30,6 +31,8 @@ class ExperimentConfig:
     flow_seeds: int = 20
 
     def __post_init__(self):
+        if type(self.N) is not int or self.N != 1:
+            raise DomainError(f"the runners support N = 1 only, got N={self.N!r}")
         Q = 2 * self.N + 2
         if not (0 < 2 * self.k < Q):
             raise DomainError(f"need 0 < 2k < Q = {Q}")
@@ -61,3 +64,12 @@ class ExperimentConfig:
     def to_json(self) -> str:
         data = asdict(self)
         return json.dumps(data, indent=1, sort_keys=True)
+
+
+def atomic_write(path: str, text: str) -> None:
+    """Write text through a temp file and a rename, creating the directory."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    os.replace(tmp, path)

@@ -469,7 +469,6 @@ def integrate_decaying(
     scheme: ShellScheme = ShellScheme(),
     measure: HaarMeasure | None = None,
     center: HeisPoint | None = None,
-    check_decay: bool = True,
 ) -> tuple[float, list[float]] | tuple[list[float], list[list[float]]]:
     """Integrate f dv_H over H^N by nested Koranyi boxes centered at ``center``.
 
@@ -485,7 +484,7 @@ def integrate_decaying(
         acc[i] = acc[i] + measure.kappa_H * cell * np.sum(_field_eval(f, z, t), axis=-1)
     table = np.stack(acc, axis=-1)  # (n_shells,) or (m, n_shells)
     shells = table.reshape(-1, scheme.n_shells).tolist()
-    if check_decay and scheme.n_shells >= 3:
+    if scheme.n_shells >= 3:
         for row in shells:
             tail = [abs(s) for s in row[-3:]]
             if tail[-1] > tail[-2] > tail[-3] and tail[-1] > 1e-12 * max(abs(s) for s in row):

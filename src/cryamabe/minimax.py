@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import atomic_write
 from .errors import DomainError, MaskEmptyError
 from .energy import YamabeProblem
 from .spectral import SpectralFunction, h_minus_k_form, norm_Hk
@@ -289,10 +290,4 @@ def minimax_search(
 
 
 def write_reports(reports: Sequence[CriticalPointReport], path: str) -> None:
-    payload = [r.to_json_dict() for r in reports]
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-    import os
-
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps([r.to_json_dict() for r in reports], indent=1))

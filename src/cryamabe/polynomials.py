@@ -2,9 +2,9 @@
 
 A polynomial is a dict mapping (alpha, beta) -> complex coefficient, where
 alpha and beta are exponent tuples of length N+1 for zeta and conj(zeta).
-This is the engine behind the sphere harmonic basis: tangential operators
-T_j = d/dzeta_j - conj(zeta_j) * sum_k zeta_k d/dzeta_k act exactly on
-monomials, so eigenvalue checks need no quadrature.
+It carries the eigenvalue checks of the sphere harmonic basis: tangential
+operators T_j = d/dzeta_j - conj(zeta_j) * sum_k zeta_k d/dzeta_k act exactly
+on monomials, so those checks need no quadrature.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 Multi = Tuple[int, ...]
 Poly = Dict[Tuple[Multi, Multi], complex]
 
-_EVAL_CHUNK = 200_000  # points per monomial table in poly_eval
+_EVAL_ENTRIES = 2**22  # monomial-table entries per chunk in poly_eval (64 MiB)
 
 
 def poly_add(p: Poly, q: Poly, coeff: complex = 1.0) -> Poly:
@@ -28,11 +28,6 @@ def poly_add(p: Poly, q: Poly, coeff: complex = 1.0) -> Poly:
 
 def poly_scale(p: Poly, c: complex) -> Poly:
     return {k: c * v for k, v in p.items()}
-
-
-def poly_conj(p: Poly) -> Poly:
-    """Complex conjugate as a function: swaps the exponent pair."""
-    return {(beta, alpha): np.conj(c) for (alpha, beta), c in p.items()}
 
 
 def monomial(alpha: Multi, beta: Multi) -> Poly:
@@ -134,12 +129,13 @@ def monomial_values(keys, zeta: np.ndarray) -> np.ndarray:
 
 
 def poly_eval(p: Poly, zeta: np.ndarray) -> np.ndarray:
-    """Evaluate at points of shape (..., N+1), in chunks of points to bound memory."""
+    """Evaluate at points of shape (..., N+1), in chunks of points that bound the monomial table."""
     zeta = np.asarray(zeta, dtype=np.complex128)
     keys = list(p)
     weights = np.array([p[key] for key in keys], dtype=np.complex128)
     flat = zeta.reshape(-1, zeta.shape[-1])
     out = np.empty(flat.shape[0], dtype=np.complex128)
-    for c0 in range(0, flat.shape[0], _EVAL_CHUNK):
-        out[c0 : c0 + _EVAL_CHUNK] = weights @ monomial_values(keys, flat[c0 : c0 + _EVAL_CHUNK])
+    chunk = max(1, _EVAL_ENTRIES // max(len(keys), 1))
+    for c0 in range(0, flat.shape[0], chunk):
+        out[c0 : c0 + chunk] = weights @ monomial_values(keys, flat[c0 : c0 + chunk])
     return out.reshape(zeta.shape[:-1])

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BasisConstructionError, DomainError
-from .polynomials import Poly, conformal_sublaplacian, monomial_values, poly_add, poly_conj, poly_eval, poly_scale
+from .polynomials import Poly, conformal_sublaplacian, monomial_values, poly_eval
 
 Array = np.ndarray
 
@@ -150,42 +150,29 @@ class HarmonicBasis:
         return vals.real
 
 
-class _MomentTable:
-    """Closed-form Hermitian and bilinear pairings of ambient monomials."""
+def _exponents(j: int, l: int, N: int) -> tuple[Array, Array]:
+    """Exponent arrays (A, B), each (n, N+1), of the monomials zeta^A conj(zeta)^B of bidegree (j, l)."""
+    if j < 0 or l < 0:
+        return np.zeros((0, N + 1), dtype=np.int64), np.zeros((0, N + 1), dtype=np.int64)
+    a = np.array(_multiindices(j, N + 1), dtype=np.int64)
+    b = np.array(_multiindices(l, N + 1), dtype=np.int64)
+    return np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))
 
-    def __init__(self, N: int, mass: float):
-        self.N = N
-        self.mass = mass
-        self._cache: dict[tuple[int, ...], float] = {}
 
-    def _mu(self, kappa: tuple[int, ...]) -> float:
-        v = self._cache.get(kappa)
-        if v is None:
-            v = self.mass * _moment_fraction(kappa, self.N)
-            self._cache[kappa] = v
-        return v
+def _gram(A1: Array, B1: Array, A2: Array, B2: Array, N: int, mass: float) -> Array:
+    """Closed-form Hermitian Gram: entry (r, c) integrates mono1_r * conj(mono2_c).
 
-    def herm(self, key1, key2) -> float:
-        """<mono1, mono2> = integral of mono1 * conj(mono2)."""
-        (a1, b1), (a2, b2) = key1, key2
-        left = tuple(x + y for x, y in zip(a1, b2))
-        right = tuple(x + y for x, y in zip(b1, a2))
-        return self._mu(left) if left == right else 0.0
-
-    def bilin(self, key1, key2) -> float:
-        """integral of mono1 * mono2 (no conjugation)."""
-        (a1, b1), (a2, b2) = key1, key2
-        left = tuple(x + y for x, y in zip(a1, a2))
-        right = tuple(x + y for x, y in zip(b1, b2))
-        return self._mu(left) if left == right else 0.0
-
-    def gram(self, keys1, keys2, pairing: str = "herm") -> Array:
-        fn = self.herm if pairing == "herm" else self.bilin
-        out = np.zeros((len(keys1), len(keys2)))
-        for i, k1 in enumerate(keys1):
-            for jj, k2 in enumerate(keys2):
-                out[i, jj] = fn(k1, k2)
-        return out
+    mono1_r = zeta^A1[r] conj(zeta)^B1[r], likewise mono2_c.  Passing (B2, A2)
+    for (A2, B2) gives the bilinear pairing (no conjugation).
+    """
+    left = A1[:, None] + B2[None]
+    right = B1[:, None] + A2[None]
+    mask = np.all(left == right, axis=-1)
+    kappas, inv = np.unique(left[mask], axis=0, return_inverse=True)
+    mu = np.array([mass * _moment_fraction(k, N) for k in kappas.tolist()])
+    G = np.zeros(mask.shape)
+    G[mask] = mu[inv.reshape(-1)]
+    return G
 
 
 _EIG_CUT = 1e-10
@@ -205,145 +192,95 @@ def _orthonormal_block(G: Array, expected: int, j: int, l: int) -> tuple[Array, 
     return vals[:expected], vecs[:, :expected]
 
 
+def _keys(A: Array, B: Array) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    return list(zip(map(tuple, A.tolist()), map(tuple, B.tolist())))
+
+
 def build_basis(N: int, jmax: int, lmax: int | None = None) -> HarmonicBasis:
     """Construct the real orthonormal bidegree basis up to (jmax, lmax).
 
     Per block: project the bidegree-(j, l) monomials off the span of the
     (j-1, l-1) monomials (which carries every lower block), orthonormalize the
-    remainder by a symmetric eigen-decomposition, then realify.  For j > l the
-    real and imaginary parts of the complex block fill the (j, l) and (l, j)
-    labels; the diagonal blocks are realified through their 2d real Gram.
+    remainder by a symmetric eigen-decomposition, then realify.  Elements are
+    dense rows over the block's monomials, the (j, l) ones then the (j-1, l-1)
+    ones.  For j > l the real and imaginary parts of the complex block fill
+    the (j, l) and (l, j) labels, with the conjugate on the swapped exponents;
+    the diagonal blocks are realified through their 2d real Gram.
     """
     lmax = jmax if lmax is None else lmax
     if not (0 <= jmax <= JMAX_VERIFIED and 0 <= lmax <= JMAX_VERIFIED):
         raise DomainError(f"truncation degrees must lie in [0, {JMAX_VERIFIED}]")
     mass = total_sphere_mass(N)
-    moments = _MomentTable(N, mass)
-
-    mon_index: dict[tuple, int] = {}
-    rows: list[dict[int, complex]] = []
-    labels: list[tuple[int, int]] = []
-
-    def mon_id(key) -> int:
-        idx = mon_index.get(key)
-        if idx is None:
-            idx = len(mon_index)
-            mon_index[key] = idx
-        return idx
-
-    def add_element(j: int, l: int, table: dict):
-        rows.append({mon_id(k): c for k, c in table.items() if c != 0})
-        labels.append((j, l))
-
-    pairs = sorted(
-        {(j, l) for j in range(jmax + 1) for l in range(lmax + 1)}
-        | {(l, j) for j in range(jmax + 1) for l in range(lmax + 1)},
-    )
-    done: set[tuple[int, int]] = set()
-    elements: dict[tuple[int, int], list[dict]] = {}
-
-    for (j, l) in pairs:
-        if (j, l) in done or j < l:
-            continue
-        done.update({(j, l), (l, j)})
-        upper = [
-            (a, b)
-            for a in _multiindices(j, N + 1)
-            for b in _multiindices(l, N + 1)
-        ]
-        if j >= 1 and l >= 1:
-            lower = [
-                (a, b)
-                for a in _multiindices(j - 1, N + 1)
-                for b in _multiindices(l - 1, N + 1)
-            ]
-        else:
-            lower = []
-        G_up = moments.gram(upper, upper)
-        if lower:
-            G_low = moments.gram(lower, lower)
-            B = moments.gram(lower, upper)
-            Y = np.linalg.lstsq(G_low, B, rcond=None)[0]
-            G_perp = G_up - B.T @ Y
-            X = Y  # real moments: conj(Y) == Y
-        else:
-            G_perp = G_up
-            X = np.zeros((0, len(upper)))
-
-        def perp_table(vec: Array) -> Poly:
-            table: Poly = {}
-            for a, key in enumerate(upper):
-                if vec[a]:
-                    table[key] = table.get(key, 0.0) + vec[a]
-            if len(lower):
-                low_c = -X @ vec
-                for m, key in enumerate(lower):
-                    if low_c[m]:
-                        table[key] = table.get(key, 0.0) + low_c[m]
-            return table
-
-        d = dim_H(j, l, N)
-        if j > l:
-            svals, svecs = _orthonormal_block(G_perp, d, j, l)
-            re_list, im_list = [], []
-            for m in range(d):
-                y = perp_table(svecs[:, m] / math.sqrt(svals[m]))
-                yc = poly_conj(y)
-                re_list.append(poly_add(poly_scale(y, 1 / math.sqrt(2)), poly_scale(yc, 1 / math.sqrt(2))))
-                im_list.append(poly_add(poly_scale(y, -1j / math.sqrt(2)), poly_scale(yc, 1j / math.sqrt(2))))
-            elements[(j, l)] = re_list
-            elements[(l, j)] = im_list
-        else:
+    blocks: dict[tuple[int, int], tuple[Array, list]] = {}  # label -> (rows, column keys)
+    for j in range(max(jmax, lmax) + 1):
+        for l in range(j + 1):
+            if not (l <= lmax and j <= jmax or l <= jmax and j <= lmax):
+                continue
+            A, B = _exponents(j, l, N)
+            A0, B0 = _exponents(j - 1, l - 1, N)
+            G_perp = _gram(A, B, A, B, N, mass)
+            X = np.zeros((0, len(A)))
+            if len(A0):
+                G_low = _gram(A0, B0, A0, B0, N, mass)
+                G_lu = _gram(A0, B0, A, B, N, mass)
+                X = np.linalg.lstsq(G_low, G_lu, rcond=None)[0]  # real moments: conj(X) == X
+                G_perp = G_perp - G_lu.T @ X
+            CA, CB = np.vstack([A, A0]), np.vstack([B, B0])
+            d = dim_H(j, l, N)
+            if j > l:
+                vals, vecs = _orthonormal_block(G_perp, d, j, l)
+                W = (vecs / np.sqrt(vals)).T.copy()
+                Y = np.hstack([W, np.array([-X @ w for w in W])])  # [w, -X w]; matvecs round as the tests' reference
+                cols = _keys(CA, CB) + _keys(CB, CA)
+                blocks[(j, l)] = np.hstack([Y * (1 / math.sqrt(2)), Y * (1 / math.sqrt(2))]), cols
+                blocks[(l, j)] = np.hstack([Y * (-1j / math.sqrt(2)), Y * (1j / math.sqrt(2))]), cols
+                continue
             # diagonal block: orthonormalize { Re q_a, Im q_a } with the real Gram
-            n_up = len(upper)
-            Bq = np.zeros((n_up, n_up))
-            # bilinear pairing of the projected generators
-            B_upup = moments.gram(upper, upper, "bilin")
-            if len(lower):
-                B_uplow = moments.gram(upper, lower, "bilin")
-                B_lowlow = moments.gram(lower, lower, "bilin")
-                Bq = B_upup - B_uplow @ X - X.T @ B_uplow.T + X.T @ B_lowlow @ X
-            else:
-                Bq = B_upup
-            Hq = G_perp
+            n_up = len(A)
+            Bq = _gram(A, B, B, A, N, mass)  # bilinear pairing of the projected generators
+            if len(A0):
+                B_ul = _gram(A, B, B0, A0, N, mass)
+                B_ll = _gram(A0, B0, B0, A0, N, mass)
+                Bq = Bq - B_ul @ X - X.T @ B_ul.T + X.T @ B_ll @ X
             S = np.zeros((2 * n_up, 2 * n_up))
-            S[:n_up, :n_up] = 0.5 * (Bq + Hq)
-            S[n_up:, n_up:] = 0.5 * (Hq - Bq)
+            S[:n_up, :n_up] = 0.5 * (Bq + G_perp)
+            S[n_up:, n_up:] = 0.5 * (G_perp - Bq)
             # real moments make the mixed Re/Im pairings vanish identically
-            svals, svecs = _orthonormal_block(S, d, j, l)
-            out = []
-            for m in range(d):
-                vec = svecs[:, m] / math.sqrt(svals[m])
-                table: Poly = {}
-                for a in range(n_up):
-                    if vec[a] or vec[n_up + a]:
-                        q = perp_table(np.eye(n_up)[a])
-                        qc = poly_conj(q)
-                        # Re q = (q + qc)/2, Im q = (q - qc)/(2i)
-                        c_re, c_im = vec[a], vec[n_up + a]
-                        table = poly_add(table, poly_scale(q, 0.5 * c_re - 0.5j * c_im))
-                        table = poly_add(table, poly_scale(qc, 0.5 * c_re + 0.5j * c_im))
-                out.append(table)
-            elements[(j, j)] = out
+            vals, vecs = _orthonormal_block(S, d, j, l)
+            V = vecs / np.sqrt(vals)
+            s_q = 0.5 * V[:n_up] - 0.5j * V[n_up:]  # Re q = (q + conj q)/2, Im q = (q - conj q)/(2i)
+            s_qc = 0.5 * V[:n_up] + 0.5j * V[n_up:]
+            cols = _keys(CA, CB)
+            where = {key: i for i, key in enumerate(cols)}
+            swap = np.array([where[(b, a)] for a, b in cols])  # conj(q)[i] = q[swap[i]]
+            Q = np.hstack([np.eye(n_up), -X.T])  # q_a = [e_a, -X[:, a]]
+            rows = np.zeros((d, len(cols)), dtype=np.complex128)
+            for a in range(n_up):
+                rows += s_q[a][:, None] * Q[a]
+                rows += s_qc[a][:, None] * Q[a, swap]
+            # columns in the order the accumulation first touches them
+            touched = np.concatenate([np.r_[nz, swap[nz]] for nz in map(np.flatnonzero, Q)])
+            touched = touched[np.sort(np.unique(touched, return_index=True)[1])]
+            blocks[(j, j)] = rows[:, touched], [cols[i] for i in touched]
 
-    block_slices: dict[tuple[int, int], slice] = {}
-    ordered = sorted(elements.keys())
-    for key in ordered:
-        start = len(rows)
-        for table in elements[key]:
-            add_element(key[0], key[1], table)
-        block_slices[key] = slice(start, len(rows))
-
-    keys_list = [None] * len(mon_index)
-    for key, idx in mon_index.items():
-        keys_list[idx] = key
-    coeff = np.zeros((len(rows), len(keys_list)), dtype=np.complex128)
-    for r, row in enumerate(rows):
-        for cidx, c in row.items():
-            coeff[r, cidx] = c
-    lj = np.array([j for j, _ in labels], dtype=np.int64)
-    ll = np.array([l for _, l in labels], dtype=np.int64)
-    return HarmonicBasis(N, jmax, lmax, keys_list, coeff, lj, ll, block_slices)
+    # a monomial's column is placed at its first nonzero coefficient, rows in label order
+    labels = sorted(blocks)
+    sizes = [len(blocks[key][0]) for key in labels]
+    starts = np.cumsum([0] + sizes)
+    block_slices = {key: slice(int(a), int(b)) for key, a, b in zip(labels, starts, starts[1:])}
+    mon_index: dict[tuple, int] = {}
+    for key in labels:
+        rows, cols = blocks[key]
+        live, first = np.unique(np.nonzero(rows)[1], return_index=True)
+        for c in live[np.argsort(first)]:
+            mon_index.setdefault(cols[c], len(mon_index))
+    coeff = np.zeros((starts[-1], len(mon_index)), dtype=np.complex128)
+    for key, (rows, cols) in blocks.items():
+        kept = [i for i, col in enumerate(cols) if col in mon_index]  # the others are zero here
+        coeff[block_slices[key], [mon_index[cols[i]] for i in kept]] = rows[:, kept]
+    lj = np.repeat(np.array([key[0] for key in labels], dtype=np.int64), sizes)
+    ll = np.repeat(np.array([key[1] for key in labels], dtype=np.int64), sizes)
+    return HarmonicBasis(N, jmax, lmax, list(mon_index), coeff, lj, ll, block_slices)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,8 @@ def test_flag_override_out_of_range():
         ["verify-spectral", "--jmax", "10"],  # the basis fails to build at 10
         ["verify-spectral", "--jmax", "40"],
         ["sobolev-sharpness", "--jmax", "-1"],
+        ["bubble-residual", "--N", "2"],  # its inner shell box is 96^5 nodes at N = 2
+        ["verify-group", "--N", "2"],
     ],
 )
 def test_out_of_range_flag_refused_before_work(tmp_path, argv):
@@ -51,6 +53,16 @@ def test_out_of_range_config_refused_before_work(tmp_path, field):
     assert main(["verify-spectral", "--config", path, "--out", out]) == 2
     assert time.perf_counter() - start < 5.0
     assert not os.path.exists(out)
+
+
+def test_minimax_explore_creates_its_output_directory(tmp_path):
+    path = os.path.join(tmp_path, "cfg.json")
+    with open(path, "w") as fh:
+        json.dump({"jmax": 2, "minimax_seeds": 1, "minimax_budget": 20}, fh)
+    out = os.path.join(tmp_path, "new", "out")
+    assert main(["minimax-explore", "--config", path, "--out", out]) in (0, 1)
+    with open(os.path.join(out, "minimax_candidates.json"), encoding="utf-8") as fh:
+        assert len(json.load(fh)) == 2  # one search seed plus the Hopf control
 
 
 def test_config_roundtrip(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cryamabe.errors import DomainError
-from cryamabe.polynomials import ambient_laplacian, conformal_sublaplacian, poly_eval
+from cryamabe.polynomials import ambient_laplacian, conformal_sublaplacian, poly_add, poly_eval, poly_scale
 from cryamabe.spectral import (
+    HarmonicBasis,
     SphereQuadrature,
     SpectralFunction,
     analyze,
@@ -24,6 +26,7 @@ from cryamabe.spectral import (
     synthesize,
     total_sphere_mass,
 )
+from cryamabe.spectral import _moment_fraction, _multiindices, _orthonormal_block
 
 
 # independent Gamma oracle (Lanczos-free series; only used to cross-check lgamma)
@@ -441,3 +444,171 @@ class TestEvaluatorDifferential:
             scale += np.abs(term)
         err = np.abs(apply_A2_differential(u, zeta) - exact.real.astype(np.float64))
         assert np.all(err <= 16 * np.finfo(np.float64).eps * scale.astype(np.float64))
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the exponent-array basis against the dict-polynomial build
+
+
+class _RefMomentTable:
+    """The earlier per-pair moment pairings, one Python call per Gram entry."""
+
+    def __init__(self, N, mass):
+        self.N, self.mass, self._cache = N, mass, {}
+
+    def _mu(self, kappa):
+        if kappa not in self._cache:
+            self._cache[kappa] = self.mass * _moment_fraction(kappa, self.N)
+        return self._cache[kappa]
+
+    def herm(self, key1, key2):
+        (a1, b1), (a2, b2) = key1, key2
+        left = tuple(x + y for x, y in zip(a1, b2))
+        right = tuple(x + y for x, y in zip(b1, a2))
+        return self._mu(left) if left == right else 0.0
+
+    def bilin(self, key1, key2):
+        (a1, b1), (a2, b2) = key1, key2
+        left = tuple(x + y for x, y in zip(a1, a2))
+        right = tuple(x + y for x, y in zip(b1, b2))
+        return self._mu(left) if left == right else 0.0
+
+    def gram(self, keys1, keys2, pairing="herm"):
+        fn = self.herm if pairing == "herm" else self.bilin
+        out = np.zeros((len(keys1), len(keys2)))
+        for i, k1 in enumerate(keys1):
+            for jj, k2 in enumerate(keys2):
+                out[i, jj] = fn(k1, k2)
+        return out
+
+
+def _ref_poly_conj(p):
+    return {(beta, alpha): np.conj(c) for (alpha, beta), c in p.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_build_basis(N, jmax, lmax=None):
+    """build_basis as it was: every element a dict polynomial, realified term by term."""
+    lmax = jmax if lmax is None else lmax
+    moments = _RefMomentTable(N, total_sphere_mass(N))
+    mon_index, rows, labels, elements, done = {}, [], [], {}, set()
+    pairs = sorted({(j, l) for j in range(jmax + 1) for l in range(lmax + 1)} | {(l, j) for j in range(jmax + 1) for l in range(lmax + 1)})
+    for (j, l) in pairs:
+        if (j, l) in done or j < l:
+            continue
+        done.update({(j, l), (l, j)})
+        upper = [(a, b) for a in _multiindices(j, N + 1) for b in _multiindices(l, N + 1)]
+        lower = [(a, b) for a in _multiindices(j - 1, N + 1) for b in _multiindices(l - 1, N + 1)] if j and l else []
+        G_up = moments.gram(upper, upper)
+        if lower:
+            B = moments.gram(lower, upper)
+            X = np.linalg.lstsq(moments.gram(lower, lower), B, rcond=None)[0]
+            G_perp = G_up - B.T @ X
+        else:
+            G_perp, X = G_up, np.zeros((0, len(upper)))
+
+        def perp_table(vec):
+            table = {}
+            for a, key in enumerate(upper):
+                if vec[a]:
+                    table[key] = table.get(key, 0.0) + vec[a]
+            if len(lower):
+                low_c = -X @ vec
+                for m, key in enumerate(lower):
+                    if low_c[m]:
+                        table[key] = table.get(key, 0.0) + low_c[m]
+            return table
+
+        d = dim_H(j, l, N)
+        if j > l:
+            svals, svecs = _orthonormal_block(G_perp, d, j, l)
+            re_list, im_list = [], []
+            for m in range(d):
+                y = perp_table(svecs[:, m] / math.sqrt(svals[m]))
+                yc = _ref_poly_conj(y)
+                re_list.append(poly_add(poly_scale(y, 1 / math.sqrt(2)), poly_scale(yc, 1 / math.sqrt(2))))
+                im_list.append(poly_add(poly_scale(y, -1j / math.sqrt(2)), poly_scale(yc, 1j / math.sqrt(2))))
+            elements[(j, l)], elements[(l, j)] = re_list, im_list
+            continue
+        n_up = len(upper)
+        Bq = moments.gram(upper, upper, "bilin")
+        if len(lower):
+            B_ul = moments.gram(upper, lower, "bilin")
+            Bq = Bq - B_ul @ X - X.T @ B_ul.T + X.T @ moments.gram(lower, lower, "bilin") @ X
+        S = np.zeros((2 * n_up, 2 * n_up))
+        S[:n_up, :n_up] = 0.5 * (Bq + G_perp)
+        S[n_up:, n_up:] = 0.5 * (G_perp - Bq)
+        svals, svecs = _orthonormal_block(S, d, j, l)
+        out = []
+        for m in range(d):
+            vec = svecs[:, m] / math.sqrt(svals[m])
+            table = {}
+            for a in range(n_up):
+                if vec[a] or vec[n_up + a]:
+                    q = perp_table(np.eye(n_up)[a])
+                    c_re, c_im = vec[a], vec[n_up + a]
+                    table = poly_add(table, poly_scale(q, 0.5 * c_re - 0.5j * c_im))
+                    table = poly_add(table, poly_scale(_ref_poly_conj(q), 0.5 * c_re + 0.5j * c_im))
+            out.append(table)
+        elements[(j, j)] = out
+    block_slices = {}
+    for key in sorted(elements):
+        start = len(rows)
+        for table in elements[key]:
+            rows.append({mon_index.setdefault(k, len(mon_index)): c for k, c in table.items() if c != 0})
+            labels.append(key)
+        block_slices[key] = slice(start, len(rows))
+    coeff = np.zeros((len(rows), len(mon_index)), dtype=np.complex128)
+    for r, row in enumerate(rows):
+        for cidx, c in row.items():
+            coeff[r, cidx] = c
+    lj = np.array([j for j, _ in labels], dtype=np.int64)
+    ll = np.array([l for _, l in labels], dtype=np.int64)
+    return HarmonicBasis(N, jmax, lmax, list(mon_index), coeff, lj, ll, block_slices)
+
+
+class TestBasisDifferential:
+    @pytest.mark.parametrize("N,jmax,lmax", [(1, j, None) for j in range(9)] + [(2, j, None) for j in range(3)] + [(1, 5, 2), (1, 1, 4)])
+    def test_coefficients_bitwise(self, N, jmax, lmax):
+        new, ref = build_basis(N, jmax, lmax), _ref_build_basis(N, jmax, lmax)
+        assert np.array_equal(new.labels_j, ref.labels_j) and np.array_equal(new.labels_l, ref.labels_l)
+        assert new.block_slices == ref.block_slices
+        assert len(new.mon_keys) == len(ref.mon_keys) and set(new.mon_keys) == set(ref.mon_keys)
+        col = {key: i for i, key in enumerate(new.mon_keys)}
+        assert np.array_equal(new.coeff[:, [col[key] for key in ref.mon_keys]], ref.coeff)
+        if N == 1:  # at N = 1 the column order is the dict build's order as well
+            assert new.mon_keys == ref.mon_keys
+
+    def test_transforms_at_jmax8(self, prob8):
+        quad, basis = prob8.quad, prob8.basis
+        ref = _ref_build_basis(1, 8)
+        nodes = quad.nodes()[::29]
+        for seed in range(3):
+            c = np.random.default_rng(40 + seed).standard_normal(basis.n_basis)
+            vals = quad.synthesize_values(c, ref)
+            assert np.array_equal(quad.synthesize_values(c, basis), vals)
+            assert np.array_equal(quad.analyze_values(vals, basis)[0], quad.analyze_values(vals, ref)[0])
+            assert np.array_equal(SpectralFunction(c, basis).eval(nodes), SpectralFunction(c, ref).eval(nodes))
+
+
+def test_poly_eval_bounds_its_monomial_table(prob8, monkeypatch):
+    import cryamabe.polynomials as polys
+
+    sizes = []
+    table = polys.monomial_values
+
+    def recording(keys, zeta):
+        sizes.append(len(keys) * (zeta.size // zeta.shape[-1]))
+        return table(keys, zeta)
+
+    f = SpectralFunction(np.random.default_rng(21).standard_normal(prob8.basis.n_basis), prob8.basis)
+    p = f.to_poly()
+    nodes = prob8.quad.nodes()
+    monkeypatch.setattr(polys, "monomial_values", recording)
+    vals = f.eval(nodes)
+    monkeypatch.undo()
+    assert len(p) == 2025 and len(sizes) > 1 and max(sizes) <= 2**22
+    # a single-chunk evaluation on every 37th node (1,942 x 2,025 entries)
+    sample = nodes[::37]
+    single = _ref_combine_monomials(list(p), np.array(list(p.values())), sample, chunk=len(sample))
+    assert _rel(vals[::37], single.real) <= 1e-12
