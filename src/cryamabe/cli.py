@@ -3,8 +3,9 @@
 Every acceptance-style check is runnable by exactly one subcommand; outputs
 are written atomically (temp file + rename) so interrupted runs never leave
 half-written artifacts.  Exit codes: 0 all checks passed, 1 at least one
-assertion failed, 2 usage or configuration error (out-of-range configurations
-are refused before any work).
+assertion failed, 2 usage or configuration error (unknown keys, values of the
+wrong type or out of range, and a k that the subcommand does not support are
+refused before any work).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ _cap_threads()
 import numpy as np  # noqa: E402  (thread caps must precede the first import)
 
 from .config import ExperimentConfig, atomic_write  # noqa: E402
-from .errors import CRYamabeError  # noqa: E402
+from .errors import CRYamabeError, DomainError  # noqa: E402
 
 
 class CheckTable:
@@ -492,6 +493,10 @@ SUBCOMMANDS = (
     "calibrate-normalizations",
 )
 
+# Subcommands that need more of the configuration than its own ranges; checked
+# before any work.  The transported bubbling reports exist for k = 1 only.
+REQUIRES_K1 = ("ps-quantization", "gradient-decay")
+
 
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cryamabe", description=__doc__)
@@ -521,7 +526,9 @@ def main(argv=None) -> int:
         )
         if args.ladder and args.ladder != "default":
             cfg = cfg.with_overrides(rn_ladder=tuple(float(x) for x in args.ladder.split(",")))
-    except (CRYamabeError, ValueError, OSError, json.JSONDecodeError) as exc:
+        if args.subcommand in REQUIRES_K1 and abs(cfg.k - 1.0) > 1e-14:
+            raise DomainError(f"{args.subcommand} requires k = 1, got k={cfg.k!r}")
+    except (CRYamabeError, ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import DomainError
 from .spectral import JMAX_VERIFIED
@@ -33,10 +34,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if type(self.N) is not int or self.N != 1:
             raise DomainError(f"the runners support N = 1 only, got N={self.N!r}")
+        for name in ("k", "tol_scale"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainError(f"{name} must be a real number, got {value!r}")
         Q = 2 * self.N + 2
         if not (0 < 2 * self.k < Q):
             raise DomainError(f"need 0 < 2k < Q = {Q}")
+        if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
+            raise DomainError(f"tol_scale must be finite and positive, got {self.tol_scale!r}")
         bounds = {"jmax": (0, JMAX_VERIFIED), "lmax": (0, JMAX_VERIFIED), "quad_degree": (1, math.inf)}
+        bounds.update(dict.fromkeys(("minimax_seeds", "minimax_budget", "flow_seeds"), (1, math.inf)))
         for name, (low, high) in bounds.items():
             value = getattr(self, name)
             if value is not None and (type(value) is not int or not low <= value <= high):
@@ -45,13 +53,16 @@ class ExperimentConfig:
         if any(b >= a for a, b in zip(ladder, ladder[1:])):
             raise DomainError("rn_ladder must decrease strictly")
         object.__setattr__(self, "rn_ladder", ladder)
-        if self.tol_scale <= 0:
-            raise DomainError("tol_scale must be positive")
 
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise DomainError("a configuration file must hold one JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(ExperimentConfig)})
+        if unknown:
+            raise DomainError(f"unknown configuration keys: {', '.join(unknown)}")
         for key in ("rn_ladder", "grid_shape", "grid_half_widths"):
             if key in data and isinstance(data[key], list):
                 data[key] = tuple(data[key])

@@ -5,6 +5,13 @@ alpha and beta are exponent tuples of length N+1 for zeta and conj(zeta).
 It carries the eigenvalue checks of the sphere harmonic basis: tangential
 operators T_j = d/dzeta_j - conj(zeta_j) * sum_k zeta_k d/dzeta_k act exactly
 on monomials, so those checks need no quadrature.
+
+``eval_terms`` is the one evaluator, for exponent arrays (as the harmonic
+basis keeps them) and, through ``poly_eval``, for dict tables.  The
+polynomial sum_{a,b} C[a_0, b_0, ..., a_N, b_N] prod_v zeta_v^a_v
+conj(zeta_v)^b_v is separable, so the coefficients go into a dense tensor over
+the live exponent range and are contracted one coordinate at a time; no table
+of monomial values is built.
 """
 
 from __future__ import annotations
@@ -16,7 +23,10 @@ import numpy as np
 Multi = Tuple[int, ...]
 Poly = Dict[Tuple[Multi, Multi], complex]
 
-_EVAL_ENTRIES = 2**22  # monomial-table entries per chunk in poly_eval (64 MiB)
+# Entries per block of eval_terms' intermediates (125 KiB complex).  Blocks
+# this small stay in cache and below glibc's default 128 KiB mmap threshold, so
+# they reuse freed heap memory instead of page-faulting in fresh mappings.
+_EVAL_BLOCK = 8000
 
 
 def poly_add(p: Poly, q: Poly, coeff: complex = 1.0) -> Poly:
@@ -101,41 +111,61 @@ def ambient_laplacian(p: Poly, N: int) -> Poly:
     return acc
 
 
-def monomial_values(keys, zeta: np.ndarray) -> np.ndarray:
-    """Values of each monomial (alpha, beta) at each point: (n_mon, n_pts).
+def _contract(T: np.ndarray, zeta: np.ndarray, d: int) -> np.ndarray:
+    """Values at points (n, nvar) of each dense coefficient tensor, a row of T: (m, n).
 
-    Powers of every coordinate and its conjugate come from one table, so each
-    monomial costs one product per nonzero exponent.
+    T[i] holds (d*d)^nvar entries, index a*d + b for the exponents (a, b) of
+    each coordinate.  The last coordinate is one matrix product with the table
+    z^a conj(z)^b; each earlier one is a multiply-reduce over b, then over a.
+    Powers come by repeated multiplication, so a constant (d = 1) is exact.
     """
-    zeta = zeta.reshape(-1, zeta.shape[-1])
-    npts, nvar = zeta.shape
-    maxdeg = max((max(max(a), max(b)) for a, b in keys), default=0)
-    pows = np.empty((nvar, maxdeg + 1, npts), dtype=np.complex128)
-    pows[:, 0] = 1.0
-    for p in range(1, maxdeg + 1):
-        pows[:, p] = pows[:, p - 1] * zeta.T
+    n, nvar = zeta.shape
+    zt = np.ascontiguousarray(zeta.T)
+    pows = np.empty((d, nvar, n), dtype=np.complex128)
+    pows[0] = 1.0
+    for p in range(1, d):
+        np.multiply(pows[p - 1], zt, out=pows[p])
     cpows = np.conj(pows)
-    out = np.empty((len(keys), npts), dtype=np.complex128)
-    for i, (alpha, beta) in enumerate(keys):
-        acc = pows[0, alpha[0]].copy()
-        for v in range(1, nvar):
-            if alpha[v]:
-                acc *= pows[v, alpha[v]]
-        for v in range(nvar):
-            if beta[v]:
-                acc *= cpows[v, beta[v]]
-        out[i] = acc
-    return out
+    acc = T.reshape(-1, d * d) @ (pows[:, None, -1] * cpows[None, :, -1]).reshape(d * d, n)
+    for v in range(nvar - 2, -1, -1):
+        acc = (acc.reshape(-1, d, d, n) * cpows[:, v]).sum(axis=-2)
+        acc = (acc * pows[:, v]).sum(axis=-2)
+    return acc
+
+
+def eval_terms(exps: np.ndarray, coeffs: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """Sum of coeffs[i] zeta^exps[i, 0] conj(zeta)^exps[i, 1] at points (..., nvar).
+
+    ``exps`` is an integer array (n_terms, 2, nvar) of distinct exponent pairs.
+    ``coeffs`` (n_terms,) gives values of shape (...); a batch (n_terms, m)
+    gives (m, n_points) with the points flattened.  The coefficients are
+    scattered into dense tensors over the live exponent range d (d = 1 for a
+    constant) and contracted one coordinate at a time (``_contract``).  A batch
+    is split into groups of tensors and the points into blocks, so that no
+    intermediate holds more than max(``_EVAL_BLOCK``, (d*d)^nvar) entries.
+    """
+    zeta = np.asarray(zeta, dtype=np.complex128)
+    nvar = zeta.shape[-1]
+    flat = zeta.reshape(-1, nvar)
+    exps = np.asarray(exps, dtype=np.int64).reshape(-1, 2, nvar)
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    batch = (coeffs[:, None] if coeffs.ndim == 1 else coeffs).T  # (m, n_terms)
+    out = np.zeros((batch.shape[0], len(flat)), dtype=np.complex128)
+    if len(exps):
+        d = int(exps.max()) + 1
+        size = (d * d) ** nvar
+        cols = np.ravel_multi_index(tuple(exps[:, 0].T * d + exps[:, 1].T), (d * d,) * nvar)
+        m_chunk = max(1, _EVAL_BLOCK // size)
+        for b0 in range(0, len(batch), m_chunk):
+            group = batch[b0 : b0 + m_chunk]
+            T = np.zeros((len(group), size), dtype=np.complex128)
+            T[:, cols] = group
+            chunk = max(1, _EVAL_BLOCK // max(T.size // (d * d), d * d))
+            for c0 in range(0, len(flat), chunk):
+                out[b0 : b0 + m_chunk, c0 : c0 + chunk] = _contract(T, flat[c0 : c0 + chunk], d)
+    return out[0].reshape(zeta.shape[:-1]) if coeffs.ndim == 1 else out
 
 
 def poly_eval(p: Poly, zeta: np.ndarray) -> np.ndarray:
-    """Evaluate at points of shape (..., N+1), in chunks of points that bound the monomial table."""
-    zeta = np.asarray(zeta, dtype=np.complex128)
-    keys = list(p)
-    weights = np.array([p[key] for key in keys], dtype=np.complex128)
-    flat = zeta.reshape(-1, zeta.shape[-1])
-    out = np.empty(flat.shape[0], dtype=np.complex128)
-    chunk = max(1, _EVAL_ENTRIES // max(len(keys), 1))
-    for c0 in range(0, flat.shape[0], chunk):
-        out[c0 : c0 + chunk] = weights @ monomial_values(keys, flat[c0 : c0 + chunk])
-    return out.reshape(zeta.shape[:-1])
+    """Evaluate a polynomial table at points of shape (..., N+1) through ``eval_terms``."""
+    return eval_terms(np.array(list(p), dtype=np.int64), np.array(list(p.values()), dtype=np.complex128), zeta)

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BasisConstructionError, DomainError
-from .polynomials import Poly, conformal_sublaplacian, monomial_values, poly_eval
+from .polynomials import Poly, conformal_sublaplacian, eval_terms, poly_eval
 
 Array = np.ndarray
 
@@ -110,14 +110,15 @@ class HarmonicBasis:
     """Real orthonormal basis adapted to the bidegree decomposition.
 
     Elements carry labels (j, l, m); the coefficient matrix expresses each
-    element over a global table of ambient monomials.  The tables are
-    Hermitian-symmetric, so every element is a real function.
+    element over a global list of ambient monomials zeta^alpha conj(zeta)^beta,
+    whose exponents ``exps[i] = (alpha, beta)`` form an integer array.  The
+    coefficients are Hermitian-symmetric, so every element is a real function.
     """
 
     N: int
     jmax: int
     lmax: int
-    mon_keys: list[tuple[tuple[int, ...], tuple[int, ...]]]
+    exps: Array  # (n_mon, 2, N+1) int
     coeff: Array  # (n_basis, n_mon) complex
     labels_j: Array
     labels_l: Array
@@ -126,6 +127,11 @@ class HarmonicBasis:
     @property
     def n_basis(self) -> int:
         return self.coeff.shape[0]
+
+    @property
+    def mon_keys(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The monomials as (alpha, beta) keys of a polynomial table."""
+        return [(tuple(a), tuple(b)) for a, b in self.exps.tolist()]
 
     @property
     def total_mass(self) -> float:
@@ -145,9 +151,7 @@ class HarmonicBasis:
     def eval_elements(self, zeta: Array, indices: Sequence[int] | None = None) -> Array:
         """Values of basis elements at points (..., N+1); returns (n_sel, n_points), points flattened."""
         sel = np.arange(self.n_basis) if indices is None else np.asarray(indices)
-        mon_vals = monomial_values(self.mon_keys, np.asarray(zeta, dtype=np.complex128))
-        vals = self.coeff[sel] @ mon_vals
-        return vals.real
+        return eval_terms(self.exps, self.coeff[sel].T, zeta).real
 
 
 def _exponents(j: int, l: int, N: int) -> tuple[Array, Array]:
@@ -280,7 +284,8 @@ def build_basis(N: int, jmax: int, lmax: int | None = None) -> HarmonicBasis:
         coeff[block_slices[key], [mon_index[cols[i]] for i in kept]] = rows[:, kept]
     lj = np.repeat(np.array([key[0] for key in labels], dtype=np.int64), sizes)
     ll = np.repeat(np.array([key[1] for key in labels], dtype=np.int64), sizes)
-    return HarmonicBasis(N, jmax, lmax, list(mon_index), coeff, lj, ll, block_slices)
+    exps = np.array(list(mon_index), dtype=np.int64)
+    return HarmonicBasis(N, jmax, lmax, exps, coeff, lj, ll, block_slices)
 
 
 # ---------------------------------------------------------------------------
@@ -374,19 +379,19 @@ class SphereQuadrature:
     def _profiles(self, basis: HarmonicBasis) -> tuple[Array, Array, Array]:
         key = "_prof_cache"
         cache = getattr(self, key, None)
-        if cache is not None and cache[0] is basis.mon_keys:
+        if cache is not None and cache[0] is basis.exps:
             return cache[1], cache[2], cache[3]
         s = self.s_nodes
-        prof = np.empty((len(basis.mon_keys), len(s)))
-        bins = np.empty((len(basis.mon_keys), 2), dtype=np.int64)
+        prof = np.empty((len(basis.exps), len(s)))
+        bins = np.empty((len(basis.exps), 2), dtype=np.int64)
         c = np.sqrt(s)
         q = np.sqrt(1.0 - s)
-        for i, (alpha, beta) in enumerate(basis.mon_keys):
+        for i, (alpha, beta) in enumerate(basis.exps.tolist()):
             a, b = alpha[0] + beta[0], alpha[1] + beta[1]
             prof[i] = c**a * q**b
             bins[i, 0] = (alpha[0] - beta[0]) % self.n_phi
             bins[i, 1] = (alpha[1] - beta[1]) % self.n_phi
-        setattr(self, key, (basis.mon_keys, prof, bins[:, 0], bins[:, 1]))
+        setattr(self, key, (basis.exps, prof, bins[:, 0], bins[:, 1]))
         return prof, bins[:, 0], bins[:, 1]
 
     def analyze_values(self, values: Array, basis: HarmonicBasis) -> tuple[Array, float]:
@@ -458,7 +463,15 @@ class SpectralFunction:
         return {key: c for key, c in zip(self.basis.mon_keys, mon_c) if c != 0}
 
     def eval(self, zeta: Array) -> Array:
-        return poly_eval(self.to_poly(), zeta).real
+        """Values at points (..., N+1), from the live monomials of the ambient polynomial.
+
+        The monomial coefficients of the nonzero elements go through
+        ``polynomials.eval_terms``, a per-coordinate contraction; no
+        polynomial table is built.
+        """
+        mon_c = self.basis.coeff.T @ self.coeffs.astype(np.complex128)
+        live = mon_c != 0
+        return eval_terms(self.basis.exps[live], mon_c[live], zeta).real
 
 
 def zero_function(basis: HarmonicBasis) -> SpectralFunction:

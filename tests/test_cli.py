@@ -34,6 +34,10 @@ def test_flag_override_out_of_range():
         ["sobolev-sharpness", "--jmax", "-1"],
         ["bubble-residual", "--N", "2"],  # its inner shell box is 96^5 nodes at N = 2
         ["verify-group", "--N", "2"],
+        ["ps-quantization", "--k", "0.5"],  # the transported reports need k = 1
+        ["gradient-decay", "--k", "0.5"],
+        ["verify-group", "--tol-scale", "nan"],
+        ["verify-group", "--tol-scale", "inf"],
     ],
 )
 def test_out_of_range_flag_refused_before_work(tmp_path, argv):
@@ -51,6 +55,34 @@ def test_out_of_range_config_refused_before_work(tmp_path, field):
     out = os.path.join(tmp_path, "out")
     start = time.perf_counter()
     assert main(["verify-spectral", "--config", path, "--out", out]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "sub,text",
+    [
+        ("verify-group", '{"jmx": 4}'),  # unknown key
+        ("verify-group", '{"k": "1"}'),
+        ("verify-group", '{"k": true}'),
+        ("verify-group", '{"tol_scale": "x"}'),
+        ("verify-group", '{"tol_scale": Infinity}'),
+        ("verify-group", '{"tol_scale": 0}'),
+        ("verify-group", "[4]"),  # not an object
+        ("minimax-explore", '{"minimax_seeds": 0, "jmax": 2}'),
+        ("minimax-explore", '{"minimax_budget": 0, "jmax": 2}'),
+        ("minimax-explore", '{"minimax_seeds": 1.5, "jmax": 2}'),
+        ("subcritical-flow", '{"flow_seeds": 0, "jmax": 2}'),
+        ("subcritical-flow", '{"flow_seeds": true, "jmax": 2}'),
+    ],
+)
+def test_bad_config_refused_before_work(tmp_path, sub, text):
+    path = os.path.join(tmp_path, "cfg.json")
+    with open(path, "w") as fh:
+        fh.write(text)
+    out = os.path.join(tmp_path, "out")
+    start = time.perf_counter()
+    assert main([sub, "--config", path, "--out", out]) == 2
     assert time.perf_counter() - start < 5.0
     assert not os.path.exists(out)
 

@@ -308,7 +308,7 @@ class TestNorms:
 
 
 # ---------------------------------------------------------------------------
-# differential tests: the one power-table evaluator against the earlier paths
+# differential tests: the one contraction evaluator against the earlier paths
 
 
 def _ref_monomial_values(keys, zeta):
@@ -380,30 +380,102 @@ def _rel(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
+def _ext_termwise(exps, coeffs, zeta):
+    """Term-wise sum in extended precision and the summed term magnitudes."""
+    z = np.asarray(zeta).astype(np.clongdouble)
+    exact = np.zeros(z.shape[:-1], dtype=np.clongdouble)
+    scale = np.zeros(z.shape[:-1], dtype=np.longdouble)
+    for (alpha, beta), c in zip(np.asarray(exps).tolist(), coeffs):
+        term = np.full(z.shape[:-1], np.clongdouble(c))
+        for v, (a, b) in enumerate(zip(alpha, beta)):
+            term = term * z[..., v] ** a * np.conj(z[..., v]) ** b
+        exact += term
+        scale += np.abs(term)
+    return exact, scale
+
+
+def _live_terms(f):
+    mon_c = f.basis.coeff.T @ f.coeffs.astype(np.complex128)
+    live = mon_c != 0
+    return f.basis.exps[live], mon_c[live]
+
+
 class TestEvaluatorDifferential:
+    # The contraction sums in another order than the parent's monomial table,
+    # so it agrees to rounding (<= 1e-12 relative), bitwise only for constants.
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_eval_bitwise_at_quadrature_nodes(self, prob8, seed):
-        # every 47th node of the jmax-8 rule keeps the monomial table small
+    def test_eval_at_quadrature_nodes(self, prob4, prob8, seed):
+        # every 47th node of the jmax-8 rule keeps the parent's table small;
+        # at jmax 4 every node, rotated as invariance_check does
         nodes = prob8.quad.nodes()[::47]
         f = SpectralFunction(np.random.default_rng(seed).standard_normal(prob8.basis.n_basis), prob8.basis)
-        assert np.array_equal(f.eval(nodes), _ref_eval(f, nodes))
+        assert _rel(f.eval(nodes), _ref_eval(f, nodes)) <= 1e-12
+        rng = np.random.default_rng(30 + seed)
+        g, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        nodes = prob4.quad.nodes() @ g.T
+        f = SpectralFunction(rng.standard_normal(prob4.basis.n_basis), prob4.basis)
+        assert _rel(f.eval(nodes), _ref_eval(f, nodes)) <= 1e-12
 
-    def test_eval_bitwise_at_random_points(self, prob8):
-        zeta = _sphere_points(600, 11)
-        for j, l, m in ((0, 0, 0), (8, 3, 2), (5, 5, 4)):
-            f = basis_element(prob8.basis, j, l, m)
-            assert np.array_equal(f.eval(zeta), _ref_eval(f, zeta))
-        f = SpectralFunction(np.random.default_rng(12).standard_normal(prob8.basis.n_basis), prob8.basis)
-        assert np.array_equal(f.eval(zeta), _ref_eval(f, zeta))
+    @pytest.mark.parametrize("radius", [1.0, 0.6, 1.7])
+    def test_eval_at_random_points(self, prob4, prob8, radius):
+        zeta = radius * _sphere_points(600, 11)
+        for prob in (prob4, prob8):
+            for j, l, m in ((0, 0, 0), (4, 3, 2), (4, 4, 4)):
+                f = basis_element(prob.basis, j, l, m)
+                assert _rel(f.eval(zeta), _ref_eval(f, zeta)) <= 1e-12
+            f = SpectralFunction(np.random.default_rng(12).standard_normal(prob.basis.n_basis), prob.basis)
+            assert _rel(f.eval(zeta), _ref_eval(f, zeta)) <= 1e-12
+        f = basis_element(prob8.basis, 8, 3, 2)
+        assert _rel(f.eval(zeta), _ref_eval(f, zeta)) <= 1e-12
         grid = zeta[:60].reshape(3, 20, 2)
-        assert np.array_equal(f.eval(grid), _ref_eval(f, grid))
-        assert f.eval(zeta[7]).shape == () and f.eval(zeta[7]) == _ref_eval(f, zeta[7])
+        assert f.eval(grid).shape == (3, 20) and _rel(f.eval(grid), _ref_eval(f, grid)) <= 1e-12
+        assert f.eval(zeta[7]).shape == () and _rel(f.eval(zeta[7]), _ref_eval(f, zeta[7])) <= 1e-12
 
-    def test_eval_elements_bitwise(self, prob8):
+    def test_eval_elements_matches_parent(self, prob8):
         basis = prob8.basis
         zeta = _sphere_points(200, 13)
         ref = (basis.coeff @ _ref_monomial_values(basis.mon_keys, zeta)).real
-        assert np.array_equal(basis.eval_elements(zeta), ref)
+        new = basis.eval_elements(zeta)
+        assert new.shape == ref.shape and _rel(new, ref) <= 1e-12
+        # element 728 alone cancels ~2.6e3-fold on the sphere, where the two
+        # evaluators lie 3.5e-13 and 6.7e-13 from the exact values
+        sel = [5, 300, 728]
+        assert _rel(basis.eval_elements(zeta, sel), new[sel]) <= 1e-14
+
+    @pytest.mark.parametrize("radius", [1.0, 1.7])
+    def test_eval_rounding_against_extended_precision(self, prob8, radius):
+        # the parent's table and the contraction both round; bound the
+        # contraction by a few ulps of the summed term magnitudes
+        zeta = radius * _sphere_points(150, 19)
+        for seed in (0, 1):
+            f = SpectralFunction(np.random.default_rng(seed).standard_normal(prob8.basis.n_basis), prob8.basis)
+            exact, scale = _ext_termwise(*_live_terms(f), zeta)
+            err = np.abs(f.eval(zeta) - exact.real.astype(np.float64))
+            assert np.all(err <= 16 * np.finfo(np.float64).eps * scale.astype(np.float64))
+
+    def test_eval_constant_bitwise(self, prob8):
+        # u_infty of the transported ladders: the same bits as the parent
+        nodes = prob8.quad.nodes()
+        for value in (1.0, 0.37, -2.5):
+            f = constant_function(value, prob8.basis)
+            assert np.array_equal(f.eval(nodes), _ref_eval(f, nodes))
+        f = apply_A2k(constant_function(0.37, prob8.basis), 1.0)
+        assert np.array_equal(f.eval(1.3 * nodes[:500]), _ref_eval(f, 1.3 * nodes[:500]))
+
+    def test_poly_eval_three_variables(self):
+        rng = np.random.default_rng(20)
+        p = {}
+        for _ in range(60):
+            alpha, beta = tuple(rng.integers(0, 4, 3).tolist()), tuple(rng.integers(0, 4, 3).tolist())
+            p[(alpha, beta)] = complex(rng.standard_normal(), rng.standard_normal())
+        zeta = (rng.standard_normal((400, 3)) + 1j * rng.standard_normal((400, 3))) / 2.0
+        assert _rel(poly_eval(p, zeta), _ref_poly_eval(p, zeta)) <= 1e-12
+        exact, scale = _ext_termwise(list(p), list(p.values()), zeta)
+        err = np.abs(poly_eval(p, zeta) - exact.astype(np.complex128))
+        assert np.all(err <= 16 * np.finfo(np.float64).eps * scale.astype(np.float64))
+        grid = zeta.reshape(8, 50, 3)
+        assert poly_eval(p, grid).shape == (8, 50)
+        assert np.array_equal(poly_eval({}, zeta), np.zeros(len(zeta), dtype=np.complex128))
 
     def test_poly_eval_matches_termwise(self, prob8):
         basis = prob8.basis
@@ -564,7 +636,7 @@ def _ref_build_basis(N, jmax, lmax=None):
             coeff[r, cidx] = c
     lj = np.array([j for j, _ in labels], dtype=np.int64)
     ll = np.array([l for _, l in labels], dtype=np.int64)
-    return HarmonicBasis(N, jmax, lmax, list(mon_index), coeff, lj, ll, block_slices)
+    return HarmonicBasis(N, jmax, lmax, np.array(list(mon_index)), coeff, lj, ll, block_slices)
 
 
 class TestBasisDifferential:
@@ -591,24 +663,28 @@ class TestBasisDifferential:
             assert np.array_equal(SpectralFunction(c, basis).eval(nodes), SpectralFunction(c, ref).eval(nodes))
 
 
-def test_poly_eval_bounds_its_monomial_table(prob8, monkeypatch):
+def test_eval_terms_bounds_its_intermediates(prob8, monkeypatch):
     import cryamabe.polynomials as polys
 
     sizes = []
-    table = polys.monomial_values
+    contract = polys._contract
 
-    def recording(keys, zeta):
-        sizes.append(len(keys) * (zeta.size // zeta.shape[-1]))
-        return table(keys, zeta)
+    def recording(T, zeta, d):
+        n, nvar = zeta.shape
+        rows = T.size // (d * d)  # the matrix product's rows, each one entry per point
+        sizes.append(max(T.size, rows * n, d * d * n, d * nvar * n))
+        return contract(T, zeta, d)
 
     f = SpectralFunction(np.random.default_rng(21).standard_normal(prob8.basis.n_basis), prob8.basis)
-    p = f.to_poly()
     nodes = prob8.quad.nodes()
-    monkeypatch.setattr(polys, "monomial_values", recording)
+    monkeypatch.setattr(polys, "_contract", recording)
     vals = f.eval(nodes)
+    assert len(sizes) > 1 and max(sizes) <= polys._EVAL_BLOCK <= 2**22
+    sizes.clear()
+    elements = prob8.basis.eval_elements(nodes[:300])
+    assert len(sizes) > 1 and max(sizes) <= polys._EVAL_BLOCK
     monkeypatch.undo()
-    assert len(p) == 2025 and len(sizes) > 1 and max(sizes) <= 2**22
-    # a single-chunk evaluation on every 37th node (1,942 x 2,025 entries)
+    # against the parent's single-chunk table on every 37th node (1,942 x 2,025 entries)
     sample = nodes[::37]
-    single = _ref_combine_monomials(list(p), np.array(list(p.values())), sample, chunk=len(sample))
-    assert _rel(vals[::37], single.real) <= 1e-12
+    assert _rel(vals[::37], _ref_eval(f, sample)) <= 1e-12
+    assert _rel(elements, prob8.basis.eval_elements(nodes[:300])) == 0.0
