@@ -84,23 +84,9 @@ class CutoffSpec:
         x = (d2 - self.r_inner**2) / (self.r_outer**2 - self.r_inner**2)
         return 1.0 - _smoothstep5(x)
 
-    def second_derivative_scan(self, n: int = 2000) -> float:
-        """Max |d^2/dtheta^2| of the profile along a great circle through the center."""
-        e = np.zeros_like(self.center)
-        e[0 if abs(self.center[0]) < 0.9 else -1] = 1.0
-        e = e - np.sum(e * np.conj(self.center)) * self.center
-        e = e / np.linalg.norm(e)
-        theta = np.linspace(0.0, math.pi, n)
-        pts = np.cos(theta)[:, None] * self.center + np.sin(theta)[:, None] * e
-        vals = self.value(pts)
-        h = theta[1] - theta[0]
-        second = (vals[2:] - 2 * vals[1:-1] + vals[:-2]) / h**2
-        return float(np.max(np.abs(second)))
-
 
 def make_cutoff(center, r_inner: float = 0.25, r_outer: float = 1.0) -> CutoffSpec:
-    c = center.zeta if hasattr(center, "zeta") else np.asarray(center, dtype=np.complex128)
-    return CutoffSpec(c, r_inner, r_outer)
+    return CutoffSpec(center, r_inner, r_outer)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +119,7 @@ class BubbleChart:
 
     @staticmethod
     def standard(center, radii: Sequence[float], constants: YamabeConstants, profile_factor: float = 1.0) -> "BubbleChart":
-        c = center.zeta if hasattr(center, "zeta") else np.asarray(center, dtype=np.complex128)
+        c = np.asarray(center, dtype=np.complex128)
         return BubbleChart(
             c,
             tuple(radii),
@@ -444,86 +430,6 @@ def gradient_decay_check(spec: PSSequenceSpec, n_list: Sequence[int], prob: Yama
     decays = last["residual_upper"] <= 0.1 * first["residual_upper"]
     stagnates = last["residual_lower"] >= 0.5 * first["residual_lower"]
     return {"rows": rows, "decays": bool(decays), "stagnates": bool(stagnates)}
-
-
-# ---------------------------------------------------------------------------
-# concentration measurements
-
-
-def concentration_centers(N: int, n_s: int = 8, n_phi: int = 8, extra: Sequence[Array] = ()) -> Array:
-    """Deterministic quasi-uniform center grid (512 points for the defaults)."""
-    if N != 1:
-        raise DomainError("center grids are provided for N = 1")
-    x, _ = np.polynomial.legendre.leggauss(n_s)
-    s = 0.5 * (x + 1.0)
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    S, P1, P2 = np.meshgrid(s, phi, phi, indexing="ij")
-    z1 = np.sqrt(S) * np.exp(1.0j * P1)
-    z2 = np.sqrt(1.0 - S) * np.exp(1.0j * P2)
-    grid = np.stack([z1, z2], axis=-1).reshape(-1, 2)
-    if extra:
-        grid = np.concatenate([grid, np.stack([np.asarray(e) for e in extra])], axis=0)
-    return grid
-
-
-def concentration_function(
-    u: SpectralFunction, r: float, centers: Array, prob: YamabeProblem
-) -> tuple[float, Array]:
-    """sup over centers of the p*-mass in the quasi-distance ball of radius r.
-
-    Ball masses are node sums, so radii below the quadrature's angular spacing
-    (about 2 pi / n_phi in phase, i.e. r ~ 0.3 at the default degree) can miss
-    every node near unfavourably placed centers.
-    """
-    if r <= 0:
-        raise DomainError("radius must be positive")
-    nodes = prob.quad.nodes()
-    w = prob.quad.weights()
-    dens = np.abs(prob.values(u)) ** prob.constants.p_star * w
-    inner = np.abs(1.0 - centers @ np.conj(nodes).T)
-    masses = (2.0 * inner <= r * r) @ dens
-    best = int(np.argmax(masses))
-    return float(masses[best]), centers[best]
-
-
-def detect_concentration(
-    spec: PSSequenceSpec,
-    epsilon0: float,
-    r_list: Sequence[float],
-    n_list: Sequence[int],
-    prob: YamabeProblem,
-    centers: Array | None = None,
-    merge_dist: float | None = None,
-) -> list[Array]:
-    """Grid points whose small-ball p*-mass persists above epsilon0 along the ladder.
-
-    Works on the band-limited terms, so the rungs in ``n_list`` must stay
-    within the quadrature resolution; synthesized bubbles at finer rungs are
-    measured through the transported reports instead.  Neighbouring grid
-    centers see the same concentration point, so hits are merged within a
-    ball-radius multiple.
-    """
-    if centers is None:
-        centers = concentration_centers(prob.constants.N, extra=[b.center for b in spec.bubbles])
-    if merge_dist is None:
-        merge_dist = 2.2 * min(r_list)
-    nodes = prob.quad.nodes()
-    w = prob.quad.weights()
-    inner = np.abs(1.0 - centers @ np.conj(nodes).T)
-    persistent = np.full(len(centers), np.inf)
-    r_small = min(r_list)
-    for n in n_list:
-        u_n = ps_term(spec, n, prob)
-        dens = np.abs(prob.values(u_n)) ** prob.constants.p_star * w
-        masses = (2.0 * inner <= r_small * r_small) @ dens
-        persistent = np.minimum(persistent, masses)
-    hits = [(float(m), c) for m, c in zip(persistent, centers) if m >= epsilon0]
-    hits.sort(key=lambda t: -t[0])
-    clusters: list[Array] = []
-    for _, c in hits:
-        if all(sphere_dist_zeta(c, rep) > merge_dist for rep in clusters):
-            clusters.append(c)
-    return clusters
 
 
 # ---------------------------------------------------------------------------

@@ -37,35 +37,6 @@ from .heisenberg import (
 POLE_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class SpherePoint:
-    """A unit vector of C^{N+1}."""
-
-    zeta: Array
-
-    def __post_init__(self):
-        zeta = np.asarray(self.zeta, dtype=np.complex128)
-        zeta.setflags(write=False)
-        object.__setattr__(self, "zeta", zeta)
-        r = np.linalg.norm(zeta)
-        if abs(r - 1.0) > 1e-12:
-            raise DomainError(f"|zeta| = {r!r} is not 1 within 1e-12")
-
-    @property
-    def N(self) -> int:
-        return self.zeta.shape[-1] - 1
-
-
-def _zeta_array(s) -> Array:
-    return s.zeta if isinstance(s, SpherePoint) else np.asarray(s, dtype=np.complex128)
-
-
-def north_pole(N: int) -> SpherePoint:
-    zeta = np.zeros(N + 1, dtype=np.complex128)
-    zeta[-1] = 1.0
-    return SpherePoint(zeta)
-
-
 def chart_pole(N: int) -> Array:
     zeta = np.zeros(N + 1, dtype=np.complex128)
     zeta[-1] = -1.0
@@ -106,30 +77,10 @@ def sphere_dist_zeta(a: Array, b: Array) -> Array:
     return np.sqrt(2.0 * np.abs(1.0 - inner))
 
 
-# point wrappers -----------------------------------------------------------
-
-
-def cayley(p: HeisPoint) -> SpherePoint:
-    return SpherePoint(cayley_zt(p.z, np.asarray(p.t)))
-
-
-def cayley_inv(s: SpherePoint | Array) -> HeisPoint:
-    z, t = cayley_inv_zeta(_zeta_array(s))
+def cayley_inv(zeta: Array) -> HeisPoint:
+    """Group point of a single sphere point; see :func:`cayley_inv_zeta`."""
+    z, t = cayley_inv_zeta(np.asarray(zeta, dtype=np.complex128))
     return HeisPoint(z, float(t))
-
-
-def lambda_cayley(p: HeisPoint) -> float:
-    return float(lambda_cayley_zt(p.z, np.asarray(p.t)))
-
-
-def sphere_dist(a: SpherePoint | Array, b: SpherePoint | Array) -> float:
-    return float(sphere_dist_zeta(_zeta_array(a), _zeta_array(b)))
-
-
-def distance_relation_factor(p: HeisPoint) -> float:
-    """(4 / ((1+|z|^2)^2 + t^2))^{1/4}, the conformal distortion of distances."""
-    D = (1.0 + float(np.sum((p.z * np.conj(p.z)).real))) ** 2 + p.t * p.t
-    return (4.0 / D) ** 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +140,6 @@ class ConformalChart:
         """Lambda_sigma for sigma = rho^{-1}: 1 / (Lambda_rho o sigma)."""
         z, t = self.inv_zeta(zeta, pole_tol)
         return 1.0 / self.jacobian_zt(z, t)
-
-
-def chart_map(chart: ConformalChart, p: HeisPoint) -> SpherePoint:
-    return SpherePoint(chart.map_zt(p.z, np.asarray(p.t)))
-
-
-def chart_jacobian(chart: ConformalChart, p: HeisPoint) -> float:
-    return float(chart.jacobian_zt(p.z, np.asarray(p.t)))
 
 
 # ---------------------------------------------------------------------------

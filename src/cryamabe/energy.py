@@ -162,10 +162,6 @@ def bubble_eval_zt(params: BubbleParams, z: Array, t: Array, constants: YamabeCo
     return amp * bubble_shape_zt(zs, ts, constants)
 
 
-def bubble_eval(params: BubbleParams, p: HeisPoint, constants: YamabeConstants) -> float:
-    return float(bubble_eval_zt(params, p.z, np.asarray(p.t), constants))
-
-
 def bubble_field(params: BubbleParams, constants: YamabeConstants):
     return lambda z, t: bubble_eval_zt(params, z, t, constants)
 
@@ -217,11 +213,16 @@ class YamabeProblem:
         quad_degree: int | None = None,
         seed: int = 0,
     ) -> "YamabeProblem":
+        """Constants, the cached basis and the N = 1 sphere quadrature.
+
+        The quadrature rule is deterministic, so ``seed`` does not change the
+        problem; it is accepted so that callers can pass their run seed.
+        """
         constants = YamabeConstants.create(N, k)
         basis = cached_basis(N, jmax, lmax)
         if quad_degree is None:
             quad_degree = 4 * (basis.jmax + basis.lmax)
-        quad = SphereQuadrature.build(N, quad_degree, seed=seed)
+        quad = SphereQuadrature.build(N, quad_degree)
         return YamabeProblem(constants, basis, quad)
 
     # --- elementary spectral objects ---------------------------------------

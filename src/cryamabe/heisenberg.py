@@ -101,32 +101,6 @@ def dist_zt(z1: Array, t1: Array, z2: Array, t2: Array) -> Array:
     return gauge_zt(zi, ti)
 
 
-# point wrappers -----------------------------------------------------------
-
-
-def group_mul(p: HeisPoint, q: HeisPoint) -> HeisPoint:
-    z, t = mul_zt(p.z, p.t, q.z, q.t)
-    return HeisPoint(z, float(t))
-
-
-def group_inv(p: HeisPoint) -> HeisPoint:
-    return HeisPoint(-p.z, -p.t)
-
-
-def dilate(lam: float, p: HeisPoint) -> HeisPoint:
-    if not lam > 0:
-        raise DomainError(f"dilation factor must be positive, got {lam}")
-    return HeisPoint(lam * p.z, lam * lam * p.t)
-
-
-def koranyi_gauge(p: HeisPoint) -> float:
-    return float(gauge_zt(p.z, p.t))
-
-
-def koranyi_dist(p: HeisPoint, q: HeisPoint) -> float:
-    return float(dist_zt(p.z, p.t, q.z, q.t))
-
-
 def homogeneous_dim(N: int) -> int:
     return 2 * N + 2
 
@@ -288,9 +262,6 @@ class BoxDomain:
     def dim(self) -> int:
         return len(self.lo)
 
-    def is_empty(self) -> bool:
-        return any(h <= l for l, h in zip(self.lo, self.hi))
-
     @staticmethod
     def koranyi(N: int, L: float) -> "BoxDomain":
         # anisotropic box [-L, L]^{2N} x [-L^2, L^2]; centering is applied by
@@ -298,16 +269,6 @@ class BoxDomain:
         lo = tuple([-L] * (2 * N) + [-L * L])
         hi = tuple([L] * (2 * N) + [L * L])
         return BoxDomain(lo, hi)
-
-
-@dataclass(frozen=True)
-class KoranyiBall:
-    center: HeisPoint
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise DomainError("ball radius must be positive")
 
 
 def _box_grid(box: BoxDomain, resolution) -> tuple[list[Array], float]:
@@ -322,59 +283,6 @@ def _box_grid(box: BoxDomain, resolution) -> tuple[list[Array], float]:
         axes.append(lo + h * (np.arange(n) + 0.5))
         cell *= h
     return axes, cell
-
-
-def _grid_points(axes: list[Array], N: int) -> tuple[Array, Array]:
-    mesh = np.meshgrid(*axes, indexing="ij")
-    x = np.stack(mesh[:N], axis=-1)
-    y = np.stack(mesh[N : 2 * N], axis=-1)
-    return (x + 1.0j * y).reshape(-1, N), mesh[2 * N].reshape(-1)
-
-
-def haar_integral(
-    f,
-    domain: BoxDomain | KoranyiBall,
-    resolution,
-    measure: HaarMeasure | None = None,
-    *,
-    N: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Integrate f dv_H over a box (midpoint rule) or a Koranyi ball (Monte Carlo).
-
-    Monte Carlo sampling is deterministic for a given generator; ``resolution``
-    is the sample count for balls and the per-axis node count for boxes.
-    """
-    if isinstance(domain, BoxDomain):
-        if domain.is_empty():
-            return 0.0
-        if N is None:
-            N = (domain.dim - 1) // 2
-        measure = measure or HaarMeasure.standard(N)
-        axes, cell = _box_grid(domain, resolution)
-        z, t = _grid_points(axes, N)
-        vals = _field_eval(f, z, t)
-        return float(measure.kappa_H * cell * np.sum(vals))
-
-    if isinstance(domain, KoranyiBall):
-        n_samples = int(resolution)
-        if n_samples <= 0:
-            raise DomainError("sample count must be positive")
-        N = domain.center.N
-        measure = measure or HaarMeasure.standard(N)
-        rng = rng or np.random.default_rng(0)
-        R = domain.radius
-        # sample the bounding box of the centered ball, then translate
-        xy = rng.uniform(-R, R, size=(n_samples, 2 * N))
-        tt = rng.uniform(-R * R, R * R, size=n_samples)
-        z0 = xy[:, :N] + 1.0j * xy[:, N:]
-        inside = gauge_zt(z0, tt) <= R
-        z, t = mul_zt(domain.center.z, domain.center.t, z0, tt)
-        vals = np.where(inside, _field_eval(f, z, t), 0.0)
-        box_vol = (2 * R) ** (2 * N) * 2 * R * R
-        return float(measure.kappa_H * box_vol * np.mean(vals))
-
-    raise DomainError(f"unsupported domain {type(domain).__name__}")
 
 
 def koranyi_ball_volume(N: int, radius: float = 1.0, measure: HaarMeasure | None = None) -> float:

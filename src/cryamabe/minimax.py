@@ -72,12 +72,6 @@ def mask_for(G: SubgroupSpec, basis) -> Array:
     return keep
 
 
-def project_XG(u: SpectralFunction, G: SubgroupSpec) -> SpectralFunction:
-    """Orthogonal projection onto the invariant subspace (exact coefficient mask)."""
-    keep = mask_for(G, u.basis)
-    return u.copy_with(np.where(keep, u.coeffs, 0.0))
-
-
 def invariance_check(u: SpectralFunction, g: Array, prob: YamabeProblem) -> float:
     """|E(u) - E(u o g)| for a unitary g acting on C^{N+1}."""
     g = np.asarray(g, dtype=np.complex128)
@@ -94,45 +88,6 @@ def random_unitary(n: int, rng: np.random.Generator) -> Array:
     g = rng.standard_normal((n, n)) + 1.0j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :].conj()
-
-
-def hopf_phase(n: int, theta: float) -> Array:
-    return np.exp(1.0j * theta) * np.eye(n, dtype=np.complex128)
-
-
-def orbit_accumulation_check(zeta, action, n_samples: int = 512) -> bool:
-    """Whether the orbit of a point has accumulation points (minimum-gap scan).
-
-    ``action`` is "hopf" (the full phase circle), ("discrete", m) for the
-    cyclic phase subgroup of order m, or "trivial".  The scan declares
-    accumulation when the smallest gap between distinct orbit samples keeps
-    shrinking as the sample count grows.
-    """
-    z = zeta.zeta if hasattr(zeta, "zeta") else np.asarray(zeta, dtype=np.complex128)
-
-    def orbit(m: int) -> Array:
-        if action == "trivial":
-            return z[None, :]
-        if action == "hopf":
-            theta = 2.0 * math.pi * np.arange(m) / m + 0.39269
-            return np.exp(1.0j * theta)[:, None] * z[None, :]
-        if isinstance(action, tuple) and action[0] == "discrete":
-            order = int(action[1])
-            theta = 2.0 * math.pi * np.arange(order) / order
-            return np.exp(1.0j * theta)[:, None] * z[None, :]
-        raise DomainError(f"unknown action {action!r}")
-
-    def min_gap(pts: Array) -> float:
-        if len(pts) < 2:
-            return math.inf
-        inner = np.abs(1.0 - pts @ np.conj(pts).T)
-        d = np.sqrt(2.0 * inner)
-        np.fill_diagonal(d, np.inf)
-        return float(d.min())
-
-    g1 = min_gap(orbit(n_samples // 2))
-    g2 = min_gap(orbit(n_samples))
-    return bool(g2 < 0.75 * g1 and np.isfinite(g2))
 
 
 # ---------------------------------------------------------------------------

@@ -112,10 +112,10 @@ def ambient_laplacian(p: Poly, N: int) -> Poly:
 
 
 def _contract(T: np.ndarray, zeta: np.ndarray, d: int) -> np.ndarray:
-    """Values at points (n, nvar) of each dense coefficient tensor, a row of T: (m, n).
+    """Values (n,) at points (n, nvar) of the dense coefficient tensor T.
 
-    T[i] holds (d*d)^nvar entries, index a*d + b for the exponents (a, b) of
-    each coordinate.  The last coordinate is one matrix product with the table
+    T holds (d*d)^nvar entries, index a*d + b for the exponents (a, b) of each
+    coordinate.  The last coordinate is one matrix product with the table
     z^a conj(z)^b; each earlier one is a multiply-reduce over b, then over a.
     Powers come by repeated multiplication, so a constant (d = 1) is exact.
     """
@@ -130,40 +130,32 @@ def _contract(T: np.ndarray, zeta: np.ndarray, d: int) -> np.ndarray:
     for v in range(nvar - 2, -1, -1):
         acc = (acc.reshape(-1, d, d, n) * cpows[:, v]).sum(axis=-2)
         acc = (acc * pows[:, v]).sum(axis=-2)
-    return acc
+    return acc.reshape(n)
 
 
 def eval_terms(exps: np.ndarray, coeffs: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     """Sum of coeffs[i] zeta^exps[i, 0] conj(zeta)^exps[i, 1] at points (..., nvar).
 
-    ``exps`` is an integer array (n_terms, 2, nvar) of distinct exponent pairs.
-    ``coeffs`` (n_terms,) gives values of shape (...); a batch (n_terms, m)
-    gives (m, n_points) with the points flattened.  The coefficients are
-    scattered into dense tensors over the live exponent range d (d = 1 for a
-    constant) and contracted one coordinate at a time (``_contract``).  A batch
-    is split into groups of tensors and the points into blocks, so that no
-    intermediate holds more than max(``_EVAL_BLOCK``, (d*d)^nvar) entries.
+    ``exps`` is an integer array (n_terms, 2, nvar) of distinct exponent pairs
+    and ``coeffs`` a vector (n_terms,); the values have shape (...).  The
+    coefficients are scattered into one dense tensor over the live exponent
+    range d (d = 1 for a constant) and contracted one coordinate at a time
+    (``_contract``), with the points in blocks so that no intermediate holds
+    more than max(``_EVAL_BLOCK``, (d*d)^nvar) entries.
     """
     zeta = np.asarray(zeta, dtype=np.complex128)
     nvar = zeta.shape[-1]
     flat = zeta.reshape(-1, nvar)
     exps = np.asarray(exps, dtype=np.int64).reshape(-1, 2, nvar)
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    batch = (coeffs[:, None] if coeffs.ndim == 1 else coeffs).T  # (m, n_terms)
-    out = np.zeros((batch.shape[0], len(flat)), dtype=np.complex128)
+    out = np.zeros(len(flat), dtype=np.complex128)
     if len(exps):
         d = int(exps.max()) + 1
-        size = (d * d) ** nvar
-        cols = np.ravel_multi_index(tuple(exps[:, 0].T * d + exps[:, 1].T), (d * d,) * nvar)
-        m_chunk = max(1, _EVAL_BLOCK // size)
-        for b0 in range(0, len(batch), m_chunk):
-            group = batch[b0 : b0 + m_chunk]
-            T = np.zeros((len(group), size), dtype=np.complex128)
-            T[:, cols] = group
-            chunk = max(1, _EVAL_BLOCK // max(T.size // (d * d), d * d))
-            for c0 in range(0, len(flat), chunk):
-                out[b0 : b0 + m_chunk, c0 : c0 + chunk] = _contract(T, flat[c0 : c0 + chunk], d)
-    return out[0].reshape(zeta.shape[:-1]) if coeffs.ndim == 1 else out
+        T = np.zeros((d * d) ** nvar, dtype=np.complex128)
+        T[np.ravel_multi_index(tuple(exps[:, 0].T * d + exps[:, 1].T), (d * d,) * nvar)] = coeffs
+        chunk = max(1, _EVAL_BLOCK // max(T.size // (d * d), d * d))
+        for c0 in range(0, len(flat), chunk):
+            out[c0 : c0 + chunk] = _contract(T, flat[c0 : c0 + chunk], d)
+    return out.reshape(zeta.shape[:-1])
 
 
 def poly_eval(p: Poly, zeta: np.ndarray) -> np.ndarray:

@@ -220,10 +220,6 @@ def kernel_eval_zt(spec: KernelSpec, z: Array, t: Array) -> Array:
     return spec.constant * g**spec.exponent
 
 
-def kernel_eval(spec: KernelSpec, p: HeisPoint) -> float:
-    return float(kernel_eval_zt(spec, p.z, np.asarray(p.t)))
-
-
 def decay_exponent_fit(spec: KernelSpec, radii: Array | None = None) -> float:
     """Log-log slope of the kernel along a gauge ray (regression oracle)."""
     radii = np.geomspace(0.5, 50.0, 40) if radii is None else radii

@@ -5,7 +5,10 @@ polynomials homogeneous of degree j in zeta and l in conj(zeta).  The basis
 built here is real-valued and orthonormal for the contact volume form dv_S,
 whose total mass is 2^{2N+2} pi^{N+1}.  All inner products used during
 construction come from closed-form monomial moments, so orthonormality is
-limited only by linear-algebra conditioning, never by quadrature.
+limited only by linear-algebra conditioning, never by quadrature.  The basis
+construction is N-generic; the quadrature and the transforms on it are the
+deterministic N = 1 rule on S^3 (FFT over the two Hopf phases, Gauss-Legendre
+in |zeta_1|^2), the only sphere the runners use.
 
 The fractional operator of order 2k acts diagonally: the element with label
 (j, l) is multiplied by lam_j(k) * lam_l(k), with Gamma-ratio multipliers
@@ -144,14 +147,6 @@ class HarmonicBasis:
         """lam_j(k) * lam_l(k) per element, from one lam per degree."""
         lam = np.array([lambda_jk(d, k, 2 * self.N + 2) for d in range(max(self.jmax, self.lmax) + 1)])
         return lam[self.labels_j] * lam[self.labels_l]
-
-    def element_poly(self, idx: int) -> Poly:
-        return {key: c for key, c in zip(self.mon_keys, self.coeff[idx]) if c != 0}
-
-    def eval_elements(self, zeta: Array, indices: Sequence[int] | None = None) -> Array:
-        """Values of basis elements at points (..., N+1); returns (n_sel, n_points), points flattened."""
-        sel = np.arange(self.n_basis) if indices is None else np.asarray(indices)
-        return eval_terms(self.exps, self.coeff[sel].T, zeta).real
 
 
 def _exponents(j: int, l: int, N: int) -> tuple[Array, Array]:
@@ -294,87 +289,65 @@ def build_basis(N: int, jmax: int, lmax: int | None = None) -> HarmonicBasis:
 
 @dataclass
 class SphereQuadrature:
-    """Quadrature for dv_S.
+    """Quadrature for dv_S on S^3 (N = 1), deterministic.
 
-    N = 1: tensor-product rule in Hopf coordinates (Gauss-Legendre in
-    s = |zeta_1|^2, uniform in the two phases), exact for bidegree
-    polynomials of total degree <= ``degree``.  N >= 2: seeded Monte Carlo
-    with equal weights; tolerances must then be statistical.
+    Tensor-product rule in Hopf coordinates: Gauss-Legendre in s = |zeta_1|^2,
+    uniform in the two phases; exact for bidegree polynomials of total degree
+    <= ``degree``.  The runners support N = 1 only, so no other rule exists.
     """
 
     N: int
     degree: int
     total_mass: float
-    s_nodes: Array | None = None
-    s_weights: Array | None = None  # normalized to sum 1
-    n_phi: int = 0
-    mc_nodes: Array | None = None
-    seed: int | None = None
+    s_nodes: Array
+    s_weights: Array  # normalized to sum 1
+    n_phi: int
     _flat_nodes: Array | None = field(default=None, repr=False)
 
     @staticmethod
-    def build(N: int, degree: int, seed: int = 0, n_samples: int = 200_000) -> "SphereQuadrature":
-        mass = total_sphere_mass(N)
-        if N == 1:
-            n_phi = degree + 1
-            n_s = degree // 4 + 1
-            x, w = np.polynomial.legendre.leggauss(n_s)
-            s = 0.5 * (x + 1.0)
-            ws = 0.5 * w
-            return SphereQuadrature(N, degree, mass, s, ws, n_phi)
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((n_samples, 2 * (N + 1)))
-        zeta = g[:, : N + 1] + 1.0j * g[:, N + 1 :]
-        zeta /= np.linalg.norm(zeta, axis=1)[:, None]
-        return SphereQuadrature(N, degree, mass, mc_nodes=zeta, seed=seed)
+    def build(N: int, degree: int) -> "SphereQuadrature":
+        if N != 1:
+            raise DomainError(f"the sphere quadrature is the N = 1 Hopf rule, got N={N!r}")
+        x, w = np.polynomial.legendre.leggauss(degree // 4 + 1)
+        return SphereQuadrature(N, degree, total_sphere_mass(N), 0.5 * (x + 1.0), 0.5 * w, degree + 1)
 
     # --- node access --------------------------------------------------------
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
-        if self.N == 1:
-            return (len(self.s_nodes), self.n_phi, self.n_phi)
-        return (len(self.mc_nodes),)
+        return (len(self.s_nodes), self.n_phi, self.n_phi)
 
     @property
     def n_nodes(self) -> int:
         return int(np.prod(self.grid_shape))
 
     def nodes(self) -> Array:
-        """All nodes as a (n_nodes, N+1) complex array."""
-        if self._flat_nodes is not None:
-            return self._flat_nodes
-        if self.N == 1:
+        """All nodes as a (n_nodes, 2) complex array."""
+        if self._flat_nodes is None:
             s = self.s_nodes[:, None, None]
             phi = 2.0 * math.pi * np.arange(self.n_phi) / self.n_phi
             e1 = np.exp(1.0j * phi)[None, :, None]
             e2 = np.exp(1.0j * phi)[None, None, :]
             z1 = np.sqrt(s) * e1 * np.ones((1, 1, self.n_phi))
             z2 = np.sqrt(1.0 - s) * e2 * np.ones((1, self.n_phi, 1))
-            nodes = np.stack([z1, z2], axis=-1).reshape(-1, 2)
-        else:
-            nodes = self.mc_nodes
-        self._flat_nodes = nodes
-        return nodes
+            self._flat_nodes = np.stack([z1, z2], axis=-1).reshape(-1, 2)
+        return self._flat_nodes
+
+    def _ring_weights(self) -> Array:
+        """Weight of each node on the ring of each s node."""
+        return self.total_mass * self.s_weights / self.n_phi**2
 
     def weights(self) -> Array:
-        if self.N == 1:
-            w = self.total_mass * self.s_weights / self.n_phi**2
-            return np.repeat(w, self.n_phi**2)
-        return np.full(len(self.mc_nodes), self.total_mass / len(self.mc_nodes))
+        return np.repeat(self._ring_weights(), self.n_phi**2)
 
     def integrate(self, values: Array) -> float:
-        values = np.asarray(values)
-        if self.N == 1:
-            v = values.reshape(self.grid_shape)
-            w = self.total_mass * self.s_weights / self.n_phi**2
-            return float(np.einsum("s,sab->", w, v))
-        return float(np.mean(values) * self.total_mass)
+        v = np.asarray(values).reshape(self.grid_shape)
+        return float(np.einsum("s,sab->", self._ring_weights(), v))
 
     def eval_fn(self, fn: Callable[[Array], Array]) -> Array:
         return np.asarray(fn(self.nodes()), dtype=np.float64)
 
-    # --- spectral transforms (N = 1 fast path) -------------------------------
+    # --- spectral transforms --------------------------------------------------
 
     def _profiles(self, basis: HarmonicBasis) -> tuple[Array, Array, Array]:
         key = "_prof_cache"
@@ -396,25 +369,17 @@ class SphereQuadrature:
 
     def analyze_values(self, values: Array, basis: HarmonicBasis) -> tuple[Array, float]:
         """Coefficients of the basis expansion; returns (coeffs, imag_residual)."""
-        if self.N != 1:
-            bv = basis.eval_elements(self.mc_nodes)
-            w = self.total_mass / len(self.mc_nodes)
-            return w * (bv @ np.asarray(values)), 0.0
         v = np.asarray(values, dtype=np.complex128).reshape(self.grid_shape)
         vhat = np.fft.fft2(v, axes=(1, 2))
         prof, b1, b2 = self._profiles(basis)
         gathered = vhat[:, b1, b2].T  # (n_mon, n_s)
-        w = self.total_mass * self.s_weights / self.n_phi**2
-        mono_int = np.einsum("ms,s,ms->m", prof, w, gathered)
+        mono_int = np.einsum("ms,s,ms->m", prof, self._ring_weights(), gathered)
         raw = np.conj(basis.coeff) @ mono_int
         resid = float(np.max(np.abs(raw.imag), initial=0.0))
         return raw.real.copy(), resid
 
     def synthesize_values(self, coeffs: Array, basis: HarmonicBasis) -> Array:
         """Values of sum_m c_m y_m on the quadrature grid."""
-        if self.N != 1:
-            bv = basis.eval_elements(self.mc_nodes)
-            return np.asarray(coeffs) @ bv
         mon_c = basis.coeff.T @ np.asarray(coeffs, dtype=np.complex128)
         prof, b1, b2 = self._profiles(basis)
         n_s = len(self.s_nodes)
@@ -474,10 +439,6 @@ class SpectralFunction:
         return eval_terms(self.basis.exps[live], mon_c[live], zeta).real
 
 
-def zero_function(basis: HarmonicBasis) -> SpectralFunction:
-    return SpectralFunction(np.zeros(basis.n_basis), basis)
-
-
 def constant_function(value: float, basis: HarmonicBasis) -> SpectralFunction:
     c = np.zeros(basis.n_basis)
     c[basis.index_of(0, 0, 0)] = value * math.sqrt(basis.total_mass)
@@ -501,13 +462,6 @@ def analyze(data, quad: SphereQuadrature, basis: HarmonicBasis) -> SpectralFunct
     l2 = quad.integrate(values * values)
     tail = max(l2 - float(np.sum(coeffs**2)), 0.0)
     return SpectralFunction(coeffs, basis, tail_energy=tail, imag_residual=resid)
-
-
-def synthesize(f: SpectralFunction, s) -> float | Array:
-    """Pointwise values of a spectral function (scalar for a single point)."""
-    zeta = s.zeta if hasattr(s, "zeta") else np.asarray(s, dtype=np.complex128)
-    out = f.eval(zeta)
-    return float(out) if out.ndim == 0 else out
 
 
 def apply_A2k(u: SpectralFunction, k: float) -> SpectralFunction:
@@ -550,7 +504,6 @@ def apply_A2_differential(u, zeta) -> float | Array:
     else:
         p = u
         N = len(next(iter(p))[0]) - 1
-    zarr = zeta.zeta if hasattr(zeta, "zeta") else np.asarray(zeta, dtype=np.complex128)
     ap = conformal_sublaplacian(p, N)
-    out = poly_eval(ap, zarr).real
+    out = poly_eval(ap, np.asarray(zeta, dtype=np.complex128)).real
     return float(out) if out.ndim == 0 else out

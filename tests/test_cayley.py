@@ -6,20 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from cryamabe.cayley import (
     ConformalChart,
-    SpherePoint,
-    cayley,
     cayley_inv,
     cayley_inv_zeta,
     cayley_zt,
-    chart_jacobian,
-    chart_map,
     conformal_pullback,
     conformal_pushforward,
-    distance_relation_factor,
-    lambda_cayley,
     lambda_cayley_zt,
-    north_pole,
-    sphere_dist,
     sphere_dist_zeta,
 )
 from cryamabe.errors import DomainError, PoleError
@@ -27,6 +19,7 @@ from cryamabe.heisenberg import HeisPoint, ShellScheme, dist_zt, integrate_decay
 from cryamabe.spectral import total_sphere_mass
 
 finite = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
+NORTH = np.array([0.0j, 1.0 + 0j])  # the Cayley image of the group origin
 
 
 def rand_points(rng, n, N=1):
@@ -35,7 +28,7 @@ def rand_points(rng, n, N=1):
 
 class TestTransform:
     def test_origin_to_north(self):
-        assert np.allclose(cayley(HeisPoint.origin(1)).zeta, north_pole(1).zeta)
+        assert np.allclose(cayley_zt(np.zeros(1, dtype=complex), np.asarray(0.0)), NORTH)
 
     def test_unit_modulus_and_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -46,7 +39,7 @@ class TestTransform:
         assert np.max(np.abs(zi - z)) < 1e-10 and np.max(np.abs(ti - t)) < 1e-10
 
     def test_north_maps_to_origin(self):
-        p = cayley_inv(north_pole(1))
+        p = cayley_inv(NORTH)
         assert np.allclose(p.z, 0.0) and p.t == 0.0
 
     def test_pole_rejected(self):
@@ -61,23 +54,19 @@ class TestTransform:
     @given(finite, finite, finite)
     def test_roundtrip_property(self, x, y, t):
         p = HeisPoint([x + 1.0j * y], t)
-        q = cayley_inv(cayley(p))
+        q = cayley_inv(cayley_zt(p.z, np.asarray(p.t)))
         assert np.max(np.abs(q.z - p.z)) < 1e-10 and abs(q.t - p.t) < 1e-10
-
-    def test_sphere_point_validation(self):
-        with pytest.raises(DomainError):
-            SpherePoint(np.array([0.5 + 0j, 0.0j]))
 
 
 class TestConformalFactor:
     def test_value_at_origin(self):
-        assert lambda_cayley(HeisPoint.origin(1)) == 16.0
+        assert lambda_cayley_zt(np.zeros(1, dtype=complex), np.asarray(0.0)) == 16.0
 
     def test_scaling_envelope(self):
         # Lambda_C(d_lam p) * lam^{2Q} stays pinched for fixed p != 0
         p = HeisPoint([1.0 + 0.5j], 0.7)
         lams = np.geomspace(1.0, 1e3, 25)
-        vals = [lambda_cayley(HeisPoint(lam * p.z, lam * lam * p.t)) * lam**8 for lam in lams]
+        vals = [float(lambda_cayley_zt(lam * p.z, np.asarray(lam * lam * p.t))) * lam**8 for lam in lams]
         assert 0.0 < min(vals) and max(vals) / min(vals) < 20.0
 
     def test_total_mass_two_quadratures(self):
@@ -93,10 +82,8 @@ class TestConformalFactor:
 
 class TestSphereDistance:
     def test_zero_and_antipodal(self):
-        a = north_pole(1)
-        assert sphere_dist(a, a) == 0.0
-        b = SpherePoint(-a.zeta)
-        assert sphere_dist(a, b) == pytest.approx(2.0, abs=1e-14)
+        assert sphere_dist_zeta(NORTH, NORTH) == 0.0
+        assert sphere_dist_zeta(NORTH, -NORTH) == pytest.approx(2.0, abs=1e-14)
 
     def test_distance_relation(self):
         rng = np.random.default_rng(1)
@@ -110,7 +97,7 @@ class TestSphereDistance:
     def test_ball_inclusion_spot_check(self):
         rng = np.random.default_rng(2)
         w0 = HeisPoint([0.4 - 0.2j], 0.3)
-        zeta0 = cayley(w0)
+        zeta0 = cayley_zt(w0.z, np.asarray(w0.t))
         R = 0.9
         z, t = rand_points(rng, 1000)
         g = np.sqrt(np.hypot(np.sum((z * np.conj(z)).real, -1), t))
@@ -119,20 +106,22 @@ class TestSphereDistance:
         from cryamabe.heisenberg import mul_zt
 
         zb, tb = mul_zt(w0.z, w0.t, zin, tin)
-        assert np.all(sphere_dist_zeta(cayley_zt(zb, tb), zeta0.zeta) <= R + 1e-12)
+        assert np.all(sphere_dist_zeta(cayley_zt(zb, tb), zeta0) <= R + 1e-12)
 
 
 class TestCharts:
     def test_plain_chart_is_cayley(self):
         chart = ConformalChart.plain_cayley(1)
         p = HeisPoint([0.3 + 0.1j], -0.2)
-        assert np.allclose(chart_map(chart, p).zeta, cayley(p).zeta)
-        assert chart_jacobian(chart, p) == pytest.approx(lambda_cayley(p), rel=1e-14)
+        t = np.asarray(p.t)
+        assert np.allclose(chart.map_zt(p.z, t), cayley_zt(p.z, t))
+        assert float(chart.jacobian_zt(p.z, t)) == pytest.approx(float(lambda_cayley_zt(p.z, t)), rel=1e-14)
 
     def test_jacobian_at_center(self):
         r = 0.37
         chart = ConformalChart(HeisPoint.origin(1), r)
-        assert chart_jacobian(chart, HeisPoint.origin(1)) == pytest.approx(16.0 * r**4, rel=1e-13)
+        origin = HeisPoint.origin(1)
+        assert float(chart.jacobian_zt(origin.z, np.asarray(origin.t))) == pytest.approx(16.0 * r**4, rel=1e-13)
 
     def test_order_equivalence(self):
         # dilate-then-translate equals the canonical chart with a dilated center
@@ -149,7 +138,7 @@ class TestCharts:
 
     def test_chart_change_of_variables(self, prob4):
         chart = ConformalChart(HeisPoint([0.2 + 0.1j], 0.1), 0.8)
-        center = north_pole(1).zeta
+        center = NORTH
 
         def bump(zeta):
             # squared modulus keeps the profile smooth at the center point
@@ -231,7 +220,3 @@ class TestConformalTransport:
         )
         sphere = float(np.sum(prob4.basis.multipliers(1.0) * c**2))
         assert heis == pytest.approx(sphere, rel=5e-3)
-
-    def test_distance_relation_factor(self):
-        p = HeisPoint.origin(1)
-        assert distance_relation_factor(p) == pytest.approx(math.sqrt(2.0), rel=1e-14)

@@ -74,6 +74,10 @@ def test_out_of_range_config_refused_before_work(tmp_path, field):
         ("minimax-explore", '{"minimax_seeds": 1.5, "jmax": 2}'),
         ("subcritical-flow", '{"flow_seeds": 0, "jmax": 2}'),
         ("subcritical-flow", '{"flow_seeds": true, "jmax": 2}'),
+        ("riesz-check", '{"grid_shape": [4, 4, 4]}'),  # exited 1 mid-run
+        ("riesz-check", '{"grid_shape": [256, 256, 256]}'),  # over the node budget
+        ("riesz-check", '{"grid_half_widths": [-1, 0]}'),  # NaN grid values
+        ("gradient-decay", '{"rn_ladder": [0.1]}'),  # one rung: a drop factor of 1
     ],
 )
 def test_bad_config_refused_before_work(tmp_path, sub, text):
@@ -85,6 +89,31 @@ def test_bad_config_refused_before_work(tmp_path, sub, text):
     assert main([sub, "--config", path, "--out", out]) == 2
     assert time.perf_counter() - start < 5.0
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("exc", [DomainError("no such thing"), RuntimeError("boom")])
+def test_unexpected_error_exits_3_with_a_record(tmp_path, monkeypatch, exc):
+    import cryamabe.cli as cli
+
+    def failing(cfg):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_verify_group", failing)
+    out = os.path.join(tmp_path, "out")
+    assert main(["verify-group", "--out", out]) == 3
+    assert os.listdir(out) == ["verify_group_error.json"]
+    with open(os.path.join(out, "verify_group_error.json"), encoding="utf-8") as fh:
+        record = json.load(fh)
+    assert record["subcommand"] == "verify-group" and record["type"] == type(exc).__name__
+    assert record["message"] == str(exc) and "in failing" in record["traceback"]
+
+
+def test_unwritable_output_exits_3(tmp_path, capsys):
+    blocker = os.path.join(tmp_path, "file")
+    with open(blocker, "w") as fh:
+        fh.write("not a directory")
+    assert main(["verify-group", "--out", blocker]) == 3
+    assert "error record not written" in capsys.readouterr().err
 
 
 def test_minimax_explore_creates_its_output_directory(tmp_path):

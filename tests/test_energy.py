@@ -7,7 +7,6 @@ from cryamabe.cayley import ConformalChart, conformal_pushforward
 from cryamabe.energy import (
     BubbleParams,
     YamabeConstants,
-    bubble_eval,
     bubble_eval_zt,
     bubble_field,
     calibrate_normalizations,
@@ -62,21 +61,23 @@ class TestExponentsAndConstants:
 class TestBubbles:
     def test_center_value(self):
         consts = YamabeConstants.create(1, 1.0)
-        assert bubble_eval(BubbleParams.standard(1), HeisPoint.origin(1), consts) == pytest.approx(
+        origin = HeisPoint.origin(1)
+        assert float(bubble_eval_zt(BubbleParams.standard(1), origin.z, np.asarray(origin.t), consts)) == pytest.approx(
             consts.cQ, rel=1e-14
         )
 
     def test_scaling_identity(self):
         consts = YamabeConstants.create(1, 1.0)
         rng = np.random.default_rng(0)
-        from cryamabe.heisenberg import dilate, group_mul
+        from cryamabe.heisenberg import dilate_zt, mul_zt
 
         params = BubbleParams(0.3, HeisPoint([0.5 - 0.1j], 0.7))
         for _ in range(20):
             w = HeisPoint(rng.normal(size=1) + 1.0j * rng.normal(size=1), float(rng.normal()))
-            lhs = bubble_eval(params, group_mul(params.xi, dilate(params.lam, w)), consts)
-            rhs = params.lam ** ((2 * consts.k - consts.Q) / 2.0) * bubble_eval(
-                BubbleParams.standard(1), w, consts
+            zq, tq = mul_zt(params.xi.z, params.xi.t, *dilate_zt(params.lam, w.z, w.t))
+            lhs = float(bubble_eval_zt(params, zq, np.asarray(tq), consts))
+            rhs = params.lam ** ((2 * consts.k - consts.Q) / 2.0) * float(
+                bubble_eval_zt(BubbleParams.standard(1), w.z, np.asarray(w.t), consts)
             )
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -86,8 +87,8 @@ class TestBubbles:
         p = HeisPoint([1.0 + 0.2j], -0.5)
         vals = []
         for lam in np.geomspace(1, 1e3, 15):
-            q = HeisPoint(lam * p.z, lam * lam * p.t)
-            vals.append(bubble_eval(BubbleParams.standard(1), q, consts) * lam ** ((consts.Q - 2 * consts.k) / 2.0))
+            q = float(bubble_eval_zt(BubbleParams.standard(1), lam * p.z, np.asarray(lam * lam * p.t), consts))
+            vals.append(q * lam ** ((consts.Q - 2 * consts.k) / 2.0))
         assert max(vals) <= vals[0] <= consts.cQ
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 

@@ -30,7 +30,6 @@ from cryamabe.riesz import (
     gaussian_bump,
     green_inversion_check,
     grid_sub_laplacian,
-    kernel_eval,
     kernel_eval_zt,
     mapping_bound_probe,
     pv_fractional,
@@ -129,7 +128,7 @@ class TestKernels:
 
     def test_singular_point(self):
         with pytest.raises(SingularPointError):
-            kernel_eval(KernelSpec(1.0, 1), HeisPoint.origin(1))
+            kernel_eval_zt(KernelSpec(1.0, 1), np.zeros((1, 1), dtype=complex), np.zeros(1))
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=0.1, max_value=5.0))
@@ -145,8 +144,7 @@ class TestKernels:
 
     def test_green_kernel_shape(self):
         spec = KernelSpec(2.0, 1, "green")
-        p = HeisPoint([2.0 + 0j], 0.0)
-        assert kernel_eval(spec, p) == pytest.approx(2.0**-2, rel=1e-14)
+        assert float(kernel_eval_zt(spec, np.array([2.0 + 0j]), np.asarray(0.0))) == pytest.approx(2.0**-2, rel=1e-14)
 
     def test_hyper_decay_slope(self):
         spec = KernelSpec(2.0, 1, "hyper")  # order 2k = 2, exponent -(Q+2k) = -6
