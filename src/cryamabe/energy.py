@@ -237,7 +237,19 @@ class YamabeProblem:
         return analyze(data, self.quad, self.basis)
 
     def values(self, u: SpectralFunction) -> Array:
-        return self.quad.synthesize_values(u.coeffs, self.basis)
+        """Read-only values of u on the quadrature, synthesized once per coefficient vector.
+
+        The values stay with u, keyed on this quadrature and basis and checked
+        against a copy of the coefficients, so an in-place write to
+        ``u.coeffs`` or another problem's quadrature synthesizes afresh.
+        """
+        memo = u._values_memo
+        if memo is not None and memo[0] is self.quad and memo[1] is self.basis and np.array_equal(memo[2], u.coeffs):
+            return memo[3]
+        vals = self.quad.synthesize_values(u.coeffs, self.basis)
+        vals.flags.writeable = False
+        u._values_memo = (self.quad, self.basis, u.coeffs.copy(), vals)
+        return vals
 
     # --- energy, gradient, quotients ----------------------------------------
 

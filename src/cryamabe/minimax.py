@@ -151,16 +151,18 @@ def _masked_descent(
     prob: YamabeProblem,
     budget: int,
     tol: float,
-) -> tuple[SpectralFunction, int, bool, str]:
+) -> tuple[SpectralFunction, SpectralFunction, int, bool, str]:
+    """Descend from the masked seed; returns (u, full gradient at u, iterations, converged, message)."""
     k = prob.constants.k
     mult = prob.basis.multipliers(k)
     u = nehari_rescale(seed_fn.copy_with(np.where(mask, seed_fn.coeffs, 0.0)), prob)
     message = ""
+    grad = prob.gradient(u)
     for it in range(budget):
-        g = prob.gradient(u).coeffs * mask
+        g = grad.coeffs * mask
         res = math.sqrt(h_minus_k_form(g, mult))
         if res < tol:
-            return u, it, True, message
+            return u, grad, it, True, message
         step = 1.0
         E0 = prob.energy(u)
         moved = False
@@ -180,9 +182,9 @@ def _masked_descent(
         if not moved:
             message = "line search stalled"
             break
-    g = prob.gradient(u).coeffs * mask
-    res = math.sqrt(h_minus_k_form(g, mult))
-    return u, budget, res < tol, message or ("budget exhausted" if res >= tol else "")
+        grad = prob.gradient(u)
+    res = math.sqrt(h_minus_k_form(grad.coeffs * mask, mult))
+    return u, grad, budget, res < tol, message or ("budget exhausted" if res >= tol else "")
 
 
 def minimax_search(
@@ -219,8 +221,7 @@ def minimax_search(
     mult = prob.basis.multipliers(k)
     reports = []
     for idx, seed_fn in enumerate(seed_list):
-        u, iters, converged, message = _masked_descent(seed_fn, mask, prob, budget, tol)
-        grad = prob.gradient(u)
+        u, grad, iters, converged, message = _masked_descent(seed_fn, mask, prob, budget, tol)
         g_full = grad.coeffs
         res_masked = math.sqrt(h_minus_k_form(g_full * mask, mult))
         res_full = math.sqrt(h_minus_k_form(g_full, mult))

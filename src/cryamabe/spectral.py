@@ -10,6 +10,15 @@ construction is N-generic; the quadrature and the transforms on it are the
 deterministic N = 1 rule on S^3 (FFT over the two Hopf phases, Gauss-Legendre
 in |zeta_1|^2), the only sphere the runners use.
 
+Functions are real, so the transforms work on the real half spectrum of the
+two phases: analysis takes rfft2 of the values and reads a phase bin
+(p, q) with q > n_phi//2 as the conjugate of its partner (-p, -q); synthesis
+fills the bins with q <= n_phi//2 and inverts with irfft2.  Analysis forms
+conj(coeff @ conj(mono_int)), which equals conj(coeff) @ mono_int entry for
+entry, so the dense coefficient matrix is never copied.  ``YamabeProblem.values``
+keeps a function's synthesized values with it, so each coefficient vector is
+synthesized once.
+
 The fractional operator of order 2k acts diagonally: the element with label
 (j, l) is multiplied by lam_j(k) * lam_l(k), with Gamma-ratio multipliers
 lam_j(k) = Gamma((Q+2k)/4 + j) / Gamma((Q-2k)/4 + j).
@@ -294,6 +303,15 @@ class SphereQuadrature:
     Tensor-product rule in Hopf coordinates: Gauss-Legendre in s = |zeta_1|^2,
     uniform in the two phases; exact for bidegree polynomials of total degree
     <= ``degree``.  The runners support N = 1 only, so no other rule exists.
+
+    The transforms run on the rfft2 half spectrum over the two phases, and
+    analysis applies the coefficient matrix as conj(coeff @ conj(.)), not
+    copying it (see the module docstring; the values memo is
+    ``YamabeProblem.values``).  Their per-basis gather and scatter plan is
+    built on the first transform with a basis and kept in ``_plan``, like
+    the nodes in ``_flat_nodes``.  Any degree >= 1 works: an odd n_phi, an
+    even one (whose Nyquist bin q = n_phi/2 is its own partner), and a rule
+    below 4 (jmax + lmax), whose phase bins wrap around.
     """
 
     N: int
@@ -303,6 +321,7 @@ class SphereQuadrature:
     s_weights: Array  # normalized to sum 1
     n_phi: int
     _flat_nodes: Array | None = field(default=None, repr=False)
+    _plan: _TransformPlan | None = field(default=None, repr=False)
 
     @staticmethod
     def build(N: int, degree: int) -> "SphereQuadrature":
@@ -349,46 +368,71 @@ class SphereQuadrature:
 
     # --- spectral transforms --------------------------------------------------
 
-    def _profiles(self, basis: HarmonicBasis) -> tuple[Array, Array, Array]:
-        key = "_prof_cache"
-        cache = getattr(self, key, None)
-        if cache is not None and cache[0] is basis.exps:
-            return cache[1], cache[2], cache[3]
-        s = self.s_nodes
-        prof = np.empty((len(basis.exps), len(s)))
-        bins = np.empty((len(basis.exps), 2), dtype=np.int64)
-        c = np.sqrt(s)
-        q = np.sqrt(1.0 - s)
-        for i, (alpha, beta) in enumerate(basis.exps.tolist()):
-            a, b = alpha[0] + beta[0], alpha[1] + beta[1]
-            prof[i] = c**a * q**b
-            bins[i, 0] = (alpha[0] - beta[0]) % self.n_phi
-            bins[i, 1] = (alpha[1] - beta[1]) % self.n_phi
-        setattr(self, key, (basis.exps, prof, bins[:, 0], bins[:, 1]))
-        return prof, bins[:, 0], bins[:, 1]
+    def _plan_for(self, basis: HarmonicBasis) -> _TransformPlan:
+        if self._plan is None or self._plan.exps is not basis.exps:
+            self._plan = _TransformPlan.build(self, basis.exps)
+        return self._plan
 
     def analyze_values(self, values: Array, basis: HarmonicBasis) -> tuple[Array, float]:
         """Coefficients of the basis expansion; returns (coeffs, imag_residual)."""
-        v = np.asarray(values, dtype=np.complex128).reshape(self.grid_shape)
-        vhat = np.fft.fft2(v, axes=(1, 2))
-        prof, b1, b2 = self._profiles(basis)
-        gathered = vhat[:, b1, b2].T  # (n_mon, n_s)
-        mono_int = np.einsum("ms,s,ms->m", prof, self._ring_weights(), gathered)
-        raw = np.conj(basis.coeff) @ mono_int
+        plan = self._plan_for(basis)
+        v = np.asarray(values, dtype=np.float64).reshape(self.grid_shape)
+        vhat = np.fft.rfft2(v).reshape(len(self.s_nodes), -1)
+        mono_int = np.einsum("sm,sm->m", plan.prof_w, vhat[:, plan.gather])
+        mono_int = np.where(plan.flip, np.conj(mono_int), mono_int)
+        raw = np.conj(basis.coeff @ np.conj(mono_int))  # == conj(coeff) @ mono_int, with no copy of coeff
         resid = float(np.max(np.abs(raw.imag), initial=0.0))
         return raw.real.copy(), resid
 
     def synthesize_values(self, coeffs: Array, basis: HarmonicBasis) -> Array:
         """Values of sum_m c_m y_m on the quadrature grid."""
+        plan = self._plan_for(basis)
         mon_c = basis.coeff.T @ np.asarray(coeffs, dtype=np.complex128)
-        prof, b1, b2 = self._profiles(basis)
-        n_s = len(self.s_nodes)
-        fhat = np.zeros((n_s, self.n_phi, self.n_phi), dtype=np.complex128)
-        flat = fhat.reshape(n_s, -1)
-        idx = b1 * self.n_phi + b2
-        np.add.at(flat.T, idx, (mon_c[:, None] * prof))
-        vals = np.fft.ifft2(fhat, axes=(1, 2)) * self.n_phi**2
-        return vals.real.reshape(-1)
+        terms = mon_c[plan.order, None] * plan.prof_kept
+        n_s, n = len(self.s_nodes), self.n_phi
+        half = np.zeros((n_s, n * (n // 2 + 1)), dtype=np.complex128)
+        half[:, plan.bins] = np.add.reduceat(terms, plan.starts, axis=0).T
+        vals = np.fft.irfft2(half.reshape(n_s, n, -1), s=(n, n), norm="forward")
+        return vals.reshape(-1)
+
+
+@dataclass
+class _TransformPlan:
+    """Gather and scatter indices of the half-spectrum transforms, for one basis.
+
+    Monomial i sits in the phase bin (p, q) = (alpha_1 - beta_1, alpha_2 - beta_2)
+    mod n_phi with radial profile |zeta_1|^{alpha_1+beta_1} |zeta_2|^{alpha_2+beta_2}
+    over the s nodes.  Analysis reads every monomial from the rfft2 half
+    spectrum; synthesis sums only the monomials with q <= n_phi//2, in bin order.
+    """
+
+    exps: Array  # the basis exponents the plan was built for
+    gather: Array  # (n_mon,) flat half-spectrum index read by analysis
+    flip: Array  # (n_mon,) bool, the bin is the conjugate of the gathered one
+    prof_w: Array  # (n_s, n_mon) radial profile times ring weight
+    order: Array  # monomials with q <= n_phi//2, sorted by bin
+    prof_kept: Array  # (len(order), n_s) their radial profiles
+    starts: Array  # first position of each occupied bin in ``order``
+    bins: Array  # flat half-spectrum index of each occupied bin
+
+    @staticmethod
+    def build(quad: SphereQuadrature, exps: Array) -> _TransformPlan:
+        n, h = quad.n_phi, quad.n_phi // 2 + 1
+        alpha, beta = exps[:, 0], exps[:, 1]
+        deg = alpha + beta
+        c, q_rad = np.sqrt(quad.s_nodes), np.sqrt(1.0 - quad.s_nodes)
+        powers = range(int(deg.max()) + 1)
+        cpow, qpow = np.stack([c**d for d in powers]), np.stack([q_rad**d for d in powers])
+        prof = cpow[deg[:, 0]] * qpow[deg[:, 1]]  # (n_mon, n_s)
+        p = (alpha[:, 0] - beta[:, 0]) % n
+        q = (alpha[:, 1] - beta[:, 1]) % n
+        flip = q > n // 2
+        gather = np.where(flip, -p % n, p) * h + np.where(flip, n - q, q)
+        order = np.flatnonzero(~flip)
+        order = order[np.argsort(gather[order], kind="stable")]
+        bins, starts = np.unique(gather[order], return_index=True)
+        prof_w = (prof * quad._ring_weights()).T.copy()
+        return _TransformPlan(exps, gather, flip, prof_w, order, prof[order], starts, bins)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +447,8 @@ class SpectralFunction:
     basis: HarmonicBasis
     tail_energy: float | None = None
     imag_residual: float | None = None
+    # (quad, basis, coeffs copy, read-only values) of the last synthesis; see YamabeProblem.values
+    _values_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
@@ -425,7 +471,8 @@ class SpectralFunction:
 
     def to_poly(self) -> Poly:
         mon_c = self.basis.coeff.T @ self.coeffs.astype(np.complex128)
-        return {key: c for key, c in zip(self.basis.mon_keys, mon_c) if c != 0}
+        live = np.flatnonzero(mon_c)
+        return {(tuple(a), tuple(b)): c for (a, b), c in zip(self.basis.exps[live].tolist(), mon_c[live])}
 
     def eval(self, zeta: Array) -> Array:
         """Values at points (..., N+1), from the live monomials of the ambient polynomial.

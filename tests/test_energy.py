@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from cryamabe.bubbling import hk_gradient_flow
 from cryamabe.cayley import ConformalChart, conformal_pushforward
 from cryamabe.energy import (
     BubbleParams,
     YamabeConstants,
+    YamabeProblem,
     bubble_eval_zt,
     bubble_field,
     calibrate_normalizations,
@@ -18,9 +20,12 @@ from cryamabe.energy import (
 )
 from cryamabe.errors import DivergentIntegralError, DomainError
 from cryamabe.heisenberg import HeisPoint, ShellScheme
+from cryamabe.minimax import SubgroupSpec, minimax_search
 from cryamabe.spectral import (
+    SphereQuadrature,
     SpectralFunction,
     basis_element,
+    norm_Hk,
     norm_H_minus_k,
     pairing,
     total_sphere_mass,
@@ -237,3 +242,62 @@ class TestCalibration:
         live = np.abs(nodes[:, -1] + 1.0) > 1e-3
         vals = u(nodes[live])
         assert np.max(np.abs(vals - consts.u0)) < 1e-8
+
+
+class TestValuesMemo:
+    def test_in_place_write_resynthesizes(self, prob6):
+        c = np.random.default_rng(4).standard_normal(prob6.basis.n_basis)
+        u = SpectralFunction(c, prob6.basis)
+        first = prob6.values(u)
+        kept = first.copy()
+        u.coeffs[5] += 1.0
+        second = prob6.values(u)
+        assert np.array_equal(second, prob6.quad.synthesize_values(u.coeffs, prob6.basis))
+        assert not np.array_equal(second, kept) and np.array_equal(first, kept)
+
+    def test_values_are_read_only_and_reused(self, prob6):
+        u = SpectralFunction(np.random.default_rng(5).standard_normal(prob6.basis.n_basis), prob6.basis)
+        vals = prob6.values(u)
+        assert not vals.flags.writeable
+        with pytest.raises(ValueError):
+            vals[0] = 1.0
+        assert prob6.values(u) is vals
+        assert prob6.energy(u) == prob6.energy(u.copy_with(u.coeffs.copy()))
+
+    def test_other_quadrature_is_not_served(self, prob6):
+        other = YamabeProblem.build(N=1, k=1.0, jmax=6, quad_degree=30)
+        assert other.basis is prob6.basis and other.quad.n_nodes != prob6.quad.n_nodes
+        u = SpectralFunction(np.random.default_rng(6).standard_normal(prob6.basis.n_basis), prob6.basis)
+        assert prob6.values(u).shape == (prob6.quad.n_nodes,)
+        assert np.array_equal(other.values(u), other.quad.synthesize_values(u.coeffs, other.basis))
+        assert np.array_equal(prob6.values(u), prob6.quad.synthesize_values(u.coeffs, prob6.basis))
+
+
+def _record_syntheses(monkeypatch):
+    """Wrap SphereQuadrature.synthesize_values; returns the list of coefficient bytes it sees."""
+    seen = []
+    synthesize = SphereQuadrature.synthesize_values
+
+    def recording(self, coeffs, basis):
+        seen.append(np.asarray(coeffs, dtype=np.float64).tobytes())
+        return synthesize(self, coeffs, basis)
+
+    monkeypatch.setattr(SphereQuadrature, "synthesize_values", recording)
+    return seen
+
+
+class TestOneSynthesisPerFunction:
+    def test_hk_gradient_flow(self, prob4, monkeypatch):
+        rng = np.random.default_rng(7)
+        u = SpectralFunction(rng.standard_normal(prob4.basis.n_basis), prob4.basis)
+        u = (0.3 * math.sqrt(prob4.constants.C_S ** (-2.0)) / norm_Hk(u, 1.0)) * u
+        seen = _record_syntheses(monkeypatch)
+        rep = hk_gradient_flow(u, prob4, max_iter=40)
+        assert len(rep["rows"]) > 5
+        assert len(seen) == len(set(seen))
+
+    def test_minimax_search(self, prob4, monkeypatch):
+        seen = _record_syntheses(monkeypatch)
+        reports = minimax_search(SubgroupSpec(antipodal_odd=True), 1, prob4, budget=40, rng=np.random.default_rng(8))
+        assert reports[0].iterations > 5
+        assert len(seen) == len(set(seen))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -15,7 +16,7 @@ from cryamabe.minimax import (
     random_unitary,
     write_reports,
 )
-from cryamabe.spectral import SpectralFunction, apply_A2k, basis_element, norm_Hk
+from cryamabe.spectral import SpectralFunction, apply_A2k, basis_element, h_minus_k_form, norm_Hk
 
 
 def _project(u, G):
@@ -157,6 +158,18 @@ class TestSearch:
         rec = payload[0]
         assert {"mask", "energy", "residual_full", "coefficients", "nl_tail"} <= set(rec)
         assert len(rec["coefficients"]) == prob8.basis.n_basis
+
+    def test_report_reuses_the_descent_gradient(self, prob4):
+        # the residuals and nl_tail come from the descent's last gradient: bitwise a fresh one
+        mult = prob4.basis.multipliers(prob4.constants.k)
+        for budget in (0, 3, 200):
+            G = SubgroupSpec(antipodal_odd=True)
+            r = minimax_search(G, 1, prob4, budget=budget, rng=np.random.default_rng(9))[0]
+            fresh = prob4.gradient(r.candidate.copy_with(r.candidate.coeffs.copy()))
+            assert r.residual_full == math.sqrt(h_minus_k_form(fresh.coeffs, mult))
+            assert r.residual == math.sqrt(h_minus_k_form(fresh.coeffs * mask_for(G, prob4.basis), mult))
+            assert r.nl_tail == fresh.tail_energy
+            assert r.energy == prob4.energy(r.candidate.copy_with(r.candidate.coeffs.copy()))
 
     def test_negative_residual_rejected(self, prob8):
         with pytest.raises(DomainError):

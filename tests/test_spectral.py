@@ -1,10 +1,12 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cryamabe.energy import cached_basis
 from cryamabe.errors import DomainError
 from cryamabe.polynomials import ambient_laplacian, conformal_sublaplacian, poly_add, poly_eval, poly_scale
 from cryamabe.spectral import (
@@ -646,6 +648,110 @@ class TestBasisDifferential:
             assert np.array_equal(quad.synthesize_values(c, basis), vals)
             assert np.array_equal(quad.analyze_values(vals, basis)[0], quad.analyze_values(vals, ref)[0])
             assert np.array_equal(SpectralFunction(c, basis).eval(nodes), SpectralFunction(c, ref).eval(nodes))
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the half-spectrum transforms against the full-spectrum ones
+
+
+def _ref_profiles(quad, basis):
+    s = quad.s_nodes
+    prof = np.empty((len(basis.exps), len(s)))
+    bins = np.empty((len(basis.exps), 2), dtype=np.int64)
+    c, q = np.sqrt(s), np.sqrt(1.0 - s)
+    for i, (alpha, beta) in enumerate(basis.exps.tolist()):
+        prof[i] = c ** (alpha[0] + beta[0]) * q ** (alpha[1] + beta[1])
+        bins[i] = (alpha[0] - beta[0]) % quad.n_phi, (alpha[1] - beta[1]) % quad.n_phi
+    return prof, bins[:, 0], bins[:, 1]
+
+
+def _ref_analyze_values(quad, values, basis):
+    """analyze_values as it was: complex fft2 and a conjugated copy of the coefficients."""
+    vhat = np.fft.fft2(np.asarray(values, dtype=np.complex128).reshape(quad.grid_shape), axes=(1, 2))
+    prof, b1, b2 = _ref_profiles(quad, basis)
+    mono_int = np.einsum("ms,s,ms->m", prof, quad._ring_weights(), vhat[:, b1, b2].T)
+    raw = np.conj(basis.coeff) @ mono_int
+    return raw.real.copy(), float(np.max(np.abs(raw.imag), initial=0.0))
+
+
+def _ref_synthesize_values(quad, coeffs, basis):
+    """synthesize_values as it was: np.add.at into the full spectrum, the real part of ifft2."""
+    mon_c = basis.coeff.T @ np.asarray(coeffs, dtype=np.complex128)
+    prof, b1, b2 = _ref_profiles(quad, basis)
+    fhat = np.zeros((len(quad.s_nodes), quad.n_phi, quad.n_phi), dtype=np.complex128)
+    np.add.at(fhat.reshape(len(quad.s_nodes), -1).T, b1 * quad.n_phi + b2, mon_c[:, None] * prof)
+    return (np.fft.ifft2(fhat, axes=(1, 2)) * quad.n_phi**2).real.reshape(-1)
+
+
+class TestHalfSpectrumTransforms:
+    # quadrature degree as a function of jmax: the default rule (odd n_phi), one
+    # more (even n_phi, so a Nyquist bin), aliasing rules below 4 (jmax + lmax),
+    # and the smallest degree ExperimentConfig accepts (n_phi = 2)
+    DEGREES = {
+        "default": lambda j: 8 * j,
+        "nyquist": lambda j: 8 * j + 1,
+        "alias_odd": lambda j: 2 * j,
+        "alias_even": lambda j: 2 * j + 1,
+        "one": lambda j: 1,
+    }
+
+    @pytest.mark.parametrize("jmax", [2, 4, 8])
+    @pytest.mark.parametrize("rule", sorted(DEGREES))
+    def test_matches_full_spectrum(self, jmax, rule):
+        basis = cached_basis(1, jmax)
+        quad = SphereQuadrature.build(1, self.DEGREES[rule](jmax))
+        assert (quad.n_phi % 2 == 0) == (rule in ("nyquist", "alias_even", "one"))
+        for seed in range(2):
+            c = np.random.default_rng(50 + seed).standard_normal(basis.n_basis)
+            vals = quad.synthesize_values(c, basis)
+            assert _rel(vals, _ref_synthesize_values(quad, c, basis)) <= 1e-12
+            for data in (vals, vals**3):  # band-limited, then not
+                coeffs, resid = quad.analyze_values(data, basis)
+                ref, ref_resid = _ref_analyze_values(quad, data, basis)
+                assert _rel(coeffs, ref) <= 1e-12
+                assert resid <= 1e-10 and ref_resid <= 1e-10
+
+    def test_plan_follows_the_basis(self):
+        quad = SphereQuadrature.build(1, 16)
+        c2, c4 = (np.random.default_rng(2).standard_normal(cached_basis(1, j).n_basis) for j in (2, 4))
+        first = quad.synthesize_values(c2, cached_basis(1, 2))
+        quad.synthesize_values(c4, cached_basis(1, 4))
+        assert np.array_equal(quad.synthesize_values(c2, cached_basis(1, 2)), first)
+
+    def test_peak_allocation_at_jmax8(self, prob8):
+        quad, basis = prob8.quad, prob8.basis
+        c = np.random.default_rng(31).standard_normal(basis.n_basis)
+        vals = quad.synthesize_values(c, basis)  # builds the plan outside the measurement
+
+        def peak(fn, *args):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                fn(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(quad.analyze_values, vals, basis) <= 4 * 2**20
+        assert peak(quad.synthesize_values, c, basis) <= 4 * 2**20
+        # the measurement sees numpy buffers: the full-spectrum analysis copies the 23.6 MB coefficient matrix
+        assert peak(_ref_analyze_values, quad, vals, basis) > 20 * 2**20
+
+
+def _ref_to_poly(f):
+    mon_c = f.basis.coeff.T @ f.coeffs.astype(np.complex128)
+    return {key: c for key, c in zip(f.basis.mon_keys, mon_c) if c != 0}
+
+
+def test_to_poly_matches_the_full_key_table(prob8):
+    basis = prob8.basis
+    funcs = [basis_element(basis, j, l, 0) for (j, l) in [(0, 0), (3, 1), (1, 3), (4, 4), (8, 8)]]
+    funcs += [SpectralFunction(np.random.default_rng(s).standard_normal(basis.n_basis), basis) for s in range(2)]
+    funcs.append(SpectralFunction(np.zeros(basis.n_basis), basis))
+    for f in funcs:
+        new, ref = f.to_poly(), _ref_to_poly(f)
+        assert list(new) == list(ref)  # same keys in the same order
+        assert all(type(new[key]) is type(ref[key]) and new[key] == ref[key] for key in ref)
 
 
 def test_eval_terms_bounds_its_intermediates(prob8, monkeypatch):
