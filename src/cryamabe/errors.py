@@ -17,15 +17,6 @@ class SingularPointError(CRYamabeError, ValueError):
     """Homogeneous kernel evaluated at the group origin."""
 
 
-class BasisConstructionError(CRYamabeError, RuntimeError):
-    """Orthonormalization of a bidegree block failed or produced the wrong count."""
-
-    def __init__(self, j: int, l: int, message: str):
-        self.j = j
-        self.l = l
-        super().__init__(f"block ({j},{l}): {message}")
-
-
 class MaskEmptyError(CRYamabeError, ValueError):
     """A symmetry mask selected no coefficients."""
 

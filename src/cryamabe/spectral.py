@@ -1,14 +1,16 @@
-"""Bidegree harmonic bases on S^{2N+1}, sphere quadrature, and fractional multipliers.
+"""Bidegree harmonic basis on S^3, sphere quadrature, and fractional multipliers.
 
 L^2 of the sphere splits into blocks H_{j,l} of restrictions of harmonic
 polynomials homogeneous of degree j in zeta and l in conj(zeta).  The basis
 built here is real-valued and orthonormal for the contact volume form dv_S,
-whose total mass is 2^{2N+2} pi^{N+1}.  All inner products used during
-construction come from closed-form monomial moments, so orthonormality is
-limited only by linear-algebra conditioning, never by quadrature.  The basis
-construction is N-generic; the quadrature and the transforms on it are the
-deterministic N = 1 rule on S^3 (FFT over the two Hopf phases, Gauss-Legendre
-in |zeta_1|^2), the only sphere the runners use.
+whose total mass is 2^{2N+2} pi^{N+1} (16 pi^2 on S^3).  It is the N = 1
+closed form: each block has one element per torus weight (p, q), a
+Jacobi polynomial in s = |zeta_1|^2 times a phase, written as a homogeneous
+polynomial with integer binomial coefficients and divided by its closed-form
+norm (``build_basis``).  So the basis is canonical, needs no linear algebra,
+and is orthonormal to rounding.  The quadrature and the transforms on it are
+the deterministic N = 1 rule on S^3 (FFT over the two Hopf phases,
+Gauss-Legendre in |zeta_1|^2), the only sphere the runners use.
 
 Functions are real, so the transforms work on the real half spectrum of the
 two phases: analysis takes rfft2 of the values and reads a phase bin
@@ -29,17 +31,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import BasisConstructionError, DomainError
+from .errors import DomainError
 from .polynomials import Poly, conformal_sublaplacian, eval_terms, poly_eval
 
 Array = np.ndarray
 
-# Largest truncation degree whose N = 1 basis passes verify-spectral's
-# orthonormality check (1e-8); jmax 9 misses it and jmax 10 fails to build.
+# Largest truncation degree the runners accept.  Conditioning does not limit
+# the closed-form basis (orthonormal to 1e-14 at 8); the bound is the fixed
+# workload and the dense ``coeff`` matrix, (jmax+1)^3 elements by
+# ((jmax+1)(jmax+2)/2)^2 monomials of 16 B: 23.6 MB at 8, about 291 MB at 12.
+# Raising it needs its own acceptance record.
 JMAX_VERIFIED = 8
 
 # ---------------------------------------------------------------------------
@@ -76,41 +81,11 @@ def dim_H(j: int, l: int, N: int) -> int:
     return int(val)
 
 
-def _moment_fraction(kappa: tuple[int, ...], N: int) -> float:
-    num = Fraction(1)
-    for a in kappa:
-        num *= math.factorial(a)
-    return float(num * math.factorial(N) / math.factorial(N + sum(kappa)))
-
-
-def monomial_moment(alpha: Sequence[int], beta: Sequence[int], N: int, total_mass: float | None = None) -> float:
-    """Integral of zeta^alpha conj(zeta)^beta over the sphere against dv_S.
-
-    Vanishes unless alpha == beta; the diagonal value is
-    total_mass * alpha! N! / (N + |alpha|)!.
-    """
-    alpha, beta = tuple(alpha), tuple(beta)
-    if alpha != beta:
-        return 0.0
-    mass = total_sphere_mass(N) if total_mass is None else total_mass
-    return mass * _moment_fraction(alpha, N)
-
-
 def lambda_jk(j: int, k: float, Q: int) -> float:
     """Gamma-ratio multiplier of the order-2k operator on degree index j."""
     if not (0 < 2 * k < Q):
         raise DomainError(f"need 0 < 2k < Q, got k={k}, Q={Q}")
     return math.exp(math.lgamma((Q + 2 * k) / 4.0 + j) - math.lgamma((Q - 2 * k) / 4.0 + j))
-
-
-def _multiindices(degree: int, length: int) -> list[tuple[int, ...]]:
-    if length == 1:
-        return [(degree,)]
-    out = []
-    for first in range(degree, -1, -1):
-        for rest in _multiindices(degree - first, length - 1):
-            out.append((first,) + rest)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +116,15 @@ class HarmonicBasis:
         return self.coeff.shape[0]
 
     @property
-    def mon_keys(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """The monomials as (alpha, beta) keys of a polynomial table."""
-        return [(tuple(a), tuple(b)) for a, b in self.exps.tolist()]
-
-    @property
     def total_mass(self) -> float:
         return total_sphere_mass(self.N)
 
     def index_of(self, j: int, l: int, m: int = 0) -> int:
-        return self.block_slices[(j, l)].start + m
+        """Position of element (j, l, m); the block must be built and m lie in [0, dim_H(j, l))."""
+        sl = self.block_slices.get((j, l), slice(0, 0))
+        if not 0 <= m < sl.stop - sl.start:
+            raise DomainError(f"the basis has no element ({j},{l},{m})")
+        return sl.start + m
 
     def multipliers(self, k: float) -> Array:
         """lam_j(k) * lam_l(k) per element, from one lam per degree."""
@@ -158,137 +132,90 @@ class HarmonicBasis:
         return lam[self.labels_j] * lam[self.labels_l]
 
 
-def _exponents(j: int, l: int, N: int) -> tuple[Array, Array]:
-    """Exponent arrays (A, B), each (n, N+1), of the monomials zeta^A conj(zeta)^B of bidegree (j, l)."""
-    if j < 0 or l < 0:
-        return np.zeros((0, N + 1), dtype=np.int64), np.zeros((0, N + 1), dtype=np.int64)
-    a = np.array(_multiindices(j, N + 1), dtype=np.int64)
-    b = np.array(_multiindices(l, N + 1), dtype=np.int64)
-    return np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))
+def _weight_element(j: int, l: int, p: int) -> tuple[Array, Array]:
+    """Exponents (n+1, 2, 2) and coefficients of the unit element of H_{j,l} of weight (p, j-l-p).
 
-
-def _gram(A1: Array, B1: Array, A2: Array, B2: Array, N: int, mass: float) -> Array:
-    """Closed-form Hermitian Gram: entry (r, c) integrates mono1_r * conj(mono2_c).
-
-    mono1_r = zeta^A1[r] conj(zeta)^B1[r], likewise mono2_c.  Passing (B2, A2)
-    for (A2, B2) gives the bilinear pairing (no conjugation).
+    The element is f = zeta_1^{p+} conj(zeta_1)^{p-} zeta_2^{q+} conj(zeta_2)^{q-}
+    sum_m (-1)^{n-m} C(n+|q|, m) C(n+|p|, n-m) |zeta_1|^{2m} |zeta_2|^{2(n-m)},
+    divided by its norm; see ``build_basis``.
     """
-    left = A1[:, None] + B2[None]
-    right = B1[:, None] + A2[None]
-    mask = np.all(left == right, axis=-1)
-    kappas, inv = np.unique(left[mask], axis=0, return_inverse=True)
-    mu = np.array([mass * _moment_fraction(k, N) for k in kappas.tolist()])
-    G = np.zeros(mask.shape)
-    G[mask] = mu[inv.reshape(-1)]
-    return G
-
-
-_EIG_CUT = 1e-10
-
-
-def _orthonormal_block(G: Array, expected: int, j: int, l: int) -> tuple[Array, Array]:
-    """Top eigenvectors of a (possibly complex) Gram matrix, rank-checked."""
-    vals, vecs = np.linalg.eigh(G)
-    order = np.argsort(vals)[::-1]
-    vals, vecs = vals[order], vecs[:, order]
-    top = vals[0] if vals.size else 0.0
-    if top <= 0:
-        raise BasisConstructionError(j, l, "Gram matrix is not positive")
-    rank = int(np.sum(vals > _EIG_CUT * top))
-    if rank != expected:
-        raise BasisConstructionError(j, l, f"rank {rank} != expected dim {expected}")
-    return vals[:expected], vecs[:, :expected]
-
-
-def _keys(A: Array, B: Array) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    return list(zip(map(tuple, A.tolist()), map(tuple, B.tolist())))
+    q = j - l - p
+    a, b = abs(p), abs(q)
+    n = (j + l - a - b) // 2
+    m = np.arange(n + 1)
+    exps = np.zeros((n + 1, 2, 2), dtype=np.int64)  # exps[i] = (alpha, beta)
+    exps[:, 0, 0], exps[:, 1, 0] = max(p, 0) + m, max(-p, 0) + m
+    exps[:, 0, 1], exps[:, 1, 1] = max(q, 0) + n - m, max(-q, 0) + n - m
+    ints = [(-1) ** (n - i) * math.comb(n + b, i) * math.comb(n + a, n - i) for i in range(n + 1)]
+    f = math.factorial
+    norm2 = Fraction(f(n + b) * f(n + a), (2 * n + a + b + 1) * f(n + a + b) * f(n))
+    return exps, np.array(ints, dtype=np.float64) / math.sqrt(total_sphere_mass(1) * norm2)
 
 
 def build_basis(N: int, jmax: int, lmax: int | None = None) -> HarmonicBasis:
-    """Construct the real orthonormal bidegree basis up to (jmax, lmax).
+    """The real orthonormal bidegree basis of S^3 up to (jmax, lmax), in closed form.
 
-    Per block: project the bidegree-(j, l) monomials off the span of the
-    (j-1, l-1) monomials (which carries every lower block), orthonormalize the
-    remainder by a symmetric eigen-decomposition, then realify.  Elements are
-    dense rows over the block's monomials, the (j, l) ones then the (j-1, l-1)
-    ones.  For j > l the real and imaginary parts of the complex block fill
-    the (j, l) and (l, j) labels, with the conjugate on the swapped exponents;
-    the diagonal blocks are realified through their 2d real Gram.
+    On S^3 the block H_{j,l} has the orthogonal basis of its torus weights
+    (p, q): p + q = j - l, |p| + |q| <= j + l with the same parity, and
+    n = (j + l - |p| - |q|)/2.  With s = |zeta_1|^2 the element of weight
+    (p, q) is e^{i(p phi_1 + q phi_2)} s^{|p|/2} (1-s)^{|q|/2} P_n^{(|q|,|p|)}(2s-1)
+    (Folland, Trans. AMS 1972; Szego, Orthogonal Polynomials, ch. IV).  Since
+    (x+1)/2 = |zeta_1|^2 and (x-1)/2 = -|zeta_2|^2 on the sphere, it is the
+    homogeneous bidegree-(j, l) polynomial
+
+        f = zeta_1^{p+} conj(zeta_1)^{p-} zeta_2^{q+} conj(zeta_2)^{q-}
+            sum_{m=0..n} (-1)^{n-m} C(n+|q|, m) C(n+|p|, n-m) |zeta_1|^{2m} |zeta_2|^{2(n-m)},
+
+    p+ = max(p, 0), p- = max(-p, 0), likewise for q: n+1 monomials with
+    integer coefficients, so f is its own harmonic extension.  Its squared
+    norm is 16 pi^2 (n+|q|)! (n+|p|)! / ((2n+|p|+|q|+1) (n+|p|+|q|)! n!).
+
+    Labels, with f normalized: for j > l, element (j, l, m) is sqrt(2) Re f and
+    (l, j, m) is sqrt(2) Im f, where m = p + l ranks p = -l..j.  For j = l,
+    (j, j, 0) is the real f of p = 0, and (j, j, 2p-1), (j, j, 2p) are
+    sqrt(2) Re f and sqrt(2) Im f of p = 1..j.  So (0, 0, 0) is +1/sqrt(M).
+    The blocks are every (j, l) and (l, j) with j <= jmax, l <= lmax; rows
+    run in label order, and a monomial's column is placed at its first
+    nonzero coefficient.  Only N = 1 has a basis here.
     """
     lmax = jmax if lmax is None else lmax
+    if N != 1:
+        raise DomainError(f"the harmonic basis is the N = 1 closed form, got N={N!r}")
     if not (0 <= jmax <= JMAX_VERIFIED and 0 <= lmax <= JMAX_VERIFIED):
         raise DomainError(f"truncation degrees must lie in [0, {JMAX_VERIFIED}]")
-    mass = total_sphere_mass(N)
-    blocks: dict[tuple[int, int], tuple[Array, list]] = {}  # label -> (rows, column keys)
+    half = 1 / math.sqrt(2)
+    blocks: dict[tuple[int, int], list[tuple[Array, Array]]] = {}  # label -> rows of (exponents, coefficients)
     for j in range(max(jmax, lmax) + 1):
         for l in range(j + 1):
             if not (l <= lmax and j <= jmax or l <= jmax and j <= lmax):
                 continue
-            A, B = _exponents(j, l, N)
-            A0, B0 = _exponents(j - 1, l - 1, N)
-            G_perp = _gram(A, B, A, B, N, mass)
-            X = np.zeros((0, len(A)))
-            if len(A0):
-                G_low = _gram(A0, B0, A0, B0, N, mass)
-                G_lu = _gram(A0, B0, A, B, N, mass)
-                X = np.linalg.lstsq(G_low, G_lu, rcond=None)[0]  # real moments: conj(X) == X
-                G_perp = G_perp - G_lu.T @ X
-            CA, CB = np.vstack([A, A0]), np.vstack([B, B0])
-            d = dim_H(j, l, N)
+            re, im = [], []
+            for p in range(-l if j > l else 0, j + 1):
+                e, c = _weight_element(j, l, p)
+                if j == l and p == 0:
+                    re.append((e, c))
+                    continue
+                both = np.concatenate([e, e[:, ::-1]])  # f, then conj(f) on the swapped exponents
+                re.append((both, np.concatenate([c, c]) * half))
+                im.append((both, np.concatenate([-1j * c, 1j * c]) * half))
             if j > l:
-                vals, vecs = _orthonormal_block(G_perp, d, j, l)
-                W = (vecs / np.sqrt(vals)).T.copy()
-                Y = np.hstack([W, np.array([-X @ w for w in W])])  # [w, -X w]; matvecs round as the tests' reference
-                cols = _keys(CA, CB) + _keys(CB, CA)
-                blocks[(j, l)] = np.hstack([Y * (1 / math.sqrt(2)), Y * (1 / math.sqrt(2))]), cols
-                blocks[(l, j)] = np.hstack([Y * (-1j / math.sqrt(2)), Y * (1j / math.sqrt(2))]), cols
-                continue
-            # diagonal block: orthonormalize { Re q_a, Im q_a } with the real Gram
-            n_up = len(A)
-            Bq = _gram(A, B, B, A, N, mass)  # bilinear pairing of the projected generators
-            if len(A0):
-                B_ul = _gram(A, B, B0, A0, N, mass)
-                B_ll = _gram(A0, B0, B0, A0, N, mass)
-                Bq = Bq - B_ul @ X - X.T @ B_ul.T + X.T @ B_ll @ X
-            S = np.zeros((2 * n_up, 2 * n_up))
-            S[:n_up, :n_up] = 0.5 * (Bq + G_perp)
-            S[n_up:, n_up:] = 0.5 * (G_perp - Bq)
-            # real moments make the mixed Re/Im pairings vanish identically
-            vals, vecs = _orthonormal_block(S, d, j, l)
-            V = vecs / np.sqrt(vals)
-            s_q = 0.5 * V[:n_up] - 0.5j * V[n_up:]  # Re q = (q + conj q)/2, Im q = (q - conj q)/(2i)
-            s_qc = 0.5 * V[:n_up] + 0.5j * V[n_up:]
-            cols = _keys(CA, CB)
-            where = {key: i for i, key in enumerate(cols)}
-            swap = np.array([where[(b, a)] for a, b in cols])  # conj(q)[i] = q[swap[i]]
-            Q = np.hstack([np.eye(n_up), -X.T])  # q_a = [e_a, -X[:, a]]
-            rows = np.zeros((d, len(cols)), dtype=np.complex128)
-            for a in range(n_up):
-                rows += s_q[a][:, None] * Q[a]
-                rows += s_qc[a][:, None] * Q[a, swap]
-            # columns in the order the accumulation first touches them
-            touched = np.concatenate([np.r_[nz, swap[nz]] for nz in map(np.flatnonzero, Q)])
-            touched = touched[np.sort(np.unique(touched, return_index=True)[1])]
-            blocks[(j, j)] = rows[:, touched], [cols[i] for i in touched]
+                blocks[(j, l)], blocks[(l, j)] = re, im
+            else:
+                blocks[(j, j)] = re[:1] + [row for pair in zip(re[1:], im) for row in pair]
 
-    # a monomial's column is placed at its first nonzero coefficient, rows in label order
     labels = sorted(blocks)
-    sizes = [len(blocks[key][0]) for key in labels]
+    sizes = [len(blocks[key]) for key in labels]
     starts = np.cumsum([0] + sizes)
     block_slices = {key: slice(int(a), int(b)) for key, a, b in zip(labels, starts, starts[1:])}
-    mon_index: dict[tuple, int] = {}
-    for key in labels:
-        rows, cols = blocks[key]
-        live, first = np.unique(np.nonzero(rows)[1], return_index=True)
-        for c in live[np.argsort(first)]:
-            mon_index.setdefault(cols[c], len(mon_index))
-    coeff = np.zeros((starts[-1], len(mon_index)), dtype=np.complex128)
-    for key, (rows, cols) in blocks.items():
-        kept = [i for i, col in enumerate(cols) if col in mon_index]  # the others are zero here
-        coeff[block_slices[key], [mon_index[cols[i]] for i in kept]] = rows[:, kept]
+    rows = [row for key in labels for row in blocks[key]]
+    mon_index: dict[tuple, int] = {}  # monomial -> column, in order of first appearance
+    cols = [[mon_index.setdefault(key, len(mon_index)) for key in map(tuple, e.reshape(-1, 4).tolist())] for e, _ in rows]
+    coeff = np.zeros((len(rows), len(mon_index)), dtype=np.complex128)
+    for r, (_, c) in enumerate(rows):
+        coeff[r, cols[r]] = c
     lj = np.repeat(np.array([key[0] for key in labels], dtype=np.int64), sizes)
     ll = np.repeat(np.array([key[1] for key in labels], dtype=np.int64), sizes)
-    exps = np.array(list(mon_index), dtype=np.int64)
+    exps = np.array(list(mon_index), dtype=np.int64).reshape(-1, 2, 2)
     return HarmonicBasis(N, jmax, lmax, exps, coeff, lj, ll, block_slices)
 
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from cryamabe.cli import main
+from cryamabe.cli import main, run_verify_cayley
 from cryamabe.config import ExperimentConfig
 from cryamabe.errors import DomainError
 
@@ -29,7 +29,7 @@ def test_flag_override_out_of_range():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify-spectral", "--jmax", "10"],  # the basis fails to build at 10
+        ["verify-spectral", "--jmax", "10"],  # above spectral.JMAX_VERIFIED
         ["verify-spectral", "--jmax", "40"],
         ["sobolev-sharpness", "--jmax", "-1"],
         ["bubble-residual", "--N", "2"],  # its inner shell box is 96^5 nodes at N = 2
@@ -170,3 +170,23 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "verify-group: PASS" in proc.stdout
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_conformal_covariance_passes_at_every_seed(seed):
+    # criterion 3 at seeds 0-11; the h = 1e-4 stencil alone read 3.5e-4 at seed 2
+    table = run_verify_cayley(ExperimentConfig().with_overrides(seed=seed))
+    assert table.passed, [row for row in table.rows if not row[3]]
+
+
+def test_conformal_covariance_negative_control(monkeypatch):
+    # the pullback weight of k = 1 + 1e-3 breaks covariance, and the check sees it
+    import cryamabe.cayley as cayley
+
+    pullback = cayley.conformal_pullback
+    monkeypatch.setattr(cayley, "conformal_pullback", lambda u, chart, k: pullback(u, chart, k + 1e-3))
+    for seed in (0, 1):
+        rows = {name: (value, ok) for name, value, _, ok in run_verify_cayley(ExperimentConfig().with_overrides(seed=seed)).rows}
+        value, ok = rows["conformal_covariance"]
+        assert value > 1e-4 and not ok
+
