@@ -699,6 +699,28 @@ class TestBasisDifferential:
             outside[sl] = False
             assert np.max(np.linalg.norm(C[sl][:, outside], axis=1)) <= bound
 
+    def test_transforms_at_jmax8(self, prob8):
+        # a function synthesized from the reference passes through the closed-form
+        # analysis and synthesis unchanged; its block energies agree up to the
+        # reference's own orthonormality error (4.2e-9 at jmax 8)
+        quad, basis = prob8.quad, prob8.basis
+        ref = _ref_build_basis(1, 8)
+        nodes = quad.nodes()[::29]
+        for seed in range(3):
+            c = np.random.default_rng(40 + seed).standard_normal(basis.n_basis)
+            vals = quad.synthesize_values(c, ref)
+            a = quad.analyze_values(vals, basis)[0]
+            assert _rel(quad.synthesize_values(a, basis), vals) <= 1e-12
+            assert _rel(SpectralFunction(a, basis).eval(nodes), SpectralFunction(c, ref).eval(nodes)) <= 1e-12
+            for sl in basis.block_slices.values():
+                assert abs(np.linalg.norm(a[sl]) - np.linalg.norm(c[sl])) <= 1e-8
+
+    # the N = 2 build that the reference was compared with is deleted
+    @pytest.mark.parametrize("jmax", [0, 1, 2])
+    def test_n2_refused(self, jmax):
+        with pytest.raises(DomainError):
+            build_basis(2, jmax)
+
 
 def _jacobi(n, a, b, x):
     """P_n^{(a,b)}(x) by the three-term recurrence (Szego, Orthogonal Polynomials, (4.5.1))."""
