@@ -4,8 +4,9 @@ Every acceptance-style check is runnable by exactly one subcommand; outputs
 are written atomically (temp file + rename) so interrupted runs never leave
 half-written artifacts.  Exit codes: 0 all checks passed; 1 at least one check
 failed, always with ``<sub>_failures.json``; 2 usage or configuration error
-(unknown keys, values of the wrong type or out of range, and a k that the
-subcommand does not support are refused before any work); 3 an unexpected
+(unknown keys, values of the wrong type or out of range, a k that the
+subcommand does not support, and max(jmax, lmax) = 0 where the subcommand
+needs the degree-1 blocks are refused before any work); 3 an unexpected
 error inside a run, recorded in ``<sub>_error.json`` (subcommand, exception
 type, message, traceback).
 """
@@ -196,11 +197,8 @@ def run_verify_spectral(cfg: ExperimentConfig) -> CheckTable:
     rng = np.random.default_rng(cfg.seed)
     basis, quad = prob.basis, prob.quad
     eye = np.eye(basis.n_basis)
-    vals = np.empty((basis.n_basis, quad.n_nodes))
-    for i in range(basis.n_basis):
-        vals[i] = quad.synthesize_values(eye[i], basis)
-    vals *= np.sqrt(quad.weights())
-    table.add("orthonormality", float(np.max(np.abs(vals @ vals.T - eye))), 1e-8 * cfg.tol_scale)
+    gram = np.stack([quad.analyze_values(quad.synthesize_values(e, basis), basis)[0] for e in eye])
+    table.add("orthonormality", float(np.max(np.abs(gram - eye))), 1e-8 * cfg.tol_scale)
     if abs(cfg.k - 1.0) < 1e-14:
         g = rng.standard_normal((30, 2 * (cfg.N + 1)))
         zeta = g[:, : cfg.N + 1] + 1.0j * g[:, cfg.N + 1 :]
@@ -503,7 +501,10 @@ SUBCOMMANDS = (
 
 # Subcommands that need more of the configuration than its own ranges; checked
 # before any work.  The transported bubbling reports exist for k = 1 only.
+# The sharpness check's mode (1, 0, 0) and the antipodally odd search (blocks
+# with j + l odd) need max(jmax, lmax) >= 1.
 REQUIRES_K1 = ("ps-quantization", "gradient-decay")
+REQUIRES_DEGREE_1 = ("sobolev-sharpness", "minimax-explore")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -536,6 +537,8 @@ def main(argv=None) -> int:
             cfg = cfg.with_overrides(rn_ladder=tuple(float(x) for x in args.ladder.split(",")))
         if args.subcommand in REQUIRES_K1 and abs(cfg.k - 1.0) > 1e-14:
             raise DomainError(f"{args.subcommand} requires k = 1, got k={cfg.k!r}")
+        if args.subcommand in REQUIRES_DEGREE_1 and max(cfg.jmax, cfg.lmax or 0) < 1:
+            raise DomainError(f"{args.subcommand} requires max(jmax, lmax) >= 1, got jmax={cfg.jmax!r}, lmax={cfg.lmax!r}")
     except (CRYamabeError, ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -136,10 +136,11 @@ def _contract(T: np.ndarray, zeta: np.ndarray, d: int) -> np.ndarray:
 def eval_terms(exps: np.ndarray, coeffs: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     """Sum of coeffs[i] zeta^exps[i, 0] conj(zeta)^exps[i, 1] at points (..., nvar).
 
-    ``exps`` is an integer array (n_terms, 2, nvar) of distinct exponent pairs
-    and ``coeffs`` a vector (n_terms,); the values have shape (...).  The
-    coefficients are scattered into one dense tensor over the live exponent
-    range d (d = 1 for a constant) and contracted one coordinate at a time
+    ``exps`` is an integer array (n_terms, 2, nvar) of exponent pairs and
+    ``coeffs`` a vector (n_terms,); the values have shape (...).  The
+    coefficients are added into one dense tensor over the live exponent range
+    d (d = 1 for a constant), so a repeated pair counts with the sum of its
+    coefficients, and the tensor is contracted one coordinate at a time
     (``_contract``), with the points in blocks so that no intermediate holds
     more than max(``_EVAL_BLOCK``, (d*d)^nvar) entries.
     """
@@ -151,7 +152,7 @@ def eval_terms(exps: np.ndarray, coeffs: np.ndarray, zeta: np.ndarray) -> np.nda
     if len(exps):
         d = int(exps.max()) + 1
         T = np.zeros((d * d) ** nvar, dtype=np.complex128)
-        T[np.ravel_multi_index(tuple(exps[:, 0].T * d + exps[:, 1].T), (d * d,) * nvar)] = coeffs
+        np.add.at(T, np.ravel_multi_index(tuple(exps[:, 0].T * d + exps[:, 1].T), (d * d,) * nvar), coeffs)
         chunk = max(1, _EVAL_BLOCK // max(T.size // (d * d), d * d))
         for c0 in range(0, len(flat), chunk):
             out[c0 : c0 + chunk] = _contract(T, flat[c0 : c0 + chunk], d)

@@ -15,10 +15,12 @@ Gauss-Legendre in |zeta_1|^2), the only sphere the runners use.
 Functions are real, so the transforms work on the real half spectrum of the
 two phases: analysis takes rfft2 of the values and reads a phase bin
 (p, q) with q > n_phi//2 as the conjugate of its partner (-p, -q); synthesis
-fills the bins with q <= n_phi//2 and inverts with irfft2.  Analysis forms
-conj(coeff @ conj(mono_int)), which equals conj(coeff) @ mono_int entry for
-entry, so the dense coefficient matrix is never copied.  ``YamabeProblem.values``
-keeps a function's synthesized values with it, so each coefficient vector is
+fills the bins with q <= n_phi//2 and inverts with irfft2.  Both work on
+the basis terms (about 2(n+1) per element, 4,005 at jmax 8): synthesis
+scales each term by its element's coefficient, and analysis folds the
+per-term integrals back onto the elements with a bincount; no dense
+element-by-monomial matrix exists.  ``YamabeProblem.values`` keeps a
+function's synthesized values with it, so each coefficient vector is
 synthesized once.
 
 The fractional operator of order 2k acts diagonally: the element with label
@@ -40,11 +42,10 @@ from .polynomials import Poly, conformal_sublaplacian, eval_terms, poly_eval
 
 Array = np.ndarray
 
-# Largest truncation degree the runners accept.  Conditioning does not limit
-# the closed-form basis (orthonormal to 1e-14 at 8); the bound is the fixed
-# workload and the dense ``coeff`` matrix, (jmax+1)^3 elements by
-# ((jmax+1)(jmax+2)/2)^2 monomials of 16 B: 23.6 MB at 8, about 291 MB at 12.
-# Raising it needs its own acceptance record.
+# Largest truncation degree the runners accept.  Neither conditioning (the
+# closed-form basis is orthonormal to 1e-14 at 8) nor memory (its terms take
+# 0.24 MB at 8) limits it; the bound is the fixed workload, and raising it
+# needs its own acceptance record.
 JMAX_VERIFIED = 8
 
 # ---------------------------------------------------------------------------
@@ -96,24 +97,27 @@ def lambda_jk(j: int, k: float, Q: int) -> float:
 class HarmonicBasis:
     """Real orthonormal basis adapted to the bidegree decomposition.
 
-    Elements carry labels (j, l, m); the coefficient matrix expresses each
-    element over a global list of ambient monomials zeta^alpha conj(zeta)^beta,
-    whose exponents ``exps[i] = (alpha, beta)`` form an integer array.  The
+    Elements carry labels (j, l, m).  Each element is a short sum of ambient
+    monomials zeta^alpha conj(zeta)^beta, and the basis keeps only these
+    terms: three flat arrays, in row order, give each term's element, its
+    exponents ``term_exps[i] = (alpha, beta)`` and its complex coefficient.  A
+    monomial recurs in the elements that share its torus weight.  The
     coefficients are Hermitian-symmetric, so every element is a real function.
     """
 
     N: int
     jmax: int
     lmax: int
-    exps: Array  # (n_mon, 2, N+1) int
-    coeff: Array  # (n_basis, n_mon) complex
+    term_elem: Array  # (n_terms,) int, the element of each term
+    term_exps: Array  # (n_terms, 2, N+1) int
+    term_coeff: Array  # (n_terms,) complex
     labels_j: Array
     labels_l: Array
     block_slices: dict[tuple[int, int], slice]
 
     @property
     def n_basis(self) -> int:
-        return self.coeff.shape[0]
+        return len(self.labels_j)
 
     @property
     def total_mass(self) -> float:
@@ -175,8 +179,8 @@ def build_basis(N: int, jmax: int, lmax: int | None = None) -> HarmonicBasis:
     (j, j, 0) is the real f of p = 0, and (j, j, 2p-1), (j, j, 2p) are
     sqrt(2) Re f and sqrt(2) Im f of p = 1..j.  So (0, 0, 0) is +1/sqrt(M).
     The blocks are every (j, l) and (l, j) with j <= jmax, l <= lmax; rows
-    run in label order, and a monomial's column is placed at its first
-    nonzero coefficient.  Only N = 1 has a basis here.
+    run in label order, and each row's terms are f's monomials, then those of
+    conj(f) (f alone when it is real).  Only N = 1 has a basis here.
     """
     lmax = jmax if lmax is None else lmax
     if N != 1:
@@ -208,15 +212,12 @@ def build_basis(N: int, jmax: int, lmax: int | None = None) -> HarmonicBasis:
     starts = np.cumsum([0] + sizes)
     block_slices = {key: slice(int(a), int(b)) for key, a, b in zip(labels, starts, starts[1:])}
     rows = [row for key in labels for row in blocks[key]]
-    mon_index: dict[tuple, int] = {}  # monomial -> column, in order of first appearance
-    cols = [[mon_index.setdefault(key, len(mon_index)) for key in map(tuple, e.reshape(-1, 4).tolist())] for e, _ in rows]
-    coeff = np.zeros((len(rows), len(mon_index)), dtype=np.complex128)
-    for r, (_, c) in enumerate(rows):
-        coeff[r, cols[r]] = c
+    term_elem = np.repeat(np.arange(len(rows)), [len(c) for _, c in rows])
+    term_exps = np.concatenate([e for e, _ in rows])
+    term_coeff = np.concatenate([c for _, c in rows], dtype=np.complex128)
     lj = np.repeat(np.array([key[0] for key in labels], dtype=np.int64), sizes)
     ll = np.repeat(np.array([key[1] for key in labels], dtype=np.int64), sizes)
-    exps = np.array(list(mon_index), dtype=np.int64).reshape(-1, 2, 2)
-    return HarmonicBasis(N, jmax, lmax, exps, coeff, lj, ll, block_slices)
+    return HarmonicBasis(N, jmax, lmax, term_elem, term_exps, term_coeff, lj, ll, block_slices)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +232,8 @@ class SphereQuadrature:
     uniform in the two phases; exact for bidegree polynomials of total degree
     <= ``degree``.  The runners support N = 1 only, so no other rule exists.
 
-    The transforms run on the rfft2 half spectrum over the two phases, and
-    analysis applies the coefficient matrix as conj(coeff @ conj(.)), not
-    copying it (see the module docstring; the values memo is
+    The transforms run on the rfft2 half spectrum over the two phases and on
+    the basis terms (see the module docstring; the values memo is
     ``YamabeProblem.values``).  Their per-basis gather and scatter plan is
     built on the first transform with a basis and kept in ``_plan``, like
     the nodes in ``_flat_nodes``.  Any degree >= 1 works: an odd n_phi, an
@@ -263,12 +263,8 @@ class SphereQuadrature:
     def grid_shape(self) -> tuple[int, ...]:
         return (len(self.s_nodes), self.n_phi, self.n_phi)
 
-    @property
-    def n_nodes(self) -> int:
-        return int(np.prod(self.grid_shape))
-
     def nodes(self) -> Array:
-        """All nodes as a (n_nodes, 2) complex array."""
+        """All nodes as a (prod(grid_shape), 2) complex array."""
         if self._flat_nodes is None:
             s = self.s_nodes[:, None, None]
             phi = 2.0 * math.pi * np.arange(self.n_phi) / self.n_phi
@@ -283,9 +279,6 @@ class SphereQuadrature:
         """Weight of each node on the ring of each s node."""
         return self.total_mass * self.s_weights / self.n_phi**2
 
-    def weights(self) -> Array:
-        return np.repeat(self._ring_weights(), self.n_phi**2)
-
     def integrate(self, values: Array) -> float:
         v = np.asarray(values).reshape(self.grid_shape)
         return float(np.einsum("s,sab->", self._ring_weights(), v))
@@ -296,8 +289,8 @@ class SphereQuadrature:
     # --- spectral transforms --------------------------------------------------
 
     def _plan_for(self, basis: HarmonicBasis) -> _TransformPlan:
-        if self._plan is None or self._plan.exps is not basis.exps:
-            self._plan = _TransformPlan.build(self, basis.exps)
+        if self._plan is None or self._plan.exps is not basis.term_exps:
+            self._plan = _TransformPlan.build(self, basis.term_exps)
         return self._plan
 
     def analyze_values(self, values: Array, basis: HarmonicBasis) -> tuple[Array, float]:
@@ -305,17 +298,17 @@ class SphereQuadrature:
         plan = self._plan_for(basis)
         v = np.asarray(values, dtype=np.float64).reshape(self.grid_shape)
         vhat = np.fft.rfft2(v).reshape(len(self.s_nodes), -1)
-        mono_int = np.einsum("sm,sm->m", plan.prof_w, vhat[:, plan.gather])
-        mono_int = np.where(plan.flip, np.conj(mono_int), mono_int)
-        raw = np.conj(basis.coeff @ np.conj(mono_int))  # == conj(coeff) @ mono_int, with no copy of coeff
-        resid = float(np.max(np.abs(raw.imag), initial=0.0))
-        return raw.real.copy(), resid
+        term_int = np.einsum("sm,sm->m", plan.prof_w, vhat[:, plan.gather])
+        term_int = np.where(plan.flip, np.conj(term_int), term_int) * np.conj(basis.term_coeff)
+        coeffs = np.bincount(basis.term_elem, term_int.real, minlength=basis.n_basis)
+        imag = np.bincount(basis.term_elem, term_int.imag, minlength=basis.n_basis)
+        return coeffs, float(np.max(np.abs(imag), initial=0.0))
 
     def synthesize_values(self, coeffs: Array, basis: HarmonicBasis) -> Array:
         """Values of sum_m c_m y_m on the quadrature grid."""
         plan = self._plan_for(basis)
-        mon_c = basis.coeff.T @ np.asarray(coeffs, dtype=np.complex128)
-        terms = mon_c[plan.order, None] * plan.prof_kept
+        c = np.asarray(coeffs, dtype=np.float64)[basis.term_elem[plan.order]] * basis.term_coeff[plan.order]
+        terms = c[:, None] * plan.prof_kept
         n_s, n = len(self.s_nodes), self.n_phi
         half = np.zeros((n_s, n * (n // 2 + 1)), dtype=np.complex128)
         half[:, plan.bins] = np.add.reduceat(terms, plan.starts, axis=0).T
@@ -327,17 +320,17 @@ class SphereQuadrature:
 class _TransformPlan:
     """Gather and scatter indices of the half-spectrum transforms, for one basis.
 
-    Monomial i sits in the phase bin (p, q) = (alpha_1 - beta_1, alpha_2 - beta_2)
+    Term i sits in the phase bin (p, q) = (alpha_1 - beta_1, alpha_2 - beta_2)
     mod n_phi with radial profile |zeta_1|^{alpha_1+beta_1} |zeta_2|^{alpha_2+beta_2}
-    over the s nodes.  Analysis reads every monomial from the rfft2 half
-    spectrum; synthesis sums only the monomials with q <= n_phi//2, in bin order.
+    over the s nodes.  Analysis reads every term from the rfft2 half
+    spectrum; synthesis sums only the terms with q <= n_phi//2, in bin order.
     """
 
-    exps: Array  # the basis exponents the plan was built for
-    gather: Array  # (n_mon,) flat half-spectrum index read by analysis
-    flip: Array  # (n_mon,) bool, the bin is the conjugate of the gathered one
-    prof_w: Array  # (n_s, n_mon) radial profile times ring weight
-    order: Array  # monomials with q <= n_phi//2, sorted by bin
+    exps: Array  # the basis term exponents the plan was built for
+    gather: Array  # (n_terms,) flat half-spectrum index read by analysis
+    flip: Array  # (n_terms,) bool, the bin is the conjugate of the gathered one
+    prof_w: Array  # (n_s, n_terms) radial profile times ring weight
+    order: Array  # terms with q <= n_phi//2, sorted by bin
     prof_kept: Array  # (len(order), n_s) their radial profiles
     starts: Array  # first position of each occupied bin in ``order``
     bins: Array  # flat half-spectrum index of each occupied bin
@@ -350,7 +343,7 @@ class _TransformPlan:
         c, q_rad = np.sqrt(quad.s_nodes), np.sqrt(1.0 - quad.s_nodes)
         powers = range(int(deg.max()) + 1)
         cpow, qpow = np.stack([c**d for d in powers]), np.stack([q_rad**d for d in powers])
-        prof = cpow[deg[:, 0]] * qpow[deg[:, 1]]  # (n_mon, n_s)
+        prof = cpow[deg[:, 0]] * qpow[deg[:, 1]]  # (n_terms, n_s)
         p = (alpha[:, 0] - beta[:, 0]) % n
         q = (alpha[:, 1] - beta[:, 1]) % n
         flip = q > n // 2
@@ -396,21 +389,28 @@ class SpectralFunction:
 
     __rmul__ = __mul__
 
+    def _live_terms(self) -> tuple[Array, Array]:
+        """Exponents and scaled coefficients of the terms of the nonzero elements."""
+        elem = self.basis.term_elem
+        live = self.coeffs[elem] != 0
+        return self.basis.term_exps[live], self.coeffs[elem[live]] * self.basis.term_coeff[live]
+
     def to_poly(self) -> Poly:
-        mon_c = self.basis.coeff.T @ self.coeffs.astype(np.complex128)
-        live = np.flatnonzero(mon_c)
-        return {(tuple(a), tuple(b)): c for (a, b), c in zip(self.basis.exps[live].tolist(), mon_c[live])}
+        """The ambient polynomial: one key per monomial of a live term, its terms summed."""
+        poly: Poly = {}
+        exps, vals = self._live_terms()
+        for (a, b), c in zip(exps.tolist(), vals):
+            key = (tuple(a), tuple(b))
+            poly[key] = poly.get(key, 0) + c
+        return poly
 
     def eval(self, zeta: Array) -> Array:
-        """Values at points (..., N+1), from the live monomials of the ambient polynomial.
+        """Values at points (..., N+1): ``polynomials.eval_terms`` of the live terms.
 
-        The monomial coefficients of the nonzero elements go through
-        ``polynomials.eval_terms``, a per-coordinate contraction; no
-        polynomial table is built.
+        That per-coordinate contraction adds up a monomial's terms and builds
+        no polynomial table.
         """
-        mon_c = self.basis.coeff.T @ self.coeffs.astype(np.complex128)
-        live = mon_c != 0
-        return eval_terms(self.basis.exps[live], mon_c[live], zeta).real
+        return eval_terms(*self._live_terms(), zeta).real
 
 
 def constant_function(value: float, basis: HarmonicBasis) -> SpectralFunction:
@@ -466,18 +466,12 @@ def pairing(f: SpectralFunction, u: SpectralFunction) -> float:
     return float(np.dot(f.coeffs, u.coeffs))
 
 
-def apply_A2_differential(u, zeta) -> float | Array:
+def apply_A2_differential(u: SpectralFunction, zeta) -> float | Array:
     """Apply the second-order conformal sub-Laplacian by exact differentiation.
 
-    ``u`` may be a SpectralFunction or a polynomial table; the operator is
-    applied symbolically to the ambient polynomial and evaluated at ``zeta``.
+    The operator is applied symbolically to the ambient polynomial of ``u``
+    (``to_poly``) and evaluated at ``zeta``.
     """
-    if isinstance(u, SpectralFunction):
-        N = u.basis.N
-        p = u.to_poly()
-    else:
-        p = u
-        N = len(next(iter(p))[0]) - 1
-    ap = conformal_sublaplacian(p, N)
+    ap = conformal_sublaplacian(u.to_poly(), u.basis.N)
     out = poly_eval(ap, np.asarray(zeta, dtype=np.complex128)).real
     return float(out) if out.ndim == 0 else out

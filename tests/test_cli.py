@@ -190,3 +190,17 @@ def test_conformal_covariance_negative_control(monkeypatch):
         value, ok = rows["conformal_covariance"]
         assert value > 1e-4 and not ok
 
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sobolev-sharpness", "--jmax", "0"],  # its strict-inequality mode is (1, 0, 0)
+        ["minimax-explore", "--jmax", "0"],  # the antipodally odd mask is empty
+    ],
+)
+def test_degree_one_subcommands_refuse_jmax_0(tmp_path, argv):
+    start = time.perf_counter()
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert not os.listdir(tmp_path)

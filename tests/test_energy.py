@@ -266,9 +266,9 @@ class TestValuesMemo:
 
     def test_other_quadrature_is_not_served(self, prob6):
         other = YamabeProblem.build(N=1, k=1.0, jmax=6, quad_degree=30)
-        assert other.basis is prob6.basis and other.quad.n_nodes != prob6.quad.n_nodes
+        assert other.basis is prob6.basis and other.quad.grid_shape != prob6.quad.grid_shape
         u = SpectralFunction(np.random.default_rng(6).standard_normal(prob6.basis.n_basis), prob6.basis)
-        assert prob6.values(u).shape == (prob6.quad.n_nodes,)
+        assert prob6.values(u).shape == (math.prod(prob6.quad.grid_shape),)
         assert np.array_equal(other.values(u), other.quad.synthesize_values(u.coeffs, other.basis))
         assert np.array_equal(prob6.values(u), prob6.quad.synthesize_values(u.coeffs, prob6.basis))
 

@@ -50,9 +50,35 @@ def _multiindices(degree, length):
     return [(first,) + rest for first in range(degree, -1, -1) for rest in _multiindices(degree - first, length - 1)]
 
 
+_DENSE = {}
+
+
+def _dense(basis):
+    """The dense layout the basis had before it kept only its terms.
+
+    Returns the monomial exponents (n_mon, 2, 2), columns in order of first
+    appearance in the terms, and the (n_basis, n_mon) coefficient matrix.
+    """
+    hit = _DENSE.get(id(basis))
+    if hit is None or hit[0] is not basis:
+        mon_index = {}
+        keys = map(tuple, basis.term_exps.reshape(len(basis.term_exps), -1).tolist())
+        cols = [mon_index.setdefault(key, len(mon_index)) for key in keys]
+        coeff = np.zeros((basis.n_basis, len(mon_index)), dtype=np.complex128)
+        coeff[basis.term_elem, cols] = basis.term_coeff
+        hit = _DENSE[id(basis)] = (basis, np.array(list(mon_index), dtype=np.int64).reshape(-1, 2, 2), coeff)
+    return hit[1:]
+
+
+def _from_dense(N, jmax, lmax, exps, coeff, lj, ll, block_slices):
+    """A basis whose terms are the nonzero entries of a dense coefficient matrix, row by row."""
+    rows, cols = np.nonzero(coeff)
+    return HarmonicBasis(N, jmax, lmax, rows, exps[cols], coeff[rows, cols], lj, ll, block_slices)
+
+
 def _mon_keys(basis):
     """The monomials of a basis as (alpha, beta) keys of a polynomial table."""
-    return [(tuple(a), tuple(b)) for a, b in basis.exps.tolist()]
+    return [(tuple(a), tuple(b)) for a, b in _dense(basis)[0].tolist()]
 
 
 # independent Gamma oracle (Lanczos-free series; only used to cross-check lgamma)
@@ -157,7 +183,7 @@ class TestBasisConstruction:
         basis, quad = prob6.basis, prob6.quad
         sub = [basis.index_of(j, l, 0) for j in range(4) for l in range(4)]
         vals = np.stack([quad.synthesize_values(np.eye(basis.n_basis)[i], basis) for i in sub])
-        gram = np.einsum("in,n,jn->ij", vals, quad.weights(), vals)
+        gram = np.array([[quad.integrate(a * b) for b in vals] for a in vals])
         assert np.max(np.abs(gram - np.eye(len(sub)))) < 1e-8
 
     def test_elements_are_harmonic(self, prob6):
@@ -229,7 +255,7 @@ class TestTransforms:
         assert np.max(np.abs(others)) < 1e-8
 
     def test_analyze_zero(self, prob6):
-        u = analyze(np.zeros(prob6.quad.n_nodes), prob6.quad, prob6.basis)
+        u = analyze(np.zeros(len(prob6.quad.nodes())), prob6.quad, prob6.basis)
         assert np.all(u.coeffs == 0.0)
 
     def test_roundtrip_and_parseval(self, prob6):
@@ -250,11 +276,11 @@ class TestTransforms:
 
     def test_quadrature_moment_validation(self, prob6):
         quad = prob6.quad
-        nodes, w = quad.nodes(), quad.weights()
+        nodes = quad.nodes()
         for alpha, beta in (((0, 0), (0, 0)), ((1, 0), (1, 0)), ((2, 1), (2, 1)), ((1, 0), (0, 1))):
             mono = nodes[:, 0] ** alpha[0] * nodes[:, 1] ** alpha[1]
             mono = mono * np.conj(nodes[:, 0]) ** beta[0] * np.conj(nodes[:, 1]) ** beta[1]
-            quad_val = float(np.real(w @ mono))
+            quad_val = quad.integrate(mono.real)
             assert quad_val == pytest.approx(monomial_moment(alpha, beta, 1), abs=1e-8 * quad.total_mass)
 
     def test_quadrature_is_n1_only(self):
@@ -375,7 +401,7 @@ def _ref_combine_monomials(keys, weights, zeta, chunk=200_000):
 def _ref_eval(f, zeta):
     """SpectralFunction.eval as it was: live monomials through the combiner."""
     shape = np.asarray(zeta).shape[:-1]
-    mon_c = f.basis.coeff.T @ f.coeffs.astype(np.complex128)
+    mon_c = _dense(f.basis)[1].T @ f.coeffs.astype(np.complex128)
     live = np.abs(mon_c) > 0
     keys = [k for k, m in zip(_mon_keys(f.basis), live) if m]
     out = _ref_combine_monomials(keys, mon_c[live], np.asarray(zeta, dtype=np.complex128))
@@ -424,9 +450,10 @@ def _ext_termwise(exps, coeffs, zeta):
 
 
 def _live_terms(f):
-    mon_c = f.basis.coeff.T @ f.coeffs.astype(np.complex128)
+    exps, coeff = _dense(f.basis)
+    mon_c = coeff.T @ f.coeffs.astype(np.complex128)
     live = mon_c != 0
-    return f.basis.exps[live], mon_c[live]
+    return exps[live], mon_c[live]
 
 
 class TestEvaluatorDifferential:
@@ -664,7 +691,7 @@ def _ref_build_basis(N, jmax, lmax=None):
             coeff[r, cidx] = c
     lj = np.array([j for j, _ in labels], dtype=np.int64)
     ll = np.array([l for _, l in labels], dtype=np.int64)
-    return HarmonicBasis(N, jmax, lmax, np.array(list(mon_index)), coeff, lj, ll, block_slices)
+    return _from_dense(N, jmax, lmax, np.array(list(mon_index)), coeff, lj, ll, block_slices)
 
 
 def _exact_rule(jmax, lmax):
@@ -754,9 +781,10 @@ class TestClosedFormBasis:
     @pytest.mark.parametrize("jmax,lmax", [(8, 8), (5, 2), (1, 4)])
     def test_one_weight_per_element_and_m_orders_p(self, jmax, lmax):
         basis = build_basis(1, jmax, lmax)
-        weights = basis.exps[:, 0] - basis.exps[:, 1]  # torus weight (p, q) of each monomial
+        exps, coeff = _dense(basis)
+        weights = exps[:, 0] - exps[:, 1]  # torus weight (p, q) of each monomial
         for (j, l), sl in basis.block_slices.items():
-            for m, row in enumerate(basis.coeff[sl]):
+            for m, row in enumerate(coeff[sl]):
                 live = np.flatnonzero(row)
                 w = weights[live]
                 # the weight of f: p + q = |j - l|, and p >= 0 on the diagonal
@@ -800,10 +828,11 @@ class TestClosedFormBasis:
 
 def _ref_profiles(quad, basis):
     s = quad.s_nodes
-    prof = np.empty((len(basis.exps), len(s)))
-    bins = np.empty((len(basis.exps), 2), dtype=np.int64)
+    exps = _dense(basis)[0]
+    prof = np.empty((len(exps), len(s)))
+    bins = np.empty((len(exps), 2), dtype=np.int64)
     c, q = np.sqrt(s), np.sqrt(1.0 - s)
-    for i, (alpha, beta) in enumerate(basis.exps.tolist()):
+    for i, (alpha, beta) in enumerate(exps.tolist()):
         prof[i] = c ** (alpha[0] + beta[0]) * q ** (alpha[1] + beta[1])
         bins[i] = (alpha[0] - beta[0]) % quad.n_phi, (alpha[1] - beta[1]) % quad.n_phi
     return prof, bins[:, 0], bins[:, 1]
@@ -814,13 +843,13 @@ def _ref_analyze_values(quad, values, basis):
     vhat = np.fft.fft2(np.asarray(values, dtype=np.complex128).reshape(quad.grid_shape), axes=(1, 2))
     prof, b1, b2 = _ref_profiles(quad, basis)
     mono_int = np.einsum("ms,s,ms->m", prof, quad._ring_weights(), vhat[:, b1, b2].T)
-    raw = np.conj(basis.coeff) @ mono_int
+    raw = np.conj(_dense(basis)[1]) @ mono_int
     return raw.real.copy(), float(np.max(np.abs(raw.imag), initial=0.0))
 
 
 def _ref_synthesize_values(quad, coeffs, basis):
     """synthesize_values as it was: np.add.at into the full spectrum, the real part of ifft2."""
-    mon_c = basis.coeff.T @ np.asarray(coeffs, dtype=np.complex128)
+    mon_c = _dense(basis)[1].T @ np.asarray(coeffs, dtype=np.complex128)
     prof, b1, b2 = _ref_profiles(quad, basis)
     fhat = np.zeros((len(quad.s_nodes), quad.n_phi, quad.n_phi), dtype=np.complex128)
     np.add.at(fhat.reshape(len(quad.s_nodes), -1).T, b1 * quad.n_phi + b2, mon_c[:, None] * prof)
@@ -883,7 +912,7 @@ class TestHalfSpectrumTransforms:
 
 
 def _ref_to_poly(f):
-    mon_c = f.basis.coeff.T @ f.coeffs.astype(np.complex128)
+    mon_c = _dense(f.basis)[1].T @ f.coeffs.astype(np.complex128)
     return {key: c for key, c in zip(_mon_keys(f.basis), mon_c) if c != 0}
 
 
@@ -919,3 +948,48 @@ def test_eval_terms_bounds_its_intermediates(prob8, monkeypatch):
     # against the parent's single-chunk table on every 37th node (1,942 x 2,025 entries)
     sample = nodes[::37]
     assert _rel(vals[::37], _ref_eval(f, sample)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the term arrays against the dense layout they replace
+
+
+def test_basis_holds_only_its_terms():
+    # the dense layout was a 729 x 2025 complex matrix, 22.5 MiB at jmax 8
+    basis = build_basis(1, 8)
+    arrays = [v for v in vars(basis).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) < 2**20
+    assert all(a.ndim == 1 or a.shape[0] == len(basis.term_elem) for a in arrays)
+    assert len(basis.term_elem) == len(basis.term_coeff) == 4005
+
+
+def test_eval_terms_adds_repeated_pairs():
+    from cryamabe.polynomials import eval_terms
+
+    exps = np.array([[[1, 0], [0, 2]], [[0, 1], [1, 0]], [[1, 0], [0, 2]], [[1, 0], [0, 2]]])
+    coeffs = np.array([0.5 + 1j, -2.0, 0.25, -1j])
+    zeta = 1.3 * _sphere_points(50, 23)
+    merged = eval_terms(exps[:2], np.array([0.75 + 0j, -2.0]), zeta)
+    assert _rel(eval_terms(exps, coeffs, zeta), merged) <= 1e-15
+
+
+@pytest.mark.parametrize("jmax,lmax", [(2, 2), (4, 4), (8, 8), (5, 2), (1, 4)])
+def test_terms_match_the_dense_layout(jmax, lmax):
+    basis = cached_basis(1, jmax, lmax)
+    quad = _exact_rule(jmax, lmax)
+    zeta = _sphere_points(200, 24)
+    rng = np.random.default_rng(60 + jmax)
+    funcs = [SpectralFunction(rng.standard_normal(basis.n_basis), basis), basis_element(basis, *max(basis.block_slices), 0)]
+    for f in funcs:
+        vals = quad.synthesize_values(f.coeffs, basis)
+        assert _rel(vals, _ref_synthesize_values(quad, f.coeffs, basis)) <= 1e-12
+        for data in (vals, vals**3):
+            assert _rel(quad.analyze_values(data, basis)[0], _ref_analyze_values(quad, data, basis)[0]) <= 1e-12
+        assert _rel(f.eval(zeta), _ref_eval(f, zeta)) <= 1e-12
+        new, ref = f.to_poly(), _ref_to_poly(f)
+        assert new.keys() == ref.keys() and _rel(np.array(list(new.values())), np.array([ref[k] for k in new])) <= 1e-12
+        lhs = apply_A2_differential(f, zeta)
+        assert _rel(lhs, _ref_poly_eval(conformal_sublaplacian(ref, 1), zeta).real) <= 1e-12
+    for value in (1.0, -0.37):
+        f = constant_function(value, basis)
+        assert np.array_equal(f.eval(zeta), _ref_eval(f, zeta))
