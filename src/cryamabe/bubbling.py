@@ -35,6 +35,8 @@ from .heisenberg import (
     ScalarFieldH,
     ShellScheme,
     _flow_stencil,
+    _stencil_settled,
+    _sum_last,
     gauge_zt,
     integrate_decaying,
     sub_laplacian,
@@ -45,6 +47,7 @@ from .energy import (
     YamabeConstants,
     YamabeProblem,
     _dirichlet_density,
+    _dirichlet_step,
     bubble_eval_zt,
     bubble_horizontal_gradient_zt,
     dirichlet_form,
@@ -80,7 +83,7 @@ class CutoffSpec:
             raise DomainError("need 0 < r_inner < r_outer")
 
     def value(self, zeta: Array) -> Array:
-        d2 = 2.0 * np.abs(1.0 - np.sum(np.asarray(zeta) * np.conj(self.center), axis=-1))
+        d2 = 2.0 * np.abs(1.0 - _sum_last(np.asarray(zeta) * np.conj(self.center)))
         x = (d2 - self.r_inner**2) / (self.r_outer**2 - self.r_inner**2)
         return 1.0 - _smoothstep5(x)
 
@@ -218,6 +221,27 @@ def _beta_step(z, t):
     return 0.02 * (1.0 + gauge_zt(z, t))
 
 
+def _restrict(mask: Array, *arrays: Array) -> tuple[Array, ...]:
+    """The arrays at the nodes of ``mask``; uncopied where the mask keeps every node."""
+    return arrays if mask.all() else tuple(a[mask] for a in arrays)
+
+
+def _settled_nodes(chart: BubbleChart, n: int, zeta: Array, h: Array) -> tuple[Array, Array]:
+    """Masks (one, zero) of the nodes where the cutoff is exactly 1, or exactly 0, on the whole flow stencil of step h.
+
+    ``zeta`` holds the chart images of the base nodes.  The chart
+    rho_n = C o tau o d_R scales Koranyi distances by R, and the Cayley
+    transform stretches them into the sphere distance d_S by
+    fac(a) fac(b) <= 2, with fac = (4 / ((1 + |z|^2)^2 + t^2))^{1/4} (the
+    ``distance_relation`` row of verify-cayley), so :func:`_stencil_settled`
+    gets the reach 2 R h.  The cutoff is 1 for d_S <= r_inner and 0 for
+    d_S >= r_outer from its centre.
+    """
+    cut = chart.cutoff
+    d = sphere_dist_zeta(zeta, cut.center)
+    return _stencil_settled(d, 2.0 * chart.radii[n] * h, cut.r_inner, cut.r_outer)
+
+
 def bubble_piece_report(
     chart: BubbleChart,
     n: int,
@@ -236,6 +260,17 @@ def bubble_piece_report(
     W is evaluated at the base point and at the four Dirichlet stencil
     points, and the chart map and Jacobian of the base point serve both
     couplings.
+
+    Each stencil point lies within 2 R h of its base point in the sphere
+    distance d_S: verify-cayley's distance relation d_S(C a, C b) =
+    d_H(a, b) fac(a) fac(b) has fac <= sqrt 2, and d_S obeys the triangle
+    inequality (Rudin, Function Theory in the Unit Ball of C^n, 1980,
+    Prop. 5.1.2).  So only the base point of a node is mapped through the
+    chart before :func:`_settled_nodes` reads the bound.  Where
+    d_S(base, centre) + 2 R h <= r_inner, W = c U on the whole stencil with no
+    chart map; where d_S - 2 R h >= r_outer, all four densities are exactly 0
+    and nothing else is evaluated.  The values are scattered back into
+    full-length rows, so every integral is bitwise that of the unskipped walk.
     """
     constants = prob.constants
     if abs(constants.k - 1.0) > 1e-14:
@@ -243,32 +278,40 @@ def bubble_piece_report(
     R = chart.radii[n]
     scheme = scheme or ShellScheme.reaching(4.0 / R, l0=1.5, n_inner=64, n_shell=48)
     conf = chart.chart(n)
+    cut = chart.cutoff
+    c_prof = chart.profile_factor
     p_star = constants.p_star
     e_quad = (constants.Q + 2 * constants.k) / (2.0 * constants.Q)
     # couplings with the weak limit, all pulled to the group side
     Au = apply_A2k(u_infty, constants.k)
 
-    def W_at(z, t, zeta):  # transported bubble with cutoff; zeta = conf.map_zt(z, t)
-        U = bubble_eval_zt(chart.profile, z, t, constants)
-        return chart.cutoff.value(zeta) * chart.profile_factor * U
-
-    def W(z, t):
-        return W_at(z, t, conf.map_zt(z, t))
-
     def integrand(z, t):
         zeta = conf.map_zt(z, t)
+        h = _dirichlet_step(z, t)
+        one, zero = _settled_nodes(chart, n, zeta, h)
+        rows = np.zeros((4, t.shape[0]))
+        live = ~zero
+        z, t, zeta, h, one = _restrict(live, z, t, zeta, h, one)
+        moving = ~one
+
+        def W(zs, ts):  # transported bubble with cutoff at the stencil points of the live nodes
+            beta = np.ones(ts.shape)
+            beta[moving] = cut.value(conf.map_zt(*_restrict(moving, zs, ts)))
+            return beta * c_prof * bubble_eval_zt(chart.profile, zs, ts, constants)
+
+        beta = np.ones(t.shape)
+        beta[moving] = cut.value(zeta[moving])
+        w = beta * c_prof * bubble_eval_zt(chart.profile, z, t, constants)
         lam = conf.jacobian_zt(z, t)
-        w = W_at(z, t, zeta)
+        rows[1, live] = np.abs(w) ** p_star
+        rows[2, live] = lam**e_quad * Au.eval(zeta) * w
         a = u_infty.eval(zeta)
         b = lam ** (-1.0 / p_star) * w
-        return np.stack(
-            [
-                _dirichlet_density(W, z, t),
-                np.abs(w) ** p_star,
-                lam**e_quad * Au.eval(zeta) * w,
-                lam * (np.abs(a + b) ** p_star - np.abs(a) ** p_star - np.abs(b) ** p_star),
-            ]
-        )
+        rows[3, live] = lam * (np.abs(a + b) ** p_star - np.abs(a) ** p_star - np.abs(b) ** p_star)
+        # the base-point arrays go before the stencil, which sets the block's peak memory
+        del zeta, beta, w, lam, a, b
+        rows[0, live] = _dirichlet_density(W, z, t, h)
+        return rows
 
     values, _ = integrate_decaying(integrand, constants.N, scheme, constants.measure)
     a_n, m_n, cross_quad, coupling = values
@@ -347,6 +390,16 @@ def residual_report(
     dual-space embedding constant is harmless for trend assertions).  Lower:
     pairing with the chart-adapted witness, divided by its H^k norm.  Also
     reports the naive spectral residual of the band-limited projection.
+
+    The cutoff's flow stencil is evaluated only where the cutoff can change.
+    Each stencil point lies within 2 R h of its base point in d_S, by
+    verify-cayley's distance relation (fac <= sqrt 2) and the triangle
+    inequality of d_S (Rudin, Function Theory in the Unit Ball of C^n, 1980,
+    Prop. 5.1.2); see :func:`_settled_nodes`.  Where
+    d_S(base, centre) + 2 R h <= r_inner the derivatives of beta are exactly 0;
+    where d_S - 2 R h >= r_outer, G_n = A^3 - A^3 is exactly 0 and nothing is
+    evaluated past the base point's chart map.  Both bounds are bitwise those
+    of the unskipped evaluation.
     """
     constants = prob.constants
     if abs(constants.k - 1.0) > 1e-14:
@@ -357,6 +410,7 @@ def residual_report(
     R = chart.radii[n]
     scheme = scheme or ShellScheme.reaching(4.0 / R, l0=1.5, n_inner=64, n_shell=48)
     conf = chart.chart(n)
+    cut = chart.cutoff
     beta_n = _cutoff_on_group(chart, n, constants)
     p_star = constants.p_star
     pbar = 2.0 * constants.Q / (constants.Q + 2.0 * constants.k)
@@ -367,27 +421,38 @@ def residual_report(
     resid_inf = prob.residual(spec.u_infty)
 
     def G_fn(z, t):
-        om = bubble_eval_zt(chart.profile, z, t, constants)
         zeta = conf.map_zt(z, t)
-        beta = chart.cutoff.value(zeta)
-        A = conf.jacobian_zt(z, t) ** expo * spec.u_infty.eval(zeta)
-        # L(beta c om) = beta c om^3 + c om L(beta) + c H(beta, om), L = -Delta_b;
-        # one flow stencil gives Delta_b beta and the X_j/Y_j derivatives of beta
         h = _beta_step(z, t)
-        lap = np.zeros_like(beta)
-        grad = {"X": [], "Y": []}
-        for kind, _, (zp, tp), (zm, tm) in _flow_stencil(z, t, h):
+        one, zero = _settled_nodes(chart, n, zeta, h)
+        live = ~zero
+        z, t, zeta, h, one = _restrict(live, z, t, zeta, h, one)
+        moving = ~one
+        beta = np.ones(t.shape)
+        beta[moving] = cut.value(zeta[moving])
+        A = conf.jacobian_zt(z, t) ** expo * spec.u_infty.eval(zeta)
+        del zeta  # before the stencil, which sets the block's peak memory
+        # L(beta c om) = beta c om^3 + c om L(beta) + c H(beta, om), L = -Delta_b;
+        # one flow stencil gives Delta_b beta and the X_j/Y_j derivatives of beta,
+        # all exactly 0 where beta = 1 on the whole stencil
+        grad = {"X": np.zeros(z.shape, dtype=np.float64), "Y": np.zeros(z.shape, dtype=np.float64)}
+        zs, ts, hm, bm0 = _restrict(moving, z, t, h, beta)
+        lap = np.zeros(hm.shape)
+        for kind, j, (zp, tp), (zm, tm) in _flow_stencil(zs, ts, hm):
             bp, bm = beta_n(zp, tp), beta_n(zm, tm)
-            lap = lap + (bp + bm - 2.0 * beta)
-            grad[kind].append((bp - bm) / (2.0 * h))
-        lap_beta = lap / (4.0 * h * h)
+            lap = lap + (bp + bm - 2.0 * bm0)
+            grad[kind][moving, j - 1] = (bp - bm) / (2.0 * hm)
+        lap_beta = np.zeros(t.shape)
+        lap_beta[moving] = lap / (4.0 * hm * hm)
+        om = bubble_eval_zt(chart.profile, z, t, constants)
         gx_om, gy_om = bubble_horizontal_gradient_zt(z, t, constants)
-        gx_b = np.stack(grad["X"], axis=-1)
-        gy_b = np.stack(grad["Y"], axis=-1)
-        cross = -0.5 * (np.sum(gx_b * gx_om, axis=-1) + np.sum(gy_b * gy_om, axis=-1))
+        cross = -0.5 * (_sum_last(grad["X"] * gx_om) + _sum_last(grad["Y"] * gy_om))
         L_betaU = c_prof * (beta * om**3 - om * lap_beta + cross)
         W = A + c_prof * beta * om
-        return A**3 + L_betaU - W**3
+        # beta = 0 on the whole stencil of the other nodes: L(beta c om) = 0 and
+        # W = A there, so G = A^3 - A^3 = 0
+        G = np.zeros(live.shape)
+        G[live] = A**3 + L_betaU - W**3
+        return G
 
     ub_int, _ = integrate_decaying(
         lambda z, t: np.abs(G_fn(z, t)) ** pbar, constants.N, scheme, constants.measure
@@ -396,7 +461,7 @@ def residual_report(
 
     # witness: fixed Schwartz-type bump in chart coordinates
     def witness(z, t):
-        return np.exp(-0.5 * (np.sum((z * np.conj(z)).real, axis=-1) ** 2 + t * t))
+        return np.exp(-0.5 * (_sum_last((z * np.conj(z)).real) ** 2 + t * t))
 
     wit_scheme = ShellScheme(l0=2.0, n_shells=5, n_inner=64, n_shell=48)
     wit_pair, _ = integrate_decaying(

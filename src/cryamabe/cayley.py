@@ -28,6 +28,7 @@ from .errors import DomainError, PoleError
 from .heisenberg import (
     Array,
     HeisPoint,
+    _sum_last,
     dilate_zt,
     homogeneous_dim,
     inv_zt,
@@ -48,10 +49,11 @@ def chart_pole(N: int) -> Array:
 
 
 def cayley_zt(z: Array, t: Array) -> Array:
-    P = 1.0 + np.sum((z * np.conj(z)).real, axis=-1) - 1.0j * t
-    top = 2.0 * z / P[..., None]
-    last = (2.0 - P) / P
-    return np.concatenate([top, last[..., None]], axis=-1)
+    P = 1.0 + _sum_last((z * np.conj(z)).real) - 1.0j * t
+    zeta = np.empty(z.shape[:-1] + (z.shape[-1] + 1,), dtype=np.complex128)
+    np.divide(2.0 * z, P[..., None], out=zeta[..., :-1])
+    np.divide(2.0 - P, P, out=zeta[..., -1])
+    return zeta
 
 
 def cayley_inv_zeta(zeta: Array, pole_tol: float = POLE_TOL) -> tuple[Array, Array]:
@@ -68,12 +70,12 @@ def cayley_inv_zeta(zeta: Array, pole_tol: float = POLE_TOL) -> tuple[Array, Arr
 def lambda_cayley_zt(z: Array, t: Array) -> Array:
     N = z.shape[-1]
     Q = homogeneous_dim(N)
-    D = (1.0 + np.sum((z * np.conj(z)).real, axis=-1)) ** 2 + t * t
+    D = (1.0 + _sum_last((z * np.conj(z)).real)) ** 2 + t * t
     return (2.0**Q) / D ** (N + 1)
 
 
 def sphere_dist_zeta(a: Array, b: Array) -> Array:
-    inner = np.sum(a * np.conj(b), axis=-1)
+    inner = _sum_last(a * np.conj(b))
     return np.sqrt(2.0 * np.abs(1.0 - inner))
 
 

@@ -29,6 +29,7 @@ from .heisenberg import (
     HeisPoint,
     ShellScheme,
     _flow_stencil,
+    _sum_last,
     dilate_zt,
     gauge_zt,
     inv_zt,
@@ -150,7 +151,7 @@ class BubbleParams:
 
 
 def bubble_shape_zt(z: Array, t: Array, constants: YamabeConstants) -> Array:
-    D = (1.0 + np.sum((z * np.conj(z)).real, axis=-1)) ** 2 + t * t
+    D = (1.0 + _sum_last((z * np.conj(z)).real)) ** 2 + t * t
     return constants.cQ * D ** (-(constants.Q - 2.0 * constants.k) / 4.0)
 
 
@@ -171,7 +172,7 @@ def bubble_horizontal_gradient_zt(z: Array, t: Array, constants: YamabeConstants
 
     Returns arrays of shape (..., N) for the X and Y components.
     """
-    A = 1.0 + np.sum((z * np.conj(z)).real, axis=-1)
+    A = 1.0 + _sum_last((z * np.conj(z)).real)
     D = A**2 + t * t
     expo = -(constants.Q - 2.0 * constants.k) / 4.0
     pref = constants.cQ * expo * D ** (expo - 1.0)
@@ -284,13 +285,18 @@ class YamabeProblem:
 # Heisenberg-side energy
 
 
+def _dirichlet_step(z, t, h_factor: float = 0.01) -> Array:
+    """Default stencil step of :func:`_dirichlet_density`, h_factor * (1 + gauge)."""
+    return h_factor * (1.0 + gauge_zt(z, t))
+
+
 def _dirichlet_density(U, z, t, h=None, h_factor: float = 0.01) -> Array:
     """1/4 sum_j (X_j U)^2 + (Y_j U)^2 at (z, t) by the exact-flow central stencil.
 
     The step is ``h`` or, by default, ``h_factor * (1 + gauge)``: it scales
     with the gauge, so far shells stay accurate.
     """
-    step = h if h is not None else h_factor * (1.0 + gauge_zt(z, t))
+    step = h if h is not None else _dirichlet_step(z, t, h_factor)
     acc = np.zeros(t.shape)
     for _, _, (zp, tp), (zm, tm) in _flow_stencil(z, t, step):
         d = (np.asarray(U(zp, tp)) - np.asarray(U(zm, tm))) / (2.0 * step)

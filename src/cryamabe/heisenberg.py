@@ -62,16 +62,23 @@ class HeisPoint:
     def origin(N: int) -> "HeisPoint":
         return HeisPoint(np.zeros(N, dtype=np.complex128), 0.0)
 
-    def is_close(self, other: "HeisPoint", tol: float = 1e-12) -> bool:
-        return bool(
-            np.max(np.abs(self.z - other.z), initial=0.0) <= tol
-            and abs(self.t - other.t) <= tol
-        )
+
+def _sum_last(a: Array) -> Array:
+    """Sum over the short last axis (the N or N + 1 coordinates), one component at a time.
+
+    Starts from +0.0 as np.sum does, so for axes of length <= 3 (N <= 2) it is
+    bitwise equal to np.sum(a, axis=-1), which spends most of its time in
+    reduction set-up on such short axes.
+    """
+    s = 0.0 + a[..., 0]
+    for j in range(1, a.shape[-1]):
+        s = s + a[..., j]
+    return s
 
 
 def hermitian_im(z1: Array, z2: Array) -> Array:
     """Im <z1, z2> with the Hermitian pairing sum_j z1_j conj(z2_j)."""
-    return np.sum(z1 * np.conj(z2), axis=-1).imag
+    return _sum_last(z1 * np.conj(z2)).imag
 
 
 # array kernels ------------------------------------------------------------
@@ -91,7 +98,7 @@ def dilate_zt(lam: float, z: Array, t: Array) -> tuple[Array, Array]:
 
 def gauge_zt(z: Array, t: Array) -> Array:
     """Koranyi gauge (|z|^4 + t^2)^(1/4), computed as sqrt(hypot(|z|^2, t))."""
-    zz = np.sum((z * np.conj(z)).real, axis=-1)
+    zz = _sum_last((z * np.conj(z)).real)
     return np.sqrt(np.hypot(zz, t))
 
 
@@ -201,6 +208,28 @@ def _flow_stencil(z: Array, t: Array, h):
             e = _flow_offsets(kind, j, N)
             he = hh[..., None] * e if hh.ndim else hh * e
             yield kind, j, mul_zt(z, t, he, zeros), mul_zt(z, t, -he, zeros)
+
+
+# rounding allowance of _stencil_settled, in the units of its distances: far
+# above the rounding of a distance between points of the unit sphere (about
+# 1e-15) and far below the slack of the bound itself
+_SETTLE_MARGIN = 1e-9
+
+
+def _stencil_settled(d: Array, reach: Array, inner: float, outer: float) -> tuple[Array, Array]:
+    """Masks (inside, outside) of the nodes whose whole flow stencil stays within ``inner``, or beyond ``outer``, of a centre.
+
+    Each point p.(+-h e, 0) of :func:`_flow_stencil` lies at Koranyi distance
+    h from p.  If a map stretches Koranyi distances by at most a factor s into
+    a metric with the triangle inequality, and ``d`` is the distance of the
+    image of p from a centre, then the images of its stencil points lie at
+    distances within d +- ``reach`` from it, where reach = s h.  A function of
+    that distance which is constant on [0, inner] and on [outer, oo) is then
+    constant on the whole stencil of an ``inside`` or ``outside`` node.
+    """
+    inside = d + reach + _SETTLE_MARGIN <= inner
+    outside = d - reach - _SETTLE_MARGIN >= outer
+    return inside, outside
 
 
 def sub_laplacian(f, z, t, h: float | None = None) -> Array:

@@ -103,14 +103,6 @@ def conformal_sublaplacian(p: Poly, N: int) -> Poly:
     return poly_add(poly_scale(acc, -0.5), poly_scale(p, N * N / 4.0))
 
 
-def ambient_laplacian(p: Poly, N: int) -> Poly:
-    """Flat Laplacian 4 sum_j d2/dzeta_j dzbar_j on C^{N+1}; zero iff harmonic."""
-    acc: Poly = {}
-    for j in range(N + 1):
-        acc = poly_add(acc, d_zbar(d_zeta(p, j), j), coeff=4.0)
-    return acc
-
-
 def _contract(T: np.ndarray, zeta: np.ndarray, d: int) -> np.ndarray:
     """Values (n,) at points (n, nvar) of the dense coefficient tensor T.
 

@@ -235,10 +235,11 @@ class SphereQuadrature:
     The transforms run on the rfft2 half spectrum over the two phases and on
     the basis terms (see the module docstring; the values memo is
     ``YamabeProblem.values``).  Their per-basis gather and scatter plan is
-    built on the first transform with a basis and kept in ``_plan``, like
-    the nodes in ``_flat_nodes``.  Any degree >= 1 works: an odd n_phi, an
-    even one (whose Nyquist bin q = n_phi/2 is its own partner), and a rule
-    below 4 (jmax + lmax), whose phase bins wrap around.
+    built on the first transform with a basis and kept in ``_plans``, one
+    per basis, so alternating bases rebuilds nothing, like the nodes in
+    ``_flat_nodes``.  Any degree >= 1 works: an odd n_phi, an even one
+    (whose Nyquist bin q = n_phi/2 is its own partner), and a rule below
+    4 (jmax + lmax), whose phase bins wrap around.
     """
 
     N: int
@@ -248,7 +249,7 @@ class SphereQuadrature:
     s_weights: Array  # normalized to sum 1
     n_phi: int
     _flat_nodes: Array | None = field(default=None, repr=False)
-    _plan: _TransformPlan | None = field(default=None, repr=False)
+    _plans: dict[int, _TransformPlan] = field(default_factory=dict, repr=False)
 
     @staticmethod
     def build(N: int, degree: int) -> "SphereQuadrature":
@@ -289,9 +290,12 @@ class SphereQuadrature:
     # --- spectral transforms --------------------------------------------------
 
     def _plan_for(self, basis: HarmonicBasis) -> _TransformPlan:
-        if self._plan is None or self._plan.exps is not basis.term_exps:
-            self._plan = _TransformPlan.build(self, basis.term_exps)
-        return self._plan
+        # keyed on the id of the term exponents: the plan holds that array, so
+        # the id cannot be reused while the plan is kept
+        plan = self._plans.get(id(basis.term_exps))
+        if plan is None:
+            plan = self._plans[id(basis.term_exps)] = _TransformPlan.build(self, basis.term_exps)
+        return plan
 
     def analyze_values(self, values: Array, basis: HarmonicBasis) -> tuple[Array, float]:
         """Coefficients of the basis expansion; returns (coeffs, imag_residual)."""

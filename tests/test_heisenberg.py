@@ -54,12 +54,16 @@ def gauge(p):
     return float(gauge_zt(p.z, p.t))
 
 
+def is_close(p, q, tol=1e-12):
+    return bool(np.max(np.abs(p.z - q.z), initial=0.0) <= tol and abs(p.t - q.t) <= tol)
+
+
 class TestGroupLaw:
     def test_identity(self):
         e = HeisPoint.origin(1)
         p = HeisPoint([0.3 + 0.1j], -0.7)
-        assert group_mul(e, p).is_close(p)
-        assert group_mul(p, e).is_close(p)
+        assert is_close(group_mul(e, p), p)
+        assert is_close(group_mul(p, e), p)
 
     def test_twist_example(self):
         p = HeisPoint([1.0 + 0j], 0.0)
@@ -68,7 +72,7 @@ class TestGroupLaw:
         assert np.allclose(r.z, [1.0 + 1.0j]) and r.t == -2.0
 
     def test_inverse_values(self):
-        assert group_inv(HeisPoint.origin(1)).is_close(HeisPoint.origin(1))
+        assert is_close(group_inv(HeisPoint.origin(1)), HeisPoint.origin(1))
         p = group_inv(HeisPoint([1.0j], 3.0))
         assert np.allclose(p.z, [-1.0j]) and p.t == -3.0
 
@@ -77,13 +81,13 @@ class TestGroupLaw:
     def test_associativity(self, a, b, c):
         lhs = group_mul(group_mul(a, b), c)
         rhs = group_mul(a, group_mul(b, c))
-        assert lhs.is_close(rhs, tol=1e-10)
+        assert is_close(lhs, rhs, tol=1e-10)
 
     @settings(max_examples=60, deadline=None)
     @given(points())
     def test_inverse_axiom(self, p):
-        assert group_mul(p, group_inv(p)).is_close(HeisPoint.origin(1), tol=1e-12)
-        assert group_inv(group_inv(p)).is_close(p)
+        assert is_close(group_mul(p, group_inv(p)), HeisPoint.origin(1), tol=1e-12)
+        assert is_close(group_inv(group_inv(p)), p)
 
     def test_finite_validation(self):
         with pytest.raises(DomainError):
@@ -95,7 +99,7 @@ class TestGroupLaw:
 class TestDilations:
     def test_identity_map(self):
         p = HeisPoint([0.5 - 0.2j], 1.1)
-        assert dilate(1.0, p).is_close(p)
+        assert is_close(dilate(1.0, p), p)
 
     def test_substitution(self):
         p = dilate(2.0, HeisPoint([1.0 + 0j], 3.0))
@@ -104,7 +108,7 @@ class TestDilations:
     @settings(max_examples=40, deadline=None)
     @given(points(), st.floats(min_value=0.05, max_value=8.0))
     def test_group_property(self, p, lam):
-        assert dilate(1.0 / lam, dilate(lam, p)).is_close(p, tol=1e-11)
+        assert is_close(dilate(1.0 / lam, dilate(lam, p)), p, tol=1e-11)
         assert gauge(dilate(lam, p)) == pytest.approx(lam * gauge(p), abs=1e-11)
 
 

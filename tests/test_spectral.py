@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from cryamabe.energy import cached_basis
 from cryamabe.errors import DomainError
-from cryamabe.polynomials import ambient_laplacian, conformal_sublaplacian, poly_add, poly_eval, poly_scale
+from cryamabe.polynomials import conformal_sublaplacian, d_zbar, d_zeta, poly_add, poly_eval, poly_scale
 from cryamabe.spectral import (
     HarmonicBasis,
     SphereQuadrature,
     SpectralFunction,
+    _TransformPlan,
     analyze,
     apply_A2_differential,
     apply_A2k,
@@ -82,6 +83,14 @@ def _mon_keys(basis):
 
 
 # independent Gamma oracle (Lanczos-free series; only used to cross-check lgamma)
+def ambient_laplacian(p, N):
+    """Flat Laplacian 4 sum_j d2/dzeta_j dzbar_j on C^{N+1}; zero iff harmonic."""
+    acc = {}
+    for j in range(N + 1):
+        acc = poly_add(acc, d_zbar(d_zeta(p, j), j), coeff=4.0)
+    return acc
+
+
 def gamma_oracle(x: float) -> float:
     # Spouge approximation with a = 12, independent of math.lgamma
     a = 12
@@ -890,6 +899,25 @@ class TestHalfSpectrumTransforms:
         first = quad.synthesize_values(c2, cached_basis(1, 2))
         quad.synthesize_values(c4, cached_basis(1, 4))
         assert np.array_equal(quad.synthesize_values(c2, cached_basis(1, 2)), first)
+
+    def test_alternating_bases_build_each_plan_once(self, monkeypatch):
+        quad = SphereQuadrature.build(1, 16)
+        bases = [cached_basis(1, j) for j in (2, 4)]
+        coeffs = [np.random.default_rng(7 + i).standard_normal(b.n_basis) for i, b in enumerate(bases)]
+        fresh = []
+        for b, c in zip(bases, coeffs):  # each basis on a quadrature of its own
+            own = SphereQuadrature.build(1, 16)
+            vals = own.synthesize_values(c, b)
+            fresh.append((vals, own.analyze_values(vals**3, b)[0]))
+        built = []
+        build = _TransformPlan.build
+        monkeypatch.setattr(_TransformPlan, "build", staticmethod(lambda q, e: built.append(e) or build(q, e)))
+        for _ in range(3):
+            for b, c, (vals, coef) in zip(bases, coeffs, fresh):
+                got = quad.synthesize_values(c, b)
+                assert np.array_equal(got, vals)
+                assert np.array_equal(quad.analyze_values(got**3, b)[0], coef)
+        assert [id(e) for e in built] == [id(b.term_exps) for b in bases]  # one build per basis
 
     def test_peak_allocation_at_jmax8(self, prob8):
         quad, basis = prob8.quad, prob8.basis
