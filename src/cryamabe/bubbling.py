@@ -21,18 +21,18 @@ the matching lower bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .cayley import ConformalChart, cayley_inv, chart_pole, sphere_dist_zeta
+from .cayley import ConformalChart, cayley_inv, chart_pole, conformal_pushforward, sphere_dist_zeta
 from .errors import DomainError, PoleError
 from .heisenberg import (
     Array,
     HeisPoint,
-    ScalarFieldH,
     ShellScheme,
     _flow_stencil,
     _stencil_settled,
@@ -88,10 +88,6 @@ class CutoffSpec:
         return 1.0 - _smoothstep5(x)
 
 
-def make_cutoff(center, r_inner: float = 0.25, r_outer: float = 1.0) -> CutoffSpec:
-    return CutoffSpec(center, r_inner, r_outer)
-
-
 # ---------------------------------------------------------------------------
 # charts and sequence specifications
 
@@ -127,7 +123,7 @@ class BubbleChart:
             c,
             tuple(radii),
             BubbleParams.standard(constants.N),
-            make_cutoff(c),
+            CutoffSpec(c),
             profile_factor,
         )
 
@@ -173,17 +169,12 @@ class PSSequenceSpec:
 
 def vn_values(chart: BubbleChart, n: int, constants: YamabeConstants, zeta: Array) -> Array:
     """Pointwise values of v_n at sphere points; zero outside the cutoff."""
-    Q = constants.Q
-    expo = (Q - 2.0 * constants.k) / (2.0 * Q)
     beta = chart.cutoff.value(zeta)
     out = np.zeros(beta.shape)
     live = beta > 0.0
     if np.any(live):
-        conf = chart.chart(n)
-        z, t = conf.inv_zeta(zeta[live])
-        lam_sigma = conf.inv_jacobian_zeta(zeta[live])
-        U = chart.profile_factor * bubble_eval_zt(chart.profile, z, t, constants)
-        out[live] = lam_sigma**expo * beta[live] * U
+        U = lambda z, t: chart.profile_factor * bubble_eval_zt(chart.profile, z, t, constants)
+        out[live] = beta[live] * conformal_pushforward(U, chart.chart(n), constants.k)(zeta[live])
     return out
 
 
@@ -206,15 +197,6 @@ def ps_term(spec: PSSequenceSpec, n: int, prob: YamabeProblem) -> SpectralFuncti
 
 # ---------------------------------------------------------------------------
 # transported energy bookkeeping
-
-
-def _cutoff_on_group(chart: BubbleChart, n: int, constants: YamabeConstants):
-    conf = chart.chart(n)
-
-    def beta_n(z, t):
-        return chart.cutoff.value(conf.map_zt(z, t))
-
-    return beta_n
 
 
 def _beta_step(z, t):
@@ -378,6 +360,20 @@ def quantization_ladder(spec: PSSequenceSpec, prob: YamabeProblem) -> list[dict]
 # gradient decay along the ladder
 
 
+def _witness(z, t):
+    """The lower bound's witness: a fixed Schwartz-type bump in chart coordinates."""
+    return np.exp(-0.5 * (_sum_last((z * np.conj(z)).real) ** 2 + t * t))
+
+
+_WITNESS_SCHEME = ShellScheme(l0=2.0, n_shells=5, n_inner=64, n_shell=48)
+
+
+@functools.lru_cache(maxsize=None)
+def _witness_norm(constants: YamabeConstants) -> float:
+    """H^1 norm of the witness; it depends on the constants only, so each configuration computes it once."""
+    return math.sqrt(dirichlet_form(_witness, constants, _WITNESS_SCHEME))
+
+
 def residual_report(
     spec: PSSequenceSpec,
     n: int,
@@ -411,7 +407,6 @@ def residual_report(
     scheme = scheme or ShellScheme.reaching(4.0 / R, l0=1.5, n_inner=64, n_shell=48)
     conf = chart.chart(n)
     cut = chart.cutoff
-    beta_n = _cutoff_on_group(chart, n, constants)
     p_star = constants.p_star
     pbar = 2.0 * constants.Q / (constants.Q + 2.0 * constants.k)
     c_prof = chart.profile_factor
@@ -438,7 +433,7 @@ def residual_report(
         zs, ts, hm, bm0 = _restrict(moving, z, t, h, beta)
         lap = np.zeros(hm.shape)
         for kind, j, (zp, tp), (zm, tm) in _flow_stencil(zs, ts, hm):
-            bp, bm = beta_n(zp, tp), beta_n(zm, tm)
+            bp, bm = cut.value(conf.map_zt(zp, tp)), cut.value(conf.map_zt(zm, tm))
             lap = lap + (bp + bm - 2.0 * bm0)
             grad[kind][moving, j - 1] = (bp - bm) / (2.0 * hm)
         lap_beta = np.zeros(t.shape)
@@ -459,16 +454,10 @@ def residual_report(
     )
     upper = ub_int ** (1.0 / pbar)
 
-    # witness: fixed Schwartz-type bump in chart coordinates
-    def witness(z, t):
-        return np.exp(-0.5 * (_sum_last((z * np.conj(z)).real) ** 2 + t * t))
-
-    wit_scheme = ShellScheme(l0=2.0, n_shells=5, n_inner=64, n_shell=48)
     wit_pair, _ = integrate_decaying(
-        lambda z, t: G_fn(z, t) * witness(z, t), constants.N, wit_scheme, constants.measure
+        lambda z, t: G_fn(z, t) * _witness(z, t), constants.N, _WITNESS_SCHEME, constants.measure
     )
-    wit_norm = math.sqrt(dirichlet_form(witness, constants, wit_scheme))
-    lower = abs(wit_pair) / wit_norm
+    lower = abs(wit_pair) / _witness_norm(constants)
 
     u_n = ps_term(spec, n, prob)
     spectral = prob.residual(u_n)
@@ -566,44 +555,30 @@ def subcritical_threshold_check(
 # three-term commutator
 
 
-def three_commutator(u, v, k: float, p: HeisPoint, h: float = 1e-4) -> float:
-    """H(u, v) = L_{2k}(uv) - u L_{2k} v - v L_{2k} u at a point.
+def three_commutator(u, v, p: HeisPoint) -> float:
+    """H(u, v) = L(uv) - u L v - v L u at a point, for the local operator L = -Delta_b of k = 1.
 
-    k = 1 is evaluated with the local operator; fractional orders go through
-    the principal-value kernel route at reduced accuracy.
+    Both sides of the identity with :func:`commutator_identity_value` take the
+    default finite-difference step of :mod:`heisenberg`.
     """
     z, t = p.z[None, :], np.asarray([p.t])
-    if abs(k - 1.0) < 1e-14:
-        ue = u.evaluator if isinstance(u, ScalarFieldH) else u
-        ve = v.evaluator if isinstance(v, ScalarFieldH) else v
-        prod = lambda zz, tt: np.asarray(ue(zz, tt)) * np.asarray(ve(zz, tt))
-        val = (
-            -sub_laplacian(prod, z, t, h=h)
-            + np.asarray(ue(z, t)) * sub_laplacian(ve, z, t, h=h)
-            + np.asarray(ve(z, t)) * sub_laplacian(ue, z, t, h=h)
-        )
-        return float(val[0])
-    from .riesz import pv_fractional
-
-    ue = u.evaluator if isinstance(u, ScalarFieldH) else u
-    ve = v.evaluator if isinstance(v, ScalarFieldH) else v
-    prod = ScalarFieldH(lambda zz, tt: np.asarray(ue(zz, tt)) * np.asarray(ve(zz, tt)))
-    alpha = 2.0 * k
-    return (
-        pv_fractional(prod, alpha, p)
-        - float(ue(z, t)[0]) * pv_fractional(ScalarFieldH(ve), alpha, p)
-        - float(ve(z, t)[0]) * pv_fractional(ScalarFieldH(ue), alpha, p)
+    prod = lambda zz, tt: np.asarray(u(zz, tt)) * np.asarray(v(zz, tt))
+    val = (
+        -sub_laplacian(prod, z, t)
+        + np.asarray(u(z, t)) * sub_laplacian(v, z, t)
+        + np.asarray(v(z, t)) * sub_laplacian(u, z, t)
     )
+    return float(val[0])
 
 
-def commutator_identity_value(u, v, p: HeisPoint, h: float = 1e-4) -> float:
+def commutator_identity_value(u, v, p: HeisPoint) -> float:
     """-(1/2) sum_j (X_j u X_j v + Y_j u Y_j v) at a point (the k = 1 closed form)."""
     z, t = p.z[None, :], np.asarray([p.t])
     N = p.N
     acc = 0.0
     for j in range(1, N + 1):
         for kind in ("X", "Y"):
-            du = vector_field((kind, j), u, z, t, h=h)
-            dv = vector_field((kind, j), v, z, t, h=h)
+            du = vector_field((kind, j), u, z, t)
+            dv = vector_field((kind, j), v, z, t)
             acc += float(du[0] * dv[0])
     return -0.5 * acc

@@ -93,9 +93,8 @@ def cayley_inv(zeta: Array) -> HeisPoint:
 class ConformalChart:
     """rho(w) = C(center . d_scale(w)), the chart used for concentration analysis.
 
-    ``from_dilate_then_translate`` builds the equivalent chart written as
-    C o d_R o tau_xi; dilations are group automorphisms, so that chart equals
-    the canonical one with center d_R(xi).
+    A chart written as C o d_R o tau_xi is this one with center d_R(xi):
+    dilations are group automorphisms.
     """
 
     center: HeisPoint
@@ -108,11 +107,6 @@ class ConformalChart:
     @staticmethod
     def plain_cayley(N: int) -> "ConformalChart":
         return ConformalChart(HeisPoint.origin(N), 1.0)
-
-    @staticmethod
-    def from_dilate_then_translate(xi: HeisPoint, scale: float) -> "ConformalChart":
-        zc, tc = dilate_zt(scale, xi.z, np.asarray(xi.t))
-        return ConformalChart(HeisPoint(zc, float(tc)), scale)
 
     @property
     def N(self) -> int:

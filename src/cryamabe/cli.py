@@ -354,7 +354,7 @@ def run_subcritical_flow(cfg: ExperimentConfig) -> CheckTable:
 
 def run_riesz_check(cfg: ExperimentConfig) -> tuple[CheckTable, dict]:
     from . import riesz as rz
-    from .heisenberg import BoxDomain, HeisPoint, ScalarFieldH
+    from .heisenberg import BoxDomain, HeisPoint
 
     table = CheckTable("riesz-check")
     rng = np.random.default_rng(cfg.seed)
@@ -385,9 +385,9 @@ def run_riesz_check(cfg: ExperimentConfig) -> tuple[CheckTable, dict]:
     probe = rz.mapping_bound_probe(1.0, cfg.N, q=2.0, n_bumps=10, seed=cfg.seed)
     table.record("mapping_bound_max_ratio", probe["max_ratio"])
     table.add("mapping_bound_spread", probe["spread"], 3.0)
-    const = ScalarFieldH(lambda zz, tt: np.ones_like(tt))
+    const = lambda zz, tt: np.ones_like(tt)
     table.add("pv_constant_vanishes", abs(rz.pv_fractional(const, 1.0, HeisPoint.origin(cfg.N))), 1e-12)
-    bump = ScalarFieldH(lambda zz, tt: np.exp(-(np.sum((zz * np.conj(zz)).real, -1) ** 2 + tt * tt)))
+    bump = lambda zz, tt: np.exp(-(np.sum((zz * np.conj(zz)).real, -1) ** 2 + tt * tt))
     pv_val, pv_sens = rz.pv_fractional(bump, 1.0, HeisPoint.origin(cfg.N), return_sensitivity=True)
     table.add("pv_interior_max_sign", pv_val, 0.0, larger_ok=True)
     table.record("pv_delta_sensitivity", pv_sens)
@@ -418,15 +418,15 @@ def run_commutator_check(cfg: ExperimentConfig) -> CheckTable:
         u, v = poly_pair()
         z = rng.uniform(-1, 1, size=cfg.N) + 1.0j * rng.uniform(-1, 1, size=cfg.N)
         p = HeisPoint(z, float(rng.uniform(-1, 1)))
-        direct = three_commutator(u, v, 1.0, p)
+        direct = three_commutator(u, v, p)
         closed = commutator_identity_value(u, v, p)
         worst = max(worst, abs(direct - closed))
     table.add("three_commutator_identity", worst, 1e-6 * cfg.tol_scale)
     x1 = lambda z, t: z[..., 0].real
     y1 = lambda z, t: z[..., 0].imag
     p0 = HeisPoint(np.array([0.4 + 0.3j]), 0.2)
-    table.add("commutator_x1_y1", abs(three_commutator(x1, y1, 1.0, p0)), 1e-8)
-    table.add("commutator_x1_x1", abs(three_commutator(x1, x1, 1.0, p0) + 0.5), 1e-8)
+    table.add("commutator_x1_y1", abs(three_commutator(x1, y1, p0)), 1e-8)
+    table.add("commutator_x1_x1", abs(three_commutator(x1, x1, p0) + 0.5), 1e-8)
     return table
 
 

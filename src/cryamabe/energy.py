@@ -5,8 +5,8 @@ The sphere-side functional is
     E(u) = 1/2 int u A_{2k} u dv_S - 1/p* int |u|^{p*} dv_S,  p* = 2Q/(Q-2k),
 
 with Euler-Lagrange equation A_{2k} u = |u|^{p*-2} u.  Its Heisenberg twin
-E_H uses the order-2k operator whose k=1 member is -Delta_b.  The extremal
-profile on the group side is
+E_H is evaluated on the group at k = 1, where the operator is -Delta_b.  The
+extremal profile on the group side is
 
     omega(z, t) = cQ / ((1+|z|^2)^2 + t^2)^{(Q-2k)/4},
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley import ConformalChart, conformal_pullback, conformal_pushforward, lambda_cayley_zt
+from .cayley import ConformalChart, conformal_pullback, lambda_cayley_zt
 from .errors import DomainError
 from .heisenberg import (
     Array,
@@ -234,8 +234,8 @@ class YamabeProblem:
     def ground_constant(self) -> SpectralFunction:
         return self.constant(self.constants.u0)
 
-    def analyze(self, data) -> SpectralFunction:
-        return analyze(data, self.quad, self.basis)
+    def analyze(self, values: Array) -> SpectralFunction:
+        return analyze(values, self.quad, self.basis)
 
     def values(self, u: SpectralFunction) -> Array:
         """Read-only values of u on the quadrature, synthesized once per coefficient vector.
@@ -333,31 +333,25 @@ def energy_heis(
     *,
     scheme: ShellScheme | None = None,
     center: HeisPoint | None = None,
-    prob: YamabeProblem | None = None,
-    chart: ConformalChart | None = None,
 ) -> float:
-    """E_H(U) = 1/2 int U L_{2k} U dv_H - 1/p* int |U|^{p*} dv_H.
+    """E_H(U) = 1/2 int U L U dv_H - 1/p* int |U|^{p*} dv_H for the local operator L = -Delta_b of k = 1.
 
-    k = 1 evaluates the local Dirichlet form directly on the group with shell
-    quadrature.  Other k transport U to the sphere through a conformal chart
-    and use the exact diagonal action there, which requires ``prob``.
+    The Dirichlet form and the p*-mass are integrated directly on the group
+    with shell quadrature.  Other k are refused before any walk; their
+    energies live on the sphere (:meth:`YamabeProblem.energy`).
     """
+    if abs(constants.k - 1.0) > 1e-14:
+        raise DomainError("the group-side energy needs the local operator, k = 1")
     scheme = scheme or ShellScheme()
-    if abs(constants.k - 1.0) < 1e-14:
-        quadratic = dirichlet_form(U, constants, scheme, center=center)
-        mass, _ = integrate_decaying(
-            lambda z, t: np.abs(np.asarray(U(z, t))) ** constants.p_star,
-            constants.N,
-            scheme,
-            constants.measure,
-            center=center,
-        )
-        return 0.5 * quadratic - mass / constants.p_star
-    if prob is None:
-        raise DomainError("fractional-order Heisenberg energy needs a sphere problem bundle")
-    chart = chart or ConformalChart.plain_cayley(constants.N)
-    u = prob.analyze(conformal_pushforward(U, chart, constants.k))
-    return prob.energy(u)
+    quadratic = dirichlet_form(U, constants, scheme, center=center)
+    mass, _ = integrate_decaying(
+        lambda z, t: np.abs(np.asarray(U(z, t))) ** constants.p_star,
+        constants.N,
+        scheme,
+        constants.measure,
+        center=center,
+    )
+    return 0.5 * quadratic - mass / constants.p_star
 
 
 # ---------------------------------------------------------------------------

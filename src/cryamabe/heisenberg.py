@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -113,46 +113,7 @@ def homogeneous_dim(N: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# scalar fields and left-invariant derivatives
-
-
-@dataclass(frozen=True)
-class ScalarFieldH:
-    """A real scalar field on H^N with a finite-difference step.
-
-    ``evaluator`` must accept (z, t) arrays of shapes (..., N) and (...) and
-    return values of shape (...).  Use :meth:`from_pointwise` to wrap a
-    function of a single HeisPoint.
-    """
-
-    evaluator: Callable[[Array, Array], Array]
-    derivative_step: float = 1e-4
-
-    def __post_init__(self):
-        if not self.derivative_step > 0:
-            raise DomainError("derivative_step must be positive")
-
-    @staticmethod
-    def from_pointwise(fn: Callable[[HeisPoint], float], h: float = 1e-4) -> "ScalarFieldH":
-        def ev(z, t):
-            zb = np.broadcast_to(z, np.broadcast_shapes(z.shape, t.shape + (z.shape[-1],)))
-            tb = np.broadcast_to(t, zb.shape[:-1])
-            out = np.empty(tb.shape, dtype=np.float64)
-            it = np.nditer(tb, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                out[idx] = fn(HeisPoint(zb[idx], float(tb[idx])))
-            return out
-
-        return ScalarFieldH(ev, h)
-
-    def __call__(self, z: Array, t: Array) -> Array:
-        return np.asarray(self.evaluator(np.asarray(z, dtype=np.complex128), np.asarray(t, dtype=np.float64)), dtype=np.float64)
-
-
-def _field_eval(f, z, t):
-    ev = f.evaluator if isinstance(f, ScalarFieldH) else f
-    return np.asarray(ev(z, t))
+# left-invariant derivatives
 
 
 def _flow_offsets(kind: str, j: int, N: int) -> Array:
@@ -167,7 +128,7 @@ def _flow_offsets(kind: str, j: int, N: int) -> Array:
     return e
 
 
-def vector_field(which, f, z, t, h: float | None = None) -> Array:
+def vector_field(which, f, z, t, h: float = 1e-4) -> Array:
     """Apply X_j, Y_j or T by a central difference along the exact flow.
 
     The flow of a left-invariant field is right group multiplication, so the
@@ -176,21 +137,16 @@ def vector_field(which, f, z, t, h: float | None = None) -> Array:
     ("X", 1).
     """
     kind, j = (which, 1) if isinstance(which, str) else which
-    if isinstance(f, ScalarFieldH) and h is None:
-        h = f.derivative_step
-    h = 1e-4 if h is None else h
     z = np.asarray(z, dtype=np.complex128)
     t = np.asarray(t, dtype=np.float64)
     hh = np.asarray(h, dtype=np.float64)
     if kind == "T":
-        fp = _field_eval(f, z, t + hh)
-        fm = _field_eval(f, z, t - hh)
-        return (fp - fm) / (2.0 * hh)
+        return (np.asarray(f(z, t + hh)) - np.asarray(f(z, t - hh))) / (2.0 * hh)
     e = _flow_offsets(kind, j, z.shape[-1])
     he = hh[..., None] * e if hh.ndim else hh * e
     zp, tp = mul_zt(z, t, he, np.zeros_like(t))
     zm, tm = mul_zt(z, t, -he, np.zeros_like(t))
-    return (_field_eval(f, zp, tp) - _field_eval(f, zm, tm)) / (2.0 * hh)
+    return (np.asarray(f(zp, tp)) - np.asarray(f(zm, tm))) / (2.0 * hh)
 
 
 def _flow_stencil(z: Array, t: Array, h):
@@ -232,18 +188,15 @@ def _stencil_settled(d: Array, reach: Array, inner: float, outer: float) -> tupl
     return inside, outside
 
 
-def sub_laplacian(f, z, t, h: float | None = None) -> Array:
+def sub_laplacian(f, z, t, h: float = 1e-4) -> Array:
     """Delta_b f = (1/4) sum_j (X_j^2 + Y_j^2) f by second differences along flows."""
-    if isinstance(f, ScalarFieldH) and h is None:
-        h = f.derivative_step
-    h = 1e-4 if h is None else h
     z = np.asarray(z, dtype=np.complex128)
     t = np.asarray(t, dtype=np.float64)
     hh = np.asarray(h, dtype=np.float64)
-    f0 = _field_eval(f, z, t)
+    f0 = np.asarray(f(z, t))
     acc = np.zeros_like(f0)
     for _, _, (zp, tp), (zm, tm) in _flow_stencil(z, t, hh):
-        acc = acc + (_field_eval(f, zp, tp) + _field_eval(f, zm, tm) - 2.0 * f0)
+        acc = acc + (np.asarray(f(zp, tp)) + np.asarray(f(zm, tm)) - 2.0 * f0)
     return acc / (4.0 * hh * hh)
 
 
@@ -418,7 +371,7 @@ def integrate_decaying(
     measure = measure or HaarMeasure.standard(N)
     acc = [0.0] * scheme.n_shells
     for i, z, t, cell in shell_nodes(N, scheme, center):
-        acc[i] = acc[i] + measure.kappa_H * cell * np.sum(_field_eval(f, z, t), axis=-1)
+        acc[i] = acc[i] + measure.kappa_H * cell * np.sum(np.asarray(f(z, t)), axis=-1)
     table = np.stack(acc, axis=-1)  # (n_shells,) or (m, n_shells)
     shells = table.reshape(-1, scheme.n_shells).tolist()
     if scheme.n_shells >= 3:

@@ -40,10 +40,6 @@ def poly_scale(p: Poly, c: complex) -> Poly:
     return {k: c * v for k, v in p.items()}
 
 
-def monomial(alpha: Multi, beta: Multi) -> Poly:
-    return {(tuple(alpha), tuple(beta)): 1.0 + 0.0j}
-
-
 def _bump(idx: Multi, j: int, step: int) -> Multi:
     lst = list(idx)
     lst[j] += step

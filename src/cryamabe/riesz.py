@@ -31,7 +31,6 @@ from .heisenberg import (
     BoxDomain,
     HaarMeasure,
     HeisPoint,
-    ScalarFieldH,
     ShellScheme,
     gauge_zt,
     integrate_decaying,
@@ -710,13 +709,12 @@ def pv_fractional(
     Q = 2 * N + 2
     scheme = scheme or ShellScheme(l0=1.0, n_shells=8, n_inner=96, n_shell=48)
     measure = HaarMeasure.standard(N)
-    ue = u.evaluator if isinstance(u, ScalarFieldH) else u
-    u_at_p = float(np.asarray(ue(p.z[None, :], np.asarray([p.t])))[0])
+    u_at_p = float(np.asarray(u(p.z[None, :], np.asarray([p.t])))[0])
     h_xy = 2.0 * scheme.l0 / scheme.n_inner
     h_t = 2.0 * scheme.l0**2 / scheme.n_inner
     if delta is None:
         delta = max(3.0 * h_xy, 2.2 * math.sqrt(0.5 * h_t))
-    lap = float(sub_laplacian(ue, p.z[None, :], np.asarray([p.t]), h=1e-3)[0])
+    lap = float(sub_laplacian(u, p.z[None, :], np.asarray([p.t]), h=1e-3)[0])
     mom1 = _horizontal_moment_constant(N, alpha) / (2 * N)
 
     def run(d: float) -> float:
@@ -728,7 +726,7 @@ def pv_fractional(
             # symmetric pair: y = p . w and y' = p . w^{-1}
             zp_, tp_ = mul_zt(p.z, p.t, z0, t0)
             zm_, tm_ = mul_zt(p.z, p.t, -z0, -t0)
-            incr = 2.0 * u_at_p - np.asarray(ue(zp_, tp_)) - np.asarray(ue(zm_, tm_))
+            incr = 2.0 * u_at_p - np.asarray(u(zp_, tp_)) - np.asarray(u(zm_, tm_))
             total += 0.5 * measure.kappa_H * cellv * float(np.sum(incr * g ** (-(Q + alpha))))
         return constant * total
 

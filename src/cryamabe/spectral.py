@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -284,9 +283,6 @@ class SphereQuadrature:
         v = np.asarray(values).reshape(self.grid_shape)
         return float(np.einsum("s,sab->", self._ring_weights(), v))
 
-    def eval_fn(self, fn: Callable[[Array], Array]) -> Array:
-        return np.asarray(fn(self.nodes()), dtype=np.float64)
-
     # --- spectral transforms --------------------------------------------------
 
     def _plan_for(self, basis: HarmonicBasis) -> _TransformPlan:
@@ -429,13 +425,13 @@ def basis_element(basis: HarmonicBasis, j: int, l: int, m: int = 0) -> SpectralF
     return SpectralFunction(c, basis)
 
 
-def analyze(data, quad: SphereQuadrature, basis: HarmonicBasis) -> SpectralFunction:
-    """Project samples or a callable onto the basis; reports tail diagnostics.
+def analyze(values: Array, quad: SphereQuadrature, basis: HarmonicBasis) -> SpectralFunction:
+    """Project samples at the quadrature nodes onto the basis; reports tail diagnostics.
 
     ``tail_energy`` is the quadrature L^2 mass not captured by the truncation
     (zero for band-limited input up to rounding).
     """
-    values = quad.eval_fn(data) if callable(data) else np.asarray(data, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     coeffs, resid = quad.analyze_values(values, basis)
     l2 = quad.integrate(values * values)
     tail = max(l2 - float(np.sum(coeffs**2)), 0.0)

@@ -10,7 +10,6 @@ from cryamabe.bubbling import (
     commutator_identity_value,
     gradient_decay_check,
     hk_gradient_flow,
-    make_cutoff,
     ps_energy_report,
     ps_term,
     quantization_ladder,
@@ -35,14 +34,14 @@ def one_bubble(prob8):
 
 class TestCutoff:
     def test_plateau_and_support(self):
-        cut = make_cutoff(CENTER)
+        cut = CutoffSpec(CENTER)
         assert cut.value(CENTER[None, :])[0] == 1.0
         assert cut.value(-CENTER[None, :])[0] == 0.0
         inside = CENTER * math.cos(0.05) + np.array([0, 1.0 + 0j]) * math.sin(0.05)
         assert cut.value(inside[None, :])[0] == 1.0
 
     def test_range_and_smoothness(self):
-        cut = make_cutoff(CENTER)
+        cut = CutoffSpec(CENTER)
         rng = np.random.default_rng(0)
         g = rng.standard_normal((500, 4))
         zeta = g[:, :2] + 1.0j * g[:, 2:]
@@ -207,14 +206,14 @@ class TestCommutator:
         one = lambda z, t: np.ones_like(t)
         v = lambda z, t: np.sin(z[..., 0].real) + t * t
         p = HeisPoint([0.2 + 0.6j], -0.3)
-        assert abs(three_commutator(one, v, 1.0, p)) < 1e-7
+        assert abs(three_commutator(one, v, p)) < 1e-7
 
     def test_coordinate_pairs(self):
         x1 = lambda z, t: z[..., 0].real
         y1 = lambda z, t: z[..., 0].imag
         p = HeisPoint([0.7 - 0.1j], 0.4)
-        assert abs(three_commutator(x1, y1, 1.0, p)) < 1e-8
-        assert three_commutator(x1, x1, 1.0, p) == pytest.approx(-0.5, abs=1e-8)
+        assert abs(three_commutator(x1, y1, p)) < 1e-8
+        assert three_commutator(x1, x1, p) == pytest.approx(-0.5, abs=1e-8)
 
     def test_closed_form_identity(self):
         rng = np.random.default_rng(12)
@@ -234,12 +233,6 @@ class TestCommutator:
 
             u, v = mk(cu), mk(cv)
             p = HeisPoint(rng.uniform(-1, 1, 1) + 1.0j * rng.uniform(-1, 1, 1), float(rng.uniform(-1, 1)))
-            assert three_commutator(u, v, 1.0, p) == pytest.approx(
+            assert three_commutator(u, v, p) == pytest.approx(
                 commutator_identity_value(u, v, p), abs=1e-6
             )
-
-    def test_fractional_route_annihilates_constants(self):
-        one = lambda z, t: np.ones_like(t)
-        v = lambda z, t: np.exp(-np.sum((z * np.conj(z)).real, -1) ** 2 - t * t)
-        p = HeisPoint([0.1 + 0.0j], 0.0)
-        assert abs(three_commutator(one, v, 0.5, p)) < 1e-8

@@ -127,10 +127,11 @@ class TestCharts:
         # dilate-then-translate equals the canonical chart with a dilated center
         xi = HeisPoint([0.5 - 0.3j], 0.4)
         R = 0.2
-        alt = ConformalChart.from_dilate_then_translate(xi, R)
+        from cryamabe.heisenberg import dilate_zt, mul_zt
+
+        alt = ConformalChart(HeisPoint(*dilate_zt(R, xi.z, xi.t)), R)
         rng = np.random.default_rng(3)
         z, t = rand_points(rng, 50)
-        from cryamabe.heisenberg import dilate_zt, mul_zt
 
         zd, td = dilate_zt(R, *mul_zt(xi.z, xi.t, z, t))
         expected = cayley_zt(zd, td)

@@ -194,19 +194,28 @@ class TestHeisenbergEnergy:
             assert val == pytest.approx(consts.C_E, rel=1e-2)
 
     def test_fractional_route_through_sphere(self, prob_half):
+        # at k = 1/2 the group-side energy is the sphere energy of the pushforward
         consts = prob_half.constants
+        chart = ConformalChart.plain_cayley(1)
+        nodes = prob_half.quad.nodes()
+
+        def sphere_energy(U):
+            return prob_half.energy(prob_half.analyze(conformal_pushforward(U, chart, consts.k)(nodes)))
+
         U = bubble_field(BubbleParams.standard(1), consts)
-        val = energy_heis(U, consts, prob=prob_half)
-        assert val == pytest.approx(consts.C_E, rel=1e-3)
+        assert sphere_energy(U) == pytest.approx(consts.C_E, rel=1e-3)
         # a rescaled extremal transports to a non-constant sphere function
         U2 = bubble_field(BubbleParams(0.8, HeisPoint.origin(1)), consts)
-        val2 = energy_heis(U2, consts, prob=prob_half)
-        assert val2 == pytest.approx(consts.C_E, rel=1e-2)
+        assert sphere_energy(U2) == pytest.approx(consts.C_E, rel=1e-2)
 
-    def test_fractional_route_needs_problem(self):
+    def test_fractional_order_refused_before_walk(self):
         consts = YamabeConstants.create(1, 0.5)
+
+        def U(z, t):
+            raise AssertionError("evaluated before the order was checked")
+
         with pytest.raises(DomainError):
-            energy_heis(lambda z, t: np.exp(-t * t), consts)
+            energy_heis(U, consts)
 
     def test_dirichlet_form_fixed_step(self):
         # a scalar step takes the same flow stencil; the gauge-scaled default

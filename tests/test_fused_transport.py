@@ -22,7 +22,6 @@ from cryamabe.bubbling import (
     BubbleChart,
     PSSequenceSpec,
     _beta_step,
-    _cutoff_on_group,
     bubble_piece_report,
     ps_energy_report,
     ps_term,
@@ -44,7 +43,7 @@ def _separate_piece_report(chart, n, u_infty, prob, scheme):
     constants = prob.constants
     R = chart.radii[n]
     conf = chart.chart(n)
-    beta_n = _cutoff_on_group(chart, n, constants)
+    beta_n = lambda z, t: chart.cutoff.value(conf.map_zt(z, t))
     p_star = constants.p_star
 
     def W(z, t):
@@ -83,7 +82,7 @@ def _separate_residual_report(spec, n, prob, scheme):
     chart = spec.bubbles[0]
     R = chart.radii[n]
     conf = chart.chart(n)
-    beta_n = _cutoff_on_group(chart, n, constants)
+    beta_n = lambda z, t: chart.cutoff.value(conf.map_zt(z, t))
     pbar = 2.0 * constants.Q / (constants.Q + 2.0 * constants.k)
     c_prof = chart.profile_factor
     expo = 1.0 / constants.p_star
@@ -165,7 +164,7 @@ def _unskipped_residual_bounds(spec, n, prob, scheme):
     constants = prob.constants
     chart = spec.bubbles[0]
     conf = chart.chart(n)
-    beta_n = _cutoff_on_group(chart, n, constants)
+    beta_n = lambda z, t: chart.cutoff.value(conf.map_zt(z, t))
     pbar = 2.0 * constants.Q / (constants.Q + 2.0 * constants.k)
     c_prof = chart.profile_factor
 

@@ -9,7 +9,6 @@ from cryamabe.heisenberg import (
     BoxDomain,
     HaarMeasure,
     HeisPoint,
-    ScalarFieldH,
     ShellScheme,
     _box_grid,
     dilate_zt,
@@ -192,13 +191,6 @@ class TestDerivatives:
         rhs = lam * lam * sub_laplacian(f, lam * z, lam * lam * t, h=1e-4)
         # both sides are O(h^2) approximations of the same covariant value
         assert np.max(np.abs(lhs - rhs)) < 1e-4
-
-    def test_scalar_field_wrapper(self):
-        field = ScalarFieldH.from_pointwise(lambda p: float(p.t + p.z[0].real))
-        z, t = np.array([[1.0 + 2.0j], [0.0j]]), np.array([3.0, 1.0])
-        assert np.allclose(field(z, t), [4.0, 1.0])
-        with pytest.raises(DomainError):
-            ScalarFieldH(lambda z, t: t, derivative_step=0.0)
 
 
 class TestHaarQuadrature:

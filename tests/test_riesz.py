@@ -11,7 +11,6 @@ from cryamabe.heisenberg import (
     BoxDomain,
     HaarMeasure,
     HeisPoint,
-    ScalarFieldH,
     dilate_zt,
     gauge_zt,
     hermitian_im,
@@ -328,17 +327,17 @@ class TestGreenInversion:
 
 class TestPrincipalValue:
     def test_constant_annihilated(self):
-        const = ScalarFieldH(lambda z, t: np.ones_like(t))
+        const = lambda z, t: np.ones_like(t)
         assert pv_fractional(const, 1.0, HeisPoint([0.2 + 0.1j], 0.3)) == 0.0
 
     def test_interior_maximum_sign(self):
-        bump = ScalarFieldH(lambda z, t: np.exp(-(np.sum((z * np.conj(z)).real, -1) ** 2 + t * t)))
+        bump = lambda z, t: np.exp(-(np.sum((z * np.conj(z)).real, -1) ** 2 + t * t))
         val, sens = pv_fractional(bump, 1.0, HeisPoint.origin(1), return_sensitivity=True)
         assert val > 0
         assert sens < 0.05 * val
 
     def test_alpha_range_guard(self):
-        const = ScalarFieldH(lambda z, t: np.ones_like(t))
+        const = lambda z, t: np.ones_like(t)
         with pytest.raises(DomainError):
             pv_fractional(const, 2.5, HeisPoint.origin(1))
 
@@ -363,7 +362,7 @@ class TestPrincipalValue:
         # construction, so the aggregate comparison is recorded, not pinned
         consts = YamabeConstants.create(1, 0.95)
         c_fit = fit_pv_constant(1.9, 1, consts, n_points=5)
-        bump = ScalarFieldH(lambda z, t: np.exp(-(np.sum((z * np.conj(z)).real, -1) ** 2 + t * t)))
+        bump = lambda z, t: np.exp(-(np.sum((z * np.conj(z)).real, -1) ** 2 + t * t))
         rng = np.random.default_rng(4)
         lhs, rhs = [], []
         for _ in range(6):

@@ -9,7 +9,7 @@ the bit, signed zeros included, at N = 1 and N = 2.
 import numpy as np
 import pytest
 
-from cryamabe.bubbling import _smoothstep5, make_cutoff
+from cryamabe.bubbling import CutoffSpec, _smoothstep5
 from cryamabe.cayley import cayley_zt, lambda_cayley_zt, sphere_dist_zeta
 from cryamabe.energy import YamabeConstants, bubble_shape_zt
 from cryamabe.heisenberg import gauge_zt, hermitian_im, homogeneous_dim
@@ -77,7 +77,7 @@ def test_kernels_equal_their_np_sum_form(N):
     constants = YamabeConstants.create(N, 1.0)
     center = np.zeros(N + 1, dtype=np.complex128)
     center[0] = 1.0
-    cut = make_cutoff(center)
+    cut = CutoffSpec(center)
     for seed in range(3):
         for z, t, zeta in _blocks(N, seed):
             w = z[::-1] if z.ndim > 1 else -z
