@@ -43,13 +43,12 @@ from .heisenberg import (
     vector_field,
 )
 from .energy import (
-    BubbleParams,
     YamabeConstants,
     YamabeProblem,
     _dirichlet_density,
     _dirichlet_step,
-    bubble_eval_zt,
     bubble_horizontal_gradient_zt,
+    bubble_shape_zt,
     dirichlet_form,
 )
 from .spectral import SpectralFunction, analyze, apply_A2k, h_minus_k_form, hk_form, norm_Hk
@@ -94,11 +93,14 @@ class CutoffSpec:
 
 @dataclass(frozen=True)
 class BubbleChart:
-    """One concentrating bubble: sphere center, shrinking radii, group profile."""
+    """One concentrating bubble: sphere center, shrinking radii, cutoff.
+
+    Its group-side profile is the centred unit bubble omega
+    (:func:`bubble_shape_zt`) times ``profile_factor``.
+    """
 
     center: Array  # sphere point; the group center is its Cayley preimage
     radii: tuple[float, ...]
-    profile: BubbleParams
     cutoff: CutoffSpec
     profile_factor: float = 1.0  # multiplies the extremal profile (non-solutions probe decay failures)
 
@@ -118,11 +120,13 @@ class BubbleChart:
 
     @staticmethod
     def standard(center, radii: Sequence[float], constants: YamabeConstants, profile_factor: float = 1.0) -> "BubbleChart":
+        """The bubble of ``constants``' configuration at the sphere point ``center``, with the default cutoff."""
         c = np.asarray(center, dtype=np.complex128)
+        if c.shape != (constants.N + 1,):
+            raise DomainError(f"a bubble centre at N = {constants.N} is one point of C^{constants.N + 1}")
         return BubbleChart(
             c,
             tuple(radii),
-            BubbleParams.standard(constants.N),
             CutoffSpec(c),
             profile_factor,
         )
@@ -173,7 +177,7 @@ def vn_values(chart: BubbleChart, n: int, constants: YamabeConstants, zeta: Arra
     out = np.zeros(beta.shape)
     live = beta > 0.0
     if np.any(live):
-        U = lambda z, t: chart.profile_factor * bubble_eval_zt(chart.profile, z, t, constants)
+        U = lambda z, t: chart.profile_factor * bubble_shape_zt(z, t, constants)
         out[live] = beta[live] * conformal_pushforward(U, chart.chart(n), constants.k)(zeta[live])
     return out
 
@@ -279,19 +283,17 @@ def bubble_piece_report(
         def W(zs, ts):  # transported bubble with cutoff at the stencil points of the live nodes
             beta = np.ones(ts.shape)
             beta[moving] = cut.value(conf.map_zt(*_restrict(moving, zs, ts)))
-            return beta * c_prof * bubble_eval_zt(chart.profile, zs, ts, constants)
+            return beta * c_prof * bubble_shape_zt(zs, ts, constants)
 
         beta = np.ones(t.shape)
         beta[moving] = cut.value(zeta[moving])
-        w = beta * c_prof * bubble_eval_zt(chart.profile, z, t, constants)
+        w = beta * c_prof * bubble_shape_zt(z, t, constants)
         lam = conf.jacobian_zt(z, t)
         rows[1, live] = np.abs(w) ** p_star
         rows[2, live] = lam**e_quad * Au.eval(zeta) * w
         a = u_infty.eval(zeta)
         b = lam ** (-1.0 / p_star) * w
         rows[3, live] = lam * (np.abs(a + b) ** p_star - np.abs(a) ** p_star - np.abs(b) ** p_star)
-        # the base-point arrays go before the stencil, which sets the block's peak memory
-        del zeta, beta, w, lam, a, b
         rows[0, live] = _dirichlet_density(W, z, t, h)
         return rows
 
@@ -425,7 +427,6 @@ def residual_report(
         beta = np.ones(t.shape)
         beta[moving] = cut.value(zeta[moving])
         A = conf.jacobian_zt(z, t) ** expo * spec.u_infty.eval(zeta)
-        del zeta  # before the stencil, which sets the block's peak memory
         # L(beta c om) = beta c om^3 + c om L(beta) + c H(beta, om), L = -Delta_b;
         # one flow stencil gives Delta_b beta and the X_j/Y_j derivatives of beta,
         # all exactly 0 where beta = 1 on the whole stencil
@@ -438,7 +439,7 @@ def residual_report(
             grad[kind][moving, j - 1] = (bp - bm) / (2.0 * hm)
         lap_beta = np.zeros(t.shape)
         lap_beta[moving] = lap / (4.0 * hm * hm)
-        om = bubble_eval_zt(chart.profile, z, t, constants)
+        om = bubble_shape_zt(z, t, constants)
         gx_om, gy_om = bubble_horizontal_gradient_zt(z, t, constants)
         cross = -0.5 * (_sum_last(grad["X"] * gx_om) + _sum_last(grad["Y"] * gy_om))
         L_betaU = c_prof * (beta * om**3 - om * lap_beta + cross)

@@ -125,17 +125,12 @@ class ConformalChart:
         zm, tm = mul_zt(self.center.z, self.center.t, zd, td)
         return lambda_cayley_zt(zm, tm) * self.scale ** homogeneous_dim(self.N)
 
-    # --- inverse map and jacobian ------------------------------------------
+    # --- inverse map --------------------------------------------------------
 
     def inv_zeta(self, zeta: Array, pole_tol: float = POLE_TOL) -> tuple[Array, Array]:
         zc, tc = cayley_inv_zeta(zeta, pole_tol)
         zs, ts = mul_zt(*inv_zt(self.center.z, np.asarray(self.center.t)), zc, tc)
         return dilate_zt(1.0 / self.scale, zs, ts)
-
-    def inv_jacobian_zeta(self, zeta: Array, pole_tol: float = POLE_TOL) -> Array:
-        """Lambda_sigma for sigma = rho^{-1}: 1 / (Lambda_rho o sigma)."""
-        z, t = self.inv_zeta(zeta, pole_tol)
-        return 1.0 / self.jacobian_zt(z, t)
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +153,16 @@ def conformal_pullback(u: Callable[[Array], Array], chart: ConformalChart, k: fl
 
 
 def conformal_pushforward(U: Callable[[Array, Array], Array], chart: ConformalChart, k: float):
-    """Push a Heisenberg function to the sphere: Lambda_sigma^{(Q-2k)/2Q} * (U o sigma)."""
+    """Push a Heisenberg function to the sphere: Lambda_sigma^{(Q-2k)/2Q} * (U o sigma).
+
+    sigma = rho^{-1}, so Lambda_sigma = 1 / (Lambda_rho o sigma): one inverse
+    chart map serves both factors.
+    """
     Q = homogeneous_dim(chart.N)
     expo = (Q - 2.0 * k) / (2.0 * Q)
 
     def fn(zeta: Array) -> Array:
         z, t = chart.inv_zeta(np.asarray(zeta, dtype=np.complex128))
-        return chart.inv_jacobian_zeta(np.asarray(zeta, dtype=np.complex128)) ** expo * np.asarray(U(z, t))
+        return (1.0 / chart.jacobian_zt(z, t)) ** expo * np.asarray(U(z, t))
 
     return fn

@@ -116,18 +116,6 @@ def homogeneous_dim(N: int) -> int:
 # left-invariant derivatives
 
 
-def _flow_offsets(kind: str, j: int, N: int) -> Array:
-    """Unit horizontal/vertical direction for the exact one-parameter flow."""
-    e = np.zeros(N, dtype=np.complex128)
-    if kind == "X":
-        e[j - 1] = 1.0
-    elif kind == "Y":
-        e[j - 1] = 1.0j
-    elif kind != "T":
-        raise DomainError(f"unknown vector field kind {kind!r}")
-    return e
-
-
 def vector_field(which, f, z, t, h: float = 1e-4) -> Array:
     """Apply X_j, Y_j or T by a central difference along the exact flow.
 
@@ -142,11 +130,10 @@ def vector_field(which, f, z, t, h: float = 1e-4) -> Array:
     hh = np.asarray(h, dtype=np.float64)
     if kind == "T":
         return (np.asarray(f(z, t + hh)) - np.asarray(f(z, t - hh))) / (2.0 * hh)
-    e = _flow_offsets(kind, j, z.shape[-1])
-    he = hh[..., None] * e if hh.ndim else hh * e
-    zp, tp = mul_zt(z, t, he, np.zeros_like(t))
-    zm, tm = mul_zt(z, t, -he, np.zeros_like(t))
-    return (np.asarray(f(zp, tp)) - np.asarray(f(zm, tm))) / (2.0 * hh)
+    for kind_s, j_s, (zp, tp), (zm, tm) in _flow_stencil(z, t, hh):
+        if (kind_s, j_s) == (kind, j):
+            return (np.asarray(f(zp, tp)) - np.asarray(f(zm, tm))) / (2.0 * hh)
+    raise DomainError(f"unknown vector field {which!r}")
 
 
 def _flow_stencil(z: Array, t: Array, h):
@@ -154,16 +141,20 @@ def _flow_stencil(z: Array, t: Array, h):
 
     ``h`` is a scalar or one step per point.  These are the central-difference
     points of every horizontal derivative in the package, so a caller that
-    needs several derivatives of one field evaluates it once per point.
+    needs several derivatives of one field evaluates it once per point.  The
+    offsets are axis-aligned, so the group law reduces to one coordinate:
+    p.(+-h e_j, 0) = (z +- h e_j, t +- 2 h y_j) and
+    p.(+-i h e_j, 0) = (z +- i h e_j, t -+ 2 h x_j), equal to the general
+    :func:`mul_zt` with a zero t-offset.
     """
     hh = np.asarray(h, dtype=np.float64)
-    zeros = np.zeros_like(t)
-    N = z.shape[-1]
-    for j in range(1, N + 1):
-        for kind in ("X", "Y"):
-            e = _flow_offsets(kind, j, N)
-            he = hh[..., None] * e if hh.ndim else hh * e
-            yield kind, j, mul_zt(z, t, he, zeros), mul_zt(z, t, -he, zeros)
+    for j in range(z.shape[-1]):
+        x, y = z[..., j].real, z[..., j].imag
+        for kind, step, dt in (("X", hh, 2.0 * hh * y), ("Y", 1j * hh, -2.0 * hh * x)):
+            zp, zm = z.copy(), z.copy()
+            zp[..., j] += step
+            zm[..., j] -= step
+            yield kind, j + 1, (zp, t + dt), (zm, t - dt)
 
 
 # rounding allowance of _stencil_settled, in the units of its distances: far
@@ -312,8 +303,17 @@ class ShellScheme:
         return ShellScheme(l0=l0, n_shells=n, n_inner=n_inner, n_shell=n_shell)
 
 
-# nodes per block of a shell walk; the block size riesz uses for its work arrays
+# nodes per block of a shell walk.  integrate_decaying sums each shell block
+# by block, so its values depend on this grouping; riesz's far field and PV
+# operator take whole blocks and chunk their own work arrays
 _WALK_BLOCK = 1 << 15
+# nodes per call of an integrand of integrate_decaying.  A transported
+# integrand's temporaries (chart images, stencil points, cutoffs) over a whole
+# walk block take about 7 MB, which malloc returned to the kernel on free and
+# each call faulted in afresh: about 100k minor page faults per
+# transport-ladder pass.  At 2^13 nodes they stay in reused heap (4k-9k
+# faults); BENCH_13.json has the sweep
+_SUB_BLOCK = 1 << 13
 
 
 def shell_nodes(
@@ -324,8 +324,8 @@ def shell_nodes(
     Shell 0 is the midpoint grid of the box of half-width l0 with n_inner
     nodes per axis; shell i > 0 is the n_shell grid of the box of half-width
     l0 * 2^i with the nodes of the previous box removed.  Nodes come in blocks
-    of at most 2^15, in the row-major order of each shell's full grid, so an
-    integrand's work arrays stay cache-sized whatever the shell size.
+    of at most 2^15, in the row-major order of each shell's full grid, so a
+    caller's work arrays have a fixed bound whatever the shell size.
     ``cell_weight`` is the Lebesgue volume of the shell's cells, and with
     ``center`` the nodes are left-translated to center . (z, t).
     """
@@ -367,11 +367,22 @@ def integrate_decaying(
     result is then (list of m values, list of m per-shell lists).  Raises
     DivergentIntegralError when the outermost shells of any component grow,
     which diagnoses a non-integrable input.
+
+    ``f`` sees at most 2^13 nodes per call; the values of a walk block are
+    gathered into one array and summed whole, so the sums are those of
+    evaluating each walk block in one call.
     """
     measure = measure or HaarMeasure.standard(N)
     acc = [0.0] * scheme.n_shells
     for i, z, t, cell in shell_nodes(N, scheme, center):
-        acc[i] = acc[i] + measure.kappa_H * cell * np.sum(np.asarray(f(z, t)), axis=-1)
+        n = t.shape[0]
+        vals = None
+        for s in range(0, n, _SUB_BLOCK):
+            v = np.asarray(f(z[s : s + _SUB_BLOCK], t[s : s + _SUB_BLOCK]))
+            if vals is None:
+                vals = np.empty(v.shape[:-1] + (n,), dtype=v.dtype)
+            vals[..., s : s + _SUB_BLOCK] = v
+        acc[i] = acc[i] + measure.kappa_H * cell * np.sum(vals, axis=-1)
     table = np.stack(acc, axis=-1)  # (n_shells,) or (m, n_shells)
     shells = table.reshape(-1, scheme.n_shells).tolist()
     if scheme.n_shells >= 3:

@@ -69,6 +69,10 @@ class TestChartsAndSpecs:
         with pytest.raises(PoleError):
             BubbleChart.standard(pole_center, LADDER, prob8.constants)
 
+    def test_centre_dimension_matches_constants(self, prob8):
+        with pytest.raises(DomainError):
+            BubbleChart.standard(np.array([1.0 + 0j, 0.0j, 0.0j]), LADDER, prob8.constants)
+
     def test_distinct_centers_required(self, prob8):
         chart = BubbleChart.standard(CENTER, LADDER, prob8.constants)
         with pytest.raises(DomainError):
@@ -106,9 +110,9 @@ class TestSynthesis:
         sphere_side = quad.integrate(np.abs(vals) ** 4)
         conf = chart.chart(0)
         beta = lambda z, t: chart.cutoff.value(conf.map_zt(z, t))
-        from cryamabe.energy import bubble_eval_zt
+        from cryamabe.energy import BubbleParams, bubble_eval_zt
 
-        U = lambda z, t: beta(z, t) * bubble_eval_zt(chart.profile, z, t, prob8.constants)
+        U = lambda z, t: beta(z, t) * bubble_eval_zt(BubbleParams.standard(1), z, t, prob8.constants)
         heis_side, _ = integrate_decaying(
             lambda z, t: np.abs(U(z, t)) ** 4,
             1,

@@ -27,7 +27,13 @@ from cryamabe.bubbling import (
     ps_term,
     residual_report,
 )
-from cryamabe.energy import _dirichlet_density, bubble_eval_zt, bubble_horizontal_gradient_zt, dirichlet_form
+from cryamabe.energy import (
+    BubbleParams,
+    _dirichlet_density,
+    bubble_eval_zt,
+    bubble_horizontal_gradient_zt,
+    dirichlet_form,
+)
 from cryamabe.heisenberg import ShellScheme, _flow_stencil, integrate_decaying, sub_laplacian, vector_field
 from cryamabe.spectral import SpectralFunction, apply_A2k
 
@@ -47,7 +53,7 @@ def _separate_piece_report(chart, n, u_infty, prob, scheme):
     p_star = constants.p_star
 
     def W(z, t):
-        return beta_n(z, t) * chart.profile_factor * bubble_eval_zt(chart.profile, z, t, constants)
+        return beta_n(z, t) * chart.profile_factor * bubble_eval_zt(BubbleParams.standard(constants.N), z, t, constants)
 
     a_n = dirichlet_form(W, constants, scheme)
     m_n, _ = integrate_decaying(lambda z, t: np.abs(W(z, t)) ** p_star, constants.N, scheme, constants.measure)
@@ -93,7 +99,7 @@ def _separate_residual_report(spec, n, prob, scheme):
         return lam**expo * spec.u_infty.eval(conf.map_zt(z, t))
 
     def G_fn(z, t):
-        om = bubble_eval_zt(chart.profile, z, t, constants)
+        om = bubble_eval_zt(BubbleParams.standard(constants.N), z, t, constants)
         beta = beta_n(z, t)
         A = A_fn(z, t)
         h = _beta_step(z, t)
@@ -132,7 +138,7 @@ def _unskipped_piece_report(chart, n, u_infty, prob, scheme):
     Au = apply_A2k(u_infty, constants.k)
 
     def W_at(z, t, zeta):
-        return chart.cutoff.value(zeta) * chart.profile_factor * bubble_eval_zt(chart.profile, z, t, constants)
+        return chart.cutoff.value(zeta) * chart.profile_factor * bubble_eval_zt(BubbleParams.standard(constants.N), z, t, constants)
 
     def integrand(z, t):
         zeta = conf.map_zt(z, t)
@@ -169,7 +175,7 @@ def _unskipped_residual_bounds(spec, n, prob, scheme):
     c_prof = chart.profile_factor
 
     def G_fn(z, t):
-        om = bubble_eval_zt(chart.profile, z, t, constants)
+        om = bubble_eval_zt(BubbleParams.standard(constants.N), z, t, constants)
         zeta = conf.map_zt(z, t)
         beta = chart.cutoff.value(zeta)
         A = conf.jacobian_zt(z, t) ** (1.0 / constants.p_star) * spec.u_infty.eval(zeta)

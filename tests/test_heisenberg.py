@@ -6,11 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from cryamabe.errors import DivergentIntegralError, DomainError
 from cryamabe.heisenberg import (
+    _SUB_BLOCK,
+    _WALK_BLOCK,
     BoxDomain,
     HaarMeasure,
     HeisPoint,
     ShellScheme,
     _box_grid,
+    _flow_stencil,
     dilate_zt,
     dist_zt,
     gauge_zt,
@@ -308,3 +311,78 @@ class TestShellWalker:
         integrate_decaying(lambda z, t: np.stack([decaying(z, t), decaying(z, t)]), 1, scheme)
         with pytest.raises(DivergentIntegralError):
             integrate_decaying(lambda z, t: np.stack([decaying(z, t), np.ones_like(t)]), 1, scheme)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_sub_blocks_sum_as_whole_walk_blocks(self, stacked):
+        from cryamabe.energy import BubbleParams, YamabeConstants, bubble_eval_zt
+
+        consts = YamabeConstants.create(1, 1.0)
+
+        def f(z, t):
+            rows = [
+                bubble_eval_zt(BubbleParams.standard(1), z, t, consts) ** 4,
+                np.exp(-(np.abs(z[..., 0]) ** 4 + t * t)),
+                np.sin(t) / (1.0 + np.abs(z[..., 0]) ** 2 + np.abs(t)) ** 4,
+            ]
+            return np.stack(rows) if stacked else rows[0]
+
+        sizes = []
+
+        def sub_block_only(z, t):
+            if len(t) > _SUB_BLOCK:
+                raise AssertionError(f"integrand got {len(t)} nodes")
+            sizes.append(len(t))
+            return f(z, t)
+
+        # 64^3 inner nodes in 8 walk blocks, then two shells of 4 blocks each,
+        # whose blocks lose the nodes of the inner box
+        scheme = ShellScheme(l0=1.5, n_shells=3, n_inner=64, n_shell=48)
+        centre = HeisPoint([0.4 + 0.2j], -0.3)
+        values, shells = integrate_decaying(sub_block_only, 1, scheme, center=centre)
+        ref_values, ref_shells = _whole_block_integral(f, 1, scheme, centre)
+        assert _SUB_BLOCK < _WALK_BLOCK and len(sizes) > len(list(shell_nodes(1, scheme, centre)))
+        assert sum(sizes) == sum(len(t) for _, _, t, _ in shell_nodes(1, scheme, centre))
+        if stacked:
+            assert values == ref_values and shells == ref_shells
+        else:
+            assert values == ref_values[0] and shells == ref_shells[0]
+
+
+def _whole_block_integral(f, N, scheme, center=None):
+    """The per-shell sums of integrate_decaying with f called once per walk block."""
+    kappa = HaarMeasure.standard(N).kappa_H
+    acc = [0.0] * scheme.n_shells
+    for i, z, t, cell in shell_nodes(N, scheme, center):
+        acc[i] = acc[i] + kappa * cell * np.sum(np.asarray(f(z, t)), axis=-1)
+    shells = np.stack(acc, axis=-1).reshape(-1, scheme.n_shells).tolist()
+    return [sum(row) for row in shells], shells
+
+
+def _mul_zt_stencil(z, t, h):
+    """The points p.(+-h e, 0) of X_j and Y_j through the general group law."""
+    hh = np.asarray(h, dtype=np.float64)
+    zeros = np.zeros_like(t)
+    N = z.shape[-1]
+    for j in range(1, N + 1):
+        for kind, unit in (("X", 1.0), ("Y", 1.0j)):
+            e = np.zeros(N, dtype=np.complex128)
+            e[j - 1] = unit
+            he = hh[..., None] * e if hh.ndim else hh * e
+            yield kind, j, mul_zt(z, t, he, zeros), mul_zt(z, t, -he, zeros)
+
+
+class TestFlowStencil:
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("per_point", [False, True])
+    def test_axis_aligned_points_equal_the_group_law(self, N, per_point):
+        rng = np.random.default_rng(11 + N)
+        z = rng.normal(size=(301, N)) + 1.0j * rng.normal(size=(301, N))
+        t = rng.normal(size=301)
+        h = 0.01 * (1.0 + gauge_zt(z, t)) if per_point else 0.013
+        mine, ref = list(_flow_stencil(z, t, h)), list(_mul_zt_stencil(z, t, h))
+        assert [(kind, j) for kind, j, _, _ in mine] == [(kind, j) for kind, j, _, _ in ref]
+        for (_, _, (zp, tp), (zm, tm)), (_, _, (zpr, tpr), (zmr, tmr)) in zip(mine, ref):
+            # every x_j and y_j is nonzero, so each t-shift is too and its sign shows
+            assert np.all(tp != t) and np.all(tm != t)
+            for a, b in ((zp, zpr), (tp, tpr), (zm, zmr), (tm, tmr)):
+                assert np.array_equal(a, b)
