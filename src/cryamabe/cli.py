@@ -9,6 +9,14 @@ subcommand does not support, and max(jmax, lmax) = 0 where the subcommand
 needs the degree-1 blocks are refused before any work); 3 an unexpected
 error inside a run, recorded in ``<sub>_error.json`` (subcommand, exception
 type, message, traceback).
+
+minimax-explore needs k = 1, like the transported reports: the Hopf rule
+integrates |u|^{p*} exactly only at k = 1, where p* = 4 and |u|^4 = u^4 is a
+polynomial.  At k = 1/2, |u|^{8/3} is not smooth across the nodal set of a
+sign-changing u, and the energy_invariance row reads quadrature error,
+2.9e-2 at the defaults against its 1e-6 bound; a degree-256 rule still reads
+1.8e-6.  An even n_phi, which would mend symmetric_criticality there, moves
+k = 1 values beyond rounding.  So k != 1 is refused before any work.
 """
 
 from __future__ import annotations
@@ -184,7 +192,7 @@ def run_verify_cayley(cfg: ExperimentConfig) -> CheckTable:
             lhsc = -(4.0 * sub_laplacian(F, zz, tt, h=1e-3) - sub_laplacian(F, zz, tt, h=2e-3)) / 3.0
             rhsc = chart.jacobian_zt(zz, tt) ** ((cfg.N + 2) / (2.0 * cfg.N + 2.0)) * Au.eval(chart.map_zt(zz, tt))
             scale_c = np.median(np.abs(rhsc))
-            worst = max(worst, float(np.max(np.abs(lhsc - rhsc) / np.maximum(np.abs(rhsc), 1e-3 * scale_c))))
+            worst = np.maximum(worst, np.max(np.abs(lhsc - rhsc) / np.maximum(np.abs(rhsc), 1e-3 * scale_c)))
         table.add("conformal_covariance", worst, 1e-4 * cfg.tol_scale)
     return table
 
@@ -209,7 +217,7 @@ def run_verify_spectral(cfg: ExperimentConfig) -> CheckTable:
             e = SpectralFunction(eye[i], basis)
             lhs = apply_A2_differential(e, zeta)
             rhs = mult[i] * e.eval(zeta)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs)) / max(np.max(np.abs(rhs)), 1e-12)))
+            worst = np.maximum(worst, np.max(np.abs(lhs - rhs)) / max(np.max(np.abs(rhs)), 1e-12))
         table.add("eigen_consistency", worst, 1e-6 * cfg.tol_scale)
     c = rng.standard_normal(basis.n_basis)
     u = SpectralFunction(c, basis)
@@ -299,7 +307,7 @@ def run_ps_quantization(cfg: ExperimentConfig, n_bubbles: int = 1) -> tuple[Chec
     trend_ok = all(b <= a * 1.1 or b < 0.02 for a, b in zip(gaps, gaps[1:]))
     table.add("gap_trend_decreasing", 0.0 if trend_ok else 1.0, 0.5)
     table.add("final_gap", gaps[-1], 0.02 * cfg.tol_scale if n_bubbles == 1 else 0.04 * cfg.tol_scale)
-    table.add("hk_norm_bounded", max(r["hk_norm_sq"] for r in rows), 10.0 * (consts.C_E * 4 * (1 + n_bubbles)))
+    table.add("hk_norm_bounded", np.max([r["hk_norm_sq"] for r in rows]), 10.0 * (consts.C_E * 4 * (1 + n_bubbles)))
     mass_gaps = [abs(r["mass_gap"]) for r in rows]
     table.add("mass_quantization_final", mass_gaps[-1], 0.05 * cfg.tol_scale * consts.total_mass * consts.u0**4)
     return table, rows
@@ -420,7 +428,7 @@ def run_commutator_check(cfg: ExperimentConfig) -> CheckTable:
         p = HeisPoint(z, float(rng.uniform(-1, 1)))
         direct = three_commutator(u, v, p)
         closed = commutator_identity_value(u, v, p)
-        worst = max(worst, abs(direct - closed))
+        worst = np.maximum(worst, abs(direct - closed))
     table.add("three_commutator_identity", worst, 1e-6 * cfg.tol_scale)
     x1 = lambda z, t: z[..., 0].real
     y1 = lambda z, t: z[..., 0].imag
@@ -445,7 +453,7 @@ def run_minimax_explore(cfg: ExperimentConfig, out_dir: str | None = None) -> tu
     u = SpectralFunction(c, prob_inv.basis)
     worst = 0.0
     for _ in range(100):
-        worst = max(worst, invariance_check(u, random_unitary(cfg.N + 1, rng), prob_inv))
+        worst = np.maximum(worst, invariance_check(u, random_unitary(cfg.N + 1, rng), prob_inv))
     table.add("energy_invariance", worst, 1e-6 * cfg.tol_scale)
     ctrl = minimax_search(SubgroupSpec(hopf_invariant=True), [prob.ground_constant()], prob, budget=60)
     table.add("hopf_control_energy", abs(ctrl[0].energy - consts.C_E), 1e-8)
@@ -500,10 +508,11 @@ SUBCOMMANDS = (
 )
 
 # Subcommands that need more of the configuration than its own ranges; checked
-# before any work.  The transported bubbling reports exist for k = 1 only.
-# The sharpness check's mode (1, 0, 0) and the antipodally odd search (blocks
-# with j + l odd) need max(jmax, lmax) >= 1.
-REQUIRES_K1 = ("ps-quantization", "gradient-decay")
+# before any work.  The transported bubbling reports exist for k = 1 only, and
+# minimax-explore's invariance row passes only where the rule is exact, k = 1
+# (module docstring).  The sharpness check's mode (1, 0, 0) and the
+# antipodally odd search (blocks with j + l odd) need max(jmax, lmax) >= 1.
+REQUIRES_K1 = ("ps-quantization", "gradient-decay", "minimax-explore")
 REQUIRES_DEGREE_1 = ("sobolev-sharpness", "minimax-explore")
 
 

@@ -9,6 +9,13 @@ Requesting both therefore raises MaskEmptyError, and the combined search
 degrades to the odd mask (the component that excludes constants and forces
 sign changes), recording the degradation in its report.
 
+The energy is invariant under the unitary group U(N+1), which maps each
+bidegree block H_{j,l} to itself.  ``invariance_check`` measures that: a
+unitary g acts on the bidegree-(a, b) part of a polynomial through its
+symmetric powers, taking the coefficient matrix C over (alpha_1, beta_1) to
+Sym^a(g)^T C conj(Sym^b(g)), so u o g is exact on the quadrature without
+evaluating u at rotated points.
+
 Critical points are searched by preconditioned descent restricted to the
 Nehari normalization, where the energy reduces to a positive multiple of the
 squared Sobolev norm.
@@ -73,14 +80,19 @@ def mask_for(G: SubgroupSpec, basis) -> Array:
 
 
 def invariance_check(u: SpectralFunction, g: Array, prob: YamabeProblem) -> float:
-    """|E(u) - E(u o g)| for a unitary g acting on C^{N+1}."""
+    """|E(u) - E(u o g)| for a unitary g acting on C^{N+1}.
+
+    u o g is synthesized on the quadrature by rotating u's bidegree blocks
+    with the symmetric powers of g (``SphereQuadrature.rotated_values``),
+    exact to rounding, and analyzed back onto the basis.  A g that is not
+    finite, not square of side N+1 or not unitary to 1e-10 is refused before
+    any work.
+    """
     g = np.asarray(g, dtype=np.complex128)
     n = u.basis.N + 1
-    if g.shape != (n, n) or np.max(np.abs(g.conj().T @ g - np.eye(n))) > 1e-10:
-        raise DomainError("group element must be a unitary matrix on C^{N+1}")
-    rotated_nodes = prob.quad.nodes() @ g.T
-    vals = u.eval(rotated_nodes)
-    u_rot = prob.analyze(vals)
+    if g.shape != (n, n) or not np.all(np.isfinite(g)) or np.max(np.abs(g.conj().T @ g - np.eye(n))) > 1e-10:
+        raise DomainError("group element must be a finite unitary matrix on C^{N+1}")
+    u_rot = prob.analyze(prob.quad.rotated_values(u.coeffs, u.basis, g))
     return abs(prob.energy(u) - prob.energy(u_rot))
 
 

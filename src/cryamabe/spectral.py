@@ -236,9 +236,11 @@ class SphereQuadrature:
     ``YamabeProblem.values``).  Their per-basis gather and scatter plan is
     built on the first transform with a basis and kept in ``_plans``, one
     per basis, so alternating bases rebuilds nothing, like the nodes in
-    ``_flat_nodes``.  Any degree >= 1 works: an odd n_phi, an even one
-    (whose Nyquist bin q = n_phi/2 is its own partner), and a rule below
-    4 (jmax + lmax), whose phase bins wrap around.
+    ``_flat_nodes``; ``rotated_values`` keeps the plan of its monomials in
+    ``_rotations`` the same way and shares the synthesis tail.  Any degree
+    >= 1 works: an odd n_phi, an even one (whose Nyquist bin q = n_phi/2 is
+    its own partner), and a rule below 4 (jmax + lmax), whose phase bins
+    wrap around.
     """
 
     N: int
@@ -249,6 +251,7 @@ class SphereQuadrature:
     n_phi: int
     _flat_nodes: Array | None = field(default=None, repr=False)
     _plans: dict[int, _TransformPlan] = field(default_factory=dict, repr=False)
+    _rotations: dict[int, _RotationPlan] = field(default_factory=dict, repr=False)
 
     @staticmethod
     def build(N: int, degree: int) -> "SphereQuadrature":
@@ -308,6 +311,35 @@ class SphereQuadrature:
         """Values of sum_m c_m y_m on the quadrature grid."""
         plan = self._plan_for(basis)
         c = np.asarray(coeffs, dtype=np.float64)[basis.term_elem[plan.order]] * basis.term_coeff[plan.order]
+        return self._synthesize(plan, c)
+
+    def rotated_values(self, coeffs: Array, basis: HarmonicBasis, g: Array) -> Array:
+        """Values of u(g zeta) at the nodes zeta, u = sum_m c_m y_m, for a complex 2 x 2 matrix g.
+
+        No point is evaluated.  The terms of u are added into one coefficient
+        matrix C_{a,b} over (alpha_1, beta_1) per bidegree (a, b), where g
+        acts through its symmetric powers: (g zeta)^alpha = sum_alpha'
+        Sym^a(g)[alpha, alpha'] zeta^alpha', so C_{a,b} goes to
+        Sym^a(g)^T C_{a,b} conj(Sym^b(g)) (``_symmetric_powers``).  For a
+        unitary g each H_{j,l} is invariant (Folland, Trans. AMS 1972), so
+        u o g stays in the span of the basis.  The rotated monomials are
+        synthesized through the plan of the monomial list of the basis's
+        bidegrees (225 at jmax 4), kept per basis like ``_plans``.  u o g is
+        real for every g, since u is real on all of C^2, so the half-spectrum
+        synthesis applies.
+        """
+        rot = self._rotations.get(id(basis.term_exps))
+        if rot is None:
+            rot = self._rotations[id(basis.term_exps)] = _RotationPlan.build(self, basis.term_exps)
+        d = rot.dmax + 1
+        c = np.asarray(coeffs, dtype=np.float64)[basis.term_elem] * basis.term_coeff
+        C = np.bincount(rot.term_slot, c.real, minlength=d**4) + 1j * np.bincount(rot.term_slot, c.imag, minlength=d**4)
+        S = _symmetric_powers(np.asarray(g, dtype=np.complex128), rot.dmax)
+        C = np.swapaxes(S, 1, 2)[:, None] @ C.reshape((d,) * 4) @ np.conj(S)[None, :]
+        return self._synthesize(rot.mono, C.reshape(-1)[rot.kept_slot])
+
+    def _synthesize(self, plan: _TransformPlan, c: Array) -> Array:
+        """Values on the grid of sum_i c[i] times term plan.order[i]; the tail of both syntheses."""
         terms = c[:, None] * plan.prof_kept
         n_s, n = len(self.s_nodes), self.n_phi
         half = np.zeros((n_s, n * (n // 2 + 1)), dtype=np.complex128)
@@ -353,6 +385,55 @@ class _TransformPlan:
         bins, starts = np.unique(gather[order], return_index=True)
         prof_w = (prof * quad._ring_weights()).T.copy()
         return _TransformPlan(exps, gather, flip, prof_w, order, prof[order], starts, bins)
+
+
+def _symmetric_powers(g: Array, dmax: int) -> Array:
+    """Sym^d(g), d = 0..dmax, of a 2 x 2 matrix g, padded to (dmax+1)^3.
+
+    S[d, a, b] is the coefficient of zeta_1^b zeta_2^(d-b) in
+    (g zeta)_1^a (g zeta)_2^(d-a).  Row a >= 1 of degree d is row a-1 of
+    degree d-1 times (g zeta)_1 = g_11 zeta_1 + g_12 zeta_2, and row 0 is row 0
+    of degree d-1 times (g zeta)_2.
+    """
+    S = np.zeros((dmax + 1,) * 3, dtype=np.complex128)
+    S[0, 0, 0] = 1.0
+    for d in range(1, dmax + 1):
+        prev, cur = S[d - 1, :d], S[d]
+        cur[1 : d + 1, 1:] = g[0, 0] * prev[:, :-1]
+        cur[1 : d + 1] += g[0, 1] * prev
+        cur[0, 1:] = g[1, 0] * prev[0, :-1]
+        cur[0] += g[1, 1] * prev[0]
+    return S
+
+
+@dataclass
+class _RotationPlan:
+    """Where a basis's terms sit among the monomials of its bidegrees, for ``rotated_values``.
+
+    The monomial zeta^alpha conj(zeta)^beta has the slot (a, b, alpha_1,
+    beta_1) of a dense tensor of side dmax + 1, with a = |alpha|, b = |beta|.
+    The plan's monomials are every slot with alpha_1 <= a, beta_1 <= b whose
+    bidegree (a, b) some basis term has; ``mono`` is their synthesis plan.
+    """
+
+    exps: Array  # the basis term exponents the plan was built for (holds the id key, as in _plan_for)
+    dmax: int
+    term_slot: Array  # (n_terms,) flat slot of each basis term
+    kept_slot: Array  # flat slot of each monomial synthesis sums, in ``mono.order``
+    mono: _TransformPlan
+
+    @staticmethod
+    def build(quad: SphereQuadrature, exps: Array) -> _RotationPlan:
+        a, b = exps[:, 0].sum(axis=1), exps[:, 1].sum(axis=1)
+        dmax = int(max(a.max(), b.max()))
+        shape = (dmax + 1,) * 4
+        term_slot = np.ravel_multi_index((a, b, exps[:, 0, 0], exps[:, 1, 0]), shape)
+        sa, sb, si, sk = np.indices(shape).reshape(4, -1)
+        bidegrees = np.ravel_multi_index((a, b), shape[:2])
+        slots = np.flatnonzero((si <= sa) & (sk <= sb) & np.isin(np.ravel_multi_index((sa, sb), shape[:2]), bidegrees))
+        sa, sb, si, sk = sa[slots], sb[slots], si[slots], sk[slots]
+        mono = _TransformPlan.build(quad, np.stack([np.stack([si, sa - si], -1), np.stack([sk, sb - sk], -1)], 1))
+        return _RotationPlan(exps, dmax, term_slot, slots[mono.order], mono)
 
 
 # ---------------------------------------------------------------------------

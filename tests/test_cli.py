@@ -1,4 +1,6 @@
+import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -38,6 +40,7 @@ def test_flag_override_out_of_range():
         ["gradient-decay", "--k", "0.5"],
         ["verify-group", "--tol-scale", "nan"],
         ["verify-group", "--tol-scale", "inf"],
+        ["minimax-explore", "--k", "0.5"],  # energy_invariance reads quadrature error at k != 1
     ],
 )
 def test_out_of_range_flag_refused_before_work(tmp_path, argv):
@@ -204,3 +207,32 @@ def test_degree_one_subcommands_refuse_jmax_0(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert time.perf_counter() - start < 5.0
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "module,name,argv,row",
+    [
+        ("cryamabe.spectral", "apply_A2k", ["verify-cayley"], "conformal_covariance"),
+        ("cryamabe.spectral", "apply_A2_differential", ["verify-spectral", "--jmax", "2"], "eigen_consistency"),
+        ("cryamabe.bubbling", "commutator_identity_value", ["commutator-check"], "three_commutator_identity"),
+        ("cryamabe.minimax", "invariance_check", ["minimax-explore", "--jmax", "2"], "energy_invariance"),
+    ],
+)
+def test_nan_after_the_first_iteration_fails_its_row(monkeypatch, tmp_path, module, name, argv, row):
+    # the row keeps the worst value over its iterations; Python's max(0.0, nan)
+    # is 0.0, so a NaN after the first iteration must not fall out of it
+    mod = importlib.import_module(module)
+    fn = getattr(mod, name)
+    calls = []
+
+    def nan_on_second_call(*args, **kwargs):
+        calls.append(None)
+        out = fn(*args, **kwargs)
+        return out * math.nan if len(calls) == 2 else out
+
+    monkeypatch.setattr(mod, name, nan_on_second_call)
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    with open(os.path.join(tmp_path, argv[0].replace("-", "_") + "_failures.json"), encoding="utf-8") as fh:
+        failed = {rec["check"]: rec["value"] for rec in json.load(fh)}
+    assert math.isnan(failed[row])
+    assert len(calls) > 2

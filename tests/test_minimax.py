@@ -92,6 +92,42 @@ class TestInvariance:
         with pytest.raises(DomainError):
             invariance_check(u, 2.0 * np.eye(2, dtype=complex), prob4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_rejected(self, prob4, bad):
+        # a NaN entry makes the unitarity residual NaN, which no > comparison catches
+        g = np.eye(2, dtype=complex)
+        g[0, 1] = bad
+        with pytest.raises(DomainError):
+            invariance_check(prob4.ground_constant(), g, prob4)
+
+
+def _invariance_by_eval(u, g, prob):
+    """The check through point evaluation: u at the rotated nodes g zeta, analyzed."""
+    u_rot = prob.analyze(u.eval(prob.quad.nodes() @ g.T))
+    return abs(prob.energy(u) - prob.energy(u_rot))
+
+
+class TestRotationDifferential:
+    # rotated_values turns the bidegree blocks by symmetric powers of g; the
+    # evaluator at the rotated nodes is the independent reference
+    @pytest.mark.parametrize("fixture", ["prob4", "prob8"])
+    def test_rotated_values_match_eval_at_rotated_nodes(self, request, fixture):
+        prob = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(40)
+        u = SpectralFunction(rng.standard_normal(prob.basis.n_basis), prob.basis)
+        special = [np.eye(2), np.exp(0.77j) * np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])]
+        for g in [random_unitary(2, rng) for _ in range(5)] + special:
+            ref = u.eval(prob.quad.nodes() @ g.T)
+            got = prob.quad.rotated_values(u.coeffs, u.basis, g)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_check_matches_the_eval_path(self, prob4):
+        rng = np.random.default_rng(41)
+        u = SpectralFunction(rng.standard_normal(prob4.basis.n_basis), prob4.basis)
+        for _ in range(10):
+            g = random_unitary(2, rng)
+            assert abs(invariance_check(u, g, prob4) - _invariance_by_eval(u, g, prob4)) <= 1e-12
+
 
 class TestNehari:
     def test_ground_state_fixed(self, prob6):

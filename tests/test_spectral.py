@@ -471,7 +471,7 @@ class TestEvaluatorDifferential:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_eval_at_quadrature_nodes(self, prob4, prob8, seed):
         # every 47th node of the jmax-8 rule keeps the parent's table small;
-        # at jmax 4 every node, rotated as invariance_check does
+        # at jmax 4 every node, rotated by a unitary g (zeta -> g zeta)
         nodes = prob8.quad.nodes()[::47]
         f = SpectralFunction(np.random.default_rng(seed).standard_normal(prob8.basis.n_basis), prob8.basis)
         assert _rel(f.eval(nodes), _ref_eval(f, nodes)) <= 1e-12
