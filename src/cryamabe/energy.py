@@ -29,6 +29,7 @@ from .heisenberg import (
     HeisPoint,
     ShellScheme,
     _flow_stencil,
+    _gauge_sq_power,
     _sum_last,
     dilate_zt,
     gauge_zt,
@@ -256,7 +257,7 @@ class YamabeProblem:
 
     def lp_star_mass(self, u: SpectralFunction) -> float:
         vals = self.values(u)
-        return self.quad.integrate(np.abs(vals) ** self.constants.p_star)
+        return self.quad.integrate(_gauge_sq_power(vals * vals, self.constants.p_star))
 
     def energy(self, u: SpectralFunction) -> float:
         quadratic = hk_form(u.coeffs, self.basis.multipliers(self.constants.k))

@@ -112,6 +112,36 @@ def homogeneous_dim(N: int) -> int:
     return 2 * N + 2
 
 
+def _int_power(x: Array, n: int) -> Array:
+    if n < 0:
+        return 1.0 / _int_power(x, -n)
+    out = None
+    while n:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return np.ones_like(x) if out is None else out
+
+
+def _gauge_sq_power(gauge_sq: Array, e: float) -> Array:
+    """gauge^e from gauge^2, with multiply-only paths for (half-)integer e.
+
+    Any |x|^e from x^2 alike: the kernels of ``riesz`` take gauge powers, and
+    ``YamabeProblem.lp_star_mass`` takes |u|^{p*} from u^2 (u^4 at k = 1).
+    """
+    half = e / 2.0
+    if half == int(half):
+        return _int_power(gauge_sq, int(half))
+    if e == int(e):
+        # e = 2h + 1: gauge^e = gauge * (gauge^2)^h
+        h = (int(e) - 1) // 2
+        root = np.sqrt(gauge_sq)
+        return root / _int_power(gauge_sq, -h) if h < 0 else root * _int_power(gauge_sq, h)
+    return gauge_sq**half
+
+
 # ---------------------------------------------------------------------------
 # left-invariant derivatives
 

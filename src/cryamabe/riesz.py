@@ -32,6 +32,7 @@ from .heisenberg import (
     HaarMeasure,
     HeisPoint,
     ShellScheme,
+    _gauge_sq_power,
     gauge_zt,
     integrate_decaying,
     inv_zt,
@@ -78,32 +79,6 @@ class KernelSpec:
         if self.kind == "hyper":
             return -(self.Q + self.alpha)
         return self.alpha - self.Q
-
-
-def _int_power(x: Array, n: int) -> Array:
-    if n < 0:
-        return 1.0 / _int_power(x, -n)
-    out = None
-    while n:
-        if n & 1:
-            out = x if out is None else out * x
-        n >>= 1
-        if n:
-            x = x * x
-    return np.ones_like(x) if out is None else out
-
-
-def _gauge_sq_power(gauge_sq: Array, e: float) -> Array:
-    """gauge^e from gauge^2, with multiply-only paths for (half-)integer e."""
-    half = e / 2.0
-    if half == int(half):
-        return _int_power(gauge_sq, int(half))
-    if e == int(e):
-        # e = 2h + 1: gauge^e = gauge * (gauge^2)^h
-        h = (int(e) - 1) // 2
-        root = np.sqrt(gauge_sq)
-        return root / _int_power(gauge_sq, -h) if h < 0 else root * _int_power(gauge_sq, h)
-    return gauge_sq**half
 
 
 # Values per work array: table entries or (source, output) pairs per block,

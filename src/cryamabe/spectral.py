@@ -9,19 +9,26 @@ Jacobi polynomial in s = |zeta_1|^2 times a phase, written as a homogeneous
 polynomial with integer binomial coefficients and divided by its closed-form
 norm (``build_basis``).  So the basis is canonical, needs no linear algebra,
 and is orthonormal to rounding.  The quadrature and the transforms on it are
-the deterministic N = 1 rule on S^3 (FFT over the two Hopf phases,
+the deterministic N = 1 rule on S^3 (a DFT over the two Hopf phases,
 Gauss-Legendre in |zeta_1|^2), the only sphere the runners use.
 
-Functions are real, so the transforms work on the real half spectrum of the
-two phases: analysis takes rfft2 of the values and reads a phase bin
-(p, q) with q > n_phi//2 as the conjugate of its partner (-p, -q); synthesis
-fills the bins with q <= n_phi//2 and inverts with irfft2.  Both work on
-the basis terms (about 2(n+1) per element, 4,005 at jmax 8): synthesis
-scales each term by its element's coefficient, and analysis folds the
-per-term integrals back onto the elements with a bincount; no dense
-element-by-monomial matrix exists.  ``YamabeProblem.values`` keeps a
-function's synthesized values with it, so each coefficient vector is
-synthesized once.
+A function in the span of the blocks H_{j,l}, j, l <= 8, occupies only the
+phase bins |p|, |q| <= 8 of the 65 x 65 that the default jmax-8 rule
+resolves.  So the phase DFT is pruned to the occupied bins (Markel, "FFT
+pruning", IEEE Trans. Audio Electroacoust. 1971): per Gauss-Legendre ring it
+is two small dense products, a real cos/sin factor over phi_2 and a complex
+factor over phi_1.
+Functions are real, so only the half spectrum q <= n_phi//2 is formed:
+analysis reads a bin (p, q) with q > n_phi//2 as the conjugate of its
+partner (-p, -q), and synthesis fills the bins with q <= n_phi//2 and
+weights each by 2, except q = 0 and the Nyquist bin q = n_phi/2 of an even
+n_phi, which are their own partners.  At jmax 8 that is 17 p-bins and 9
+q-bins.  Both transforms work on the basis terms (about 2(n+1) per element,
+4,005 at jmax 8): synthesis scales each term by its element's coefficient,
+and analysis folds the per-term integrals back onto the elements with a
+bincount; no dense element-by-monomial matrix exists.
+``YamabeProblem.values`` keeps a function's synthesized values with it, so
+each coefficient vector is synthesized once.
 
 The fractional operator of order 2k acts diagonally: the element with label
 (j, l) is multiplied by lam_j(k) * lam_l(k), with Gamma-ratio multipliers
@@ -231,10 +238,11 @@ class SphereQuadrature:
     uniform in the two phases; exact for bidegree polynomials of total degree
     <= ``degree``.  The runners support N = 1 only, so no other rule exists.
 
-    The transforms run on the rfft2 half spectrum over the two phases and on
-    the basis terms (see the module docstring; the values memo is
-    ``YamabeProblem.values``).  Their per-basis gather and scatter plan is
-    built on the first transform with a basis and kept in ``_plans``, one
+    The transforms evaluate the phase DFT on the occupied half-spectrum bins
+    only, ring by ring, and work on the basis terms (see the module
+    docstring; the values memo is ``YamabeProblem.values``).  Their
+    per-basis plan (occupied bins, DFT factors, gather and scatter indices)
+    is built on the first transform with a basis and kept in ``_plans``, one
     per basis, so alternating bases rebuilds nothing, like the nodes in
     ``_flat_nodes``; ``rotated_values`` keeps the plan of its monomials in
     ``_rotations`` the same way and shares the synthesis tail.  Any degree
@@ -300,7 +308,9 @@ class SphereQuadrature:
         """Coefficients of the basis expansion; returns (coeffs, imag_residual)."""
         plan = self._plan_for(basis)
         v = np.asarray(values, dtype=np.float64).reshape(self.grid_shape)
-        vhat = np.fft.rfft2(v).reshape(len(self.s_nodes), -1)
+        # (n_s, n, n) @ (n, 2 n_q): interleaved columns give V_cos - i V_sin as a complex view
+        G = (v @ plan.ana_q).view(np.complex128)
+        vhat = (plan.ana_p @ G).reshape(len(self.s_nodes), -1)
         term_int = np.einsum("sm,sm->m", plan.prof_w, vhat[:, plan.gather])
         term_int = np.where(plan.flip, np.conj(term_int), term_int) * np.conj(basis.term_coeff)
         coeffs = np.bincount(basis.term_elem, term_int.real, minlength=basis.n_basis)
@@ -341,35 +351,61 @@ class SphereQuadrature:
     def _synthesize(self, plan: _TransformPlan, c: Array) -> Array:
         """Values on the grid of sum_i c[i] times term plan.order[i]; the tail of both syntheses."""
         terms = c[:, None] * plan.prof_kept
-        n_s, n = len(self.s_nodes), self.n_phi
-        half = np.zeros((n_s, n * (n // 2 + 1)), dtype=np.complex128)
-        half[:, plan.bins] = np.add.reduceat(terms, plan.starts, axis=0).T
-        vals = np.fft.irfft2(half.reshape(n_s, n, -1), s=(n, n), norm="forward")
-        return vals.reshape(-1)
+        n_s, n_p, n_q = len(self.s_nodes), plan.syn_p.shape[1], plan.syn_q.shape[0] // 2
+        H = np.zeros((n_s, n_p * n_q), dtype=np.complex128)
+        H[:, plan.bins] = np.add.reduceat(terms, plan.starts, axis=0).T
+        G = plan.syn_p @ H.reshape(n_s, n_p, n_q)
+        # [Re G, Im G] interleaved, (n_s, n, 2 n_q) @ (2 n_q, n)
+        return (G.view(np.float64) @ plan.syn_q).reshape(-1)
 
 
 @dataclass
 class _TransformPlan:
-    """Gather and scatter indices of the half-spectrum transforms, for one basis.
+    """Occupied phase bins, pruned DFT factors and gather/scatter indices, for one basis.
 
     Term i sits in the phase bin (p, q) = (alpha_1 - beta_1, alpha_2 - beta_2)
     mod n_phi with radial profile |zeta_1|^{alpha_1+beta_1} |zeta_2|^{alpha_2+beta_2}
-    over the s nodes.  Analysis reads every term from the rfft2 half
-    spectrum; synthesis sums only the terms with q <= n_phi//2, in bin order.
+    over the s nodes.  A term with q > n_phi//2 is read from its partner's
+    bin (-p, n_phi - q), conjugated.  The transforms see only the compact
+    spectrum: the n_p distinct p-bins times the n_q distinct q-bins (all
+    q <= n_phi//2) of the bins so read.  Analysis gathers every term from
+    it; synthesis sums only the terms with q <= n_phi//2, in bin order, into
+    it.
+
+    The DFT factors, with w = e^{-2 pi i / n_phi}: analysis multiplies each
+    ring's values (phi_1, phi_2) by ``ana_q`` (n_phi, 2 n_q), the real and
+    imaginary parts of w^{q b} in interleaved columns, so the product viewed
+    as complex is the phi_2 transform, and then by ``ana_p`` = w^{p a}
+    (n_p, n_phi).  Synthesis multiplies by ``syn_p`` = w^{-a p} (n_phi, n_p)
+    and then by ``syn_q`` (2 n_q, n_phi), whose interleaved row pairs give
+    sum_q weight_q Re(G_q w^{-q b}); the weight is 1 at q = 0 and at the
+    Nyquist bin of an even n_phi and 2 elsewhere, as in an inverse real FFT.
+
+    Every product stays 3-D, batched over the s rings, so that each BLAS call
+    is one ring (at most 65 x 65 x 18 at jmax 8), below OpenBLAS's threshold
+    for multithreading.  Flat 2-D products over all rings (1105 x 65 @ 65 x
+    18) do thread, and lose wherever another process competes for the cores:
+    on 2 vCPUs (OpenBLAS 0.3.31) beside one busy-loop process, a
+    spectral-descent pass read 0.72-0.92 s with them at 2 BLAS threads
+    against 0.26-0.37 s with the per-ring products (BENCH_15.json).
     """
 
     exps: Array  # the basis term exponents the plan was built for
-    gather: Array  # (n_terms,) flat half-spectrum index read by analysis
+    gather: Array  # (n_terms,) flat compact-spectrum index read by analysis
     flip: Array  # (n_terms,) bool, the bin is the conjugate of the gathered one
     prof_w: Array  # (n_s, n_terms) radial profile times ring weight
     order: Array  # terms with q <= n_phi//2, sorted by bin
     prof_kept: Array  # (len(order), n_s) their radial profiles
     starts: Array  # first position of each occupied bin in ``order``
-    bins: Array  # flat half-spectrum index of each occupied bin
+    bins: Array  # flat compact-spectrum index of each occupied bin
+    ana_q: Array  # (n_phi, 2 n_q) real
+    ana_p: Array  # (n_p, n_phi) complex
+    syn_p: Array  # (n_phi, n_p) complex
+    syn_q: Array  # (2 n_q, n_phi) real
 
     @staticmethod
     def build(quad: SphereQuadrature, exps: Array) -> _TransformPlan:
-        n, h = quad.n_phi, quad.n_phi // 2 + 1
+        n = quad.n_phi
         alpha, beta = exps[:, 0], exps[:, 1]
         deg = alpha + beta
         c, q_rad = np.sqrt(quad.s_nodes), np.sqrt(1.0 - quad.s_nodes)
@@ -379,12 +415,22 @@ class _TransformPlan:
         p = (alpha[:, 0] - beta[:, 0]) % n
         q = (alpha[:, 1] - beta[:, 1]) % n
         flip = q > n // 2
-        gather = np.where(flip, -p % n, p) * h + np.where(flip, n - q, q)
+        p_bins, p_at = np.unique(np.where(flip, -p % n, p), return_inverse=True)
+        q_bins, q_at = np.unique(np.where(flip, n - q, q), return_inverse=True)
+        gather = p_at * len(q_bins) + q_at
         order = np.flatnonzero(~flip)
         order = order[np.argsort(gather[order], kind="stable")]
         bins, starts = np.unique(gather[order], return_index=True)
         prof_w = (prof * quad._ring_weights()).T.copy()
-        return _TransformPlan(exps, gather, flip, prof_w, order, prof[order], starts, bins)
+
+        w = np.exp(-2j * np.pi * np.arange(n) / n)  # w[k] = e^{-2 pi i k / n}, indexed by k mod n
+        phase = np.arange(n)
+        ana_q = w[np.outer(phase, q_bins) % n].view(np.float64)
+        ana_p = w[np.outer(p_bins, phase) % n]
+        weight = np.where((q_bins == 0) | (2 * q_bins == n), 1.0, 2.0)
+        syn_q = (np.repeat(weight, 2)[:, None] * ana_q.T).copy()  # row pairs weight * (cos, -sin)
+        syn_p = np.conj(ana_p.T).copy()
+        return _TransformPlan(exps, gather, flip, prof_w, order, prof[order], starts, bins, ana_q, ana_p, syn_p, syn_q)
 
 
 def _symmetric_powers(g: Array, dmax: int) -> Array:

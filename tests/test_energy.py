@@ -19,7 +19,7 @@ from cryamabe.energy import (
     sobolev_constant,
 )
 from cryamabe.errors import DivergentIntegralError, DomainError
-from cryamabe.heisenberg import HeisPoint, ShellScheme
+from cryamabe.heisenberg import HeisPoint, ShellScheme, _gauge_sq_power
 from cryamabe.minimax import SubgroupSpec, minimax_search
 from cryamabe.spectral import (
     SphereQuadrature,
@@ -170,6 +170,22 @@ class TestSphereEnergy:
         assert prob6.sobolev_quotient(3.7 * mode) == pytest.approx(prob6.sobolev_quotient(mode), rel=1e-13)
         with pytest.raises(DomainError):
             prob6.sobolev_quotient(SpectralFunction(np.zeros(prob6.basis.n_basis), prob6.basis))
+
+
+class TestLpStarMassPower:
+    """lp_star_mass takes |u|^{p*} from u^2 by multiplication; np.abs(u) ** p* is the oracle."""
+
+    @pytest.mark.parametrize("name", ["prob6", "prob_half"])
+    def test_matches_abs_power(self, name, request):
+        prob = request.getfixturevalue(name)
+        p = prob.constants.p_star
+        for seed in range(3):
+            u = SpectralFunction(np.random.default_rng(90 + seed).standard_normal(prob.basis.n_basis), prob.basis)
+            v = prob.values(u)
+            ref = np.abs(v) ** p
+            assert np.max(np.abs(_gauge_sq_power(v * v, p) - ref) / np.maximum(ref, 1e-300)) <= 1e-14
+            oracle = prob.quad.integrate(ref)
+            assert abs(prob.lp_star_mass(u) - oracle) <= 1e-14 * oracle
 
 
 class TestHeisenbergEnergy:

@@ -893,6 +893,34 @@ class TestHalfSpectrumTransforms:
                 assert _rel(coeffs, ref) <= 1e-12
                 assert resid <= 1e-10 and ref_resid <= 1e-10
 
+    def test_no_fft_is_called(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sphere transforms must not call np.fft")
+
+        monkeypatch.setattr(np.fft, "rfft2", refuse)
+        monkeypatch.setattr(np.fft, "irfft2", refuse)
+        basis = cached_basis(1, 4)
+        quad = SphereQuadrature.build(1, 32)
+        rng = np.random.default_rng(4)
+        c = rng.standard_normal(basis.n_basis)
+        vals = quad.synthesize_values(c, basis)
+        assert _rel(quad.analyze_values(vals, basis)[0], c) <= 1e-12
+        g = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+        assert quad.rotated_values(c, basis, g).shape == vals.shape
+
+    @pytest.mark.parametrize(
+        "jmax, degree, n_p, n_q",
+        [(8, 64, 17, 9), (2, 1, 2, 2)],  # the default jmax-8 rule; the n_phi = 2 rule, every bin folded
+    )
+    def test_compact_plan_holds_the_occupied_bins(self, jmax, degree, n_p, n_q):
+        basis = cached_basis(1, jmax)
+        quad = SphereQuadrature.build(1, degree)
+        plan = quad._plan_for(basis)
+        n = quad.n_phi
+        assert plan.ana_p.shape == (n_p, n) and plan.syn_p.shape == (n, n_p)
+        assert plan.ana_q.shape == (n, 2 * n_q) and plan.syn_q.shape == (2 * n_q, n)
+        assert plan.gather.max() < n_p * n_q and plan.bins.max() < n_p * n_q
+
     def test_plan_follows_the_basis(self):
         quad = SphereQuadrature.build(1, 16)
         c2, c4 = (np.random.default_rng(2).standard_normal(cached_basis(1, j).n_basis) for j in (2, 4))
