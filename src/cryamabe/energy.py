@@ -266,7 +266,7 @@ class YamabeProblem:
     def gradient(self, u: SpectralFunction) -> SpectralFunction:
         """dE(u) = A_{2k} u - |u|^{p*-2} u projected on the working truncation."""
         vals = self.values(u)
-        nl = np.abs(vals) ** (self.constants.p_star - 2.0) * vals
+        nl = _gauge_sq_power(vals * vals, self.constants.p_star - 2.0) * vals
         nl_spec = analyze(nl, self.quad, self.basis)
         g = apply_A2k(u, self.constants.k).coeffs - nl_spec.coeffs
         return SpectralFunction(g, self.basis, tail_energy=nl_spec.tail_energy)

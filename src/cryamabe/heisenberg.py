@@ -129,7 +129,8 @@ def _gauge_sq_power(gauge_sq: Array, e: float) -> Array:
     """gauge^e from gauge^2, with multiply-only paths for (half-)integer e.
 
     Any |x|^e from x^2 alike: the kernels of ``riesz`` take gauge powers, and
-    ``YamabeProblem.lp_star_mass`` takes |u|^{p*} from u^2 (u^4 at k = 1).
+    ``YamabeProblem.lp_star_mass`` and ``gradient`` take |u|^{p*} and
+    |u|^{p*-2} from u^2 (u^4 and u^2 at k = 1).
     """
     half = e / 2.0
     if half == int(half):

@@ -1,102 +1,61 @@
-"""Polynomials in (zeta, conj(zeta)) on C^{N+1} with exact differential operators.
+"""Polynomials in (zeta, conj(zeta)) on C^{N+1} as term arrays, with the exact sub-Laplacian.
 
-A polynomial is a dict mapping (alpha, beta) -> complex coefficient, where
-alpha and beta are exponent tuples of length N+1 for zeta and conj(zeta).
-It carries the eigenvalue checks of the sphere harmonic basis: tangential
-operators T_j = d/dzeta_j - conj(zeta_j) * sum_k zeta_k d/dzeta_k act exactly
-on monomials, so those checks need no quadrature.
+A polynomial is a pair of arrays: ``exps`` (n_terms, 2, N+1) of integer
+exponent pairs (alpha, beta) and ``coeffs`` (n_terms,) of complex
+coefficients, the sum of coeffs[i] zeta^alpha_i conj(zeta)^beta_i.  An
+exponent pair may recur; its terms add.  The harmonic basis keeps its elements
+in this form.
 
-``eval_terms`` is the one evaluator, for exponent arrays (as the harmonic
-basis keeps them) and, through ``poly_eval``, for dict tables.  The
-polynomial sum_{a,b} C[a_0, b_0, ..., a_N, b_N] prod_v zeta_v^a_v
-conj(zeta_v)^b_v is separable, so the coefficients go into a dense tensor over
-the live exponent range and are contracted one coordinate at a time; no table
-of monomial values is built.
+The tangential fields T_j = d/dzeta_j - conj(zeta_j) sum_k zeta_k d/dzeta_k
+and their conjugates map a monomial to two shifted monomials with integer
+factors (Folland, Trans. AMS 1972), so ``conformal_sublaplacian`` is exact
+differentiation and needs no quadrature.
+
+``poly_eval`` is the one evaluator.  The polynomial sum_{a,b} C[a_0, b_0,
+..., a_N, b_N] prod_v zeta_v^a_v conj(zeta_v)^b_v is separable, so the
+coefficients go into a dense tensor over the live exponent range and are
+contracted one coordinate at a time; no table of monomial values is built.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 import numpy as np
 
-Multi = Tuple[int, ...]
-Poly = Dict[Tuple[Multi, Multi], complex]
-
-# Entries per block of eval_terms' intermediates (125 KiB complex).  Blocks
+# Entries per block of poly_eval's intermediates (125 KiB complex).  Blocks
 # this small stay in cache and below glibc's default 128 KiB mmap threshold, so
 # they reuse freed heap memory instead of page-faulting in fresh mappings.
 _EVAL_BLOCK = 8000
 
 
-def poly_add(p: Poly, q: Poly, coeff: complex = 1.0) -> Poly:
-    out = dict(p)
-    for key, c in q.items():
-        out[key] = out.get(key, 0.0) + coeff * c
-    return {k: v for k, v in out.items() if v != 0.0}
+def _tangential(exps: np.ndarray, coeffs: np.ndarray, j: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """T_j (s = 0) or Tbar_j (s = 1) of the terms, two shifted copies per term.
+
+    T_j sends zeta^alpha conj(zeta)^beta to alpha_j times alpha lowered at j
+    and -|alpha| times beta raised at j; Tbar_j swaps the roles of alpha and
+    beta.  Copies whose factor is zero are dropped.
+    """
+    lowered, raised = exps.copy(), exps.copy()
+    lowered[:, s, j] -= 1
+    raised[:, 1 - s, j] += 1
+    factors = np.concatenate([exps[:, s, j], -exps[:, s].sum(axis=1)])
+    keep = factors != 0
+    return np.concatenate([lowered, raised])[keep], (factors * np.concatenate([coeffs, coeffs]))[keep]
 
 
-def poly_scale(p: Poly, c: complex) -> Poly:
-    return {k: c * v for k, v in p.items()}
+def conformal_sublaplacian(exps: np.ndarray, coeffs: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """-(1/2) sum_j (T_j Tbar_j + Tbar_j T_j) + N^2/4 of a term array, exactly.
 
-
-def _bump(idx: Multi, j: int, step: int) -> Multi:
-    lst = list(idx)
-    lst[j] += step
-    return tuple(lst)
-
-
-def d_zeta(p: Poly, j: int) -> Poly:
-    out: Poly = {}
-    for (alpha, beta), c in p.items():
-        if alpha[j] > 0:
-            key = (_bump(alpha, j, -1), beta)
-            out[key] = out.get(key, 0.0) + c * alpha[j]
-    return out
-
-
-def d_zbar(p: Poly, j: int) -> Poly:
-    out: Poly = {}
-    for (alpha, beta), c in p.items():
-        if beta[j] > 0:
-            key = (alpha, _bump(beta, j, -1))
-            out[key] = out.get(key, 0.0) + c * beta[j]
-    return out
-
-
-def mul_zeta(p: Poly, j: int) -> Poly:
-    return {(_bump(alpha, j, 1), beta): c for (alpha, beta), c in p.items()}
-
-
-def mul_zbar(p: Poly, j: int) -> Poly:
-    return {(alpha, _bump(beta, j, 1)): c for (alpha, beta), c in p.items()}
-
-
-def radial_z(p: Poly) -> Poly:
-    """sum_k zeta_k d/dzeta_k; multiplies each monomial by its zeta-degree."""
-    return {key: c * sum(key[0]) for key, c in p.items() if sum(key[0])}
-
-
-def radial_zbar(p: Poly) -> Poly:
-    return {key: c * sum(key[1]) for key, c in p.items() if sum(key[1])}
-
-
-def t_op(p: Poly, j: int) -> Poly:
-    """T_j = d/dzeta_j - conj(zeta_j) sum_k zeta_k d/dzeta_k."""
-    return poly_add(d_zeta(p, j), mul_zbar(radial_z(p), j), coeff=-1.0)
-
-
-def tbar_op(p: Poly, j: int) -> Poly:
-    return poly_add(d_zbar(p, j), mul_zeta(radial_zbar(p), j), coeff=-1.0)
-
-
-def conformal_sublaplacian(p: Poly, N: int) -> Poly:
-    """-(1/2) sum_j (T_j Tbar_j + Tbar_j T_j) + N^2/4, exactly on polynomials."""
-    acc: Poly = {}
+    The result repeats exponent pairs; ``poly_eval`` adds them.
+    """
+    exps = np.asarray(exps, dtype=np.int64).reshape(-1, 2, N + 1)
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    out_exps, out_coeffs = [exps], [N * N / 4.0 * coeffs]
     for j in range(N + 1):
-        acc = poly_add(acc, t_op(tbar_op(p, j), j))
-        acc = poly_add(acc, tbar_op(t_op(p, j), j))
-    return poly_add(poly_scale(acc, -0.5), poly_scale(p, N * N / 4.0))
+        for s in (0, 1):
+            e, c = _tangential(*_tangential(exps, coeffs, j, 1 - s), j, s)
+            out_exps.append(e)
+            out_coeffs.append(-0.5 * c)
+    return np.concatenate(out_exps), np.concatenate(out_coeffs)
 
 
 def _contract(T: np.ndarray, zeta: np.ndarray, d: int) -> np.ndarray:
@@ -121,7 +80,7 @@ def _contract(T: np.ndarray, zeta: np.ndarray, d: int) -> np.ndarray:
     return acc.reshape(n)
 
 
-def eval_terms(exps: np.ndarray, coeffs: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+def poly_eval(exps: np.ndarray, coeffs: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     """Sum of coeffs[i] zeta^exps[i, 0] conj(zeta)^exps[i, 1] at points (..., nvar).
 
     ``exps`` is an integer array (n_terms, 2, nvar) of exponent pairs and
@@ -145,8 +104,3 @@ def eval_terms(exps: np.ndarray, coeffs: np.ndarray, zeta: np.ndarray) -> np.nda
         for c0 in range(0, len(flat), chunk):
             out[c0 : c0 + chunk] = _contract(T, flat[c0 : c0 + chunk], d)
     return out.reshape(zeta.shape[:-1])
-
-
-def poly_eval(p: Poly, zeta: np.ndarray) -> np.ndarray:
-    """Evaluate a polynomial table at points of shape (..., N+1) through ``eval_terms``."""
-    return eval_terms(np.array(list(p), dtype=np.int64), np.array(list(p.values()), dtype=np.complex128), zeta)

@@ -2,7 +2,7 @@
 
 The model kernels are powers of the Koranyi gauge: order-alpha potentials
 |x|^{alpha-Q}, Green-type kernels |x|^{2k-Q}, and hypersingular kernels
-|x|^{-(Q+2k)}.  Multiplicative constants are never asserted; they are either
+|x|^{-(Q+2k)}.  Constant factors are never asserted; they are either
 normalized to one or fitted (the Green constant by inverting the local
 operator on a bump, the PV constant on the explicit extremal family).
 Convolutions are group convolutions (f * K)(x) = int f(y) K(y^{-1} x) dv_H(y)

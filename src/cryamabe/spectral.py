@@ -44,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .polynomials import Poly, conformal_sublaplacian, eval_terms, poly_eval
+from .polynomials import conformal_sublaplacian, poly_eval
 
 Array = np.ndarray
 
@@ -66,26 +66,6 @@ def surface_measure(N: int) -> float:
 def total_sphere_mass(N: int) -> float:
     """Mass of dv_S: 2^{2N+1} N! times the surface measure, i.e. 2^{2N+2} pi^{N+1}."""
     return float(2 ** (2 * N + 1) * math.factorial(N) * surface_measure(N))
-
-
-def dim_H(j: int, l: int, N: int) -> int:
-    """Dimension of the bidegree-(j, l) harmonic block."""
-    if j < 0 or l < 0 or N < 1:
-        raise DomainError("need j, l >= 0 and N >= 1")
-    num = (
-        Fraction(math.factorial(j + N - 1))
-        * math.factorial(l + N - 1)
-        * (j + l + N)
-    )
-    den = (
-        Fraction(math.factorial(N))
-        * math.factorial(N - 1)
-        * math.factorial(j)
-        * math.factorial(l)
-    )
-    val = num / den
-    assert val.denominator == 1
-    return int(val)
 
 
 def lambda_jk(j: int, k: float, Q: int) -> float:
@@ -130,7 +110,7 @@ class HarmonicBasis:
         return total_sphere_mass(self.N)
 
     def index_of(self, j: int, l: int, m: int = 0) -> int:
-        """Position of element (j, l, m); the block must be built and m lie in [0, dim_H(j, l))."""
+        """Position of element (j, l, m); the block must be built and m lie below its size."""
         sl = self.block_slices.get((j, l), slice(0, 0))
         if not 0 <= m < sl.stop - sl.start:
             raise DomainError(f"the basis has no element ({j},{l},{m})")
@@ -522,22 +502,13 @@ class SpectralFunction:
         live = self.coeffs[elem] != 0
         return self.basis.term_exps[live], self.coeffs[elem[live]] * self.basis.term_coeff[live]
 
-    def to_poly(self) -> Poly:
-        """The ambient polynomial: one key per monomial of a live term, its terms summed."""
-        poly: Poly = {}
-        exps, vals = self._live_terms()
-        for (a, b), c in zip(exps.tolist(), vals):
-            key = (tuple(a), tuple(b))
-            poly[key] = poly.get(key, 0) + c
-        return poly
-
     def eval(self, zeta: Array) -> Array:
-        """Values at points (..., N+1): ``polynomials.eval_terms`` of the live terms.
+        """Values at points (..., N+1): ``polynomials.poly_eval`` of the live terms.
 
         That per-coordinate contraction adds up a monomial's terms and builds
         no polynomial table.
         """
-        return eval_terms(*self._live_terms(), zeta).real
+        return poly_eval(*self._live_terms(), zeta).real
 
 
 def constant_function(value: float, basis: HarmonicBasis) -> SpectralFunction:
@@ -588,17 +559,11 @@ def norm_H_minus_k(f: SpectralFunction, k: float) -> float:
     return math.sqrt(h_minus_k_form(f.coeffs, f.basis.multipliers(k)))
 
 
-def pairing(f: SpectralFunction, u: SpectralFunction) -> float:
-    """L^2 duality pairing; coefficients are in the same orthonormal basis."""
-    return float(np.dot(f.coeffs, u.coeffs))
-
-
 def apply_A2_differential(u: SpectralFunction, zeta) -> float | Array:
     """Apply the second-order conformal sub-Laplacian by exact differentiation.
 
-    The operator is applied symbolically to the ambient polynomial of ``u``
-    (``to_poly``) and evaluated at ``zeta``.
+    ``polynomials.conformal_sublaplacian`` maps the live terms of ``u`` to the
+    terms of A_2 u, which are evaluated at ``zeta``.
     """
-    ap = conformal_sublaplacian(u.to_poly(), u.basis.N)
-    out = poly_eval(ap, np.asarray(zeta, dtype=np.complex128)).real
+    out = poly_eval(*conformal_sublaplacian(*u._live_terms(), u.basis.N), zeta).real
     return float(out) if out.ndim == 0 else out

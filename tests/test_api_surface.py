@@ -6,19 +6,20 @@ referenced by name (a ``Name``, an ``Attribute`` or an import) somewhere in the
 program code of ``src/`` or ``bench/``; test modules do not count.  A public
 name that only tests call is either dead or an oracle that belongs with the
 tests that use it.
+
+The benchmark's span tracer wraps functions by name, so each of its targets
+must also still exist.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cryamabe"
 
 ALLOWED = {
-    # closed-form dim H_{j,l}: the spectral tests check the basis block sizes against it
-    "spectral.dim_H",
-    # the L^2 duality pairing: the energy and bubbling tests check gradients and weak limits with it
-    "spectral.pairing",
     # the config as JSON: the planned run manifest (ROADMAP item 1) is to record the config through it
     "config.ExperimentConfig.to_json",
 }
@@ -70,3 +71,19 @@ def test_every_public_name_has_a_program_caller():
 def test_allowed_names_still_exist():
     # an allowance outliving its definition would hide nothing, but it rots
     assert ALLOWED <= set(_definitions())
+
+
+def test_trace_targets_resolve():
+    # bench/run.py --trace 1 wraps each TARGETS entry by name; a deleted or
+    # renamed target would break the traced run, not any test
+    spec = importlib.util.spec_from_file_location("_bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for modname, path, _, _ in spans.TARGETS:
+        owner = importlib.import_module(f"cryamabe.{modname}")
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(f"{modname}.{path}")
+    assert spans.TARGETS and missing == []

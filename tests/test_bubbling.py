@@ -20,7 +20,7 @@ from cryamabe.bubbling import (
 )
 from cryamabe.errors import DomainError, PoleError
 from cryamabe.heisenberg import HeisPoint
-from cryamabe.spectral import SpectralFunction, norm_Hk, pairing
+from cryamabe.spectral import SpectralFunction, norm_Hk
 
 CENTER = np.array([1.0 + 0j, 0.0 + 0j])
 LADDER = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -125,7 +125,7 @@ class TestSynthesis:
         prev = math.inf
         for n in (0, 2, 4):
             v = synthesize_vn(one_bubble.bubbles[0], n, prob8)
-            val = abs(pairing(v, f))
+            val = abs(float(v.coeffs @ f.coeffs))  # the L^2 pairing in the orthonormal basis
             assert val < prev or val < 1e-6
             prev = val
 
