@@ -205,7 +205,7 @@ def run_verify_spectral(cfg: ExperimentConfig) -> CheckTable:
     rng = np.random.default_rng(cfg.seed)
     basis, quad = prob.basis, prob.quad
     eye = np.eye(basis.n_basis)
-    gram = np.stack([quad.analyze_values(quad.synthesize_values(e, basis), basis)[0] for e in eye])
+    gram = np.stack([quad.analyze_values(quad.synthesize_values(e, basis), basis) for e in eye])
     table.add("orthonormality", float(np.max(np.abs(gram - eye))), 1e-8 * cfg.tol_scale)
     if abs(cfg.k - 1.0) < 1e-14:
         g = rng.standard_normal((30, 2 * (cfg.N + 1)))

@@ -18,15 +18,13 @@ resolves.  So the phase DFT is pruned to the occupied bins (Markel, "FFT
 pruning", IEEE Trans. Audio Electroacoust. 1971): per Gauss-Legendre ring it
 is two small dense products, a real cos/sin factor over phi_2 and a complex
 factor over phi_1.
-Functions are real, so only the half spectrum q <= n_phi//2 is formed:
-analysis reads a bin (p, q) with q > n_phi//2 as the conjugate of its
-partner (-p, -q), and synthesis fills the bins with q <= n_phi//2 and
-weights each by 2, except q = 0 and the Nyquist bin q = n_phi/2 of an even
-n_phi, which are their own partners.  At jmax 8 that is 17 p-bins and 9
-q-bins.  Both transforms work on the basis terms (about 2(n+1) per element,
-4,005 at jmax 8): synthesis scales each term by its element's coefficient,
-and analysis folds the per-term integrals back onto the elements with a
-bincount; no dense element-by-monomial matrix exists.
+Functions are real, so only the half spectrum q <= n_phi//2 is formed (17
+p-bins by 9 q-bins at jmax 8).  Each element sits at one torus weight, so
+its half-spectrum terms fold into one complex radial profile per bin, a
+piece (801 for the 729 elements at jmax 8): synthesis adds each coefficient
+times its pieces into their bins, and analysis, its adjoint, reads each
+piece's bin once (Driscoll and Healy, Adv. Appl. Math. 15, 1994).  No dense
+element-by-monomial matrix exists.
 ``YamabeProblem.values`` keeps a function's synthesized values with it, so
 each coefficient vector is synthesized once.
 
@@ -219,11 +217,11 @@ class SphereQuadrature:
     <= ``degree``.  The runners support N = 1 only, so no other rule exists.
 
     The transforms evaluate the phase DFT on the occupied half-spectrum bins
-    only, ring by ring, and work on the basis terms (see the module
-    docstring; the values memo is ``YamabeProblem.values``).  Their
-    per-basis plan (occupied bins, DFT factors, gather and scatter indices)
-    is built on the first transform with a basis and kept in ``_plans``, one
-    per basis, so alternating bases rebuilds nothing, like the nodes in
+    only, ring by ring, and work on the spectrum pieces of the elements (see
+    the module docstring; the values memo is ``YamabeProblem.values``).
+    Their per-basis plan (pieces, occupied bins, DFT factors) is built on
+    the first transform with a basis and kept in ``_plans``, one per basis,
+    so alternating bases rebuilds nothing, like the nodes in
     ``_flat_nodes``; ``rotated_values`` keeps the plan of its monomials in
     ``_rotations`` the same way and shares the synthesis tail.  Any degree
     >= 1 works: an odd n_phi, an even one (whose Nyquist bin q = n_phi/2 is
@@ -279,29 +277,25 @@ class SphereQuadrature:
     def _plan_for(self, basis: HarmonicBasis) -> _TransformPlan:
         # keyed on the id of the term exponents: the plan holds that array, so
         # the id cannot be reused while the plan is kept
-        plan = self._plans.get(id(basis.term_exps))
-        if plan is None:
-            plan = self._plans[id(basis.term_exps)] = _TransformPlan.build(self, basis.term_exps)
-        return plan
+        key = id(basis.term_exps)
+        if key not in self._plans:
+            self._plans[key] = _TransformPlan.build(self, basis.term_exps, basis.term_coeff, basis.term_elem)
+        return self._plans[key]
 
-    def analyze_values(self, values: Array, basis: HarmonicBasis) -> tuple[Array, float]:
-        """Coefficients of the basis expansion; returns (coeffs, imag_residual)."""
+    def analyze_values(self, values: Array, basis: HarmonicBasis) -> Array:
+        """Coefficients of the basis expansion: the adjoint of ``synthesize_values`` under the rule."""
         plan = self._plan_for(basis)
         v = np.asarray(values, dtype=np.float64).reshape(self.grid_shape)
         # (n_s, n, n) @ (n, 2 n_q): interleaved columns give V_cos - i V_sin as a complex view
         G = (v @ plan.ana_q).view(np.complex128)
         vhat = (plan.ana_p @ G).reshape(len(self.s_nodes), -1)
-        term_int = np.einsum("sm,sm->m", plan.prof_w, vhat[:, plan.gather])
-        term_int = np.where(plan.flip, np.conj(term_int), term_int) * np.conj(basis.term_coeff)
-        coeffs = np.bincount(basis.term_elem, term_int.real, minlength=basis.n_basis)
-        imag = np.bincount(basis.term_elem, term_int.imag, minlength=basis.n_basis)
-        return coeffs, float(np.max(np.abs(imag), initial=0.0))
+        piece_int = np.einsum("sk,sk->k", plan.ana_prof, vhat[:, plan.piece_bin]).real
+        return np.bincount(plan.src, piece_int, minlength=basis.n_basis)
 
     def synthesize_values(self, coeffs: Array, basis: HarmonicBasis) -> Array:
         """Values of sum_m c_m y_m on the quadrature grid."""
         plan = self._plan_for(basis)
-        c = np.asarray(coeffs, dtype=np.float64)[basis.term_elem[plan.order]] * basis.term_coeff[plan.order]
-        return self._synthesize(plan, c)
+        return self._synthesize(plan, np.asarray(coeffs, dtype=np.float64)[plan.src])
 
     def rotated_values(self, coeffs: Array, basis: HarmonicBasis, g: Array) -> Array:
         """Values of u(g zeta) at the nodes zeta, u = sum_m c_m y_m, for a complex 2 x 2 matrix g.
@@ -314,9 +308,9 @@ class SphereQuadrature:
         unitary g each H_{j,l} is invariant (Folland, Trans. AMS 1972), so
         u o g stays in the span of the basis.  The rotated monomials are
         synthesized through the plan of the monomial list of the basis's
-        bidegrees (225 at jmax 4), kept per basis like ``_plans``.  u o g is
-        real for every g, since u is real on all of C^2, so the half-spectrum
-        synthesis applies.
+        bidegrees (225 at jmax 4, each its own source, numbered by its slot
+        in C), kept per basis like ``_plans``.  u o g is real for every g,
+        since u is real on all of C^2, so the half-spectrum synthesis applies.
         """
         rot = self._rotations.get(id(basis.term_exps))
         if rot is None:
@@ -326,14 +320,14 @@ class SphereQuadrature:
         C = np.bincount(rot.term_slot, c.real, minlength=d**4) + 1j * np.bincount(rot.term_slot, c.imag, minlength=d**4)
         S = _symmetric_powers(np.asarray(g, dtype=np.complex128), rot.dmax)
         C = np.swapaxes(S, 1, 2)[:, None] @ C.reshape((d,) * 4) @ np.conj(S)[None, :]
-        return self._synthesize(rot.mono, C.reshape(-1)[rot.kept_slot])
+        return self._synthesize(rot.mono, C.reshape(-1)[rot.mono.src])
 
     def _synthesize(self, plan: _TransformPlan, c: Array) -> Array:
-        """Values on the grid of sum_i c[i] times term plan.order[i]; the tail of both syntheses."""
-        terms = c[:, None] * plan.prof_kept
+        """Values on the grid of sum_k c[k] times piece k of the plan; the tail of both syntheses."""
+        pieces = c[:, None] * plan.syn_prof
         n_s, n_p, n_q = len(self.s_nodes), plan.syn_p.shape[1], plan.syn_q.shape[0] // 2
         H = np.zeros((n_s, n_p * n_q), dtype=np.complex128)
-        H[:, plan.bins] = np.add.reduceat(terms, plan.starts, axis=0).T
+        H[:, plan.bins] = np.add.reduceat(pieces, plan.starts, axis=0).T
         G = plan.syn_p @ H.reshape(n_s, n_p, n_q)
         # [Re G, Im G] interleaved, (n_s, n, 2 n_q) @ (2 n_q, n)
         return (G.view(np.float64) @ plan.syn_q).reshape(-1)
@@ -341,16 +335,24 @@ class SphereQuadrature:
 
 @dataclass
 class _TransformPlan:
-    """Occupied phase bins, pruned DFT factors and gather/scatter indices, for one basis.
+    """Spectrum pieces, occupied phase bins and pruned DFT factors, for one list of sources.
 
-    Term i sits in the phase bin (p, q) = (alpha_1 - beta_1, alpha_2 - beta_2)
-    mod n_phi with radial profile |zeta_1|^{alpha_1+beta_1} |zeta_2|^{alpha_2+beta_2}
-    over the s nodes.  A term with q > n_phi//2 is read from its partner's
-    bin (-p, n_phi - q), conjugated.  The transforms see only the compact
-    spectrum: the n_p distinct p-bins times the n_q distinct q-bins (all
-    q <= n_phi//2) of the bins so read.  Analysis gathers every term from
-    it; synthesis sums only the terms with q <= n_phi//2, in bin order, into
-    it.
+    The sources are sums of terms coeff * zeta^alpha conj(zeta)^beta: the
+    elements of a basis, or the monomials of ``rotated_values``.  Term i
+    sits in the phase bin (p, q) = (alpha_1 - beta_1, alpha_2 - beta_2) mod
+    n_phi with radial profile |zeta_1|^{alpha_1+beta_1} |zeta_2|^{alpha_2+beta_2}
+    over the s nodes.  Only the terms of the half spectrum q <= n_phi//2
+    are kept; a real source's other terms are the conjugates of these.  A
+    piece is one (source, bin) pair of kept terms, and its complex profile
+    P(s) is the sum of coefficient times radial profile over the source's
+    terms in that bin.  The transforms see only the compact spectrum, the
+    n_p distinct p-bins times the n_q distinct q-bins of the pieces.
+
+    Synthesis adds c[src] P into each piece's bin (pieces are sorted by
+    bin, so one ``reduceat``).  Analysis is its exact adjoint under the
+    rule: c_e = sum over the pieces of e of w_q Re sum_s rho_s conj(P(s))
+    vhat[s, bin], with ring weight rho_s and the q-weight w_q that
+    synthesis applies, so ``ana_prof`` = rho_s w_q conj(P).
 
     The DFT factors, with w = e^{-2 pi i / n_phi}: analysis multiplies each
     ring's values (phi_1, phi_2) by ``ana_q`` (n_phi, 2 n_q), the real and
@@ -358,8 +360,8 @@ class _TransformPlan:
     as complex is the phi_2 transform, and then by ``ana_p`` = w^{p a}
     (n_p, n_phi).  Synthesis multiplies by ``syn_p`` = w^{-a p} (n_phi, n_p)
     and then by ``syn_q`` (2 n_q, n_phi), whose interleaved row pairs give
-    sum_q weight_q Re(G_q w^{-q b}); the weight is 1 at q = 0 and at the
-    Nyquist bin of an even n_phi and 2 elsewhere, as in an inverse real FFT.
+    sum_q w_q Re(G_q w^{-q b}); w_q is 1 at q = 0 and at the Nyquist bin of
+    an even n_phi and 2 elsewhere, as in an inverse real FFT.
 
     Every product stays 3-D, batched over the s rings, so that each BLAS call
     is one ring (at most 65 x 65 x 18 at jmax 8), below OpenBLAS's threshold
@@ -370,13 +372,12 @@ class _TransformPlan:
     against 0.26-0.37 s with the per-ring products (BENCH_15.json).
     """
 
-    exps: Array  # the basis term exponents the plan was built for
-    gather: Array  # (n_terms,) flat compact-spectrum index read by analysis
-    flip: Array  # (n_terms,) bool, the bin is the conjugate of the gathered one
-    prof_w: Array  # (n_s, n_terms) radial profile times ring weight
-    order: Array  # terms with q <= n_phi//2, sorted by bin
-    prof_kept: Array  # (len(order), n_s) their radial profiles
-    starts: Array  # first position of each occupied bin in ``order``
+    exps: Array  # the term exponents the plan was built for
+    src: Array  # (n_pieces,) source of each piece, pieces sorted by bin
+    piece_bin: Array  # (n_pieces,) flat compact-spectrum index of each piece
+    syn_prof: Array  # (n_pieces, n_s) complex profile P
+    ana_prof: Array  # (n_s, n_pieces) rho_s w_q conj(P)
+    starts: Array  # first piece of each occupied bin
     bins: Array  # flat compact-spectrum index of each occupied bin
     ana_q: Array  # (n_phi, 2 n_q) real
     ana_p: Array  # (n_p, n_phi) complex
@@ -384,33 +385,31 @@ class _TransformPlan:
     syn_q: Array  # (2 n_q, n_phi) real
 
     @staticmethod
-    def build(quad: SphereQuadrature, exps: Array) -> _TransformPlan:
+    def build(quad: SphereQuadrature, exps: Array, coeff: Array, src: Array) -> _TransformPlan:
         n = quad.n_phi
-        alpha, beta = exps[:, 0], exps[:, 1]
-        deg = alpha + beta
-        c, q_rad = np.sqrt(quad.s_nodes), np.sqrt(1.0 - quad.s_nodes)
-        powers = range(int(deg.max()) + 1)
-        cpow, qpow = np.stack([c**d for d in powers]), np.stack([q_rad**d for d in powers])
-        prof = cpow[deg[:, 0]] * qpow[deg[:, 1]]  # (n_terms, n_s)
-        p = (alpha[:, 0] - beta[:, 0]) % n
-        q = (alpha[:, 1] - beta[:, 1]) % n
-        flip = q > n // 2
-        p_bins, p_at = np.unique(np.where(flip, -p % n, p), return_inverse=True)
-        q_bins, q_at = np.unique(np.where(flip, n - q, q), return_inverse=True)
-        gather = p_at * len(q_bins) + q_at
-        order = np.flatnonzero(~flip)
-        order = order[np.argsort(gather[order], kind="stable")]
-        bins, starts = np.unique(gather[order], return_index=True)
-        prof_w = (prof * quad._ring_weights()).T.copy()
+        p, q = ((exps[:, 0] - exps[:, 1]) % n).T
+        kept = q <= n // 2
+        coeff, src, p, q, deg = coeff[kept], src[kept], p[kept], q[kept], exps[kept, 0] + exps[kept, 1]
+        prof = np.sqrt(quad.s_nodes) ** deg[:, :1] * np.sqrt(1.0 - quad.s_nodes) ** deg[:, 1:]  # (n_kept, n_s)
+        p_bins, p_at = np.unique(p, return_inverse=True)
+        q_bins, q_at = np.unique(q, return_inverse=True)
+        n_src = int(src.max()) + 1
+        key = (p_at * len(q_bins) + q_at) * n_src + src  # piece of each term, in bin order
+        order = np.argsort(key, kind="stable")
+        keys, first = np.unique(key[order], return_index=True)
+        syn_prof = np.add.reduceat(coeff[order, None] * prof[order], first, axis=0)
+        piece_bin, piece_src = np.divmod(keys, n_src)
+        bins, starts = np.unique(piece_bin, return_index=True)
 
         w = np.exp(-2j * np.pi * np.arange(n) / n)  # w[k] = e^{-2 pi i k / n}, indexed by k mod n
         phase = np.arange(n)
         ana_q = w[np.outer(phase, q_bins) % n].view(np.float64)
         ana_p = w[np.outer(p_bins, phase) % n]
         weight = np.where((q_bins == 0) | (2 * q_bins == n), 1.0, 2.0)
+        ana_prof = quad._ring_weights()[:, None] * (weight[piece_bin % len(q_bins), None] * np.conj(syn_prof)).T
         syn_q = (np.repeat(weight, 2)[:, None] * ana_q.T).copy()  # row pairs weight * (cos, -sin)
         syn_p = np.conj(ana_p.T).copy()
-        return _TransformPlan(exps, gather, flip, prof_w, order, prof[order], starts, bins, ana_q, ana_p, syn_p, syn_q)
+        return _TransformPlan(exps, piece_src, piece_bin, syn_prof, ana_prof, starts, bins, ana_q, ana_p, syn_p, syn_q)
 
 
 def _symmetric_powers(g: Array, dmax: int) -> Array:
@@ -439,13 +438,13 @@ class _RotationPlan:
     The monomial zeta^alpha conj(zeta)^beta has the slot (a, b, alpha_1,
     beta_1) of a dense tensor of side dmax + 1, with a = |alpha|, b = |beta|.
     The plan's monomials are every slot with alpha_1 <= a, beta_1 <= b whose
-    bidegree (a, b) some basis term has; ``mono`` is their synthesis plan.
+    bidegree (a, b) some basis term has; ``mono`` is their synthesis plan,
+    with each monomial the source numbered by its slot.
     """
 
     exps: Array  # the basis term exponents the plan was built for (holds the id key, as in _plan_for)
     dmax: int
     term_slot: Array  # (n_terms,) flat slot of each basis term
-    kept_slot: Array  # flat slot of each monomial synthesis sums, in ``mono.order``
     mono: _TransformPlan
 
     @staticmethod
@@ -458,8 +457,9 @@ class _RotationPlan:
         bidegrees = np.ravel_multi_index((a, b), shape[:2])
         slots = np.flatnonzero((si <= sa) & (sk <= sb) & np.isin(np.ravel_multi_index((sa, sb), shape[:2]), bidegrees))
         sa, sb, si, sk = sa[slots], sb[slots], si[slots], sk[slots]
-        mono = _TransformPlan.build(quad, np.stack([np.stack([si, sa - si], -1), np.stack([sk, sb - sk], -1)], 1))
-        return _RotationPlan(exps, dmax, term_slot, slots[mono.order], mono)
+        mono_exps = np.stack([np.stack([si, sa - si], -1), np.stack([sk, sb - sk], -1)], 1)
+        mono = _TransformPlan.build(quad, mono_exps, np.ones(len(slots), dtype=np.complex128), slots)
+        return _RotationPlan(exps, dmax, term_slot, mono)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +473,6 @@ class SpectralFunction:
     coeffs: Array
     basis: HarmonicBasis
     tail_energy: float | None = None
-    imag_residual: float | None = None
     # (quad, basis, coeffs copy, read-only values) of the last synthesis; see YamabeProblem.values
     _values_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -530,10 +529,10 @@ def analyze(values: Array, quad: SphereQuadrature, basis: HarmonicBasis) -> Spec
     (zero for band-limited input up to rounding).
     """
     values = np.asarray(values, dtype=np.float64)
-    coeffs, resid = quad.analyze_values(values, basis)
+    coeffs = quad.analyze_values(values, basis)
     l2 = quad.integrate(values * values)
     tail = max(l2 - float(np.sum(coeffs**2)), 0.0)
-    return SpectralFunction(coeffs, basis, tail_energy=tail, imag_residual=resid)
+    return SpectralFunction(coeffs, basis, tail_energy=tail)
 
 
 def apply_A2k(u: SpectralFunction, k: float) -> SpectralFunction:
