@@ -262,7 +262,7 @@ def bubble_piece_report(
     if abs(constants.k - 1.0) > 1e-14:
         raise DomainError("transported bubbling reports require k = 1")
     R = chart.radii[n]
-    scheme = scheme or ShellScheme.reaching(4.0 / R, l0=1.5, n_inner=64, n_shell=48)
+    scheme = scheme or ShellScheme.reaching(4.0 / R)
     conf = chart.chart(n)
     cut = chart.cutoff
     c_prof = chart.profile_factor
@@ -406,7 +406,7 @@ def residual_report(
         raise DomainError("residual ladder is a one-bubble diagnostic")
     chart = spec.bubbles[0]
     R = chart.radii[n]
-    scheme = scheme or ShellScheme.reaching(4.0 / R, l0=1.5, n_inner=64, n_shell=48)
+    scheme = scheme or ShellScheme.reaching(4.0 / R)
     conf = chart.chart(n)
     cut = chart.cutoff
     p_star = constants.p_star
@@ -491,17 +491,12 @@ def gradient_decay_check(spec: PSSequenceSpec, n_list: Sequence[int], prob: Yama
 # preconditioned descent below the compactness threshold
 
 
-def hk_gradient_flow(
-    u_start: SpectralFunction,
-    prob: YamabeProblem,
-    tau: float = 0.9,
-    max_iter: int = 400,
-    target_norm: float = 1e-5,
-) -> dict:
-    """u <- u - tau A_{2k}^{-1} dE(u) with Armijo backtracking.
+def hk_gradient_flow(u_start: SpectralFunction, prob: YamabeProblem, max_iter: int = 400) -> dict:
+    """u <- u - tau A_{2k}^{-1} dE(u) with Armijo backtracking from tau = 0.9.
 
     The preconditioner is diagonal in the basis, so each step is exact; the
-    descent quantity is the squared dual norm of the gradient.
+    descent quantity is the squared dual norm of the gradient.  The flow has
+    converged to zero once the H^k norm falls below 1e-5.
     """
     constants = prob.constants
     mult = prob.basis.multipliers(constants.k)
@@ -513,13 +508,13 @@ def hk_gradient_flow(
         dual_sq = h_minus_k_form(g.coeffs, mult)
         E0 = prob.energy(u)
         rows.append({"iter": it, "energy": E0, "hk_norm": norm_Hk(u, constants.k), "residual": math.sqrt(dual_sq)})
-        if norm_Hk(u, constants.k) < target_norm:
+        if norm_Hk(u, constants.k) < 1e-5:
             status = "converged_to_zero"
             break
         if math.sqrt(dual_sq) < 1e-12:
             status = "stationary"
             break
-        step = tau
+        step = 0.9
         accepted = False
         for _ in range(40):
             trial = SpectralFunction(u.coeffs - step * g.coeffs / mult, prob.basis)
@@ -532,21 +527,16 @@ def hk_gradient_flow(
             break
         u = trial
     final_norm = norm_Hk(u, constants.k)
-    if status == "budget_exhausted" and final_norm < target_norm:
+    if status == "budget_exhausted" and final_norm < 1e-5:
         status = "converged_to_zero"
     return {"status": status, "final": u, "final_norm": final_norm, "rows": rows}
 
 
-def subcritical_threshold_check(
-    u_start: SpectralFunction,
-    prob: YamabeProblem,
-    energy_cap_frac: float = 1.0,
-    **flow_kwargs,
-) -> dict:
+def subcritical_threshold_check(u_start: SpectralFunction, prob: YamabeProblem, energy_cap_frac: float = 1.0) -> dict:
     """Run the preconditioned flow from data below the bubble energy level."""
     E0 = prob.energy(u_start)
     cap = energy_cap_frac * prob.constants.C_E
-    report = hk_gradient_flow(u_start, prob, **flow_kwargs)
+    report = hk_gradient_flow(u_start, prob)
     report["initial_energy"] = E0
     report["below_threshold"] = bool(E0 < cap)
     return report

@@ -56,10 +56,10 @@ def cayley_zt(z: Array, t: Array) -> Array:
     return zeta
 
 
-def cayley_inv_zeta(zeta: Array, pole_tol: float = POLE_TOL) -> tuple[Array, Array]:
+def cayley_inv_zeta(zeta: Array) -> tuple[Array, Array]:
     last = zeta[..., -1]
     denom = 1.0 + last
-    if np.any(np.abs(denom) < pole_tol):
+    if np.any(np.abs(denom) < POLE_TOL):
         raise PoleError("point within pole tolerance of (0,...,0,-1)")
     P = 2.0 / denom
     z = zeta[..., :-1] * (P / 2.0)[..., None]
@@ -127,8 +127,8 @@ class ConformalChart:
 
     # --- inverse map --------------------------------------------------------
 
-    def inv_zeta(self, zeta: Array, pole_tol: float = POLE_TOL) -> tuple[Array, Array]:
-        zc, tc = cayley_inv_zeta(zeta, pole_tol)
+    def inv_zeta(self, zeta: Array) -> tuple[Array, Array]:
+        zc, tc = cayley_inv_zeta(zeta)
         zs, ts = mul_zt(*inv_zt(self.center.z, np.asarray(self.center.t)), zc, tc)
         return dilate_zt(1.0 / self.scale, zs, ts)
 

@@ -350,7 +350,7 @@ def run_subcritical_flow(cfg: ExperimentConfig) -> CheckTable:
         u = SpectralFunction(c, prob.basis)
         ball = math.sqrt(consts.C_S ** (-consts.Q / (2 * consts.k)))
         u = (rng.uniform(0.1, 0.45) * ball / norm_Hk(u, consts.k)) * u
-        rep = subcritical_threshold_check(u, prob, energy_cap_frac=0.9, target_norm=1e-5)
+        rep = subcritical_threshold_check(u, prob, energy_cap_frac=0.9)
         if not (rep["below_threshold"] and rep["status"] == "converged_to_zero" and rep["final_norm"] < 1e-4):
             failures += 1
     table.add("flows_converged_to_zero", float(failures), 0.0)

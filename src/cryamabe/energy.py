@@ -309,7 +309,6 @@ def dirichlet_form(
     U,
     constants: YamabeConstants,
     scheme: ShellScheme,
-    center: HeisPoint | None = None,
     h: float | None = None,
     h_factor: float = 0.01,
 ) -> float:
@@ -323,7 +322,6 @@ def dirichlet_form(
         constants.N,
         scheme,
         constants.measure,
-        center=center,
     )
     return val
 
@@ -337,18 +335,17 @@ def energy_heis(
 ) -> float:
     """E_H(U) = 1/2 int U L U dv_H - 1/p* int |U|^{p*} dv_H for the local operator L = -Delta_b of k = 1.
 
-    The Dirichlet form and the p*-mass are integrated directly on the group
-    with shell quadrature.  Other k are refused before any walk; their
-    energies live on the sphere (:meth:`YamabeProblem.energy`).
+    The Dirichlet form (the density of :func:`dirichlet_form`) and the
+    p*-mass are integrated directly on the group, as two stacked rows of one
+    shell walk.  Other k are refused before any walk; their energies live on
+    the sphere (:meth:`YamabeProblem.energy`).
     """
     if abs(constants.k - 1.0) > 1e-14:
         raise DomainError("the group-side energy needs the local operator, k = 1")
-    scheme = scheme or ShellScheme()
-    quadratic = dirichlet_form(U, constants, scheme, center=center)
-    mass, _ = integrate_decaying(
-        lambda z, t: np.abs(np.asarray(U(z, t))) ** constants.p_star,
+    (quadratic, mass), _ = integrate_decaying(
+        lambda z, t: np.stack([_dirichlet_density(U, z, t), np.abs(np.asarray(U(z, t))) ** constants.p_star]),
         constants.N,
-        scheme,
+        scheme or ShellScheme(),
         constants.measure,
         center=center,
     )
@@ -359,19 +356,18 @@ def energy_heis(
 # calibration
 
 
-def calibrate_normalizations(constants: YamabeConstants, scheme: ShellScheme | None = None) -> dict:
+def calibrate_normalizations(constants: YamabeConstants) -> dict:
     """Numerically confirm the normalization triple (kappa_H, dv_S mass, cQ).
 
-    Fits kappa_H from the change-of-variables identity applied to f == 1 and
-    reports the pointwise match between the transported constant solution and
-    the bubble profile.
+    Fits kappa_H from the change-of-variables identity applied to f == 1,
+    integrated over 7 shells, and reports the pointwise match between the
+    transported constant solution and the bubble profile.
     """
-    scheme = scheme or ShellScheme(n_shells=7)
     N = constants.N
     lam_integral, shells = integrate_decaying(
         lambda z, t: np.ones_like(t) * lambda_cayley_zt(z, t),
         N,
-        scheme,
+        ShellScheme(n_shells=7),
         HaarMeasure(1.0),
     )
     kappa_fit = constants.total_mass / lam_integral

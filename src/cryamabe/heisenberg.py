@@ -325,13 +325,14 @@ class ShellScheme:
             raise DomainError("need n_shell % 4 == 0, positive sizes")
 
     @staticmethod
-    def reaching(l_max: float, l0: float = 1.5, n_inner: int = 64, n_shell: int = 48) -> "ShellScheme":
+    def reaching(l_max: float) -> "ShellScheme":
+        """The default scheme with as many shells as it takes for the outermost box to reach l_max."""
         n = 1
-        L = l0
+        L = ShellScheme.l0
         while L < l_max:
             L *= 2.0
             n += 1
-        return ShellScheme(l0=l0, n_shells=n, n_inner=n_inner, n_shell=n_shell)
+        return ShellScheme(n_shells=n)
 
 
 # nodes per block of a shell walk.  integrate_decaying sums each shell block

@@ -1,13 +1,14 @@
 """Gauge-homogeneous kernels, group convolution on grids, and the PV fractional operator.
 
-The model kernels are powers of the Koranyi gauge: order-alpha potentials
-|x|^{alpha-Q}, Green-type kernels |x|^{2k-Q}, and hypersingular kernels
-|x|^{-(Q+2k)}.  Constant factors are never asserted; they are either
-normalized to one or fitted (the Green constant by inverting the local
-operator on a bump, the PV constant on the explicit extremal family).
-Convolutions are group convolutions (f * K)(x) = int f(y) K(y^{-1} x) dv_H(y)
-on midpoint grids, with the singular cell replaced by the analytic average of
-the kernel over the Koranyi ball of equal volume.
+The model kernels are powers of the Koranyi gauge of two kinds: order-alpha
+potentials |x|^{alpha-Q} (kind "riesz"; at alpha = 2k these are the Green-type
+kernels |x|^{2k-Q}) and hypersingular kernels |x|^{-(Q+2k)} (kind "hyper").
+Constant factors are never asserted; they are either normalized to one or
+fitted (the Green constant by inverting the local operator on a bump, the PV
+constant on the explicit extremal family).  Convolutions are group
+convolutions (f * K)(x) = int f(y) K(y^{-1} x) dv_H(y) on midpoint grids over
+H^1, with the singular cell replaced by its sheared sub-cell average around
+an analytic core.
 
 The grid quadrature is written in w = y^{-1} x: every pair weight is the
 midpoint kernel K(w) or a sub-cell average of K(d^{-1} w).  Since t is the
@@ -48,10 +49,10 @@ from .heisenberg import (
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A homogeneous kernel constant * gauge^(exponent) on H^N.
+    """A homogeneous kernel gauge^(exponent) on H^N, normalized to constant one.
 
-    kind "riesz": order alpha in (0, Q), exponent alpha - Q, positive.
-    kind "green": order 2k in (0, Q), exponent 2k - Q, positive.
+    kind "riesz": order alpha in (0, Q), exponent alpha - Q, positive; at
+    alpha = 2k it is the Green-type kernel of the order-2k operator.
     kind "hyper": order 2k in (0, Q), exponent -(Q + 2k), positive magnitude;
     the PV operator built on it is positive at interior maxima.
     """
@@ -59,16 +60,13 @@ class KernelSpec:
     alpha: float
     N: int
     kind: str = "riesz"
-    constant: float = 1.0
 
     def __post_init__(self):
         Q = 2 * self.N + 2
-        if self.kind not in ("riesz", "green", "hyper"):
+        if self.kind not in ("riesz", "hyper"):
             raise DomainError(f"unknown kernel kind {self.kind!r}")
         if not 0 < self.alpha < Q:
             raise DomainError(f"{self.kind} order must lie in (0, {Q})")
-        if not self.constant > 0:
-            raise DomainError("kernel constant must be positive")
 
     @property
     def Q(self) -> int:
@@ -134,25 +132,23 @@ def _subcell_mean(spec: KernelSpec, wx: Array, wy: Array, wt: Array, offsets) ->
         b = slice(a, a + step)
         gsq = _offset_gauge_sq(wx[b], wy[b], wt[b], wx[b], wy[b], offsets)
         total[b] = _gauge_sq_power(gsq, spec.exponent).sum(axis=(1, 2))
-    return spec.constant * total / m
+    return total / m
 
 
-def _sheared_diagonal(spec: KernelSpec, steps: tuple[float, ...], xs: Array, ys: Array, subs: tuple[int, ...] = (12, 12, 16)) -> Array:
-    """Average of the kernel over a source cell seen from its own midpoint z_y = xs + i ys.
+def _sheared_diagonal(spec: KernelSpec, steps: tuple[float, ...], xs: Array, ys: Array) -> Array:
+    """Average of the kernel over a source cell seen from its own midpoint z_y = xs + i ys (N = 1).
 
     In difference coordinates w = (y + d)^{-1} y the cell is sheared in t by
     2 Im<dz, z_y>, and the map d -> w preserves volume, so excluding the gauge
     ball B_rho and adding its closed-form integral is exact for any shear.
-    rho is the largest radius whose ball stays inside the sheared image.
+    rho is the largest radius whose ball stays inside the sheared image; the
+    rest of the cell is averaged over a (12, 12, 16) sub-cell split.
     """
-    N = spec.N
-    if N != 1:
-        return np.full(len(xs), _singular_cell_average(spec, float(np.prod(steps))))
     hx, hy, ht = steps
     a = np.hypot(xs[:, 0], ys[:, 0])
     rho = np.minimum(0.45 * hx, 0.45 * hy)
     rho = np.minimum(rho, -a + np.sqrt(a * a + 0.45 * ht))
-    offsets = _subcell_offsets(steps, N, subs)
+    offsets = _subcell_offsets(steps, 1, (12, 12, 16))
     m = len(offsets[0]) * len(offsets[2])
     step = max(1, _SUB // m)
     total = np.empty(len(xs))
@@ -166,7 +162,7 @@ def _sheared_diagonal(spec: KernelSpec, steps: tuple[float, ...], xs: Array, ys:
     total *= hx * hy * ht / m
     vol1 = koranyi_ball_volume(1, 1.0, HaarMeasure(1.0))
     core = spec.Q * vol1 * rho ** (spec.Q + spec.exponent) / (spec.Q + spec.exponent)
-    return spec.constant * (total + core) / (hx * hy * ht)
+    return (total + core) / (hx * hy * ht)
 
 
 def _pair_w(xs: Array, ys: Array, xo: Array, yo: Array) -> tuple[Array, Array]:
@@ -191,12 +187,12 @@ def kernel_eval_zt(spec: KernelSpec, z: Array, t: Array) -> Array:
     g = gauge_zt(z, t)
     if np.any(g == 0.0):
         raise SingularPointError("kernel evaluated at the origin")
-    return spec.constant * g**spec.exponent
+    return g**spec.exponent
 
 
-def decay_exponent_fit(spec: KernelSpec, radii: Array | None = None) -> float:
-    """Log-log slope of the kernel along a gauge ray (regression oracle)."""
-    radii = np.geomspace(0.5, 50.0, 40) if radii is None else radii
+def decay_exponent_fit(spec: KernelSpec) -> float:
+    """Log-log slope of the kernel along a gauge ray at 40 radii in [0.5, 50] (regression oracle)."""
+    radii = np.geomspace(0.5, 50.0, 40)
     z = np.zeros((len(radii), spec.N), dtype=np.complex128)
     z[:, 0] = radii
     vals = kernel_eval_zt(spec, z, np.zeros(len(radii)))
@@ -256,10 +252,9 @@ class GridFieldH:
         field.values = np.asarray(fn(z, t), dtype=np.float64).reshape(shape)
         return field
 
-    def lp_norm(self, p: float, measure: HaarMeasure | None = None) -> float:
-        measure = measure or HaarMeasure.standard(self.N)
+    def lp_norm(self, p: float) -> float:
         return float(
-            (measure.kappa_H * self.cell_volume * np.sum(np.abs(self.values) ** p)) ** (1.0 / p)
+            (HaarMeasure.standard(self.N).kappa_H * self.cell_volume * np.sum(np.abs(self.values) ** p)) ** (1.0 / p)
         )
 
 
@@ -279,32 +274,19 @@ def gaussian_bump(box: BoxDomain, shape: tuple[int, ...], width: float = 0.5, ce
 # group convolution
 
 
-def _singular_cell_average(spec: KernelSpec, cell_volume: float) -> float:
-    """Average of the kernel over the Koranyi ball with the cell's volume.
-
-    With Q vol(B_1) r^{Q-1} dr as the polar volume element, the average of
-    gauge^e over B_rho is Q/(Q+e) rho^e, finite exactly when e > -Q.
-    """
-    e = spec.exponent
-    if e <= -spec.Q:
-        return 0.0  # hypersingular kernels are only used through the PV route
-    vol1 = koranyi_ball_volume(spec.N, 1.0, HaarMeasure(1.0))
-    rho = (cell_volume / vol1) ** (1.0 / spec.Q)
-    return spec.constant * (spec.Q / (spec.Q + e)) * rho**e
-
-
 def convolve(
     f: GridFieldH,
     spec: KernelSpec,
     out_indices: Array | None = None,
     support_threshold: float = 0.0,
-    measure: HaarMeasure | None = None,
 ) -> GridFieldH | Array:
     """(f * K)(x) = sum_y f(y) K(y^{-1} x) dv_H-cell, with singular-cell repair.
 
-    ``out_indices`` restricts the output to a flat subset of grid points, a
-    1-D integer array of in-range indices; anything else is refused.  Only
-    source cells with |f| > support_threshold * max|f| contribute.
+    Riesz kernels on grids over H^1 only: a kernel or grid of another N, or a
+    hypersingular kernel (its integral diverges at the diagonal; the PV route
+    handles it), is refused before any work.  ``out_indices`` restricts the output to a flat subset of grid
+    points, a 1-D integer array of in-range indices; anything else is refused.
+    Only source cells with |f| > support_threshold * max|f| contribute.
 
     Each weight is the midpoint kernel K(w) at w = y^{-1} x or, near the
     singularity, a sub-cell average of K(d^{-1} w), since the sub-cell y . d
@@ -315,6 +297,10 @@ def convolve(
     weight that depends on z_y itself (``_sheared_diagonal``), one value per
     column.  Full-grid, subset and symmetry-class outputs share this path.
     """
+    if spec.N != f.N or f.N != 1:
+        raise DomainError(f"grid convolution needs N = 1 for grid and kernel, got {f.N} and {spec.N}")
+    if spec.kind != "riesz":
+        raise DomainError(f"grid convolution needs a riesz kernel, got {spec.kind!r}")
     n_all = f.values.size
     if out_indices is None:
         out_idx = np.arange(n_all)
@@ -325,14 +311,13 @@ def convolve(
         if out_idx.size and (out_idx.min() < 0 or out_idx.max() >= n_all):
             raise DomainError(f"out_indices must lie in [0, {n_all})")
         out_idx = out_idx.astype(np.int64)
-    measure = measure or HaarMeasure.standard(f.N)
     vals = f.values.reshape(-1)
     thresh = support_threshold * np.max(np.abs(vals), initial=0.0)
     src = np.flatnonzero(np.abs(vals) > thresh)
     out = np.zeros(len(out_idx))
     if len(src) and len(out_idx):
         _toeplitz_sum(f, spec, vals, src, out_idx, out)
-    out *= f.cell_volume * measure.kappa_H
+    out *= f.cell_volume * HaarMeasure.standard(f.N).kappa_H
     if out_indices is None:
         return GridFieldH(f.box, f.shape, out.reshape(f.shape))
     return out
@@ -413,7 +398,7 @@ def _toeplitz_sum(f: GridFieldH, spec: KernelSpec, vals: Array, src: Array, out_
         gsq *= gsq
         gsq += wt * wt
         np.sqrt(gsq, out=gsq)
-        table = spec.constant * _gauge_sq_power(np.maximum(gsq, sing_tol), spec.exponent)
+        table = _gauge_sq_power(np.maximum(gsq, sing_tol), spec.exponent)
         lower = sing_tol
         for rad, offsets in tiers:
             band = np.flatnonzero((gsq > lower) & (gsq <= rad * rad))
@@ -446,14 +431,13 @@ def _far_field_composition(
     exponent_src: float,
     exponent_ker: float,
     measure: HaarMeasure,
-    n_shells: int = 7,
-    n_axis: int = 32,
 ) -> Array:
     """int_{y outside box} mass |y|^{e_src} |y^{-1}x|^{e_ker} dv_H(y) at points x.
 
     Used to close iterated convolutions: outside the grid box the first
     potential is within O(|y|^{e_src - 1}) of its leading homogeneous term, so
-    the far field of the second convolution reduces to this smooth integral.
+    the far field of the second convolution reduces to this smooth integral,
+    taken over 7 shells of 32 cells per axis.
     """
     N = zo.shape[-1]
     out = np.zeros(len(zo))
@@ -462,7 +446,7 @@ def _far_field_composition(
     hw_xy = max(abs(b) for b in (*box.lo[: 2 * N], *box.hi[: 2 * N]))
     hw_t = max(abs(box.lo[-1]), abs(box.hi[-1]))
     L = float(max(hw_xy, math.sqrt(hw_t)))
-    scheme = ShellScheme(2.0 * L, n_shells, n_axis, n_axis)
+    scheme = ShellScheme(2.0 * L, 7, 32, 32)
 
     def outside(zy, ty):
         xy = np.concatenate([zy.real, zy.imag], axis=-1)
@@ -524,49 +508,47 @@ def _grid_symmetry_classes(shape: tuple[int, ...]) -> tuple[Array, Array]:
 
 
 def semigroup_check(
-    alpha: float = 1.0,
-    N: int = 1,
     shape: tuple[int, ...] = (64, 64, 64),
     half_widths: tuple[float, float] = (4.0, 8.0),
-    bump_width: float = 0.85,
     n_eval: int = 512,
     seed: int = 0,
-    support_threshold: float = 1e-6,
 ) -> dict:
-    """Compare the two convolution paths R_a(R_a f) and R_{2a} f on a grid.
+    """Compare the two convolution paths R_1(R_1 f) and R_2 f on an H^1 grid.
 
-    The iterated path needs the intermediate potential on all of H^N; beyond
-    the grid box it is replaced by its leading homogeneous term mass * |y|^{a-Q},
-    integrated by shells (the neglected correction decays one order faster).
-    The model kernels carry no calibrated constants, so the comparison fits a
-    single proportionality factor and reports the relative L^2 shape residual
-    on a random subsample of grid points.
+    The source f is the centred gauge bump of width 0.85, and only its cells
+    above 1e-6 of its maximum enter the convolutions of f.  The iterated path
+    needs the intermediate potential on all of H^1; beyond the grid box it is
+    replaced by its leading homogeneous term mass * |y|^{1-Q}, integrated by
+    shells (the neglected correction decays one order faster).  The model
+    kernels carry no calibrated constants, so the comparison fits a single
+    proportionality factor and reports the relative L^2 shape residual on a
+    random subsample of grid points.
     """
     if n_eval < 1:
         raise DomainError("semigroup check needs n_eval >= 1 evaluation points")
     hw, hwt = half_widths
-    box = BoxDomain((-hw,) * (2 * N) + (-hwt,), (hw,) * (2 * N) + (hwt,))
-    f = gaussian_bump(box, shape, width=bump_width)
-    spec_a = KernelSpec(alpha, N, "riesz")
-    spec_2a = KernelSpec(2.0 * alpha, N, "riesz" if 2.0 * alpha != 2.0 else "green")
-    measure = HaarMeasure.standard(N)
+    box = BoxDomain((-hw, -hw, -hwt), (hw, hw, hwt))
+    f = gaussian_bump(box, shape, width=0.85)
+    spec_1 = KernelSpec(1.0, 1)
+    spec_2 = KernelSpec(2.0, 1)
+    measure = HaarMeasure.standard(1)
     reps, inverse = _grid_symmetry_classes(shape)
-    inner_reps = convolve(f, spec_a, out_indices=reps, support_threshold=support_threshold)
+    inner_reps = convolve(f, spec_1, out_indices=reps, support_threshold=1e-6)
     inner = GridFieldH(box, shape, inner_reps[inverse].reshape(shape))
     rng = np.random.default_rng(seed)
     sub = rng.choice(int(np.prod(shape)), size=min(n_eval, int(np.prod(shape))), replace=False)
     z_all, t_all = f.points()
     zo, to = z_all[sub], t_all[sub]
-    iterated = convolve(inner, spec_a, out_indices=sub)
+    iterated = convolve(inner, spec_1, out_indices=sub)
     mass_f = measure.kappa_H * f.cell_volume * float(np.sum(f.values))
     iterated = iterated + _far_field_composition(
-        box, zo, to, mass_f, spec_a.exponent, spec_a.exponent, measure
+        box, zo, to, mass_f, spec_1.exponent, spec_1.exponent, measure
     )
-    direct = convolve(f, spec_2a, out_indices=sub, support_threshold=support_threshold)
+    direct = convolve(f, spec_2, out_indices=sub, support_threshold=1e-6)
     fitted = float(iterated @ direct) / float(direct @ direct)
     resid = float(np.linalg.norm(iterated - fitted * direct) / np.linalg.norm(fitted * direct))
     return {
-        "alpha": alpha,
+        "alpha": 1.0,
         "grid": shape,
         "fitted_constant": fitted,
         "shape_residual": resid,
@@ -616,7 +598,7 @@ def green_inversion_check(f: GridFieldH, margin: int = 6, centered_radial: bool 
     """
     if f.N != 1:
         raise DomainError("Green inversion implemented for N = 1")
-    spec = KernelSpec(2.0, 1, "green")
+    spec = KernelSpec(2.0, 1)
     if centered_radial:
         reps, inverse = _grid_symmetry_classes(f.shape)
         pot_vals = convolve(f, spec, out_indices=reps, support_threshold=1e-10)[inverse]
@@ -659,36 +641,29 @@ def _horizontal_moment_constant(N: int, alpha: float) -> float:
     return annulus / (1.0 - 2.0 ** (alpha - 2.0))
 
 
-def pv_fractional(
-    u,
-    alpha: float,
-    p: HeisPoint,
-    constant: float = 1.0,
-    scheme: ShellScheme | None = None,
-    delta: float | None = None,
-    return_sensitivity: bool = False,
-):
-    """c * PV int (u(x) - u(y)) |y^{-1} x|^{-Q-alpha} dv_H(y) at x = p.
+def pv_fractional(u, alpha: float, p: HeisPoint, return_sensitivity: bool = False):
+    """PV int (u(x) - u(y)) |y^{-1} x|^{-Q-alpha} dv_H(y) at x = p, with kernel constant one.
 
     The sign makes the operator nonnegative at interior maxima (matching the
     local operator as alpha -> 2).  Integration pairs y with its group
     reflection through p, which cancels the odd part of the increment; inside
     the inner ball of radius delta the surviving quadratic part is integrated
     in closed form against the exact kernel moments, which keeps the alpha -> 2
-    concentration of the operator on the grid's budget.  ``return_sensitivity``
-    reruns at delta/2 and reports the difference as the honest error bar.
+    concentration of the operator on the grid's budget.  delta spans three
+    inner cells horizontally and about 2.2 square roots of a half cell
+    vertically.  ``return_sensitivity`` reruns at delta/2 and reports the
+    difference as the honest error bar.
     """
     if not 0 < alpha < 2:
         raise DomainError("PV representation needs alpha in (0, 2)")
     N = p.N
     Q = 2 * N + 2
-    scheme = scheme or ShellScheme(l0=1.0, n_shells=8, n_inner=96, n_shell=48)
+    scheme = ShellScheme(l0=1.0, n_shells=8, n_inner=96, n_shell=48)
     measure = HaarMeasure.standard(N)
     u_at_p = float(np.asarray(u(p.z[None, :], np.asarray([p.t])))[0])
     h_xy = 2.0 * scheme.l0 / scheme.n_inner
     h_t = 2.0 * scheme.l0**2 / scheme.n_inner
-    if delta is None:
-        delta = max(3.0 * h_xy, 2.2 * math.sqrt(0.5 * h_t))
+    delta = max(3.0 * h_xy, 2.2 * math.sqrt(0.5 * h_t))
     lap = float(sub_laplacian(u, p.z[None, :], np.asarray([p.t]), h=1e-3)[0])
     mom1 = _horizontal_moment_constant(N, alpha) / (2 * N)
 
@@ -703,7 +678,7 @@ def pv_fractional(
             zm_, tm_ = mul_zt(p.z, p.t, -z0, -t0)
             incr = 2.0 * u_at_p - np.asarray(u(zp_, tp_)) - np.asarray(u(zm_, tm_))
             total += 0.5 * measure.kappa_H * cellv * float(np.sum(incr * g ** (-(Q + alpha))))
-        return constant * total
+        return total
 
     val = run(delta)
     if return_sensitivity:
@@ -717,11 +692,12 @@ def mapping_bound_probe(
     q: float,
     n_bumps: int = 20,
     shape: tuple[int, ...] = (24, 24, 24),
-    L: float = 4.0,
     seed: int = 2,
 ) -> dict:
     """Ratios ||f * R_alpha||_p / ||f||_q with 1/p = 1/q - alpha/Q over random bumps.
 
+    The bumps live on the Koranyi box of half-width 4 in H^1, the only N the
+    grid convolution runs; other N are refused before any bump is built.
     Only finiteness and stability are meaningful (the sharp constant is not
     modeled); the probe reports the max and spread of the ratios.
     """
@@ -729,6 +705,8 @@ def mapping_bound_probe(
         raise DomainError("mapping bound probe needs n_bumps >= 1")
     if not (math.isfinite(q) and q >= 1.0):
         raise DomainError(f"mapping bound probe needs a finite exponent q >= 1, got {q}")
+    if N != 1:
+        raise DomainError(f"mapping bound probe runs on H^1 grids only, got N={N}")
     Q = 2 * N + 2
     inv_p = 1.0 / q - alpha / Q
     if inv_p <= 0:
@@ -736,7 +714,7 @@ def mapping_bound_probe(
     p_out = 1.0 / inv_p
     rng = np.random.default_rng(seed)
     spec = KernelSpec(alpha, N, "riesz")
-    box = BoxDomain.koranyi(N, L)
+    box = BoxDomain.koranyi(N, 4.0)
     ratios = []
     for _ in range(n_bumps):
         width = rng.uniform(0.3, 1.0)

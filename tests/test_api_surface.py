@@ -9,6 +9,11 @@ tests that use it.
 
 The benchmark's span tracer wraps functions by name, so each of its targets
 must also still exist.
+
+A second guard holds the same line for parameters: every defaulted parameter
+of a function or method in ``src/cryamabe`` must be set by some call in that
+program code.  A parameter that no program call sets has one value, and that
+value belongs in the code, not in the signature.
 """
 
 import ast
@@ -22,6 +27,16 @@ PACKAGE = ROOT / "src" / "cryamabe"
 ALLOWED = {
     # the config as JSON: the planned run manifest (ROADMAP item 1) is to record the config through it
     "config.ExperimentConfig.to_json",
+}
+
+
+# "module.qual(param)" -> why only tests set it
+ALLOWED_PARAMS = {
+    "bubbling.ps_energy_report(scheme)": "coarse schemes keep the tier-1 transport tests fast",
+    "bubbling.residual_report(scheme)": "coarse schemes keep the tier-1 transport tests fast",
+    "energy.dirichlet_form(h)": "the fixed-step test compares a scalar step with the gauge-scaled one",
+    "energy.dirichlet_form(h_factor)": "the transport-accuracy test needs a finer stencil than the default",
+    "riesz.mapping_bound_probe(shape)": "a coarse grid keeps the tier-1 probe test fast",
 }
 
 
@@ -62,6 +77,58 @@ def _references() -> set[str]:
     return refs
 
 
+def _defaulted_params() -> dict[str, tuple[str, int | None, str]]:
+    """Each defaulted parameter as "module.qual(param)" -> (bare callee name, positional index or None, name).
+
+    The positional index counts the arguments a call passes explicitly, so
+    it is offset by one for methods that are not static.
+    """
+    params = {}
+
+    def visit(node, mod, prefix, in_class):
+        for item in node.body:
+            if isinstance(item, ast.ClassDef):
+                visit(item, mod, f"{prefix}{item.name}.", True)
+            elif isinstance(item, ast.FunctionDef):
+                qual = f"{mod}.{prefix}{item.name}"
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+                offset = 1 if in_class and not static else 0
+                callee = prefix.rstrip(".").rsplit(".", 1)[-1] if item.name == "__init__" else item.name
+                a = item.args
+                positional = [*a.posonlyargs, *a.args]
+                first = len(positional) - len(a.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    params[f"{qual}({arg.arg})"] = (callee, i - offset, arg.arg)
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        params[f"{qual}({arg.arg})"] = (callee, None, arg.arg)
+                visit(item, mod, f"{prefix}{item.name}.", False)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "", False)
+    return params
+
+
+def _program_calls() -> dict[str, list[ast.Call]]:
+    """Bare callee name -> every call to it in program code."""
+    calls = {}
+    for path in _program_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call: ast.Call, index: int | None, param: str) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    if any(k.arg == param for k in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
 def test_every_public_name_has_a_program_caller():
     refs = _references()
     unreferenced = sorted(q for q, name in _definitions().items() if name not in refs and q not in ALLOWED)
@@ -71,6 +138,20 @@ def test_every_public_name_has_a_program_caller():
 def test_allowed_names_still_exist():
     # an allowance outliving its definition would hide nothing, but it rots
     assert ALLOWED <= set(_definitions())
+
+
+def test_every_defaulted_parameter_has_a_program_caller():
+    calls = _program_calls()
+    unset = sorted(
+        q
+        for q, (callee, index, param) in _defaulted_params().items()
+        if q not in ALLOWED_PARAMS and not any(_sets(c, index, param) for c in calls.get(callee, ()))
+    )
+    assert unset == []
+
+
+def test_allowed_params_still_exist():
+    assert set(ALLOWED_PARAMS) <= set(_defaulted_params())
 
 
 def test_trace_targets_resolve():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ class TestSynthesis:
         heis_side, _ = integrate_decaying(
             lambda z, t: np.abs(U(z, t)) ** 4,
             1,
-            ShellScheme.reaching(4.0 / 0.3, n_inner=96, n_shell=48),
+            replace(ShellScheme.reaching(4.0 / 0.3), n_inner=96),
         )
         assert sphere_side == pytest.approx(heis_side, rel=1e-2)
 
@@ -191,7 +192,7 @@ class TestThresholdFlow:
             u = SpectralFunction(rng.standard_normal(prob8.basis.n_basis), prob8.basis)
             ball = math.sqrt(prob8.constants.C_S ** (-2.0))
             u = (0.3 * ball / norm_Hk(u, 1.0)) * u
-            rep = subcritical_threshold_check(u, prob8, energy_cap_frac=1.0, target_norm=1e-5)
+            rep = subcritical_threshold_check(u, prob8, energy_cap_frac=1.0)
             assert rep["below_threshold"]
             assert rep["status"] == "converged_to_zero"
             assert rep["final_norm"] < 1e-4

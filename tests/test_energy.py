@@ -9,6 +9,7 @@ from cryamabe.energy import (
     BubbleParams,
     YamabeConstants,
     YamabeProblem,
+    _dirichlet_density,
     bubble_eval_zt,
     bubble_field,
     calibrate_normalizations,
@@ -19,7 +20,7 @@ from cryamabe.energy import (
     sobolev_constant,
 )
 from cryamabe.errors import DivergentIntegralError, DomainError
-from cryamabe.heisenberg import HeisPoint, ShellScheme, _gauge_sq_power
+from cryamabe.heisenberg import HeisPoint, ShellScheme, _gauge_sq_power, integrate_decaying
 from cryamabe.minimax import SubgroupSpec, minimax_search
 from cryamabe.spectral import (
     SphereQuadrature,
@@ -208,6 +209,18 @@ class TestHeisenbergEnergy:
             U = bubble_field(BubbleParams(lam, center), consts)
             val = energy_heis(U, consts, scheme=scheme, center=center)
             assert val == pytest.approx(consts.C_E, rel=1e-2)
+
+    def test_one_walk_matches_two_walks(self):
+        # the Dirichlet form and the p*-mass as stacked rows of one walk sum
+        # exactly as they do in a walk each
+        consts = YamabeConstants.create(1, 1.0)
+        scheme = ShellScheme(l0=1.5, n_shells=4, n_inner=32, n_shell=32)
+        xi = HeisPoint([1.0 + 0j], 1.0)
+        U = bubble_field(BubbleParams(0.5, xi), consts)
+        walk = lambda f: integrate_decaying(f, 1, scheme, consts.measure, center=xi)[0]
+        quadratic = walk(lambda z, t: _dirichlet_density(U, z, t))
+        mass = walk(lambda z, t: np.abs(U(z, t)) ** consts.p_star)
+        assert energy_heis(U, consts, scheme=scheme, center=xi) == 0.5 * quadratic - mass / consts.p_star
 
     def test_fractional_route_through_sphere(self, prob_half):
         # at k = 1/2 the group-side energy is the sphere energy of the pushforward

@@ -14,6 +14,7 @@ them to the bit.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ CENTER = np.array([1.0 + 0j, 0.0 + 0j])
 
 def _coarse(R: float) -> ShellScheme:
     # the default reach (the cutoff support ends near gauge 4 / R) on coarse grids
-    return ShellScheme.reaching(4.0 / R, l0=1.5, n_inner=24, n_shell=16)
+    return replace(ShellScheme.reaching(4.0 / R), n_inner=24, n_shell=16)
 
 
 def _separate_piece_report(chart, n, u_infty, prob, scheme):
@@ -241,7 +242,7 @@ class TestFusedPieceReport:
     def test_default_scheme_matches(self, prob8):
         chart = BubbleChart.standard(CENTER, (3e-2,), prob8.constants)
         u_inf = prob8.ground_constant()
-        scheme = ShellScheme.reaching(4.0 / 3e-2, l0=1.5, n_inner=64, n_shell=48)
+        scheme = ShellScheme.reaching(4.0 / 3e-2)
         got = bubble_piece_report(chart, 0, u_inf, prob8)
         _assert_close(got, _separate_piece_report(chart, 0, u_inf, prob8, scheme))
 
@@ -280,7 +281,7 @@ class TestSkippedStencil:
     def test_default_scheme_matches_unskipped(self, prob8):
         chart = BubbleChart.standard(CENTER, (3e-2,), prob8.constants)
         u_inf = prob8.ground_constant()
-        scheme = ShellScheme.reaching(4.0 / 3e-2, l0=1.5, n_inner=64, n_shell=48)
+        scheme = ShellScheme.reaching(4.0 / 3e-2)
         assert bubble_piece_report(chart, 0, u_inf, prob8) == _unskipped_piece_report(chart, 0, u_inf, prob8, scheme)
 
     @pytest.mark.parametrize("profile_factor", [1.0, 2.0])

@@ -97,7 +97,7 @@ def _ref_sheared_diagonal(spec, steps, z_src, subs=(12, 12, 16)):
         total += contrib * subvol
     vol1 = koranyi_ball_volume(1, 1.0, HaarMeasure(1.0))
     core = spec.Q * vol1 * rho ** (spec.Q + spec.exponent) / (spec.Q + spec.exponent)
-    return spec.constant * (total + core) / (hx * hy * ht)
+    return (total + core) / (hx * hy * ht)
 
 
 def _ref_convolve(f, spec, support_threshold=0.0):
@@ -123,7 +123,7 @@ def _ref_convolve(f, spec, support_threshold=0.0):
         td = ti[:, None] + to[None, :] + 2.0 * hermitian_im(zi[:, None, :], zo[None, :, :])
         zz = np.sum(zd.real**2 + zd.imag**2, axis=-1)
         gsq = np.sqrt(zz * zz + td * td)
-        kv = spec.constant * _ref_power(np.maximum(gsq, sing_tol), spec.exponent)
+        kv = _ref_power(np.maximum(gsq, sing_tol), spec.exponent)
         lower = sing_tol
         for rad, offsets in tiers:
             rows, cols = np.nonzero((gsq > lower) & (gsq <= rad * rad))
@@ -133,7 +133,7 @@ def _ref_convolve(f, spec, support_threshold=0.0):
                 zs, ts = mul_zt(z_all[idx[rows]], t_all[idx[rows]], off_z, off_t)
                 zd2, td2 = mul_zt(*inv_zt(zs, ts), zo[cols], to[cols])
                 gg = gauge_zt(zd2, td2)
-                acc += spec.constant * _ref_power(gg * gg, spec.exponent)
+                acc += _ref_power(gg * gg, spec.exponent)
             kv[rows, cols] = acc / len(offsets)
         rows, cols = np.nonzero(gsq <= sing_tol)
         kv[rows, cols] = _ref_sheared_diagonal(spec, f.steps, z_all[idx[rows]])
@@ -147,8 +147,6 @@ class TestKernels:
             KernelSpec(5.0, 1, "riesz")  # order must stay below Q = 4
         with pytest.raises(DomainError):
             KernelSpec(1.0, 1, "weird")
-        with pytest.raises(DomainError):
-            KernelSpec(1.0, 1, "riesz", constant=-1.0)
 
     def test_singular_point(self):
         with pytest.raises(SingularPointError):
@@ -167,7 +165,7 @@ class TestKernels:
         assert np.max(np.abs(lhs - rhs) / rhs) < 1e-12
 
     def test_green_kernel_shape(self):
-        spec = KernelSpec(2.0, 1, "green")
+        spec = KernelSpec(2.0, 1)
         assert float(kernel_eval_zt(spec, np.array([2.0 + 0j]), np.asarray(0.0))) == pytest.approx(2.0**-2, rel=1e-14)
 
     def test_hyper_decay_slope(self):
@@ -200,7 +198,7 @@ def _oracle_case(n, kind, field):
         vals = np.zeros(shape)
         vals[n // 2 - 1, n // 2 + 2, n // 2 + 1] = 1.0
         f = GridFieldH(BOX, shape, vals)
-    spec = KernelSpec(1.0, 1, "riesz") if kind == "riesz" else KernelSpec(2.0, 1, "green")
+    spec = KernelSpec(1.0, 1, "riesz") if kind == "riesz" else KernelSpec(2.0, 1)
     return f, spec, _ref_convolve(f, spec, support_threshold=1e-9)
 
 
@@ -259,11 +257,30 @@ class TestConvolution:
         expected = 4.0 * f.cell_volume * d**-3.0
         assert np.max(np.abs(out.values.reshape(-1)[far] - expected) / expected) < 0.05
 
+    @pytest.mark.parametrize(
+        "grid_N, spec",
+        [(1, KernelSpec(1.0, 2)), (2, KernelSpec(1.0, 2)), (1, KernelSpec(1.0, 1, "hyper"))],
+        ids=["kernel_N2", "grid_N2", "hyper"],
+    )
+    def test_unsupported_kernel_refused_before_work(self, grid_N, spec, monkeypatch):
+        # the kernel tables and the sheared singular cell are written for
+        # H^1, and a hypersingular kernel is not locally integrable
+        import cryamabe.riesz as rz
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the convolution started work before refusing the kernel")
+
+        monkeypatch.setattr(rz, "_toeplitz_sum", no_work)
+        n = 2 * grid_N + 1
+        f = gaussian_bump(BoxDomain((-3.0,) * n, (3.0,) * n), (8,) * n)
+        with pytest.raises(DomainError):
+            convolve(f, spec)
+
     def test_riesz_order_guard(self):
         # an order outside (0, Q) is refused when the spec is built, so no
         # convolution starts with it; the endpoints are outside for every kind
         f = gaussian_bump(BOX, (8, 8, 8))
-        for kind in ("riesz", "green", "hyper"):
+        for kind in ("riesz", "hyper"):
             for alpha in (0.0, 4.0, 5.0):
                 with pytest.raises(DomainError):
                     convolve(f, KernelSpec(alpha, 1, kind))
@@ -388,6 +405,17 @@ class TestMappingBound:
     def test_exponent_relation_guard(self):
         with pytest.raises(DomainError):
             mapping_bound_probe(3.5, 1, q=2.0)
+
+    def test_other_N_refused_before_work(self, monkeypatch):
+        import cryamabe.riesz as rz
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the probe started work before refusing N")
+
+        monkeypatch.setattr(rz, "gaussian_bump", no_work)
+        monkeypatch.setattr(rz, "convolve", no_work)
+        with pytest.raises(DomainError):
+            mapping_bound_probe(1.0, 2, q=2.0)
 
     @pytest.mark.parametrize("q", [0.0, 0.5, -2.0, math.nan, math.inf])
     def test_exponent_q_refused_before_work(self, q, monkeypatch):

@@ -7,6 +7,8 @@ those points on every rung of the default ladder, with the step of each
 report, and check the claim node by node.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ def test_settled_nodes_have_an_exactly_constant_cutoff(n, step):
     chart = BubbleChart.standard(CENTER, LADDER, YamabeConstants.create(1, 1.0))
     conf, cut = chart.chart(n), chart.cutoff
     # the default reach of both reports on coarse grids
-    scheme = ShellScheme.reaching(4.0 / LADDER[n], l0=1.5, n_inner=24, n_shell=16)
+    scheme = replace(ShellScheme.reaching(4.0 / LADDER[n]), n_inner=24, n_shell=16)
     n_one = n_zero = 0
     for _, z, t, _ in shell_nodes(1, scheme):
         zeta = conf.map_zt(z, t)
