@@ -22,6 +22,24 @@ def _positive_real(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
 
 
+def _check_grid(shape, half_widths) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The riesz-check grid as tuples: 3 integers >= 8 per axis and 2 finite positive half-widths.
+
+    The half-widths are those of x = y and of t.  Anything else raises
+    DomainError; ``ExperimentConfig`` and ``riesz.semigroup_check`` share
+    this rule.
+    """
+    try:
+        shape, widths = tuple(shape), tuple(half_widths)
+    except TypeError:
+        raise DomainError(f"grid shape and half-widths must be sequences, got {shape!r} and {half_widths!r}") from None
+    if len(shape) != 3 or any(type(n) is not int or n < 8 for n in shape):
+        raise DomainError(f"grid shape must be 3 integers >= 8, got {shape!r}")
+    if len(widths) != 2 or not all(_positive_real(w) for w in widths):
+        raise DomainError(f"grid half-widths must be 2 finite positive numbers, got {widths!r}")
+    return shape, widths
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Reproducible run parameters shared by the command-line subcommands."""
@@ -59,14 +77,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and (type(value) is not int or not low <= value <= high):
                 raise DomainError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
-        shape = tuple(self.grid_shape)
-        if len(shape) != 3 or any(type(n) is not int or n < 8 for n in shape) or math.prod(shape) > GRID_NODE_BUDGET:
-            raise DomainError(
-                f"grid_shape must be 3 integers >= 8 with at most {GRID_NODE_BUDGET} nodes, got {self.grid_shape!r}"
-            )
-        widths = tuple(self.grid_half_widths)
-        if len(widths) != 2 or not all(_positive_real(w) for w in widths):
-            raise DomainError(f"grid_half_widths must be 2 finite positive numbers, got {self.grid_half_widths!r}")
+        shape, widths = _check_grid(self.grid_shape, self.grid_half_widths)
+        if math.prod(shape) > GRID_NODE_BUDGET:
+            raise DomainError(f"grid_shape must have at most {GRID_NODE_BUDGET} nodes, got {shape!r}")
         ladder = tuple(float(r) for r in self.rn_ladder)
         if len(ladder) < 2 or not all(_positive_real(r) for r in ladder):
             raise DomainError(f"rn_ladder needs at least 2 rungs, each finite and positive, got {self.rn_ladder!r}")

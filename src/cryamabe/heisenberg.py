@@ -356,8 +356,10 @@ def shell_nodes(
     Shell 0 is the midpoint grid of the box of half-width l0 with n_inner
     nodes per axis; shell i > 0 is the n_shell grid of the box of half-width
     l0 * 2^i with the nodes of the previous box removed.  Nodes come in blocks
-    of at most 2^15, in the row-major order of each shell's full grid, so a
-    caller's work arrays have a fixed bound whatever the shell size.
+    of at most 2^15, in the row-major (x, y, t) order of each shell's full
+    grid, so a caller's work arrays have a fixed bound whatever the shell
+    size.  t is the fastest axis: within a block the nodes of one grid
+    column (fixed z) are consecutive, with t increasing.
     ``cell_weight`` is the Lebesgue volume of the shell's cells, and with
     ``center`` the nodes are left-translated to center . (z, t).
     """

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import _check_grid
 from .errors import DomainError, SingularPointError
 from .heisenberg import (
     Array,
@@ -86,19 +87,18 @@ _BLOCK = 1 << 15
 _SUB = 1 << 14
 
 
-def _subcell_offsets(steps: tuple[float, ...], N: int, subs: tuple[int, ...]) -> tuple[Array, Array, Array]:
-    """Midpoints of a per-axis subdivision of one grid cell, as group offsets.
+def _subcell_offsets(steps: tuple[float, ...], subs: tuple[int, ...]) -> tuple[Array, Array, Array]:
+    """Midpoints of a per-axis subdivision of one H^1 grid cell, as group offsets.
 
-    Returned as the x and y parts (M_h, N) of the horizontal offsets and the
+    Returned as the x and y parts (M_h,) of the horizontal offsets and the
     vertical offsets (M_t,); the offsets are all of their combinations.  The
     t-axis needs the finest split: in gauge geometry a coordinate cell is far
     taller in t (height ~ sqrt(h_t)) than wide in z, and homogeneous kernels
     vary in t on the squared-gauge scale.
     """
-    axes = [(np.arange(s) + 0.5) / s * h - h / 2.0 for h, s in zip(steps, subs)]
-    mesh = np.meshgrid(*axes[: 2 * N], indexing="ij")
-    flat = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    return flat[:, :N], flat[:, N:], axes[2 * N]
+    ax, ay, at = [(np.arange(s) + 0.5) / s * h - h / 2.0 for h, s in zip(steps, subs)]
+    dx, dy = np.meshgrid(ax, ay, indexing="ij")
+    return dx.reshape(-1), dy.reshape(-1), at
 
 
 def _offset_gauge_sq(wx: Array, wy: Array, wt: Array, sx: Array, sy: Array, offsets) -> Array:
@@ -108,14 +108,12 @@ def _offset_gauge_sq(wx: Array, wy: Array, wt: Array, sx: Array, sy: Array, offs
     the gauge of (y + d)^{-1} y, the coordinate cell seen from its midpoint.
     """
     dx, dy, dt = offsets
-    zz = np.zeros((len(wt), len(dx)))
-    tb = np.repeat(wt[:, None], len(dx), axis=1)
-    for n in range(dx.shape[1]):
-        for w, d in ((wx, dx), (wy, dy)):
-            u = w[:, n, None] - d[:, n]
-            u *= u
-            zz += u
-        tb -= 2.0 * (sx[:, n, None] * dy[:, n] - sy[:, n, None] * dx[:, n])
+    zz = wx[:, None] - dx
+    zz *= zz
+    u = wy[:, None] - dy
+    u *= u
+    zz += u
+    tb = wt[:, None] - 2.0 * (sx[:, None] * dy - sy[:, None] * dx)
     zz *= zz
     tt = tb[:, :, None] - dt
     tt *= tt
@@ -145,17 +143,17 @@ def _sheared_diagonal(spec: KernelSpec, steps: tuple[float, ...], xs: Array, ys:
     rest of the cell is averaged over a (12, 12, 16) sub-cell split.
     """
     hx, hy, ht = steps
-    a = np.hypot(xs[:, 0], ys[:, 0])
+    a = np.hypot(xs, ys)
     rho = np.minimum(0.45 * hx, 0.45 * hy)
     rho = np.minimum(rho, -a + np.sqrt(a * a + 0.45 * ht))
-    offsets = _subcell_offsets(steps, 1, (12, 12, 16))
+    offsets = _subcell_offsets(steps, (12, 12, 16))
     m = len(offsets[0]) * len(offsets[2])
     step = max(1, _SUB // m)
     total = np.empty(len(xs))
     zero = np.zeros_like(xs)
     for i in range(0, len(xs), step):
         b = slice(i, i + step)
-        gsq = _offset_gauge_sq(zero[b], zero[b], zero[b, 0], xs[b], ys[b], offsets)
+        gsq = _offset_gauge_sq(zero[b], zero[b], zero[b], xs[b], ys[b], offsets)
         k = _gauge_sq_power(np.maximum(gsq, 1e-300), spec.exponent)
         k[gsq <= (rho[b] * rho[b])[:, None, None]] = 0.0
         total[b] = k.sum(axis=(1, 2))
@@ -169,16 +167,15 @@ def _pair_w(xs: Array, ys: Array, xo: Array, yo: Array) -> tuple[Array, Array]:
     """|z_w|^2 and the twist of w = y^{-1} x for every (source y, output x) pair.
 
     z_w = z_x - z_y and t_w = t_x - t_y + 2 Im<-z_y, z_x>; the twist is the
-    last term.  Inputs are real and imaginary parts, (n, N) arrays.
+    last term.  Inputs are the real and imaginary parts of z in H^1, 1-D.
     """
-    zz = np.zeros((len(xs), len(xo)))
-    for a, b in ((xs, xo), (ys, yo)):
-        for n in range(a.shape[1]):
-            d = b[:, n] - a[:, n, None]
-            d *= d
-            zz += d
-    twist = xs @ yo.T
-    twist -= ys @ xo.T
+    zz = xo - xs[:, None]
+    zz *= zz
+    d = yo - ys[:, None]
+    d *= d
+    zz += d
+    twist = np.multiply.outer(xs, yo)
+    twist -= np.multiply.outer(ys, xo)
     twist *= 2.0
     return zz, twist
 
@@ -348,10 +345,8 @@ def _toeplitz_sum(f: GridFieldH, spec: KernelSpec, vals: Array, src: Array, out_
     output column) pair its table covers the level differences from the
     lowest to the highest pairing of the two columns' levels.
     """
-    N, nt, steps = f.N, f.shape[-1], f.steps
-    mesh = np.meshgrid(*f.axes()[: 2 * N], indexing="ij")
-    cx = np.stack([m.reshape(-1) for m in mesh[:N]], axis=-1)
-    cy = np.stack([m.reshape(-1) for m in mesh[N:]], axis=-1)
+    nt, steps = f.shape[-1], f.steps
+    cx, cy = (m.reshape(-1) for m in np.meshgrid(*f.axes()[:2], indexing="ij"))
     cs, s_ci, s_k, ks_lo, ks_hi = _grid_columns(src, nt, len(cx))
     co, o_ci, o_k, ko_lo, ko_hi = _grid_columns(out_idx, nt, len(cx))
     span_s, span_o = ks_hi - ks_lo, ko_hi - ko_lo
@@ -367,11 +362,11 @@ def _toeplitz_sum(f: GridFieldH, spec: KernelSpec, vals: Array, src: Array, out_
     # only the vertical variation still matters -- and the singular cell gets
     # the sheared average with an analytic core (_sheared_diagonal).
     sqrt_ht = steps[-1] ** 0.5
-    core_rad = max(3.5 * max(steps[: 2 * N]), 1.5 * sqrt_ht)
+    core_rad = max(3.5 * max(steps[:2]), 1.5 * sqrt_ht)
     ring_rad = max(3.2 * sqrt_ht, core_rad)
     tiers = (
-        (core_rad, _subcell_offsets(steps, N, (4,) * (2 * N) + (8,))),
-        (ring_rad, _subcell_offsets(steps, N, (1,) * (2 * N) + (6,))),
+        (core_rad, _subcell_offsets(steps, (4, 4, 8))),
+        (ring_rad, _subcell_offsets(steps, (1, 1, 6))),
     )
     sing_tol = (1e-6 * min(steps)) ** 2
     diag = np.zeros(len(cs))
@@ -432,43 +427,49 @@ def _far_field_composition(
     exponent_ker: float,
     measure: HaarMeasure,
 ) -> Array:
-    """int_{y outside box} mass |y|^{e_src} |y^{-1}x|^{e_ker} dv_H(y) at points x.
+    """int_{y outside box} mass |y|^{e_src} |y^{-1}x|^{e_ker} dv_H(y) at points x of H^1.
 
     Used to close iterated convolutions: outside the grid box the first
     potential is within O(|y|^{e_src - 1}) of its leading homogeneous term, so
     the far field of the second convolution reduces to this smooth integral,
-    taken over 7 shells of 32 cells per axis.
+    taken over 7 shells of 32 cells per axis.  The walk blocks are taken in
+    chunks of _BLOCK // n_out nodes.  t is the walk's fastest axis, so the
+    nodes of one grid column (fixed z_y) are consecutive: each chunk forms
+    the z-terms of w = y^{-1} x (|z_w|^4, and the twist plus t_x) once per
+    column and gathers them per node.  Every kernel value takes the same
+    operations in the same order as a per-pair evaluation.
     """
-    N = zo.shape[-1]
+    xo, yo = zo[:, 0].real, zo[:, 0].imag
     out = np.zeros(len(zo))
     # the first Koranyi shell box must contain the grid box: shell i is the
     # box of half-width L 2^(i+1) less the box of half-width L 2^i
-    hw_xy = max(abs(b) for b in (*box.lo[: 2 * N], *box.hi[: 2 * N]))
-    hw_t = max(abs(box.lo[-1]), abs(box.hi[-1]))
-    L = float(max(hw_xy, math.sqrt(hw_t)))
+    (lo_x, lo_y, lo_t), (hi_x, hi_y, hi_t) = box.lo, box.hi
+    hw_xy = max(abs(lo_x), abs(lo_y), abs(hi_x), abs(hi_y))
+    L = float(max(hw_xy, math.sqrt(max(abs(lo_t), abs(hi_t)))))
     scheme = ShellScheme(2.0 * L, 7, 32, 32)
-
-    def outside(zy, ty):
-        xy = np.concatenate([zy.real, zy.imag], axis=-1)
-        inside = np.ones(len(ty), dtype=bool)
-        for d in range(2 * N):
-            inside &= (xy[:, d] >= box.lo[d]) & (xy[:, d] <= box.hi[d])
-        inside &= (ty >= box.lo[-1]) & (ty <= box.hi[-1])
-        return ~inside
-
     chunk = max(1, _BLOCK // max(len(zo), 1))
-    for _, zy, ty, cellv in shell_nodes(N, scheme):
-        keep = outside(zy, ty)
-        zy, ty = zy[keep], ty[keep]
-        gy = gauge_zt(zy, ty)
+    for _, zy, ty, cellv in shell_nodes(1, scheme):
+        x, y = zy[:, 0].real, zy[:, 0].imag
+        keep = ~((x >= lo_x) & (x <= hi_x) & (y >= lo_y) & (y <= hi_y) & (ty >= lo_t) & (ty <= hi_t))
+        zy, ty = zy[keep, 0], ty[keep]
+        gy = gauge_zt(zy[:, None], ty)
         src_w = _gauge_sq_power(gy * gy, exponent_src)
-        for c0 in range(0, len(zy), chunk):
+        # a column starts wherever z_y changes from the previous node
+        starts = np.ones(len(ty), dtype=bool)
+        starts[1:] = zy[1:] != zy[:-1]
+        for c0 in range(0, len(ty), chunk):
             b = slice(c0, c0 + chunk)
-            zz, wt = _pair_w(zy[b].real, zy[b].imag, zo.real, zo.imag)
-            wt += to
+            new = starts[b].copy()
+            new[0] = True
+            run = np.cumsum(new) - 1
+            zc = zy[c0 + np.flatnonzero(new)]
+            zz_col, wt_col = _pair_w(zc.real, zc.imag, xo, yo)
+            zz_col *= zz_col
+            wt_col += to
+            wt = wt_col[run]
             wt -= ty[b, None]
-            zz *= zz
             wt *= wt
+            zz = zz_col[run]
             zz += wt
             gsq2 = np.sqrt(zz, out=zz)
             out += measure.kappa_H * cellv * mass * (src_w[b] @ _gauge_sq_power(gsq2, exponent_ker))
@@ -522,11 +523,13 @@ def semigroup_check(
     shells (the neglected correction decays one order faster).  The model
     kernels carry no calibrated constants, so the comparison fits a single
     proportionality factor and reports the relative L^2 shape residual on a
-    random subsample of grid points.
+    random subsample of grid points.  A grid that is not 3 integers >= 8
+    per axis with 2 finite positive half-widths (x = y, t) is refused before
+    any work.
     """
     if n_eval < 1:
         raise DomainError("semigroup check needs n_eval >= 1 evaluation points")
-    hw, hwt = half_widths
+    shape, (hw, hwt) = _check_grid(shape, half_widths)
     box = BoxDomain((-hw, -hw, -hwt), (hw, hw, hwt))
     f = gaussian_bump(box, shape, width=0.85)
     spec_1 = KernelSpec(1.0, 1)

@@ -285,6 +285,25 @@ class TestShellWalker:
             assert np.array_equal(np.concatenate([b[1] for b in mine]), z_ref)
             assert np.array_equal(np.concatenate([b[2] for b in mine]), t_ref)
 
+    @pytest.mark.parametrize(
+        "scheme",
+        [ShellScheme(8.0, 3, 32, 32), ShellScheme(l0=1.5, n_shells=3, n_inner=64, n_shell=48)],
+        ids=["far_field", "columns_split_by_blocks"],
+    )
+    def test_grid_columns_are_runs_with_t_increasing(self, scheme):
+        # t is the fastest axis: in every block each distinct z is one run of
+        # consecutive nodes with t increasing, in shell 0 and in the shells
+        # that lose the inner box (the far field's per-column tables need it)
+        seen = set()
+        for i, z, t, _ in shell_nodes(1, scheme):
+            seen.add(i)
+            new = np.ones(len(t), dtype=bool)
+            new[1:] = z[1:, 0] != z[:-1, 0]
+            starts = np.flatnonzero(new)
+            assert len(np.unique(z[starts, 0])) == len(starts)
+            assert np.all(np.diff(t)[~new[1:]] > 0)
+        assert seen == set(range(scheme.n_shells))
+
     def test_stacked_integrand_equals_scalar_calls(self):
         from cryamabe.energy import BubbleParams, YamabeConstants, bubble_eval_zt
 

@@ -11,17 +11,22 @@ from cryamabe.heisenberg import (
     BoxDomain,
     HaarMeasure,
     HeisPoint,
+    ShellScheme,
+    _gauge_sq_power,
     dilate_zt,
     gauge_zt,
     hermitian_im,
     inv_zt,
     koranyi_ball_volume,
     mul_zt,
+    shell_nodes,
     sub_laplacian,
 )
 from cryamabe.riesz import (
+    _BLOCK,
     GridFieldH,
     KernelSpec,
+    _far_field_composition,
     _grid_symmetry_classes,
     convolve,
     decay_exponent_fit,
@@ -139,6 +144,44 @@ def _ref_convolve(f, spec, support_threshold=0.0):
         kv[rows, cols] = _ref_sheared_diagonal(spec, f.steps, z_all[idx[rows]])
         out += vals[idx] @ kv
     return out * f.cell_volume * HaarMeasure.standard(f.N).kappa_H
+
+
+def _ref_far_field(box, zo, to, mass, e_src, e_ker, measure):
+    """The far field of the iterated convolution evaluated per (node, output) pair.
+
+    The same shells, outside-the-box mask and chunks of _BLOCK // n_out nodes
+    as ``_far_field_composition``, with |z_w|^2 and the twist of w = y^{-1} x
+    formed afresh for every node.
+    """
+    hw_xy = max(abs(b) for b in (*box.lo[:2], *box.hi[:2]))
+    L = float(max(hw_xy, math.sqrt(max(abs(box.lo[-1]), abs(box.hi[-1])))))
+    out = np.zeros(len(zo))
+    chunk = max(1, _BLOCK // len(zo))
+    for _, zy, ty, cellv in shell_nodes(1, ShellScheme(2.0 * L, 7, 32, 32)):
+        xy = np.concatenate([zy.real, zy.imag], axis=-1)
+        inside = np.all((xy >= box.lo[:2]) & (xy <= box.hi[:2]), axis=-1) & (ty >= box.lo[-1]) & (ty <= box.hi[-1])
+        zy, ty = zy[~inside], ty[~inside]
+        gy = gauge_zt(zy, ty)
+        src_w = _gauge_sq_power(gy * gy, e_src)
+        for c0 in range(0, len(zy), chunk):
+            b = slice(c0, c0 + chunk)
+            xs, ys = zy[b].real, zy[b].imag
+            zz = np.zeros((len(xs), len(zo)))
+            for a, o in ((xs, zo.real), (ys, zo.imag)):
+                d = o[:, 0] - a
+                d *= d
+                zz += d
+            wt = xs @ zo.imag.T
+            wt -= ys @ zo.real.T
+            wt *= 2.0
+            wt += to
+            wt -= ty[b, None]
+            zz *= zz
+            wt *= wt
+            zz += wt
+            np.sqrt(zz, out=zz)
+            out += measure.kappa_H * cellv * mass * (src_w[b] @ _gauge_sq_power(zz, e_ker))
+    return out
 
 
 class TestKernels:
@@ -290,6 +333,42 @@ class TestSemigroup:
     def test_needs_evaluation_points(self):
         with pytest.raises(DomainError):
             semigroup_check(shape=(16, 16, 16), n_eval=0)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"shape": (8, 8, 8), "half_widths": (-4.0, 8.0)},  # a box with lo > hi ran silently
+            {"shape": (16, 16)},  # raised a raw ValueError
+            {"shape": (8,) * 5},  # raised a raw IndexError
+            {"shape": 8},  # raised a raw TypeError
+        ],
+        ids=["negative_half_width", "two_axes", "five_axes", "not_a_sequence"],
+    )
+    def test_bad_grid_refused_before_work(self, grid, monkeypatch):
+        import cryamabe.riesz as rz
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the semigroup check started work before refusing the grid")
+
+        monkeypatch.setattr(rz, "gaussian_bump", no_work)
+        monkeypatch.setattr(rz, "convolve", no_work)
+        with pytest.raises(DomainError):
+            semigroup_check(n_eval=4, **grid)
+
+    @pytest.mark.parametrize("n_out", [128, 100])  # 100 outputs: chunks of 327 nodes end mid-column
+    def test_far_field_equals_per_pair_evaluation(self, n_out):
+        # the z-terms are formed once per grid column of the walk; every
+        # kernel value must be the per-pair one bit for bit.  Outputs come in
+        # pairs that share a grid column.
+        n = 24
+        box = BoxDomain((-4.0, -4.0, -8.0), (4.0, 4.0, 8.0))
+        z_all, t_all = GridFieldH(box, (n,) * 3, np.zeros((n,) * 3)).points()
+        rng = np.random.default_rng(n_out)
+        cols = rng.choice(n * n, n_out // 2, replace=False)
+        levels = np.stack([rng.choice(n, 2, replace=False) for _ in cols])
+        sub = rng.permutation((cols[:, None] * n + levels).reshape(-1))
+        args = (box, z_all[sub], t_all[sub], 1.7, -3.0, -3.0, HaarMeasure.standard(1))
+        assert np.array_equal(_far_field_composition(*args), _ref_far_field(*args))
 
     def test_small_grid_shape_agreement(self):
         rep = semigroup_check(shape=(32, 32, 32), n_eval=256)
