@@ -390,7 +390,7 @@ def run_riesz_check(cfg: ExperimentConfig) -> tuple[CheckTable, dict]:
         abs(g48["constant"] - g64["constant"]) / abs(g64["constant"]),
         0.05 * cfg.tol_scale,
     )
-    probe = rz.mapping_bound_probe(1.0, cfg.N, q=2.0, n_bumps=10, seed=cfg.seed)
+    probe = rz.mapping_bound_probe(1.0, q=2.0, n_bumps=10, seed=cfg.seed)
     table.record("mapping_bound_max_ratio", probe["max_ratio"])
     table.add("mapping_bound_spread", probe["spread"], 3.0)
     const = lambda zz, tt: np.ones_like(tt)

@@ -8,7 +8,8 @@ fitted (the Green constant by inverting the local operator on a bump, the PV
 constant on the explicit extremal family).  Convolutions are group
 convolutions (f * K)(x) = int f(y) K(y^{-1} x) dv_H(y) on midpoint grids over
 H^1, with the singular cell replaced by its sheared sub-cell average around
-an analytic core.
+an analytic core.  A grid field is a 3-d box of H^1 and its values, checked
+once when it is built; the grid code and the PV operator are written for H^1.
 
 The grid quadrature is written in w = y^{-1} x: every pair weight is the
 midpoint kernel K(w) or a sub-cell average of K(d^{-1} w).  Since t is the
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -203,24 +204,28 @@ def decay_exponent_fit(spec: KernelSpec) -> float:
 
 @dataclass
 class GridFieldH:
-    """Values on a midpoint grid over a coordinate box in (x, y, t)."""
+    """Values on a midpoint grid over a coordinate box in (x, y, t) of H^1.
+
+    The box and the values are the whole field; the grid shape is that of the
+    values.  Building one is its only check: a 3-d box, values with 3 axes of
+    at least 8 cells each, all finite.
+    """
 
     box: BoxDomain
-    shape: tuple[int, ...]
     values: Array
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != tuple(self.shape):
-            raise DomainError("values do not match the grid shape")
+        if self.box.dim != 3 or self.values.ndim != 3:
+            raise DomainError(f"grid fields live on H^1: need a 3-d box and values, got {self.box.dim} and {self.values.ndim}")
         if any(s < 8 for s in self.shape):
             raise DomainError("grid resolution must be at least 8 per axis")
         if not np.all(np.isfinite(self.values)):
             raise DomainError("grid values must be finite")
 
     @property
-    def N(self) -> int:
-        return (len(self.shape) - 1) // 2
+    def shape(self) -> tuple[int, ...]:
+        return self.values.shape
 
     @property
     def steps(self) -> tuple[float, ...]:
@@ -237,27 +242,22 @@ class GridFieldH:
         ]
 
     def points(self) -> tuple[Array, Array]:
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        N = self.N
-        z = np.stack(mesh[:N], axis=-1) + 1.0j * np.stack(mesh[N : 2 * N], axis=-1)
-        return z.reshape(-1, N), mesh[2 * N].reshape(-1)
+        x, y, t = np.meshgrid(*self.axes(), indexing="ij")
+        return (x + 1.0j * y).reshape(-1, 1), t.reshape(-1)
 
     @staticmethod
     def from_function(fn, box: BoxDomain, shape: tuple[int, ...]) -> "GridFieldH":
-        field = GridFieldH(box, shape, np.zeros(shape))
-        z, t = field.points()
-        field.values = np.asarray(fn(z, t), dtype=np.float64).reshape(shape)
-        return field
+        z, t = GridFieldH(box, np.zeros(shape)).points()
+        return GridFieldH(box, np.reshape(fn(z, t), shape))
 
     def lp_norm(self, p: float) -> float:
         return float(
-            (HaarMeasure.standard(self.N).kappa_H * self.cell_volume * np.sum(np.abs(self.values) ** p)) ** (1.0 / p)
+            (HaarMeasure.standard(1).kappa_H * self.cell_volume * np.sum(np.abs(self.values) ** p)) ** (1.0 / p)
         )
 
 
 def gaussian_bump(box: BoxDomain, shape: tuple[int, ...], width: float = 0.5, center: HeisPoint | None = None) -> GridFieldH:
-    N = (len(shape) - 1) // 2
-    c = center or HeisPoint.origin(N)
+    c = center or HeisPoint.origin(1)
 
     def fn(z, t):
         zi, ti = mul_zt(*inv_zt(c.z, np.asarray(c.t)), z, t)
@@ -279,10 +279,11 @@ def convolve(
 ) -> GridFieldH | Array:
     """(f * K)(x) = sum_y f(y) K(y^{-1} x) dv_H-cell, with singular-cell repair.
 
-    Riesz kernels on grids over H^1 only: a kernel or grid of another N, or a
-    hypersingular kernel (its integral diverges at the diagonal; the PV route
-    handles it), is refused before any work.  ``out_indices`` restricts the output to a flat subset of grid
-    points, a 1-D integer array of in-range indices; anything else is refused.
+    Riesz kernels on H^1 only (the grid is H^1 by construction): a kernel of
+    another N, or a hypersingular kernel (its integral diverges at the
+    diagonal; the PV route handles it), is refused before any work.
+    ``out_indices`` restricts the output to a flat subset of grid points, a
+    1-D integer array of in-range indices; anything else is refused.
     Only source cells with |f| > support_threshold * max|f| contribute.
 
     Each weight is the midpoint kernel K(w) at w = y^{-1} x or, near the
@@ -294,8 +295,8 @@ def convolve(
     weight that depends on z_y itself (``_sheared_diagonal``), one value per
     column.  Full-grid, subset and symmetry-class outputs share this path.
     """
-    if spec.N != f.N or f.N != 1:
-        raise DomainError(f"grid convolution needs N = 1 for grid and kernel, got {f.N} and {spec.N}")
+    if spec.N != 1:
+        raise DomainError(f"grid convolution needs a kernel on H^1, got N = {spec.N}")
     if spec.kind != "riesz":
         raise DomainError(f"grid convolution needs a riesz kernel, got {spec.kind!r}")
     n_all = f.values.size
@@ -314,9 +315,9 @@ def convolve(
     out = np.zeros(len(out_idx))
     if len(src) and len(out_idx):
         _toeplitz_sum(f, spec, vals, src, out_idx, out)
-    out *= f.cell_volume * HaarMeasure.standard(f.N).kappa_H
+    out *= f.cell_volume * HaarMeasure.standard(1).kappa_H
     if out_indices is None:
-        return GridFieldH(f.box, f.shape, out.reshape(f.shape))
+        return GridFieldH(f.box, out.reshape(f.shape))
     return out
 
 
@@ -537,7 +538,7 @@ def semigroup_check(
     measure = HaarMeasure.standard(1)
     reps, inverse = _grid_symmetry_classes(shape)
     inner_reps = convolve(f, spec_1, out_indices=reps, support_threshold=1e-6)
-    inner = GridFieldH(box, shape, inner_reps[inverse].reshape(shape))
+    inner = GridFieldH(box, inner_reps[inverse].reshape(shape))
     rng = np.random.default_rng(seed)
     sub = rng.choice(int(np.prod(shape)), size=min(n_eval, int(np.prod(shape))), replace=False)
     z_all, t_all = f.points()
@@ -569,8 +570,6 @@ def grid_sub_laplacian(u: GridFieldH) -> GridFieldH:
     Delta_b = 1/4 [ d_xx + d_yy + 4 y d_xt - 4 x d_yt + 4 (x^2 + y^2) d_tt ].
     Boundary layers are left as zeros; fits must restrict to the interior.
     """
-    if u.N != 1:
-        raise DomainError("grid operator implemented for N = 1")
     hx, hy, ht = u.steps
     v = u.values
     out = np.zeros_like(v)
@@ -588,7 +587,7 @@ def grid_sub_laplacian(u: GridFieldH) -> GridFieldH:
     out[c, c, c] = 0.25 * (
         d_xx + d_yy + 4.0 * yc * d_xt - 4.0 * xc * d_yt + 4.0 * (xc**2 + yc**2) * d_tt
     )
-    return GridFieldH(u.box, u.shape, out)
+    return GridFieldH(u.box, out)
 
 
 def green_inversion_check(f: GridFieldH, margin: int = 6, centered_radial: bool = False) -> dict:
@@ -599,13 +598,11 @@ def green_inversion_check(f: GridFieldH, margin: int = 6, centered_radial: bool 
     grid-symmetry reduction of the potential (valid for centered gauge-radial
     sources only).
     """
-    if f.N != 1:
-        raise DomainError("Green inversion implemented for N = 1")
     spec = KernelSpec(2.0, 1)
     if centered_radial:
         reps, inverse = _grid_symmetry_classes(f.shape)
         pot_vals = convolve(f, spec, out_indices=reps, support_threshold=1e-10)[inverse]
-        pot = GridFieldH(f.box, f.shape, pot_vals.reshape(f.shape))
+        pot = GridFieldH(f.box, pot_vals.reshape(f.shape))
     else:
         pot = convolve(f, spec, support_threshold=1e-10)
     lap = grid_sub_laplacian(pot)
@@ -625,27 +622,25 @@ def green_inversion_check(f: GridFieldH, margin: int = 6, centered_radial: bool 
 
 
 @functools.lru_cache(maxsize=None)
-def _horizontal_moment_constant(N: int, alpha: float) -> float:
-    """int_{B_1} |zeta|^2 gauge^{-Q-alpha} dv_H, by one annulus plus geometric scaling.
+def _horizontal_moment_constant(alpha: float) -> float:
+    """int_{B_1} |zeta|^2 gauge^{-Q-alpha} dv_H on H^1, by one annulus plus geometric scaling.
 
     The integrand is homogeneous of degree 2 - alpha - Q + (Q - 1) per radius,
     so the dyadic annuli form a geometric series with ratio 2^{alpha-2}.
     """
-    Q = 2 * N + 2
-    n = 96 if N == 1 else 32
 
     def annulus_density(z, t):
         g = gauge_zt(z, t)
         zz = np.sum((z * np.conj(z)).real, axis=-1)
-        return np.where((g > 0.5) & (g <= 1.0), zz * g ** (-(Q + alpha)), 0.0)
+        return np.where((g > 0.5) & (g <= 1.0), zz * g ** (-(4 + alpha)), 0.0)
 
     # one shell: the midpoint grid of the unit Koranyi box
-    annulus, _ = integrate_decaying(annulus_density, N, ShellScheme(1.0, 1, n, n), HaarMeasure.standard(N))
+    annulus, _ = integrate_decaying(annulus_density, 1, ShellScheme(1.0, 1, 96, 96), HaarMeasure.standard(1))
     return annulus / (1.0 - 2.0 ** (alpha - 2.0))
 
 
 def pv_fractional(u, alpha: float, p: HeisPoint, return_sensitivity: bool = False):
-    """PV int (u(x) - u(y)) |y^{-1} x|^{-Q-alpha} dv_H(y) at x = p, with kernel constant one.
+    """PV int (u(x) - u(y)) |y^{-1} x|^{-Q-alpha} dv_H(y) at x = p in H^1, with kernel constant one.
 
     The sign makes the operator nonnegative at interior maxima (matching the
     local operator as alpha -> 2).  Integration pairs y with its group
@@ -655,24 +650,25 @@ def pv_fractional(u, alpha: float, p: HeisPoint, return_sensitivity: bool = Fals
     concentration of the operator on the grid's budget.  delta spans three
     inner cells horizontally and about 2.2 square roots of a half cell
     vertically.  ``return_sensitivity`` reruns at delta/2 and reports the
-    difference as the honest error bar.
+    difference as the honest error bar.  The shells are H^1 shells (Q = 4):
+    a point of another H^N is refused before any work.
     """
     if not 0 < alpha < 2:
         raise DomainError("PV representation needs alpha in (0, 2)")
-    N = p.N
-    Q = 2 * N + 2
+    if p.N != 1:
+        raise DomainError(f"the PV operator runs on H^1 only, got a point of H^{p.N}")
     scheme = ShellScheme(l0=1.0, n_shells=8, n_inner=96, n_shell=48)
-    measure = HaarMeasure.standard(N)
+    measure = HaarMeasure.standard(1)
     u_at_p = float(np.asarray(u(p.z[None, :], np.asarray([p.t])))[0])
     h_xy = 2.0 * scheme.l0 / scheme.n_inner
     h_t = 2.0 * scheme.l0**2 / scheme.n_inner
     delta = max(3.0 * h_xy, 2.2 * math.sqrt(0.5 * h_t))
     lap = float(sub_laplacian(u, p.z[None, :], np.asarray([p.t]), h=1e-3)[0])
-    mom1 = _horizontal_moment_constant(N, alpha) / (2 * N)
+    mom1 = _horizontal_moment_constant(alpha) / 2
 
     def run(d: float) -> float:
         total = 2.0 * mom1 * d ** (2.0 - alpha) * (-lap)
-        for _, z0, t0, cellv in shell_nodes(N, scheme):
+        for _, z0, t0, cellv in shell_nodes(1, scheme):
             g = gauge_zt(z0, t0)
             keep = g > d
             z0, t0, g = z0[keep], t0[keep], g[keep]
@@ -680,7 +676,7 @@ def pv_fractional(u, alpha: float, p: HeisPoint, return_sensitivity: bool = Fals
             zp_, tp_ = mul_zt(p.z, p.t, z0, t0)
             zm_, tm_ = mul_zt(p.z, p.t, -z0, -t0)
             incr = 2.0 * u_at_p - np.asarray(u(zp_, tp_)) - np.asarray(u(zm_, tm_))
-            total += 0.5 * measure.kappa_H * cellv * float(np.sum(incr * g ** (-(Q + alpha))))
+            total += 0.5 * measure.kappa_H * cellv * float(np.sum(incr * g ** (-(4 + alpha))))
         return total
 
     val = run(delta)
@@ -691,37 +687,33 @@ def pv_fractional(u, alpha: float, p: HeisPoint, return_sensitivity: bool = Fals
 
 def mapping_bound_probe(
     alpha: float,
-    N: int,
     q: float,
     n_bumps: int = 20,
     shape: tuple[int, ...] = (24, 24, 24),
     seed: int = 2,
 ) -> dict:
-    """Ratios ||f * R_alpha||_p / ||f||_q with 1/p = 1/q - alpha/Q over random bumps.
+    """Ratios ||f * R_alpha||_p / ||f||_q with 1/p = 1/q - alpha/Q over random bumps on H^1 (Q = 4).
 
-    The bumps live on the Koranyi box of half-width 4 in H^1, the only N the
-    grid convolution runs; other N are refused before any bump is built.
-    Only finiteness and stability are meaningful (the sharp constant is not
-    modeled); the probe reports the max and spread of the ratios.
+    The bumps live on the Koranyi box of half-width 4 in H^1, the group the
+    grid convolution runs on.  Only finiteness and stability are meaningful
+    (the sharp constant is not modeled); the probe reports the max and spread
+    of the ratios.
     """
     if n_bumps < 1:
         raise DomainError("mapping bound probe needs n_bumps >= 1")
     if not (math.isfinite(q) and q >= 1.0):
         raise DomainError(f"mapping bound probe needs a finite exponent q >= 1, got {q}")
-    if N != 1:
-        raise DomainError(f"mapping bound probe runs on H^1 grids only, got N={N}")
-    Q = 2 * N + 2
-    inv_p = 1.0 / q - alpha / Q
+    inv_p = 1.0 / q - alpha / 4
     if inv_p <= 0:
         raise DomainError("exponent relation leaves no room: decrease alpha or q")
     p_out = 1.0 / inv_p
     rng = np.random.default_rng(seed)
-    spec = KernelSpec(alpha, N, "riesz")
-    box = BoxDomain.koranyi(N, 4.0)
+    spec = KernelSpec(alpha, 1, "riesz")
+    box = BoxDomain.koranyi(1, 4.0)
     ratios = []
     for _ in range(n_bumps):
         width = rng.uniform(0.3, 1.0)
-        cz = 0.8 * (rng.normal(size=N) + 1.0j * rng.normal(size=N))
+        cz = 0.8 * (rng.normal(size=1) + 1.0j * rng.normal(size=1))
         ct = float(rng.normal() * 0.5)
         f = gaussian_bump(box, shape, width, HeisPoint(cz, ct))
         conv = convolve(f, spec, support_threshold=1e-9)

@@ -235,9 +235,9 @@ class SphereQuadrature:
     s_nodes: Array
     s_weights: Array  # normalized to sum 1
     n_phi: int
-    _flat_nodes: Array | None = field(default=None, repr=False)
-    _plans: dict[int, _TransformPlan] = field(default_factory=dict, repr=False)
-    _rotations: dict[int, _RotationPlan] = field(default_factory=dict, repr=False)
+    _flat_nodes: Array | None = field(default=None, init=False, repr=False)
+    _plans: dict[int, _TransformPlan] = field(default_factory=dict, init=False, repr=False)
+    _rotations: dict[int, _RotationPlan] = field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
     def build(N: int, degree: int) -> "SphereQuadrature":

@@ -11,9 +11,11 @@ The benchmark's span tracer wraps functions by name, so each of its targets
 must also still exist.
 
 A second guard holds the same line for parameters: every defaulted parameter
-of a function or method in ``src/cryamabe`` must be set by some call in that
-program code.  A parameter that no program call sets has one value, and that
-value belongs in the code, not in the signature.
+of a function or method in ``src/cryamabe``, and every defaulted init field
+of a dataclass there, must be set by some call in that program code (a field
+by its constructor or by keyword in ``dataclasses.replace``).  A parameter
+that no program call sets has one value, and that value belongs in the code,
+not in the signature.
 """
 
 import ast
@@ -37,6 +39,8 @@ ALLOWED_PARAMS = {
     "energy.dirichlet_form(h)": "the fixed-step test compares a scalar step with the gauge-scaled one",
     "energy.dirichlet_form(h_factor)": "the transport-accuracy test needs a finer stencil than the default",
     "riesz.mapping_bound_probe(shape)": "a coarse grid keeps the tier-1 probe test fast",
+    "bubbling.CutoffSpec(r_inner)": "TestCutoff::test_validation sets it to check the radius ordering",
+    "bubbling.CutoffSpec(r_outer)": "TestCutoff::test_validation sets it to check the radius ordering",
 }
 
 
@@ -77,17 +81,48 @@ def _references() -> set[str]:
     return refs
 
 
-def _defaulted_params() -> dict[str, tuple[str, int | None, str]]:
-    """Each defaulted parameter as "module.qual(param)" -> (bare callee name, positional index or None, name).
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) == "dataclass":
+            return True
+    return False
 
-    The positional index counts the arguments a call passes explicitly, so
-    it is offset by one for methods that are not static.
+
+def _init_fields(node: ast.ClassDef) -> list[tuple[str, bool]]:
+    """(name, has a default) for each init field of a dataclass, in order."""
+    fields = []
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            kw = {k.arg: k.value for k in value.keywords}
+            if isinstance(kw.get("init"), ast.Constant) and kw["init"].value is False:
+                continue
+            fields.append((item.target.id, "default" in kw or "default_factory" in kw))
+        else:
+            fields.append((item.target.id, value is not None))
+    return fields
+
+
+def _defaulted_params() -> dict[str, tuple[tuple[tuple[str, int | None], ...], str]]:
+    """Each defaulted parameter as "module.qual(param)" -> (ways to set it, name).
+
+    A way is a bare callee name and the positional index of the parameter
+    among the arguments a call passes explicitly (None: by keyword only), so
+    the index is offset by one for methods that are not static.  A dataclass
+    field is set by its class's constructor or by ``replace``.
     """
     params = {}
 
     def visit(node, mod, prefix, in_class):
         for item in node.body:
             if isinstance(item, ast.ClassDef):
+                if _is_dataclass(item):
+                    for i, (name, defaulted) in enumerate(_init_fields(item)):
+                        if defaulted:
+                            params[f"{mod}.{prefix}{item.name}({name})"] = (((item.name, i), ("replace", None)), name)
                 visit(item, mod, f"{prefix}{item.name}.", True)
             elif isinstance(item, ast.FunctionDef):
                 qual = f"{mod}.{prefix}{item.name}"
@@ -98,10 +133,10 @@ def _defaulted_params() -> dict[str, tuple[str, int | None, str]]:
                 positional = [*a.posonlyargs, *a.args]
                 first = len(positional) - len(a.defaults)
                 for i, arg in enumerate(positional[first:], first):
-                    params[f"{qual}({arg.arg})"] = (callee, i - offset, arg.arg)
+                    params[f"{qual}({arg.arg})"] = (((callee, i - offset),), arg.arg)
                 for arg, default in zip(a.kwonlyargs, a.kw_defaults):
                     if default is not None:
-                        params[f"{qual}({arg.arg})"] = (callee, None, arg.arg)
+                        params[f"{qual}({arg.arg})"] = (((callee, None),), arg.arg)
                 visit(item, mod, f"{prefix}{item.name}.", False)
 
     for path in sorted(PACKAGE.glob("*.py")):
@@ -121,8 +156,10 @@ def _program_calls() -> dict[str, list[ast.Call]]:
     return calls
 
 
-def _sets(call: ast.Call, index: int | None, param: str) -> bool:
-    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+def _sets(callee: str, call: ast.Call, index: int | None, param: str) -> bool:
+    # an unpacked replace(obj, **kw) could be on any dataclass, so it excuses none
+    unpacks = any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords)
+    if unpacks and callee != "replace":
         return True
     if any(k.arg == param for k in call.keywords):
         return True
@@ -144,8 +181,9 @@ def test_every_defaulted_parameter_has_a_program_caller():
     calls = _program_calls()
     unset = sorted(
         q
-        for q, (callee, index, param) in _defaulted_params().items()
-        if q not in ALLOWED_PARAMS and not any(_sets(c, index, param) for c in calls.get(callee, ()))
+        for q, (ways, param) in _defaulted_params().items()
+        if q not in ALLOWED_PARAMS
+        and not any(_sets(callee, c, index, param) for callee, index in ways for c in calls.get(callee, ()))
     )
     assert unset == []
 

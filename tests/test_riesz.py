@@ -112,11 +112,11 @@ def _ref_convolve(f, spec, support_threshold=0.0):
     thresh = support_threshold * np.max(np.abs(vals), initial=0.0)
     src = np.nonzero(np.abs(vals) > thresh)[0]
     sqrt_ht = f.steps[-1] ** 0.5
-    core_rad = max(3.5 * max(f.steps[: 2 * f.N]), 1.5 * sqrt_ht)
+    core_rad = max(3.5 * max(f.steps[:2]), 1.5 * sqrt_ht)
     ring_rad = max(3.2 * sqrt_ht, core_rad)
     tiers = (
-        (core_rad, _ref_subcell_offsets(f.steps, f.N, (4,) * (2 * f.N) + (8,))),
-        (ring_rad, _ref_subcell_offsets(f.steps, f.N, (1,) * (2 * f.N) + (6,))),
+        (core_rad, _ref_subcell_offsets(f.steps, 1, (4, 4, 8))),
+        (ring_rad, _ref_subcell_offsets(f.steps, 1, (1, 1, 6))),
     )
     sing_tol = (1e-6 * min(f.steps)) ** 2
     out = np.zeros(len(zo))
@@ -143,7 +143,7 @@ def _ref_convolve(f, spec, support_threshold=0.0):
         rows, cols = np.nonzero(gsq <= sing_tol)
         kv[rows, cols] = _ref_sheared_diagonal(spec, f.steps, z_all[idx[rows]])
         out += vals[idx] @ kv
-    return out * f.cell_volume * HaarMeasure.standard(f.N).kappa_H
+    return out * f.cell_volume * HaarMeasure.standard(1).kappa_H
 
 
 def _ref_far_field(box, zo, to, mass, e_src, e_ker, measure):
@@ -219,12 +219,23 @@ class TestKernels:
 class TestGridFields:
     def test_validation(self):
         with pytest.raises(DomainError):
-            GridFieldH(BOX, (4, 4, 4), np.zeros((4, 4, 4)))
+            GridFieldH(BOX, np.zeros((4, 4, 4)))
         with pytest.raises(DomainError):
-            GridFieldH(BOX, (8, 8, 8), np.full((8, 8, 8), np.nan))
+            GridFieldH(BOX, np.full((8, 8, 8), np.nan))
+
+    def test_box_of_another_dimension_refused(self):
+        # an H^2 box with an H^1 shape once took its t-axis from y_1's bounds
+        with pytest.raises(DomainError):
+            gaussian_bump(BoxDomain.koranyi(2, 2.0), (8, 8, 8), 0.6)
+
+    def test_from_function_checks_its_values(self):
+        # the values were assigned after the check: 256 NaN cells convolved to zeros
+        half_nan = lambda z, t: np.where(t > 0, np.nan, 1.0)
+        with pytest.raises(DomainError):
+            convolve(GridFieldH.from_function(half_nan, BOX, (8, 8, 8)), KernelSpec(1.0, 1))
 
     def test_lp_norm_constant(self):
-        f = GridFieldH(BOX, (8, 8, 8), np.ones((8, 8, 8)))
+        f = GridFieldH(BOX, np.ones((8, 8, 8)))
         vol = 4.0 * 6 * 6 * 12
         assert f.lp_norm(2.0) == pytest.approx(math.sqrt(vol), rel=1e-12)
 
@@ -240,7 +251,7 @@ def _oracle_case(n, kind, field):
     else:
         vals = np.zeros(shape)
         vals[n // 2 - 1, n // 2 + 2, n // 2 + 1] = 1.0
-        f = GridFieldH(BOX, shape, vals)
+        f = GridFieldH(BOX, vals)
     spec = KernelSpec(1.0, 1, "riesz") if kind == "riesz" else KernelSpec(2.0, 1)
     return f, spec, _ref_convolve(f, spec, support_threshold=1e-9)
 
@@ -279,7 +290,7 @@ class TestConvolution:
         spec = KernelSpec(1.0, 1)
         f = gaussian_bump(BOX, (12, 12, 12), width=0.8)
         g = gaussian_bump(BOX, (12, 12, 12), width=0.5, center=HeisPoint([0.5 + 0j], 0.0))
-        combo = GridFieldH(BOX, (12, 12, 12), 2.0 * f.values - 3.0 * g.values)
+        combo = GridFieldH(BOX, 2.0 * f.values - 3.0 * g.values)
         out = convolve(combo, spec)
         ref = 2.0 * convolve(f, spec).values - 3.0 * convolve(g, spec).values
         assert np.max(np.abs(out.values - ref)) < 1e-10 * np.max(np.abs(ref))
@@ -289,7 +300,7 @@ class TestConvolution:
         shape = (16, 16, 16)
         vals = np.zeros(shape)
         vals[8, 8, 8] = 1.0
-        f = GridFieldH(BOX, shape, vals)
+        f = GridFieldH(BOX, vals)
         out = convolve(f, spec)
         z, t = f.points()
         src_z, src_t = z[8 * 256 + 8 * 16 + 8], t[8 * 256 + 8 * 16 + 8]
@@ -315,9 +326,9 @@ class TestConvolution:
 
         monkeypatch.setattr(rz, "_toeplitz_sum", no_work)
         n = 2 * grid_N + 1
-        f = gaussian_bump(BoxDomain((-3.0,) * n, (3.0,) * n), (8,) * n)
+        # an H^2 grid is refused when it is built
         with pytest.raises(DomainError):
-            convolve(f, spec)
+            convolve(gaussian_bump(BoxDomain((-3.0,) * n, (3.0,) * n), (8,) * n), spec)
 
     def test_riesz_order_guard(self):
         # an order outside (0, Q) is refused when the spec is built, so no
@@ -362,7 +373,7 @@ class TestSemigroup:
         # pairs that share a grid column.
         n = 24
         box = BoxDomain((-4.0, -4.0, -8.0), (4.0, 4.0, 8.0))
-        z_all, t_all = GridFieldH(box, (n,) * 3, np.zeros((n,) * 3)).points()
+        z_all, t_all = GridFieldH(box, np.zeros((n,) * 3)).points()
         rng = np.random.default_rng(n_out)
         cols = rng.choice(n * n, n_out // 2, replace=False)
         levels = np.stack([rng.choice(n, 2, replace=False) for _ in cols])
@@ -378,7 +389,7 @@ class TestSemigroup:
 
 class TestGreenInversion:
     def test_zero_input(self):
-        f = GridFieldH(BOX, (16, 16, 16), np.zeros((16, 16, 16)))
+        f = GridFieldH(BOX, np.zeros((16, 16, 16)))
         rep = green_inversion_check(f, margin=3)
         assert rep["constant"] == 0.0 and rep["residual"] == 0.0
 
@@ -414,11 +425,9 @@ class TestGreenInversion:
         assert rep_shift["constant"] == pytest.approx(centered["constant"], rel=0.15)
 
     def test_grid_laplacian_needs_n1(self):
-        f = GridFieldH(
-            BoxDomain((-1.0,) * 5, (1.0,) * 5), (8,) * 5, np.zeros((8,) * 5)
-        )
+        # an H^2 grid is refused when it is built, before the operator sees it
         with pytest.raises(DomainError):
-            grid_sub_laplacian(f)
+            grid_sub_laplacian(GridFieldH(BoxDomain((-1.0,) * 5, (1.0,) * 5), np.zeros((8,) * 5)))
 
 
 class TestPrincipalValue:
@@ -436,6 +445,19 @@ class TestPrincipalValue:
         const = lambda z, t: np.ones_like(t)
         with pytest.raises(DomainError):
             pv_fractional(const, 2.5, HeisPoint.origin(1))
+
+    def test_other_N_refused_before_work(self, monkeypatch):
+        # the H^2 inner shell alone walks 96^5 nodes
+        import cryamabe.riesz as rz
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the PV operator started work before refusing N")
+
+        monkeypatch.setattr(rz, "shell_nodes", no_work)
+        monkeypatch.setattr(rz, "integrate_decaying", no_work)
+        const = lambda z, t: np.ones_like(t)
+        with pytest.raises(DomainError):
+            pv_fractional(const, 1.0, HeisPoint.origin(2))
 
     def test_extremal_family_calibration(self):
         consts = YamabeConstants.create(1, 0.5)
@@ -473,28 +495,17 @@ class TestPrincipalValue:
 
 class TestMappingBound:
     def test_probe_finite_and_stable(self):
-        rep = mapping_bound_probe(1.0, 1, q=2.0, n_bumps=8, shape=(20, 20, 20), seed=5)
+        rep = mapping_bound_probe(1.0, q=2.0, n_bumps=8, shape=(20, 20, 20), seed=5)
         assert math.isfinite(rep["max_ratio"]) and rep["max_ratio"] > 0
         assert rep["spread"] < 3.0
 
     def test_needs_a_bump(self):
         with pytest.raises(DomainError):
-            mapping_bound_probe(1.0, 1, q=2.0, n_bumps=0)
+            mapping_bound_probe(1.0, q=2.0, n_bumps=0)
 
     def test_exponent_relation_guard(self):
         with pytest.raises(DomainError):
-            mapping_bound_probe(3.5, 1, q=2.0)
-
-    def test_other_N_refused_before_work(self, monkeypatch):
-        import cryamabe.riesz as rz
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("the probe started work before refusing N")
-
-        monkeypatch.setattr(rz, "gaussian_bump", no_work)
-        monkeypatch.setattr(rz, "convolve", no_work)
-        with pytest.raises(DomainError):
-            mapping_bound_probe(1.0, 2, q=2.0)
+            mapping_bound_probe(3.5, q=2.0)
 
     @pytest.mark.parametrize("q", [0.0, 0.5, -2.0, math.nan, math.inf])
     def test_exponent_q_refused_before_work(self, q, monkeypatch):
@@ -506,4 +517,4 @@ class TestMappingBound:
         monkeypatch.setattr(rz, "gaussian_bump", no_work)
         monkeypatch.setattr(rz, "convolve", no_work)
         with pytest.raises(DomainError):
-            mapping_bound_probe(1.0, 1, q=q)
+            mapping_bound_probe(1.0, q=q)
