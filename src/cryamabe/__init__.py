@@ -1,6 +1,6 @@
 """Numerical laboratory for the fractional CR Yamabe problem.
 
-Core layers: Heisenberg group algebra and quadrature (:mod:`heisenberg`),
+Core layers: algebra and quadrature on the Heisenberg group H^1 (:mod:`heisenberg`),
 the Cayley conformal equivalence (:mod:`cayley`), bidegree harmonic analysis
 on the CR sphere (:mod:`spectral`), critical-exponent energies and bubbles
 (:mod:`energy`), concentration/bubbling experiments (:mod:`bubbling`),

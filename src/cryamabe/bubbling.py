@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cayley import ConformalChart, cayley_inv, chart_pole, conformal_pushforward, sphere_dist_zeta
+from .cayley import POLE, ConformalChart, cayley_inv, conformal_pushforward, sphere_dist_zeta
 from .errors import DomainError, PoleError
 from .heisenberg import (
     Array,
@@ -114,8 +114,7 @@ class BubbleChart:
             raise DomainError("radii must be positive")
         if any(r[i + 1] >= r[i] for i in range(len(r) - 1)):
             raise DomainError("radii must decrease strictly")
-        pole = chart_pole(c.shape[-1] - 1)
-        if sphere_dist_zeta(c, pole) <= self.cutoff.r_outer:
+        if sphere_dist_zeta(c, POLE) <= self.cutoff.r_outer:
             raise PoleError("cutoff support reaches the chart pole")
 
     @staticmethod
@@ -297,7 +296,7 @@ def bubble_piece_report(
         rows[0, live] = _dirichlet_density(W, z, t, h)
         return rows
 
-    values, _ = integrate_decaying(integrand, constants.N, scheme, constants.measure)
+    values, _ = integrate_decaying(integrand, 1, scheme, constants.measure)
     a_n, m_n, cross_quad, coupling = values
 
     return {
@@ -364,7 +363,7 @@ def quantization_ladder(spec: PSSequenceSpec, prob: YamabeProblem) -> list[dict]
 
 def _witness(z, t):
     """The lower bound's witness: a fixed Schwartz-type bump in chart coordinates."""
-    return np.exp(-0.5 * (_sum_last((z * np.conj(z)).real) ** 2 + t * t))
+    return np.exp(-0.5 * ((z * np.conj(z)).real ** 2 + t * t))
 
 
 _WITNESS_SCHEME = ShellScheme(l0=2.0, n_shells=5, n_inner=64, n_shell=48)
@@ -428,20 +427,20 @@ def residual_report(
         beta[moving] = cut.value(zeta[moving])
         A = conf.jacobian_zt(z, t) ** expo * spec.u_infty.eval(zeta)
         # L(beta c om) = beta c om^3 + c om L(beta) + c H(beta, om), L = -Delta_b;
-        # one flow stencil gives Delta_b beta and the X_j/Y_j derivatives of beta,
+        # one flow stencil gives Delta_b beta and the X/Y derivatives of beta,
         # all exactly 0 where beta = 1 on the whole stencil
-        grad = {"X": np.zeros(z.shape, dtype=np.float64), "Y": np.zeros(z.shape, dtype=np.float64)}
+        grad = {"X": np.zeros(t.shape), "Y": np.zeros(t.shape)}
         zs, ts, hm, bm0 = _restrict(moving, z, t, h, beta)
         lap = np.zeros(hm.shape)
-        for kind, j, (zp, tp), (zm, tm) in _flow_stencil(zs, ts, hm):
+        for kind, (zp, tp), (zm, tm) in _flow_stencil(zs, ts, hm):
             bp, bm = cut.value(conf.map_zt(zp, tp)), cut.value(conf.map_zt(zm, tm))
             lap = lap + (bp + bm - 2.0 * bm0)
-            grad[kind][moving, j - 1] = (bp - bm) / (2.0 * hm)
+            grad[kind][moving] = (bp - bm) / (2.0 * hm)
         lap_beta = np.zeros(t.shape)
         lap_beta[moving] = lap / (4.0 * hm * hm)
         om = bubble_shape_zt(z, t, constants)
         gx_om, gy_om = bubble_horizontal_gradient_zt(z, t, constants)
-        cross = -0.5 * (_sum_last(grad["X"] * gx_om) + _sum_last(grad["Y"] * gy_om))
+        cross = -0.5 * (grad["X"] * gx_om + grad["Y"] * gy_om)
         L_betaU = c_prof * (beta * om**3 - om * lap_beta + cross)
         W = A + c_prof * beta * om
         # beta = 0 on the whole stencil of the other nodes: L(beta c om) = 0 and
@@ -450,14 +449,10 @@ def residual_report(
         G[live] = A**3 + L_betaU - W**3
         return G
 
-    ub_int, _ = integrate_decaying(
-        lambda z, t: np.abs(G_fn(z, t)) ** pbar, constants.N, scheme, constants.measure
-    )
+    ub_int, _ = integrate_decaying(lambda z, t: np.abs(G_fn(z, t)) ** pbar, 1, scheme, constants.measure)
     upper = ub_int ** (1.0 / pbar)
 
-    wit_pair, _ = integrate_decaying(
-        lambda z, t: G_fn(z, t) * _witness(z, t), constants.N, _WITNESS_SCHEME, constants.measure
-    )
+    wit_pair, _ = integrate_decaying(lambda z, t: G_fn(z, t) * _witness(z, t), 1, _WITNESS_SCHEME, constants.measure)
     lower = abs(wit_pair) / _witness_norm(constants)
 
     u_n = ps_term(spec, n, prob)
@@ -552,24 +547,19 @@ def three_commutator(u, v, p: HeisPoint) -> float:
     Both sides of the identity with :func:`commutator_identity_value` take the
     default finite-difference step of :mod:`heisenberg`.
     """
-    z, t = p.z[None, :], np.asarray([p.t])
+    z, t = p.z, np.asarray(p.t)
     prod = lambda zz, tt: np.asarray(u(zz, tt)) * np.asarray(v(zz, tt))
     val = (
         -sub_laplacian(prod, z, t)
         + np.asarray(u(z, t)) * sub_laplacian(v, z, t)
         + np.asarray(v(z, t)) * sub_laplacian(u, z, t)
     )
-    return float(val[0])
+    return float(val)
 
 
 def commutator_identity_value(u, v, p: HeisPoint) -> float:
-    """-(1/2) sum_j (X_j u X_j v + Y_j u Y_j v) at a point (the k = 1 closed form)."""
-    z, t = p.z[None, :], np.asarray([p.t])
-    N = p.N
-    acc = 0.0
-    for j in range(1, N + 1):
-        for kind in ("X", "Y"):
-            du = vector_field((kind, j), u, z, t)
-            dv = vector_field((kind, j), v, z, t)
-            acc += float(du[0] * dv[0])
-    return -0.5 * acc
+    """-(1/2) (X u X v + Y u Y v) at a point (the k = 1 closed form)."""
+    z, t = p.z, np.asarray(p.t)
+    xx = vector_field("X", u, z, t) * vector_field("X", v, z, t)
+    yy = vector_field("Y", u, z, t) * vector_field("Y", v, z, t)
+    return -0.5 * float(xx + yy)

@@ -1,12 +1,14 @@
-"""Cayley transform between H^N and the punctured unit sphere of C^{N+1}.
+"""Cayley transform between H^1 and the punctured unit sphere S^3 of C^2.
 
-The sphere carries the quasi-distance d(zeta, eta)^2 = 2 |1 - <zeta, eta>|.
-The transform used here is
+Group points are (z, t) with z complex (see :mod:`cryamabe.heisenberg`);
+sphere points are arrays zeta of shape (..., 2).  The sphere carries the
+quasi-distance d(zeta, eta)^2 = 2 |1 - <zeta, eta>|.  The transform used here
+is
 
     C(z, t) = ( 2 z / P,  (1 - |z|^2 + i t) / P ),   P = 1 + |z|^2 - i t,
 
-which maps the origin to (0, ..., 0, 1), misses exactly the pole
-(0, ..., 0, -1), and satisfies
+which maps the origin to (0, 1), misses exactly the pole (0, -1), and
+satisfies
 
     d(C(w), C(w')) = d(w, w') * (4 / |P|^2)^{1/4} * (4 / |P'|^2)^{1/4}
 
@@ -14,7 +16,7 @@ with the left-invariant Koranyi distance on the group side.  (The sign of t
 inside P is the unique choice consistent with the group law convention used in
 :mod:`cryamabe.heisenberg`.)  The conformal volume factor is
 
-    Lambda_C = 2^Q / ((1 + |z|^2)^2 + t^2)^{N+1}.
+    Lambda_C = 2^Q / ((1 + |z|^2)^2 + t^2)^2,   Q = 4.
 """
 
 from __future__ import annotations
@@ -25,23 +27,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .heisenberg import (
-    Array,
-    HeisPoint,
-    _sum_last,
-    dilate_zt,
-    homogeneous_dim,
-    inv_zt,
-    mul_zt,
-)
+from .heisenberg import Q, Array, HeisPoint, _sum_last, dilate_zt, inv_zt, mul_zt
 
 POLE_TOL = 1e-6
-
-
-def chart_pole(N: int) -> Array:
-    zeta = np.zeros(N + 1, dtype=np.complex128)
-    zeta[-1] = -1.0
-    return zeta
+# the one sphere point that no group point maps to
+POLE = np.array([0.0, -1.0], dtype=np.complex128)
+POLE.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -49,29 +40,26 @@ def chart_pole(N: int) -> Array:
 
 
 def cayley_zt(z: Array, t: Array) -> Array:
-    P = 1.0 + _sum_last((z * np.conj(z)).real) - 1.0j * t
-    zeta = np.empty(z.shape[:-1] + (z.shape[-1] + 1,), dtype=np.complex128)
-    np.divide(2.0 * z, P[..., None], out=zeta[..., :-1])
-    np.divide(2.0 - P, P, out=zeta[..., -1])
+    P = 1.0 + (z * np.conj(z)).real - 1.0j * t
+    zeta = np.empty(P.shape + (2,), dtype=np.complex128)
+    np.divide(2.0 * z, P, out=zeta[..., 0])
+    np.divide(2.0 - P, P, out=zeta[..., 1])
     return zeta
 
 
 def cayley_inv_zeta(zeta: Array) -> tuple[Array, Array]:
-    last = zeta[..., -1]
-    denom = 1.0 + last
+    denom = 1.0 + zeta[..., 1]
     if np.any(np.abs(denom) < POLE_TOL):
-        raise PoleError("point within pole tolerance of (0,...,0,-1)")
+        raise PoleError("point within pole tolerance of (0, -1)")
     P = 2.0 / denom
-    z = zeta[..., :-1] * (P / 2.0)[..., None]
+    z = np.multiply(zeta[..., 0], P / 2.0)  # as a function call, never in place: see hermitian_im
     t = -P.imag
     return z, np.asarray(t, dtype=np.float64)
 
 
 def lambda_cayley_zt(z: Array, t: Array) -> Array:
-    N = z.shape[-1]
-    Q = homogeneous_dim(N)
-    D = (1.0 + _sum_last((z * np.conj(z)).real)) ** 2 + t * t
-    return (2.0**Q) / D ** (N + 1)
+    D = (1.0 + (z * np.conj(z)).real) ** 2 + t * t
+    return (2.0**Q) / D**2
 
 
 def sphere_dist_zeta(a: Array, b: Array) -> Array:
@@ -104,14 +92,6 @@ class ConformalChart:
         if not self.scale > 0:
             raise DomainError("chart scale must be positive")
 
-    @staticmethod
-    def plain_cayley(N: int) -> "ConformalChart":
-        return ConformalChart(HeisPoint.origin(N), 1.0)
-
-    @property
-    def N(self) -> int:
-        return self.center.N
-
     # --- forward map and jacobian -----------------------------------------
 
     def map_zt(self, z: Array, t: Array) -> Array:
@@ -123,7 +103,7 @@ class ConformalChart:
         """Lambda_rho = Lambda_C(center . d_R w) * R^Q by the chain rule."""
         zd, td = dilate_zt(self.scale, z, t)
         zm, tm = mul_zt(self.center.z, self.center.t, zd, td)
-        return lambda_cayley_zt(zm, tm) * self.scale ** homogeneous_dim(self.N)
+        return lambda_cayley_zt(zm, tm) * self.scale**Q
 
     # --- inverse map --------------------------------------------------------
 
@@ -138,12 +118,11 @@ class ConformalChart:
 
 
 def conformal_pullback(u: Callable[[Array], Array], chart: ConformalChart, k: float):
-    """Pull a sphere function back to H^N with the (Q-2k)/2Q conformal weight.
+    """Pull a sphere function back to H^1 with the (Q-2k)/2Q conformal weight.
 
     Returns a vectorized field (z, t) -> Lambda_rho^{(Q-2k)/2Q} * u(rho(z, t)).
-    ``u`` receives a (..., N+1) array of sphere points.
+    ``u`` receives a (..., 2) array of sphere points.
     """
-    Q = homogeneous_dim(chart.N)
     expo = (Q - 2.0 * k) / (2.0 * Q)
 
     def field(z: Array, t: Array) -> Array:
@@ -158,7 +137,6 @@ def conformal_pushforward(U: Callable[[Array, Array], Array], chart: ConformalCh
     sigma = rho^{-1}, so Lambda_sigma = 1 / (Lambda_rho o sigma): one inverse
     chart map serves both factors.
     """
-    Q = homogeneous_dim(chart.N)
     expo = (Q - 2.0 * k) / (2.0 * Q)
 
     def fn(zeta: Array) -> Array:

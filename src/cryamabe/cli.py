@@ -99,7 +99,7 @@ def run_verify_group(cfg: ExperimentConfig) -> CheckTable:
     tol = 1e-12 * cfg.tol_scale
 
     def pts(count):
-        z = rng.normal(size=(count, cfg.N)) + 1.0j * rng.normal(size=(count, cfg.N))
+        z = rng.normal(size=count) + 1.0j * rng.normal(size=count)
         return z, rng.normal(size=count)
 
     za, ta = pts(n)
@@ -111,7 +111,7 @@ def run_verify_group(cfg: ExperimentConfig) -> CheckTable:
     zi, ti = hg.mul_zt(za, ta, *hg.inv_zt(za, ta))
     table.add("inverse", float(np.max(np.abs(zi)) + np.max(np.abs(ti))), tol)
     lam = rng.uniform(0.01, 10.0, size=n)
-    zl, tl = lam[:, None] * za, lam * lam * ta
+    zl, tl = lam * za, lam * lam * ta
     table.add(
         "gauge_homogeneity",
         float(np.max(np.abs(hg.gauge_zt(zl, tl) - lam * hg.gauge_zt(za, ta)))),
@@ -121,13 +121,13 @@ def run_verify_group(cfg: ExperimentConfig) -> CheckTable:
     d2 = hg.dist_zt(za, ta, zb, tb)
     table.add("dist_left_invariance", float(np.max(np.abs(d1 - d2))), tol)
     # left invariance of the flow-stencil derivatives on a smooth field
-    f = lambda z, t: np.sin(z[..., 0].real) * np.cos(t) + z[..., 0].imag ** 2
+    f = lambda z, t: np.sin(z.real) * np.cos(t) + z.imag**2
     za8, ta8 = pts(n)
-    a = hg.HeisPoint(rng.normal(size=cfg.N) + 1.0j * rng.normal(size=cfg.N), float(rng.normal()))
+    a = hg.HeisPoint(rng.normal() + 1.0j * rng.normal(), float(rng.normal()))
     shifted = lambda z, t: f(*hg.mul_zt(a.z, a.t, z, t))
-    lhsv = hg.vector_field(("X", 1), shifted, za8, ta8, h=1e-4)
+    lhsv = hg.vector_field("X", shifted, za8, ta8, h=1e-4)
     zr, tr = hg.mul_zt(a.z, a.t, za8, ta8)
-    rhsv = hg.vector_field(("X", 1), f, zr, tr, h=1e-4)
+    rhsv = hg.vector_field("X", f, zr, tr, h=1e-4)
     table.add("vector_field_left_invariance", float(np.max(np.abs(lhsv - rhsv))), 1e-9)
     # empirical quasi-triangle constant (recorded)
     d_ab = hg.dist_zt(za, ta, zb, tb)
@@ -153,44 +153,45 @@ def run_verify_cayley(cfg: ExperimentConfig) -> CheckTable:
     rng = np.random.default_rng(cfg.seed)
     table = CheckTable("verify-cayley")
     n = 1000
-    z = rng.normal(size=(n, cfg.N)) + 1.0j * rng.normal(size=(n, cfg.N))
+    z = rng.normal(size=n) + 1.0j * rng.normal(size=n)
     t = rng.normal(size=n)
     zeta = cayley_zt(z, t)
     table.add("unit_norm", float(np.max(np.abs(np.linalg.norm(zeta, axis=-1) - 1.0))), 1e-12)
     zi, ti = cayley_inv_zeta(zeta)
     table.add("roundtrip", float(np.max(np.abs(zi - z)) + np.max(np.abs(ti - t))), 1e-10)
-    zb = rng.normal(size=(n, cfg.N)) + 1.0j * rng.normal(size=(n, cfg.N))
+    zb = rng.normal(size=n) + 1.0j * rng.normal(size=n)
     tb = rng.normal(size=n)
     lhs = sphere_dist_zeta(zeta, cayley_zt(zb, tb))
-    fac = lambda zz, tt: (4.0 / ((1.0 + np.sum((zz * np.conj(zz)).real, -1)) ** 2 + tt * tt)) ** 0.25
+    fac = lambda zz, tt: (4.0 / ((1.0 + (zz * np.conj(zz)).real) ** 2 + tt * tt)) ** 0.25
     rhs = hg.dist_zt(z, t, zb, tb) * fac(z, t) * fac(zb, tb)
     table.add("distance_relation", float(np.max(np.abs(lhs - rhs))), 1e-10)
     # ball inclusion: preimage of B_R contains the half-radius gauge ball
     R = 0.8
     base = cayley_zt(z[:1], t[:1])
-    zsmp = rng.normal(size=(n, cfg.N)) + 1.0j * rng.normal(size=(n, cfg.N))
+    zsmp = rng.normal(size=n) + 1.0j * rng.normal(size=n)
     tsmp = rng.normal(size=n)
     g = hg.gauge_zt(zsmp, tsmp)
     scale = (R / 2.0) * rng.uniform(0, 1, size=n) ** 0.25 / np.maximum(g, 1e-9)
-    zin, tin = scale[:, None] * zsmp, scale**2 * tsmp
+    zin, tin = scale * zsmp, scale**2 * tsmp
     zball, tball = hg.mul_zt(z[:1], t[:1], zin, tin)
     dist_sphere = sphere_dist_zeta(cayley_zt(zball, tball), base)
     table.add("ball_inclusion_violations", float(np.sum(dist_sphere > R)), 0.0)
     if abs(cfg.k - 1.0) < 1e-14:
         prob = _problem(cfg.with_overrides(jmax=min(cfg.jmax, 4)))
-        chart = ConformalChart.plain_cayley(cfg.N)
+        chart = ConformalChart(hg.HeisPoint(0.0, 0.0), 1.0)
         worst = 0.0
         for _ in range(20):
             c = rng.standard_normal(prob.basis.n_basis)
             u = SpectralFunction(c, prob.basis)
             Au = apply_A2k(u, 1.0)
             F = conformal_pullback(lambda zz: u.eval(zz), chart, 1.0)
-            zz = 0.8 * (rng.normal(size=(100, cfg.N)) + 1.0j * rng.normal(size=(100, cfg.N)))
+            zz = 0.8 * (rng.normal(size=100) + 1.0j * rng.normal(size=100))
             tt = rng.normal(size=100)
             # fourth-order Richardson combination: the O(h^2) stencil error of
             # either step alone reads near the 1e-4 threshold at h = 1e-4
             lhsc = -(4.0 * sub_laplacian(F, zz, tt, h=1e-3) - sub_laplacian(F, zz, tt, h=2e-3)) / 3.0
-            rhsc = chart.jacobian_zt(zz, tt) ** ((cfg.N + 2) / (2.0 * cfg.N + 2.0)) * Au.eval(chart.map_zt(zz, tt))
+            # the conformal weight (Q + 2k) / 2Q at k = 1
+            rhsc = chart.jacobian_zt(zz, tt) ** 0.75 * Au.eval(chart.map_zt(zz, tt))
             scale_c = np.median(np.abs(rhsc))
             worst = np.maximum(worst, np.max(np.abs(lhsc - rhsc) / np.maximum(np.abs(rhsc), 1e-3 * scale_c)))
         table.add("conformal_covariance", worst, 1e-4 * cfg.tol_scale)
@@ -265,21 +266,22 @@ def run_bubble_residual(cfg: ExperimentConfig) -> CheckTable:
     rng = np.random.default_rng(cfg.seed)
     table.record("cQ", consts.cQ)
     # pushforward of the standard bubble equals the constant solution
-    chart = ConformalChart.plain_cayley(cfg.N)
-    field = conformal_pullback(lambda zeta: np.full(zeta.shape[:-1], consts.u0), chart, consts.k)
-    z = rng.normal(size=(100, cfg.N)) + 1.0j * rng.normal(size=(100, cfg.N))
+    origin = HeisPoint(0.0, 0.0)
+    field = conformal_pullback(lambda zeta: np.full(zeta.shape[:-1], consts.u0), ConformalChart(origin, 1.0), consts.k)
+    z = rng.normal(size=100) + 1.0j * rng.normal(size=100)
     t = 2.0 * rng.normal(size=100)
-    direct = bubble_eval_zt(BubbleParams.standard(cfg.N), z, t, consts)
+    standard = BubbleParams(1.0, origin)
+    direct = bubble_eval_zt(standard, z, t, consts)
     table.add("pushforward_matches_constant", float(np.max(np.abs(field(z, t) - direct) / direct)), 1e-8)
     if abs(cfg.k - 1.0) < 1e-14:
-        om = bubble_field(BubbleParams.standard(cfg.N), consts)
+        om = bubble_field(standard, consts)
         lhs = -sub_laplacian(om, z, t, h=1e-4)
         rhs = om(z, t) ** (consts.p_star - 1.0)
         table.add("pde_residual", float(np.max(np.abs(lhs - rhs) / rhs)), 1e-5 * cfg.tol_scale)
         scheme = ShellScheme(l0=2.0, n_shells=6, n_inner=96, n_shell=48)
-        shifted = HeisPoint(np.ones(cfg.N, dtype=np.complex128), 1.0)
+        shifted = HeisPoint(1.0, 1.0)
         for lam in (0.5, 1.0, 2.0):
-            for xi in (HeisPoint.origin(cfg.N), shifted):
+            for xi in (origin, shifted):
                 U = bubble_field(BubbleParams(lam, xi), consts)
                 eh = energy_heis(U, consts, scheme=scheme, center=xi)
                 table.add(f"energy_lam{lam}_t{xi.t}", abs(eh - consts.C_E) / consts.C_E, 1e-2 * cfg.tol_scale)
@@ -366,9 +368,9 @@ def run_riesz_check(cfg: ExperimentConfig) -> tuple[CheckTable, dict]:
 
     table = CheckTable("riesz-check")
     rng = np.random.default_rng(cfg.seed)
-    spec1 = rz.KernelSpec(1.0, cfg.N, "riesz")
-    spech = rz.KernelSpec(2.0 * cfg.k, cfg.N, "hyper")
-    z = rng.normal(size=(50, cfg.N)) + 1.0j * rng.normal(size=(50, cfg.N))
+    spec1 = rz.KernelSpec(1.0)
+    spech = rz.KernelSpec(2.0 * cfg.k, kind="hyper")
+    z = rng.normal(size=50) + 1.0j * rng.normal(size=50)
     t = rng.normal(size=50)
     lam = 1.7
     hom = np.max(
@@ -381,7 +383,7 @@ def run_riesz_check(cfg: ExperimentConfig) -> tuple[CheckTable, dict]:
     table.add("hyper_decay_slope", abs(rz.decay_exponent_fit(spech) - spech.exponent), 1e-3)
     sg = rz.semigroup_check(shape=cfg.grid_shape, half_widths=cfg.grid_half_widths, seed=cfg.seed)
     table.add("semigroup_shape_residual", sg["shape_residual"], 0.05 * cfg.tol_scale)
-    box = BoxDomain((-3.0,) * 2 * cfg.N + (-6.0,), (3.0,) * 2 * cfg.N + (6.0,))
+    box = BoxDomain((-3.0, -3.0, -6.0), (3.0, 3.0, 6.0))
     g48 = rz.green_inversion_check(rz.gaussian_bump(box, (48,) * 3, 0.6), margin=6, centered_radial=True)
     g64 = rz.green_inversion_check(rz.gaussian_bump(box, (64,) * 3, 0.6), margin=8, centered_radial=True)
     table.add("green_residual_64", g64["residual"], 0.10 * cfg.tol_scale)
@@ -393,10 +395,11 @@ def run_riesz_check(cfg: ExperimentConfig) -> tuple[CheckTable, dict]:
     probe = rz.mapping_bound_probe(1.0, q=2.0, n_bumps=10, seed=cfg.seed)
     table.record("mapping_bound_max_ratio", probe["max_ratio"])
     table.add("mapping_bound_spread", probe["spread"], 3.0)
+    origin = HeisPoint(0.0, 0.0)
     const = lambda zz, tt: np.ones_like(tt)
-    table.add("pv_constant_vanishes", abs(rz.pv_fractional(const, 1.0, HeisPoint.origin(cfg.N))), 1e-12)
-    bump = lambda zz, tt: np.exp(-(np.sum((zz * np.conj(zz)).real, -1) ** 2 + tt * tt))
-    pv_val, pv_sens = rz.pv_fractional(bump, 1.0, HeisPoint.origin(cfg.N), return_sensitivity=True)
+    table.add("pv_constant_vanishes", abs(rz.pv_fractional(const, 1.0, origin)), 1e-12)
+    bump = lambda zz, tt: np.exp(-((zz * np.conj(zz)).real ** 2 + tt * tt))
+    pv_val, pv_sens = rz.pv_fractional(bump, 1.0, origin, return_sensitivity=True)
     table.add("pv_interior_max_sign", pv_val, 0.0, larger_ok=True)
     table.record("pv_delta_sensitivity", pv_sens)
     return table, {"semigroup": sg, "green_48": g48, "green_64": g64, "mapping": probe}
@@ -415,7 +418,7 @@ def run_commutator_check(cfg: ExperimentConfig) -> CheckTable:
 
         def mk(c):
             def fn(z, t):
-                x, y = z[..., 0].real, z[..., 0].imag
+                x, y = z.real, z.imag
                 return c[0] + c[1] * x + c[2] * y + c[3] * t + c[4] * x * y + c[5] * x * x
             return fn
 
@@ -424,15 +427,15 @@ def run_commutator_check(cfg: ExperimentConfig) -> CheckTable:
     worst = 0.0
     for _ in range(1000):
         u, v = poly_pair()
-        z = rng.uniform(-1, 1, size=cfg.N) + 1.0j * rng.uniform(-1, 1, size=cfg.N)
+        z = rng.uniform(-1, 1) + 1.0j * rng.uniform(-1, 1)
         p = HeisPoint(z, float(rng.uniform(-1, 1)))
         direct = three_commutator(u, v, p)
         closed = commutator_identity_value(u, v, p)
         worst = np.maximum(worst, abs(direct - closed))
     table.add("three_commutator_identity", worst, 1e-6 * cfg.tol_scale)
-    x1 = lambda z, t: z[..., 0].real
-    y1 = lambda z, t: z[..., 0].imag
-    p0 = HeisPoint(np.array([0.4 + 0.3j]), 0.2)
+    x1 = lambda z, t: z.real
+    y1 = lambda z, t: z.imag
+    p0 = HeisPoint(0.4 + 0.3j, 0.2)
     table.add("commutator_x1_y1", abs(three_commutator(x1, y1, p0)), 1e-8)
     table.add("commutator_x1_x1", abs(three_commutator(x1, x1, p0) + 0.5), 1e-8)
     return table

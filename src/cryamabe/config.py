@@ -17,6 +17,12 @@ from .spectral import JMAX_VERIFIED
 # 2-core x86-64 VM, numpy 2.4), so the budget keeps it under 0.5 GiB.
 GRID_NODE_BUDGET = 2**21
 
+# Smallest ladder rung.  A bubble chart of radius R has the Jacobian
+# Lambda_C * R^Q with Q = 4, and R^4 leaves the normal float range near
+# R = 1.2e-77: rungs of 1e-78 and below gave all-NaN ladder rows.  The rows
+# saturate (mass_gap exactly 0.0) by R = 1e-20, so no smaller rung says more.
+RN_FLOOR = 1e-70
+
 
 def _positive_real(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
@@ -81,8 +87,10 @@ class ExperimentConfig:
         if math.prod(shape) > GRID_NODE_BUDGET:
             raise DomainError(f"grid_shape must have at most {GRID_NODE_BUDGET} nodes, got {shape!r}")
         ladder = tuple(float(r) for r in self.rn_ladder)
-        if len(ladder) < 2 or not all(_positive_real(r) for r in ladder):
-            raise DomainError(f"rn_ladder needs at least 2 rungs, each finite and positive, got {self.rn_ladder!r}")
+        if len(ladder) < 2 or not all(_positive_real(r) and r >= RN_FLOOR for r in ladder):
+            raise DomainError(
+                f"rn_ladder needs at least 2 rungs, each finite and at least {RN_FLOOR:g}, got {self.rn_ladder!r}"
+            )
         if any(b >= a for a, b in zip(ladder, ladder[1:])):
             raise DomainError("rn_ladder must decrease strictly")
         object.__setattr__(self, "grid_shape", shape)

@@ -24,18 +24,18 @@ import numpy as np
 from .cayley import ConformalChart, conformal_pullback, lambda_cayley_zt
 from .errors import DomainError
 from .heisenberg import (
+    KAPPA_H,
     Array,
     HaarMeasure,
     HeisPoint,
     ShellScheme,
     _flow_stencil,
     _gauge_sq_power,
-    _sum_last,
+    _only_h1,
     dilate_zt,
     gauge_zt,
     inv_zt,
     integrate_decaying,
-    kappa_haar,
     mul_zt,
 )
 from .spectral import (
@@ -85,7 +85,7 @@ def constant_solution(N: int, k: float) -> float:
 
 @dataclass(frozen=True)
 class YamabeConstants:
-    """All normalization-dependent constants for one (N, k) configuration."""
+    """All normalization-dependent constants for one (N, k) configuration; :attr:`measure` is that of H^1."""
 
     N: int
     k: float
@@ -96,7 +96,6 @@ class YamabeConstants:
     u0: float
     cQ: float
     total_mass: float
-    kappa_H: float
 
     @staticmethod
     def create(N: int, k: float) -> "YamabeConstants":
@@ -116,7 +115,6 @@ class YamabeConstants:
             u0=u0,
             cQ=cq,
             total_mass=total_sphere_mass(N),
-            kappa_H=kappa_haar(N),
         )
 
     def __post_init__(self):
@@ -128,7 +126,7 @@ class YamabeConstants:
 
     @property
     def measure(self) -> HaarMeasure:
-        return HaarMeasure(self.kappa_H)
+        return HaarMeasure(KAPPA_H)
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +144,9 @@ class BubbleParams:
         if not self.lam > 0:
             raise DomainError("bubble scale must be positive")
 
-    @staticmethod
-    def standard(N: int) -> "BubbleParams":
-        return BubbleParams(1.0, HeisPoint.origin(N))
-
 
 def bubble_shape_zt(z: Array, t: Array, constants: YamabeConstants) -> Array:
-    D = (1.0 + _sum_last((z * np.conj(z)).real)) ** 2 + t * t
+    D = (1.0 + (z * np.conj(z)).real) ** 2 + t * t
     return constants.cQ * D ** (-(constants.Q - 2.0 * constants.k) / 4.0)
 
 
@@ -169,18 +163,15 @@ def bubble_field(params: BubbleParams, constants: YamabeConstants):
 
 
 def bubble_horizontal_gradient_zt(z: Array, t: Array, constants: YamabeConstants):
-    """Closed-form X_j omega and Y_j omega for the centered unit bubble.
-
-    Returns arrays of shape (..., N) for the X and Y components.
-    """
-    A = 1.0 + _sum_last((z * np.conj(z)).real)
+    """Closed-form X omega and Y omega for the centered unit bubble, each of the shape of the points."""
+    A = 1.0 + (z * np.conj(z)).real
     D = A**2 + t * t
     expo = -(constants.Q - 2.0 * constants.k) / 4.0
     pref = constants.cQ * expo * D ** (expo - 1.0)
     x, y = z.real, z.imag
-    XD = 4.0 * (A[..., None] * x + y * t[..., None])
-    YD = 4.0 * (A[..., None] * y - x * t[..., None])
-    return pref[..., None] * XD, pref[..., None] * YD
+    XD = 4.0 * (A * x + y * t)
+    YD = 4.0 * (A * y - x * t)
+    return pref * XD, pref * YD
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +209,10 @@ class YamabeProblem:
         """Constants, the cached basis and the N = 1 sphere quadrature.
 
         The quadrature rule is deterministic, so ``seed`` does not change the
-        problem; it is accepted so that callers can pass their run seed.
+        problem; it is accepted so that callers can pass their run seed.  Any
+        N other than 1 is refused before any work.
         """
+        _only_h1(N)
         constants = YamabeConstants.create(N, k)
         basis = cached_basis(N, jmax, lmax)
         if quad_degree is None:
@@ -292,14 +285,14 @@ def _dirichlet_step(z, t, h_factor: float = 0.01) -> Array:
 
 
 def _dirichlet_density(U, z, t, h=None, h_factor: float = 0.01) -> Array:
-    """1/4 sum_j (X_j U)^2 + (Y_j U)^2 at (z, t) by the exact-flow central stencil.
+    """1/4 ((X U)^2 + (Y U)^2) at (z, t) by the exact-flow central stencil.
 
     The step is ``h`` or, by default, ``h_factor * (1 + gauge)``: it scales
     with the gauge, so far shells stay accurate.
     """
     step = h if h is not None else _dirichlet_step(z, t, h_factor)
     acc = np.zeros(t.shape)
-    for _, _, (zp, tp), (zm, tm) in _flow_stencil(z, t, step):
+    for _, (zp, tp), (zm, tm) in _flow_stencil(z, t, step):
         d = (np.asarray(U(zp, tp)) - np.asarray(U(zm, tm))) / (2.0 * step)
         acc += d * d
     return 0.25 * acc
@@ -312,17 +305,12 @@ def dirichlet_form(
     h: float | None = None,
     h_factor: float = 0.01,
 ) -> float:
-    """int U (-Delta_b U) dv_H as 1/4 sum_j ||X_j U||^2 + ||Y_j U||^2.
+    """int U (-Delta_b U) dv_H as 1/4 (||X U||^2 + ||Y U||^2).
 
     First derivatives use the exact-flow central stencil with a step that
     scales with the gauge, so far shells stay accurate.
     """
-    val, _ = integrate_decaying(
-        lambda z, t: _dirichlet_density(U, z, t, h, h_factor),
-        constants.N,
-        scheme,
-        constants.measure,
-    )
+    val, _ = integrate_decaying(lambda z, t: _dirichlet_density(U, z, t, h, h_factor), 1, scheme, constants.measure)
     return val
 
 
@@ -344,7 +332,7 @@ def energy_heis(
         raise DomainError("the group-side energy needs the local operator, k = 1")
     (quadratic, mass), _ = integrate_decaying(
         lambda z, t: np.stack([_dirichlet_density(U, z, t), np.abs(np.asarray(U(z, t))) ** constants.p_star]),
-        constants.N,
+        1,
         scheme or ShellScheme(),
         constants.measure,
         center=center,
@@ -363,26 +351,27 @@ def calibrate_normalizations(constants: YamabeConstants) -> dict:
     integrated over 7 shells, and reports the pointwise match between the
     transported constant solution and the bubble profile.
     """
-    N = constants.N
     lam_integral, shells = integrate_decaying(
         lambda z, t: np.ones_like(t) * lambda_cayley_zt(z, t),
-        N,
+        1,
         ShellScheme(n_shells=7),
         HaarMeasure(1.0),
     )
     kappa_fit = constants.total_mass / lam_integral
-    chart = ConformalChart.plain_cayley(N)
-    field = conformal_pullback(lambda zeta: np.full(zeta.shape[:-1], constants.u0), chart, constants.k)
+    origin = HeisPoint(0.0, 0.0)
+    field = conformal_pullback(
+        lambda zeta: np.full(zeta.shape[:-1], constants.u0), ConformalChart(origin, 1.0), constants.k
+    )
     rng = np.random.default_rng(3)
-    z = rng.normal(size=(64, N)) + 1.0j * rng.normal(size=(64, N))
+    z = rng.normal(size=64) + 1.0j * rng.normal(size=64)
     t = rng.normal(size=64) * 2.0
     transported = field(z, t)
-    direct = bubble_eval_zt(BubbleParams.standard(N), z, t, constants)
+    direct = bubble_eval_zt(BubbleParams(1.0, origin), z, t, constants)
     cq_match = float(np.max(np.abs(transported - direct) / np.abs(direct)))
     return {
         "kappa_fit": float(kappa_fit),
-        "kappa_closed_form": constants.kappa_H,
-        "kappa_rel_err": abs(kappa_fit - constants.kappa_H) / constants.kappa_H,
+        "kappa_closed_form": KAPPA_H,
+        "kappa_rel_err": abs(kappa_fit - KAPPA_H) / KAPPA_H,
         "mass_closed_form": constants.total_mass,
         "bubble_constant_rel_err": cq_match,
         "lambda_shells": shells,

@@ -1,14 +1,15 @@
 """Heisenberg group algebra, Koranyi metric, left-invariant derivatives, volume quadrature.
 
-Points of the group are pairs (z, t) with z in C^N and t real.  The group law is
+Points of the group H^1 are pairs (z, t) with z complex and t real.  The group
+law is
 
-    (z, t) . (z', t') = (z + z', t + t' + 2 Im <z, z'>),   <z, z'> = sum_j z_j conj(z'_j),
+    (z, t) . (z', t') = (z + z', t + t' + 2 Im(z conj(z'))),
 
 anisotropic dilations are d_lam(z, t) = (lam z, lam^2 t), and the homogeneous
-dimension is Q = 2N + 2.  All numerical kernels are vectorized: they accept z of
-shape (..., N) and t of shape (...), broadcasting over leading axes.
+dimension is Q = 4.  All numerical kernels are vectorized: z and t are arrays
+of the same shape, one entry per point, and broadcast against each other.
 
-Integrals over all of H^N run on nested Koranyi shells (:class:`ShellScheme`).
+Integrals over all of H^1 run on nested Koranyi shells (:class:`ShellScheme`).
 The shell loop exists once, as the block walker :func:`shell_nodes`; the
 quadrature :func:`integrate_decaying`, the PV operator and the far field of
 iterated convolutions in :mod:`riesz` all walk it.  An integrand may return
@@ -28,47 +29,50 @@ from .errors import DivergentIntegralError, DomainError
 
 Array = np.ndarray
 
+# homogeneous dimension of H^1
+Q = 4
+# theta ^ dtheta = 4 dx dy dt: the contact volume form on H^1 against Lebesgue
+# measure.  The whole calibration triple (Haar constant, sphere volume mass,
+# conformal factor) is pinned by the change-of-variables identity and verified
+# numerically in the tests.
+KAPPA_H = 4.0
+
+
+def _only_h1(N) -> None:
+    """Refuse an N other than 1 for the signatures that still take one."""
+    if N != 1:
+        raise DomainError(f"the group is H^1, got N = {N!r}")
+
+
 # ---------------------------------------------------------------------------
 # points
 
 
-def _np_z(z) -> Array:
-    z = np.asarray(z, dtype=np.complex128)
-    if z.ndim == 0:
-        z = z.reshape(1)
-    return z
-
-
 @dataclass(frozen=True)
 class HeisPoint:
-    """A point (z, t) of the Heisenberg group H^N."""
+    """A point (z, t) of H^1; z is held as a 0-d complex array."""
 
     z: Array
     t: float
 
     def __post_init__(self):
-        z = _np_z(self.z)
+        z = np.asarray(self.z, dtype=np.complex128)
+        if z.size != 1:
+            raise DomainError(f"a point of H^1 has one complex coordinate, got {z.size}")
+        z = z.reshape(())
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "t", float(self.t))
-        if not (np.all(np.isfinite(z.view(np.float64))) and math.isfinite(self.t)):
+        if not (np.isfinite(z) and math.isfinite(self.t)):
             raise DomainError("HeisPoint components must be finite")
-
-    @property
-    def N(self) -> int:
-        return self.z.shape[-1]
-
-    @staticmethod
-    def origin(N: int) -> "HeisPoint":
-        return HeisPoint(np.zeros(N, dtype=np.complex128), 0.0)
 
 
 def _sum_last(a: Array) -> Array:
-    """Sum over the short last axis (the N or N + 1 coordinates), one component at a time.
+    """Sum over the short last axis (the coordinates of a sphere point zeta), one component at a time.
 
-    Starts from +0.0 as np.sum does, so for axes of length <= 3 (N <= 2) it is
-    bitwise equal to np.sum(a, axis=-1), which spends most of its time in
-    reduction set-up on such short axes.
+    Starts from +0.0 as np.sum does, so for axes of length <= 3 it is bitwise
+    equal to np.sum(a, axis=-1), which spends most of its time in reduction
+    set-up on such short axes.
     """
     s = 0.0 + a[..., 0]
     for j in range(1, a.shape[-1]):
@@ -77,8 +81,15 @@ def _sum_last(a: Array) -> Array:
 
 
 def hermitian_im(z1: Array, z2: Array) -> Array:
-    """Im <z1, z2> with the Hermitian pairing sum_j z1_j conj(z2_j)."""
-    return _sum_last(z1 * np.conj(z2)).imag
+    """Im(z1 conj(z2)).
+
+    Called as a function, np.multiply never reuses the temporary conj(z2) for
+    its output.  With ``*``, numpy does so for a 0-d z1 (a point such as a
+    chart centre) once conj(z2) passes 256 KiB, and that in-place loop rounds
+    differently from the out-of-place one: the value would depend on the
+    length of the block.
+    """
+    return np.multiply(z1, np.conj(z2)).imag
 
 
 # array kernels ------------------------------------------------------------
@@ -98,18 +109,13 @@ def dilate_zt(lam: float, z: Array, t: Array) -> tuple[Array, Array]:
 
 def gauge_zt(z: Array, t: Array) -> Array:
     """Koranyi gauge (|z|^4 + t^2)^(1/4), computed as sqrt(hypot(|z|^2, t))."""
-    zz = _sum_last((z * np.conj(z)).real)
-    return np.sqrt(np.hypot(zz, t))
+    return np.sqrt(np.hypot((z * np.conj(z)).real, t))
 
 
 def dist_zt(z1: Array, t1: Array, z2: Array, t2: Array) -> Array:
     """Left-invariant Koranyi distance, gauge(q^{-1} . p)."""
     zi, ti = mul_zt(*inv_zt(z2, t2), z1, t1)
     return gauge_zt(zi, ti)
-
-
-def homogeneous_dim(N: int) -> int:
-    return 2 * N + 2
 
 
 def _int_power(x: Array, n: int) -> Array:
@@ -147,45 +153,37 @@ def _gauge_sq_power(gauge_sq: Array, e: float) -> Array:
 # left-invariant derivatives
 
 
-def vector_field(which, f, z, t, h: float = 1e-4) -> Array:
-    """Apply X_j, Y_j or T by a central difference along the exact flow.
+def vector_field(which: str, f, z, t, h: float = 1e-4) -> Array:
+    """Apply X, Y or T by a central difference along the exact flow.
 
     The flow of a left-invariant field is right group multiplication, so the
-    stencil points are p.(±h e, 0) (or p.(0, ±h) for T); left invariance holds
-    to rounding error by construction.  ``which`` is "T" or a pair like
-    ("X", 1).
+    stencil points are p.(±h, 0), p.(±ih, 0) or p.(0, ±h); left invariance
+    holds to rounding error by construction.  ``which`` is "X", "Y" or "T".
     """
-    kind, j = (which, 1) if isinstance(which, str) else which
     z = np.asarray(z, dtype=np.complex128)
     t = np.asarray(t, dtype=np.float64)
     hh = np.asarray(h, dtype=np.float64)
-    if kind == "T":
+    if which == "T":
         return (np.asarray(f(z, t + hh)) - np.asarray(f(z, t - hh))) / (2.0 * hh)
-    for kind_s, j_s, (zp, tp), (zm, tm) in _flow_stencil(z, t, hh):
-        if (kind_s, j_s) == (kind, j):
+    for kind, (zp, tp), (zm, tm) in _flow_stencil(z, t, hh):
+        if kind == which:
             return (np.asarray(f(zp, tp)) - np.asarray(f(zm, tm))) / (2.0 * hh)
     raise DomainError(f"unknown vector field {which!r}")
 
 
 def _flow_stencil(z: Array, t: Array, h):
-    """Yield (kind, j, (z+, t+), (z-, t-)): the points p.(+-h e, 0) of X_j and Y_j.
+    """Yield (kind, (z+, t+), (z-, t-)): the points p.(+-h, 0) of X and p.(+-ih, 0) of Y.
 
     ``h`` is a scalar or one step per point.  These are the central-difference
     points of every horizontal derivative in the package, so a caller that
-    needs several derivatives of one field evaluates it once per point.  The
-    offsets are axis-aligned, so the group law reduces to one coordinate:
-    p.(+-h e_j, 0) = (z +- h e_j, t +- 2 h y_j) and
-    p.(+-i h e_j, 0) = (z +- i h e_j, t -+ 2 h x_j), equal to the general
-    :func:`mul_zt` with a zero t-offset.
+    needs several derivatives of one field evaluates it once per point.  With
+    a zero t-offset the group law reads p.(+-h, 0) = (z +- h, t +- 2 h y) and
+    p.(+-ih, 0) = (z +- ih, t -+ 2 h x), equal to the general :func:`mul_zt`.
     """
     hh = np.asarray(h, dtype=np.float64)
-    for j in range(z.shape[-1]):
-        x, y = z[..., j].real, z[..., j].imag
-        for kind, step, dt in (("X", hh, 2.0 * hh * y), ("Y", 1j * hh, -2.0 * hh * x)):
-            zp, zm = z.copy(), z.copy()
-            zp[..., j] += step
-            zm[..., j] -= step
-            yield kind, j + 1, (zp, t + dt), (zm, t - dt)
+    x, y = z.real, z.imag
+    for kind, step, dt in (("X", hh, 2.0 * hh * y), ("Y", 1j * hh, -2.0 * hh * x)):
+        yield kind, (z + step, t + dt), (z - step, t - dt)
 
 
 # rounding allowance of _stencil_settled, in the units of its distances: far
@@ -211,13 +209,13 @@ def _stencil_settled(d: Array, reach: Array, inner: float, outer: float) -> tupl
 
 
 def sub_laplacian(f, z, t, h: float = 1e-4) -> Array:
-    """Delta_b f = (1/4) sum_j (X_j^2 + Y_j^2) f by second differences along flows."""
+    """Delta_b f = (1/4) (X^2 + Y^2) f by second differences along flows."""
     z = np.asarray(z, dtype=np.complex128)
     t = np.asarray(t, dtype=np.float64)
     hh = np.asarray(h, dtype=np.float64)
     f0 = np.asarray(f(z, t))
     acc = np.zeros_like(f0)
-    for _, _, (zp, tp), (zm, tm) in _flow_stencil(z, t, hh):
+    for _, (zp, tp), (zm, tm) in _flow_stencil(z, t, hh):
         acc = acc + (np.asarray(f(zp, tp)) + np.asarray(f(zm, tm)) - 2.0 * f0)
     return acc / (4.0 * hh * hh)
 
@@ -226,34 +224,20 @@ def sub_laplacian(f, z, t, h: float = 1e-4) -> Array:
 # volume form and quadrature
 
 
-def kappa_haar(N: int) -> float:
-    """Constant relating the contact volume form on H^N to Lebesgue measure.
-
-    theta ^ (dtheta)^N = 4^N N! dx dy dt; the whole calibration triple
-    (Haar constant, sphere volume mass, conformal factor) is pinned by the
-    change-of-variables identity and verified numerically in the tests.
-    """
-    return float(4**N * math.factorial(N))
-
-
 @dataclass(frozen=True)
 class HaarMeasure:
-    """dv_H = kappa_H * Lebesgue on R^{2N+1}."""
+    """dv_H = kappa_H * Lebesgue on R^3; the default is the contact volume of H^1."""
 
-    kappa_H: float
+    kappa_H: float = KAPPA_H
 
     def __post_init__(self):
         if not self.kappa_H > 0:
             raise DomainError("kappa_H must be positive")
 
-    @staticmethod
-    def standard(N: int) -> "HaarMeasure":
-        return HaarMeasure(kappa_haar(N))
-
 
 @dataclass(frozen=True)
 class BoxDomain:
-    """Axis-aligned box in (x_1..x_N, y_1..y_N, t) coordinates."""
+    """Axis-aligned box in (x, y, t) coordinates."""
 
     lo: tuple[float, ...]
     hi: tuple[float, ...]
@@ -268,11 +252,11 @@ class BoxDomain:
 
     @staticmethod
     def koranyi(N: int, L: float) -> "BoxDomain":
-        # anisotropic box [-L, L]^{2N} x [-L^2, L^2]; centering is applied by
+        # anisotropic box [-L, L]^2 x [-L^2, L^2]; centering is applied by
         # left translation in the quadrature, not by shifting the bounds.
-        lo = tuple([-L] * (2 * N) + [-L * L])
-        hi = tuple([L] * (2 * N) + [L * L])
-        return BoxDomain(lo, hi)
+        # N must be 1 (the benchmark still passes it)
+        _only_h1(N)
+        return BoxDomain((-L, -L, -L * L), (L, L, L * L))
 
 
 def _box_grid(box: BoxDomain, resolution) -> tuple[list[Array], float]:
@@ -289,17 +273,13 @@ def _box_grid(box: BoxDomain, resolution) -> tuple[list[Array], float]:
     return axes, cell
 
 
-def koranyi_ball_volume(N: int, radius: float = 1.0, measure: HaarMeasure | None = None) -> float:
-    """dv_H volume of a Koranyi ball, kappa_H pi^N B(N/2, 3/2) / (N-1)! R^Q.
+def koranyi_ball_volume(radius: float, measure: HaarMeasure = HaarMeasure()) -> float:
+    """dv_H volume of a Koranyi ball, kappa_H (pi^2 / 2) R^Q.
 
-    The Lebesgue volume of {|z|^4 + t^2 <= 1} is int_{|z| <= 1} 2 sqrt(1 - |z|^4) dz;
-    in polar coordinates (|S^{2N-1}| = 2 pi^N / (N-1)!) and u = |z|^4 the
-    radial integral is B(N/2, 3/2) / 2.  At N = 1 this is pi^2 / 2.
+    The Lebesgue volume of {|z|^4 + t^2 <= 1} is int_{|z| <= 1} 2 sqrt(1 - |z|^4) dz,
+    which in polar coordinates and u = |z|^2 is 2 pi int_0^1 sqrt(1 - u^2) du = pi^2 / 2.
     """
-    measure = measure or HaarMeasure.standard(N)
-    beta = math.gamma(N / 2.0) * math.gamma(1.5) / math.gamma(N / 2.0 + 1.5)
-    unit = math.pi**N * beta / math.factorial(N - 1)
-    return measure.kappa_H * unit * radius ** homogeneous_dim(N)
+    return measure.kappa_H * (math.pi**2 / 2) * radius**Q
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +290,7 @@ def koranyi_ball_volume(N: int, radius: float = 1.0, measure: HaarMeasure | None
 class ShellScheme:
     """Geometric ladder of Koranyi-adapted boxes for integrands decaying at infinity.
 
-    Boxes are [-L, L]^{2N} x [-L^2, L^2] with L doubling per shell; doubling
+    Boxes are [-L, L]^2 x [-L^2, L^2] with L doubling per shell; doubling
     keeps inner-box faces aligned with outer-shell cell boundaries, so the
     midpoint rule never splits a cell across the shell interface.
     """
@@ -348,9 +328,7 @@ _WALK_BLOCK = 1 << 15
 _SUB_BLOCK = 1 << 13
 
 
-def shell_nodes(
-    N: int, scheme: ShellScheme, center: HeisPoint | None = None
-) -> Iterator[tuple[int, Array, Array, float]]:
+def shell_nodes(scheme: ShellScheme, center: HeisPoint | None = None) -> Iterator[tuple[int, Array, Array, float]]:
     """Walk the nested Koranyi shells of ``scheme``: yield (shell_index, z, t, cell_weight).
 
     Shell 0 is the midpoint grid of the box of half-width l0 with n_inner
@@ -363,14 +341,13 @@ def shell_nodes(
     ``cell_weight`` is the Lebesgue volume of the shell's cells, and with
     ``center`` the nodes are left-translated to center . (z, t).
     """
-    dim = 2 * N + 1
     L = scheme.l0
     for i in range(scheme.n_shells):
         n = scheme.n_inner if i == 0 else scheme.n_shell
-        axes, cell = _box_grid(BoxDomain.koranyi(N, L), n)
-        for start in range(0, n**dim, _WALK_BLOCK):
-            idx = np.unravel_index(np.arange(start, min(start + _WALK_BLOCK, n**dim)), (n,) * dim)
-            coords = [ax[k] for ax, k in zip(axes, idx)]  # x_1..x_N, y_1..y_N, t
+        axes, cell = _box_grid(BoxDomain.koranyi(1, L), n)
+        for start in range(0, n**3, _WALK_BLOCK):
+            idx = np.unravel_index(np.arange(start, min(start + _WALK_BLOCK, n**3)), (n,) * 3)
+            coords = [ax[k] for ax, k in zip(axes, idx)]  # x, y, t
             del idx  # block temporaries are freed before the caller allocates its work arrays
             if i > 0:
                 Lin = L / 2.0
@@ -378,9 +355,10 @@ def shell_nodes(
                 for c in coords[:-1]:
                     inner &= np.abs(c) <= Lin
                 coords = [c[~inner] for c in coords]
-            t = coords[-1]
-            z = np.stack(coords[:N], axis=-1) + 1.0j * np.stack(coords[N:-1], axis=-1)
+            x, y, t = coords
             del coords
+            z = x + 1.0j * y
+            del x, y
             if center is not None:
                 z, t = mul_zt(center.z, center.t, z, t)
             yield i, z, t, cell
@@ -391,10 +369,10 @@ def integrate_decaying(
     f,
     N: int,
     scheme: ShellScheme = ShellScheme(),
-    measure: HaarMeasure | None = None,
+    measure: HaarMeasure = HaarMeasure(),
     center: HeisPoint | None = None,
 ) -> tuple[float, list[float]] | tuple[list[float], list[list[float]]]:
-    """Integrate f dv_H over H^N by nested Koranyi boxes centered at ``center``.
+    """Integrate f dv_H over H^1 by nested Koranyi boxes centered at ``center``.
 
     Returns (value, per-shell contributions).  An integrand that returns a
     stacked (m, n) array for n nodes is m integrands over one walk: the
@@ -404,11 +382,12 @@ def integrate_decaying(
 
     ``f`` sees at most 2^13 nodes per call; the values of a walk block are
     gathered into one array and summed whole, so the sums are those of
-    evaluating each walk block in one call.
+    evaluating each walk block in one call.  ``N`` must be 1; the benchmark
+    still passes it.
     """
-    measure = measure or HaarMeasure.standard(N)
+    _only_h1(N)
     acc = [0.0] * scheme.n_shells
-    for i, z, t, cell in shell_nodes(N, scheme, center):
+    for i, z, t, cell in shell_nodes(scheme, center):
         n = t.shape[0]
         vals = None
         for s in range(0, n, _SUB_BLOCK):

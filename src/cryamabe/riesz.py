@@ -13,7 +13,7 @@ once when it is built; the grid code and the PV operator are written for H^1.
 
 The grid quadrature is written in w = y^{-1} x: every pair weight is the
 midpoint kernel K(w) or a sub-cell average of K(d^{-1} w).  Since t is the
-centre of H^N, w depends on t_x and t_y only through t_x - t_y, so on each
+centre of H^1, w depends on t_x and t_y only through t_x - t_y, so on each
 pair of grid columns the weights are Toeplitz in the level difference and are
 tabulated once per (source column, output column, level difference).  The
 singular cell x = y is the only term that depends on z_y itself.
@@ -21,7 +21,6 @@ singular cell x = y is the only term that depends on z_y itself.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -30,14 +29,16 @@ import numpy as np
 from .config import _check_grid
 from .errors import DomainError, SingularPointError
 from .heisenberg import (
+    KAPPA_H,
+    Q,
     Array,
     BoxDomain,
     HaarMeasure,
     HeisPoint,
     ShellScheme,
     _gauge_sq_power,
+    _only_h1,
     gauge_zt,
-    integrate_decaying,
     inv_zt,
     koranyi_ball_volume,
     mul_zt,
@@ -51,20 +52,21 @@ from .heisenberg import (
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A homogeneous kernel gauge^(exponent) on H^N, normalized to constant one.
+    """A homogeneous kernel gauge^(exponent) on H^1, normalized to constant one.
 
     kind "riesz": order alpha in (0, Q), exponent alpha - Q, positive; at
     alpha = 2k it is the Green-type kernel of the order-2k operator.
     kind "hyper": order 2k in (0, Q), exponent -(Q + 2k), positive magnitude;
-    the PV operator built on it is positive at interior maxima.
+    the PV operator built on it is positive at interior maxima.  ``N`` must
+    be 1; the benchmark still passes it.
     """
 
     alpha: float
-    N: int
+    N: int = 1
     kind: str = "riesz"
 
     def __post_init__(self):
-        Q = 2 * self.N + 2
+        _only_h1(self.N)
         if self.kind not in ("riesz", "hyper"):
             raise DomainError(f"unknown kernel kind {self.kind!r}")
         if not 0 < self.alpha < Q:
@@ -72,7 +74,7 @@ class KernelSpec:
 
     @property
     def Q(self) -> int:
-        return 2 * self.N + 2
+        return Q
 
     @property
     def exponent(self) -> float:
@@ -135,7 +137,7 @@ def _subcell_mean(spec: KernelSpec, wx: Array, wy: Array, wt: Array, offsets) ->
 
 
 def _sheared_diagonal(spec: KernelSpec, steps: tuple[float, ...], xs: Array, ys: Array) -> Array:
-    """Average of the kernel over a source cell seen from its own midpoint z_y = xs + i ys (N = 1).
+    """Average of the kernel over a source cell seen from its own midpoint z_y = xs + i ys.
 
     In difference coordinates w = (y + d)^{-1} y the cell is sheared in t by
     2 Im<dz, z_y>, and the map d -> w preserves volume, so excluding the gauge
@@ -159,7 +161,7 @@ def _sheared_diagonal(spec: KernelSpec, steps: tuple[float, ...], xs: Array, ys:
         k[gsq <= (rho[b] * rho[b])[:, None, None]] = 0.0
         total[b] = k.sum(axis=(1, 2))
     total *= hx * hy * ht / m
-    vol1 = koranyi_ball_volume(1, 1.0, HaarMeasure(1.0))
+    vol1 = koranyi_ball_volume(1.0, HaarMeasure(1.0))
     core = spec.Q * vol1 * rho ** (spec.Q + spec.exponent) / (spec.Q + spec.exponent)
     return (total + core) / (hx * hy * ht)
 
@@ -191,9 +193,7 @@ def kernel_eval_zt(spec: KernelSpec, z: Array, t: Array) -> Array:
 def decay_exponent_fit(spec: KernelSpec) -> float:
     """Log-log slope of the kernel along a gauge ray at 40 radii in [0.5, 50] (regression oracle)."""
     radii = np.geomspace(0.5, 50.0, 40)
-    z = np.zeros((len(radii), spec.N), dtype=np.complex128)
-    z[:, 0] = radii
-    vals = kernel_eval_zt(spec, z, np.zeros(len(radii)))
+    vals = kernel_eval_zt(spec, radii.astype(np.complex128), np.zeros(len(radii)))
     slope = np.polyfit(np.log(radii), np.log(vals), 1)[0]
     return float(slope)
 
@@ -243,7 +243,7 @@ class GridFieldH:
 
     def points(self) -> tuple[Array, Array]:
         x, y, t = np.meshgrid(*self.axes(), indexing="ij")
-        return (x + 1.0j * y).reshape(-1, 1), t.reshape(-1)
+        return (x + 1.0j * y).reshape(-1), t.reshape(-1)
 
     @staticmethod
     def from_function(fn, box: BoxDomain, shape: tuple[int, ...]) -> "GridFieldH":
@@ -252,12 +252,12 @@ class GridFieldH:
 
     def lp_norm(self, p: float) -> float:
         return float(
-            (HaarMeasure.standard(1).kappa_H * self.cell_volume * np.sum(np.abs(self.values) ** p)) ** (1.0 / p)
+            (KAPPA_H * self.cell_volume * np.sum(np.abs(self.values) ** p)) ** (1.0 / p)
         )
 
 
 def gaussian_bump(box: BoxDomain, shape: tuple[int, ...], width: float = 0.5, center: HeisPoint | None = None) -> GridFieldH:
-    c = center or HeisPoint.origin(1)
+    c = center or HeisPoint(0.0, 0.0)
 
     def fn(z, t):
         zi, ti = mul_zt(*inv_zt(c.z, np.asarray(c.t)), z, t)
@@ -279,9 +279,8 @@ def convolve(
 ) -> GridFieldH | Array:
     """(f * K)(x) = sum_y f(y) K(y^{-1} x) dv_H-cell, with singular-cell repair.
 
-    Riesz kernels on H^1 only (the grid is H^1 by construction): a kernel of
-    another N, or a hypersingular kernel (its integral diverges at the
-    diagonal; the PV route handles it), is refused before any work.
+    Riesz kernels only: a hypersingular kernel (its integral diverges at the
+    diagonal; the PV route handles it) is refused before any work.
     ``out_indices`` restricts the output to a flat subset of grid points, a
     1-D integer array of in-range indices; anything else is refused.
     Only source cells with |f| > support_threshold * max|f| contribute.
@@ -295,8 +294,6 @@ def convolve(
     weight that depends on z_y itself (``_sheared_diagonal``), one value per
     column.  Full-grid, subset and symmetry-class outputs share this path.
     """
-    if spec.N != 1:
-        raise DomainError(f"grid convolution needs a kernel on H^1, got N = {spec.N}")
     if spec.kind != "riesz":
         raise DomainError(f"grid convolution needs a riesz kernel, got {spec.kind!r}")
     n_all = f.values.size
@@ -315,7 +312,7 @@ def convolve(
     out = np.zeros(len(out_idx))
     if len(src) and len(out_idx):
         _toeplitz_sum(f, spec, vals, src, out_idx, out)
-    out *= f.cell_volume * HaarMeasure.standard(1).kappa_H
+    out *= f.cell_volume * KAPPA_H
     if out_indices is None:
         return GridFieldH(f.box, out.reshape(f.shape))
     return out
@@ -440,7 +437,7 @@ def _far_field_composition(
     column and gathers them per node.  Every kernel value takes the same
     operations in the same order as a per-pair evaluation.
     """
-    xo, yo = zo[:, 0].real, zo[:, 0].imag
+    xo, yo = zo.real, zo.imag
     out = np.zeros(len(zo))
     # the first Koranyi shell box must contain the grid box: shell i is the
     # box of half-width L 2^(i+1) less the box of half-width L 2^i
@@ -449,11 +446,11 @@ def _far_field_composition(
     L = float(max(hw_xy, math.sqrt(max(abs(lo_t), abs(hi_t)))))
     scheme = ShellScheme(2.0 * L, 7, 32, 32)
     chunk = max(1, _BLOCK // max(len(zo), 1))
-    for _, zy, ty, cellv in shell_nodes(1, scheme):
-        x, y = zy[:, 0].real, zy[:, 0].imag
+    for _, zy, ty, cellv in shell_nodes(scheme):
+        x, y = zy.real, zy.imag
         keep = ~((x >= lo_x) & (x <= hi_x) & (y >= lo_y) & (y <= hi_y) & (ty >= lo_t) & (ty <= hi_t))
-        zy, ty = zy[keep, 0], ty[keep]
-        gy = gauge_zt(zy[:, None], ty)
+        zy, ty = zy[keep], ty[keep]
+        gy = gauge_zt(zy, ty)
         src_w = _gauge_sq_power(gy * gy, exponent_src)
         # a column starts wherever z_y changes from the previous node
         starts = np.ones(len(ty), dtype=bool)
@@ -533,9 +530,9 @@ def semigroup_check(
     shape, (hw, hwt) = _check_grid(shape, half_widths)
     box = BoxDomain((-hw, -hw, -hwt), (hw, hw, hwt))
     f = gaussian_bump(box, shape, width=0.85)
-    spec_1 = KernelSpec(1.0, 1)
-    spec_2 = KernelSpec(2.0, 1)
-    measure = HaarMeasure.standard(1)
+    spec_1 = KernelSpec(1.0)
+    spec_2 = KernelSpec(2.0)
+    measure = HaarMeasure()
     reps, inverse = _grid_symmetry_classes(shape)
     inner_reps = convolve(f, spec_1, out_indices=reps, support_threshold=1e-6)
     inner = GridFieldH(box, inner_reps[inverse].reshape(shape))
@@ -565,7 +562,7 @@ def semigroup_check(
 
 
 def grid_sub_laplacian(u: GridFieldH) -> GridFieldH:
-    """Delta_b on the grid via coordinate second differences (N = 1).
+    """Delta_b on the grid via coordinate second differences.
 
     Delta_b = 1/4 [ d_xx + d_yy + 4 y d_xt - 4 x d_yt + 4 (x^2 + y^2) d_tt ].
     Boundary layers are left as zeros; fits must restrict to the interior.
@@ -598,7 +595,7 @@ def green_inversion_check(f: GridFieldH, margin: int = 6, centered_radial: bool 
     grid-symmetry reduction of the potential (valid for centered gauge-radial
     sources only).
     """
-    spec = KernelSpec(2.0, 1)
+    spec = KernelSpec(2.0)
     if centered_radial:
         reps, inverse = _grid_symmetry_classes(f.shape)
         pot_vals = convolve(f, spec, out_indices=reps, support_threshold=1e-10)[inverse]
@@ -621,22 +618,16 @@ def green_inversion_check(f: GridFieldH, margin: int = 6, centered_radial: bool 
 # principal-value fractional operator
 
 
-@functools.lru_cache(maxsize=None)
 def _horizontal_moment_constant(alpha: float) -> float:
-    """int_{B_1} |zeta|^2 gauge^{-Q-alpha} dv_H on H^1, by one annulus plus geometric scaling.
+    """int_{B_1} |z|^2 gauge^{-Q-alpha} dv_H on H^1, in closed form: 4 pi kappa_H / (2 - alpha).
 
-    The integrand is homogeneous of degree 2 - alpha - Q + (Q - 1) per radius,
-    so the dyadic annuli form a geometric series with ratio 2^{alpha-2}.
+    In Koranyi polar coordinates (Folland and Stein, Hardy Spaces on
+    Homogeneous Groups, 1982, ch. 1) dx dy dt = r^{Q-1} dr dsigma, so the
+    integral is int_Sigma |z|^2 dsigma * int_0^1 r^{1-alpha} dr.  The same
+    split gives int_{B_1} |z|^2 dx dy dt = 2 pi / 3 = (1/6) int_Sigma |z|^2 dsigma,
+    hence int_Sigma |z|^2 dsigma = 4 pi.
     """
-
-    def annulus_density(z, t):
-        g = gauge_zt(z, t)
-        zz = np.sum((z * np.conj(z)).real, axis=-1)
-        return np.where((g > 0.5) & (g <= 1.0), zz * g ** (-(4 + alpha)), 0.0)
-
-    # one shell: the midpoint grid of the unit Koranyi box
-    annulus, _ = integrate_decaying(annulus_density, 1, ShellScheme(1.0, 1, 96, 96), HaarMeasure.standard(1))
-    return annulus / (1.0 - 2.0 ** (alpha - 2.0))
+    return 4.0 * math.pi * KAPPA_H / (2.0 - alpha)
 
 
 def pv_fractional(u, alpha: float, p: HeisPoint, return_sensitivity: bool = False):
@@ -650,25 +641,22 @@ def pv_fractional(u, alpha: float, p: HeisPoint, return_sensitivity: bool = Fals
     concentration of the operator on the grid's budget.  delta spans three
     inner cells horizontally and about 2.2 square roots of a half cell
     vertically.  ``return_sensitivity`` reruns at delta/2 and reports the
-    difference as the honest error bar.  The shells are H^1 shells (Q = 4):
-    a point of another H^N is refused before any work.
+    difference as the honest error bar.
     """
     if not 0 < alpha < 2:
         raise DomainError("PV representation needs alpha in (0, 2)")
-    if p.N != 1:
-        raise DomainError(f"the PV operator runs on H^1 only, got a point of H^{p.N}")
     scheme = ShellScheme(l0=1.0, n_shells=8, n_inner=96, n_shell=48)
-    measure = HaarMeasure.standard(1)
-    u_at_p = float(np.asarray(u(p.z[None, :], np.asarray([p.t])))[0])
+    t_p = np.asarray(p.t)
+    u_at_p = float(np.asarray(u(p.z, t_p)))
     h_xy = 2.0 * scheme.l0 / scheme.n_inner
     h_t = 2.0 * scheme.l0**2 / scheme.n_inner
     delta = max(3.0 * h_xy, 2.2 * math.sqrt(0.5 * h_t))
-    lap = float(sub_laplacian(u, p.z[None, :], np.asarray([p.t]), h=1e-3)[0])
+    lap = float(sub_laplacian(u, p.z, t_p, h=1e-3))
     mom1 = _horizontal_moment_constant(alpha) / 2
 
     def run(d: float) -> float:
         total = 2.0 * mom1 * d ** (2.0 - alpha) * (-lap)
-        for _, z0, t0, cellv in shell_nodes(1, scheme):
+        for _, z0, t0, cellv in shell_nodes(scheme):
             g = gauge_zt(z0, t0)
             keep = g > d
             z0, t0, g = z0[keep], t0[keep], g[keep]
@@ -676,7 +664,7 @@ def pv_fractional(u, alpha: float, p: HeisPoint, return_sensitivity: bool = Fals
             zp_, tp_ = mul_zt(p.z, p.t, z0, t0)
             zm_, tm_ = mul_zt(p.z, p.t, -z0, -t0)
             incr = 2.0 * u_at_p - np.asarray(u(zp_, tp_)) - np.asarray(u(zm_, tm_))
-            total += 0.5 * measure.kappa_H * cellv * float(np.sum(incr * g ** (-(4 + alpha))))
+            total += 0.5 * KAPPA_H * cellv * float(np.sum(incr * g ** (-(4 + alpha))))
         return total
 
     val = run(delta)
@@ -708,7 +696,7 @@ def mapping_bound_probe(
         raise DomainError("exponent relation leaves no room: decrease alpha or q")
     p_out = 1.0 / inv_p
     rng = np.random.default_rng(seed)
-    spec = KernelSpec(alpha, 1, "riesz")
+    spec = KernelSpec(alpha)
     box = BoxDomain.koranyi(1, 4.0)
     ratios = []
     for _ in range(n_bumps):

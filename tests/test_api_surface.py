@@ -16,6 +16,11 @@ of a dataclass there, must be set by some call in that program code (a field
 by its constructor or by keyword in ``dataclasses.replace``).  A parameter
 that no program call sets has one value, and that value belongs in the code,
 not in the signature.
+
+A third guard keeps the group layer written for H^1, the only group the
+laboratory runs: no public function, method or dataclass field of
+``heisenberg``, ``cayley`` or ``riesz`` takes a parameter named ``N`` or is
+itself named ``N``, apart from the few the benchmark still calls with N = 1.
 """
 
 import ast
@@ -42,6 +47,15 @@ ALLOWED_PARAMS = {
     "bubbling.CutoffSpec(r_inner)": "TestCutoff::test_validation sets it to check the radius ordering",
     "bubbling.CutoffSpec(r_outer)": "TestCutoff::test_validation sets it to check the radius ordering",
 }
+
+
+# "module.qual(N)" -> why it is still there; each accepts N = 1 and refuses any other before any work
+ALLOWED_N = {
+    "heisenberg.integrate_decaying(N)": "bench/ passes 1; ROADMAP item 6",
+    "heisenberg.BoxDomain.koranyi(N)": "bench/ passes 1; ROADMAP item 6",
+    "riesz.KernelSpec(N)": "bench/ passes 1; ROADMAP item 6",
+}
+GROUP_MODULES = ("heisenberg", "cayley", "riesz")
 
 
 def _public(name: str) -> bool:
@@ -190,6 +204,39 @@ def test_every_defaulted_parameter_has_a_program_caller():
 
 def test_allowed_params_still_exist():
     assert set(ALLOWED_PARAMS) <= set(_defaulted_params())
+
+
+def _n_parameters() -> set[str]:
+    """Each public function, method or dataclass field of the group modules that takes or is named ``N``."""
+    found = set()
+
+    def check(fn, qual):
+        a = fn.args
+        names = [arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
+        if "N" in names:
+            found.add(f"{qual}(N)")
+        if fn.name == "N":
+            found.add(qual)
+
+    for mod in GROUP_MODULES:
+        for node in ast.parse((PACKAGE / f"{mod}.py").read_text()).body:
+            if isinstance(node, ast.FunctionDef) and _public(node.name):
+                check(node, f"{mod}.{node.name}")
+            elif isinstance(node, ast.ClassDef) and _public(node.name):
+                if _is_dataclass(node) and any(name == "N" for name, _ in _init_fields(node)):
+                    found.add(f"{mod}.{node.name}(N)")
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and _public(item.name):
+                        check(item, f"{mod}.{node.name}.{item.name}")
+    return found
+
+
+def test_group_layer_takes_no_N():
+    assert sorted(_n_parameters() - set(ALLOWED_N)) == []
+
+
+def test_allowed_N_still_exist():
+    assert set(ALLOWED_N) <= _n_parameters()
 
 
 def test_trace_targets_resolve():

@@ -113,7 +113,7 @@ class TestSynthesis:
         beta = lambda z, t: chart.cutoff.value(conf.map_zt(z, t))
         from cryamabe.energy import BubbleParams, bubble_eval_zt
 
-        U = lambda z, t: beta(z, t) * bubble_eval_zt(BubbleParams.standard(1), z, t, prob8.constants)
+        U = lambda z, t: beta(z, t) * bubble_eval_zt(BubbleParams(1.0, HeisPoint(0.0, 0.0)), z, t, prob8.constants)
         heis_side, _ = integrate_decaying(
             lambda z, t: np.abs(U(z, t)) ** 4,
             1,
@@ -209,14 +209,14 @@ class TestThresholdFlow:
 class TestCommutator:
     def test_constant_left_argument(self):
         one = lambda z, t: np.ones_like(t)
-        v = lambda z, t: np.sin(z[..., 0].real) + t * t
-        p = HeisPoint([0.2 + 0.6j], -0.3)
+        v = lambda z, t: np.sin(z.real) + t * t
+        p = HeisPoint(0.2 + 0.6j, -0.3)
         assert abs(three_commutator(one, v, p)) < 1e-7
 
     def test_coordinate_pairs(self):
-        x1 = lambda z, t: z[..., 0].real
-        y1 = lambda z, t: z[..., 0].imag
-        p = HeisPoint([0.7 - 0.1j], 0.4)
+        x1 = lambda z, t: z.real
+        y1 = lambda z, t: z.imag
+        p = HeisPoint(0.7 - 0.1j, 0.4)
         assert abs(three_commutator(x1, y1, p)) < 1e-8
         assert three_commutator(x1, x1, p) == pytest.approx(-0.5, abs=1e-8)
 
@@ -229,15 +229,15 @@ class TestCommutator:
             def mk(c):
                 return lambda z, t: (
                     c[0]
-                    + c[1] * z[..., 0].real
-                    + c[2] * z[..., 0].imag
+                    + c[1] * z.real
+                    + c[2] * z.imag
                     + c[3] * t
-                    + c[4] * z[..., 0].real * z[..., 0].imag
-                    + c[5] * z[..., 0].real ** 2
+                    + c[4] * z.real * z.imag
+                    + c[5] * z.real**2
                 )
 
             u, v = mk(cu), mk(cv)
-            p = HeisPoint(rng.uniform(-1, 1, 1) + 1.0j * rng.uniform(-1, 1, 1), float(rng.uniform(-1, 1)))
+            p = HeisPoint(rng.uniform(-1, 1) + 1.0j * rng.uniform(-1, 1), float(rng.uniform(-1, 1)))
             assert three_commutator(u, v, p) == pytest.approx(
                 commutator_identity_value(u, v, p), abs=1e-6
             )

@@ -41,6 +41,9 @@ def test_flag_override_out_of_range():
         ["verify-group", "--tol-scale", "nan"],
         ["verify-group", "--tol-scale", "inf"],
         ["minimax-explore", "--k", "0.5"],  # energy_invariance reads quadrature error at k != 1
+        ["ps-quantization", "--ladder", "1e-1,1e-80"],  # R^4 underflows: the rung's row was all NaN
+        ["ps-quantization", "--ladder", "1e-1,1e-78"],
+        ["gradient-decay", "--ladder", "1e-1,1e-160"],
     ],
 )
 def test_out_of_range_flag_refused_before_work(tmp_path, argv):

@@ -31,6 +31,9 @@ from cryamabe.spectral import (
     total_sphere_mass,
 )
 
+ORIGIN = HeisPoint(0.0, 0.0)
+STANDARD = BubbleParams(1.0, ORIGIN)  # the centred unit bubble
+
 
 class TestExponentsAndConstants:
     def test_p_star_values(self):
@@ -66,8 +69,7 @@ class TestExponentsAndConstants:
 class TestBubbles:
     def test_center_value(self):
         consts = YamabeConstants.create(1, 1.0)
-        origin = HeisPoint.origin(1)
-        assert float(bubble_eval_zt(BubbleParams.standard(1), origin.z, np.asarray(origin.t), consts)) == pytest.approx(
+        assert float(bubble_eval_zt(STANDARD, ORIGIN.z, np.asarray(ORIGIN.t), consts)) == pytest.approx(
             consts.cQ, rel=1e-14
         )
 
@@ -76,23 +78,23 @@ class TestBubbles:
         rng = np.random.default_rng(0)
         from cryamabe.heisenberg import dilate_zt, mul_zt
 
-        params = BubbleParams(0.3, HeisPoint([0.5 - 0.1j], 0.7))
+        params = BubbleParams(0.3, HeisPoint(0.5 - 0.1j, 0.7))
         for _ in range(20):
-            w = HeisPoint(rng.normal(size=1) + 1.0j * rng.normal(size=1), float(rng.normal()))
+            w = HeisPoint(rng.normal() + 1.0j * rng.normal(), float(rng.normal()))
             zq, tq = mul_zt(params.xi.z, params.xi.t, *dilate_zt(params.lam, w.z, w.t))
             lhs = float(bubble_eval_zt(params, zq, np.asarray(tq), consts))
             rhs = params.lam ** ((2 * consts.k - consts.Q) / 2.0) * float(
-                bubble_eval_zt(BubbleParams.standard(1), w.z, np.asarray(w.t), consts)
+                bubble_eval_zt(STANDARD, w.z, np.asarray(w.t), consts)
             )
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_decay_envelope(self):
         # omega(d_lam p) lam^{(Q-2k)/2} stays bounded along the dilation ray
         consts = YamabeConstants.create(1, 1.0)
-        p = HeisPoint([1.0 + 0.2j], -0.5)
+        p = HeisPoint(1.0 + 0.2j, -0.5)
         vals = []
         for lam in np.geomspace(1, 1e3, 15):
-            q = float(bubble_eval_zt(BubbleParams.standard(1), lam * p.z, np.asarray(lam * lam * p.t), consts))
+            q = float(bubble_eval_zt(STANDARD, lam * p.z, np.asarray(lam * lam * p.t), consts))
             vals.append(q * lam ** ((consts.Q - 2 * consts.k) / 2.0))
         assert max(vals) <= vals[0] <= consts.cQ
         assert all(b <= a for a, b in zip(vals, vals[1:]))
@@ -100,21 +102,21 @@ class TestBubbles:
     def test_positive_everywhere(self):
         consts = YamabeConstants.create(1, 0.5)
         rng = np.random.default_rng(1)
-        z = 3 * (rng.normal(size=(100, 1)) + 1.0j * rng.normal(size=(100, 1)))
+        z = 3 * (rng.normal(size=100) + 1.0j * rng.normal(size=100))
         t = 5 * rng.normal(size=100)
-        assert np.all(bubble_eval_zt(BubbleParams.standard(1), z, t, consts) > 0)
+        assert np.all(bubble_eval_zt(STANDARD, z, t, consts) > 0)
 
     def test_bad_scale_rejected(self):
         with pytest.raises(DomainError):
-            BubbleParams(0.0, HeisPoint.origin(1))
+            BubbleParams(0.0, ORIGIN)
 
     def test_pde_residual_closed_form(self):
         from cryamabe.heisenberg import sub_laplacian
 
         consts = YamabeConstants.create(1, 1.0)
-        om = bubble_field(BubbleParams.standard(1), consts)
+        om = bubble_field(STANDARD, consts)
         rng = np.random.default_rng(2)
-        z = rng.normal(size=(100, 1)) + 1.0j * rng.normal(size=(100, 1))
+        z = rng.normal(size=100) + 1.0j * rng.normal(size=100)
         t = 2 * rng.normal(size=100)
         lhs = -sub_laplacian(om, z, t, h=1e-4)
         rhs = om(z, t) ** 3
@@ -198,14 +200,14 @@ class TestHeisenbergEnergy:
     def test_bubble_level_direct(self):
         consts = YamabeConstants.create(1, 1.0)
         scheme = ShellScheme(l0=2.0, n_shells=6, n_inner=96, n_shell=48)
-        U = bubble_field(BubbleParams.standard(1), consts)
+        U = bubble_field(STANDARD, consts)
         assert energy_heis(U, consts, scheme=scheme) == pytest.approx(consts.C_E, rel=1e-2)
 
     def test_scale_and_center_independence(self):
         consts = YamabeConstants.create(1, 1.0)
         scheme = ShellScheme(l0=2.0, n_shells=6, n_inner=96, n_shell=48)
-        xi = HeisPoint([1.0 + 0j], 1.0)
-        for lam, center in ((0.5, HeisPoint.origin(1)), (2.0, HeisPoint.origin(1)), (1.0, xi)):
+        xi = HeisPoint(1.0 + 0j, 1.0)
+        for lam, center in ((0.5, ORIGIN), (2.0, ORIGIN), (1.0, xi)):
             U = bubble_field(BubbleParams(lam, center), consts)
             val = energy_heis(U, consts, scheme=scheme, center=center)
             assert val == pytest.approx(consts.C_E, rel=1e-2)
@@ -215,7 +217,7 @@ class TestHeisenbergEnergy:
         # exactly as they do in a walk each
         consts = YamabeConstants.create(1, 1.0)
         scheme = ShellScheme(l0=1.5, n_shells=4, n_inner=32, n_shell=32)
-        xi = HeisPoint([1.0 + 0j], 1.0)
+        xi = HeisPoint(1.0 + 0j, 1.0)
         U = bubble_field(BubbleParams(0.5, xi), consts)
         walk = lambda f: integrate_decaying(f, 1, scheme, consts.measure, center=xi)[0]
         quadratic = walk(lambda z, t: _dirichlet_density(U, z, t))
@@ -225,16 +227,16 @@ class TestHeisenbergEnergy:
     def test_fractional_route_through_sphere(self, prob_half):
         # at k = 1/2 the group-side energy is the sphere energy of the pushforward
         consts = prob_half.constants
-        chart = ConformalChart.plain_cayley(1)
+        chart = ConformalChart(ORIGIN, 1.0)
         nodes = prob_half.quad.nodes()
 
         def sphere_energy(U):
             return prob_half.energy(prob_half.analyze(conformal_pushforward(U, chart, consts.k)(nodes)))
 
-        U = bubble_field(BubbleParams.standard(1), consts)
+        U = bubble_field(STANDARD, consts)
         assert sphere_energy(U) == pytest.approx(consts.C_E, rel=1e-3)
         # a rescaled extremal transports to a non-constant sphere function
-        U2 = bubble_field(BubbleParams(0.8, HeisPoint.origin(1)), consts)
+        U2 = bubble_field(BubbleParams(0.8, ORIGIN), consts)
         assert sphere_energy(U2) == pytest.approx(consts.C_E, rel=1e-2)
 
     def test_fractional_order_refused_before_walk(self):
@@ -253,7 +255,7 @@ class TestHeisenbergEnergy:
 
         consts = YamabeConstants.create(1, 1.0)
         scheme = ShellScheme(l0=1.5, n_shells=4, n_inner=32, n_shell=32)
-        U = bubble_field(BubbleParams.standard(1), consts)
+        U = bubble_field(STANDARD, consts)
         fixed = dirichlet_form(U, consts, scheme, h=1e-3)
         assert fixed == pytest.approx(dirichlet_form(U, consts, scheme), rel=1e-3)
 
@@ -274,8 +276,8 @@ class TestCalibration:
 
     def test_pushforward_of_bubble_is_constant(self, prob6):
         consts = prob6.constants
-        chart = ConformalChart.plain_cayley(1)
-        u = conformal_pushforward(bubble_field(BubbleParams.standard(1), consts), chart, 1.0)
+        chart = ConformalChart(ORIGIN, 1.0)
+        u = conformal_pushforward(bubble_field(STANDARD, consts), chart, 1.0)
         nodes = prob6.quad.nodes()
         live = np.abs(nodes[:, -1] + 1.0) > 1e-3
         vals = u(nodes[live])

@@ -35,10 +35,11 @@ from cryamabe.energy import (
     bubble_horizontal_gradient_zt,
     dirichlet_form,
 )
-from cryamabe.heisenberg import ShellScheme, _flow_stencil, integrate_decaying, sub_laplacian, vector_field
+from cryamabe.heisenberg import HeisPoint, ShellScheme, _flow_stencil, integrate_decaying, sub_laplacian, vector_field
 from cryamabe.spectral import SpectralFunction, apply_A2k
 
 CENTER = np.array([1.0 + 0j, 0.0 + 0j])
+STANDARD = BubbleParams(1.0, HeisPoint(0.0, 0.0))  # the centred unit bubble
 
 
 def _coarse(R: float) -> ShellScheme:
@@ -54,10 +55,10 @@ def _separate_piece_report(chart, n, u_infty, prob, scheme):
     p_star = constants.p_star
 
     def W(z, t):
-        return beta_n(z, t) * chart.profile_factor * bubble_eval_zt(BubbleParams.standard(constants.N), z, t, constants)
+        return beta_n(z, t) * chart.profile_factor * bubble_eval_zt(STANDARD, z, t, constants)
 
     a_n = dirichlet_form(W, constants, scheme)
-    m_n, _ = integrate_decaying(lambda z, t: np.abs(W(z, t)) ** p_star, constants.N, scheme, constants.measure)
+    m_n, _ = integrate_decaying(lambda z, t: np.abs(W(z, t)) ** p_star, 1, scheme, constants.measure)
     Au = SpectralFunction(prob.basis.multipliers(constants.k) * u_infty.coeffs, prob.basis)
 
     def cross_quad_integrand(z, t):
@@ -65,7 +66,7 @@ def _separate_piece_report(chart, n, u_infty, prob, scheme):
         g = Au.eval(conf.map_zt(z, t))
         return lam ** ((constants.Q + 2 * constants.k) / (2.0 * constants.Q)) * g * W(z, t)
 
-    cross_quad, _ = integrate_decaying(cross_quad_integrand, constants.N, scheme, constants.measure)
+    cross_quad, _ = integrate_decaying(cross_quad_integrand, 1, scheme, constants.measure)
 
     def coupling_integrand(z, t):
         lam = conf.jacobian_zt(z, t)
@@ -73,7 +74,7 @@ def _separate_piece_report(chart, n, u_infty, prob, scheme):
         b = lam ** (-1.0 / p_star) * W(z, t)
         return lam * (np.abs(a + b) ** p_star - np.abs(a) ** p_star - np.abs(b) ** p_star)
 
-    coupling, _ = integrate_decaying(coupling_integrand, constants.N, scheme, constants.measure)
+    coupling, _ = integrate_decaying(coupling_integrand, 1, scheme, constants.measure)
     return {
         "R_n": R,
         "a_n": a_n,
@@ -100,26 +101,26 @@ def _separate_residual_report(spec, n, prob, scheme):
         return lam**expo * spec.u_infty.eval(conf.map_zt(z, t))
 
     def G_fn(z, t):
-        om = bubble_eval_zt(BubbleParams.standard(constants.N), z, t, constants)
+        om = bubble_eval_zt(STANDARD, z, t, constants)
         beta = beta_n(z, t)
         A = A_fn(z, t)
         h = _beta_step(z, t)
         lap_beta = sub_laplacian(beta_n, z, t, h=h)
         gx_om, gy_om = bubble_horizontal_gradient_zt(z, t, constants)
-        gx_b = np.stack([vector_field(("X", j + 1), beta_n, z, t, h=h) for j in range(constants.N)], axis=-1)
-        gy_b = np.stack([vector_field(("Y", j + 1), beta_n, z, t, h=h) for j in range(constants.N)], axis=-1)
-        cross = -0.5 * (np.sum(gx_b * gx_om, axis=-1) + np.sum(gy_b * gy_om, axis=-1))
+        gx_b = vector_field("X", beta_n, z, t, h=h)
+        gy_b = vector_field("Y", beta_n, z, t, h=h)
+        cross = -0.5 * (gx_b * gx_om + gy_b * gy_om)
         L_betaU = c_prof * (beta * om**3 - om * lap_beta + cross)
         W = A + c_prof * beta * om
         return A**3 + L_betaU - W**3
 
-    ub_int, _ = integrate_decaying(lambda z, t: np.abs(G_fn(z, t)) ** pbar, constants.N, scheme, constants.measure)
+    ub_int, _ = integrate_decaying(lambda z, t: np.abs(G_fn(z, t)) ** pbar, 1, scheme, constants.measure)
 
     def witness(z, t):
-        return np.exp(-0.5 * (np.sum((z * np.conj(z)).real, axis=-1) ** 2 + t * t))
+        return np.exp(-0.5 * ((z * np.conj(z)).real ** 2 + t * t))
 
     wit_scheme = ShellScheme(l0=2.0, n_shells=5, n_inner=64, n_shell=48)
-    wit_pair, _ = integrate_decaying(lambda z, t: G_fn(z, t) * witness(z, t), constants.N, wit_scheme, constants.measure)
+    wit_pair, _ = integrate_decaying(lambda z, t: G_fn(z, t) * witness(z, t), 1, wit_scheme, constants.measure)
     wit_norm = math.sqrt(dirichlet_form(witness, constants, wit_scheme))
     return {
         "n": n,
@@ -139,7 +140,7 @@ def _unskipped_piece_report(chart, n, u_infty, prob, scheme):
     Au = apply_A2k(u_infty, constants.k)
 
     def W_at(z, t, zeta):
-        return chart.cutoff.value(zeta) * chart.profile_factor * bubble_eval_zt(BubbleParams.standard(constants.N), z, t, constants)
+        return chart.cutoff.value(zeta) * chart.profile_factor * bubble_eval_zt(STANDARD, z, t, constants)
 
     def integrand(z, t):
         zeta = conf.map_zt(z, t)
@@ -156,7 +157,7 @@ def _unskipped_piece_report(chart, n, u_infty, prob, scheme):
             ]
         )
 
-    (a_n, m_n, cross_quad, coupling), _ = integrate_decaying(integrand, constants.N, scheme, constants.measure)
+    (a_n, m_n, cross_quad, coupling), _ = integrate_decaying(integrand, 1, scheme, constants.measure)
     return {
         "R_n": chart.radii[n],
         "a_n": a_n,
@@ -176,31 +177,30 @@ def _unskipped_residual_bounds(spec, n, prob, scheme):
     c_prof = chart.profile_factor
 
     def G_fn(z, t):
-        om = bubble_eval_zt(BubbleParams.standard(constants.N), z, t, constants)
+        om = bubble_eval_zt(STANDARD, z, t, constants)
         zeta = conf.map_zt(z, t)
         beta = chart.cutoff.value(zeta)
         A = conf.jacobian_zt(z, t) ** (1.0 / constants.p_star) * spec.u_infty.eval(zeta)
         h = _beta_step(z, t)
         lap = np.zeros_like(beta)
-        grad = {"X": [], "Y": []}
-        for kind, _, (zp, tp), (zm, tm) in _flow_stencil(z, t, h):
+        grad = {}
+        for kind, (zp, tp), (zm, tm) in _flow_stencil(z, t, h):
             bp, bm = beta_n(zp, tp), beta_n(zm, tm)
             lap = lap + (bp + bm - 2.0 * beta)
-            grad[kind].append((bp - bm) / (2.0 * h))
+            grad[kind] = (bp - bm) / (2.0 * h)
         gx_om, gy_om = bubble_horizontal_gradient_zt(z, t, constants)
-        gx_b, gy_b = np.stack(grad["X"], axis=-1), np.stack(grad["Y"], axis=-1)
-        cross = -0.5 * (np.sum(gx_b * gx_om, axis=-1) + np.sum(gy_b * gy_om, axis=-1))
+        cross = -0.5 * (grad["X"] * gx_om + grad["Y"] * gy_om)
         L_betaU = c_prof * (beta * om**3 - om * (lap / (4.0 * h * h)) + cross)
         W = A + c_prof * beta * om
         return A**3 + L_betaU - W**3
 
-    ub_int, _ = integrate_decaying(lambda z, t: np.abs(G_fn(z, t)) ** pbar, constants.N, scheme, constants.measure)
+    ub_int, _ = integrate_decaying(lambda z, t: np.abs(G_fn(z, t)) ** pbar, 1, scheme, constants.measure)
 
     def witness(z, t):
-        return np.exp(-0.5 * (np.sum((z * np.conj(z)).real, axis=-1) ** 2 + t * t))
+        return np.exp(-0.5 * ((z * np.conj(z)).real ** 2 + t * t))
 
     wit_scheme = ShellScheme(l0=2.0, n_shells=5, n_inner=64, n_shell=48)
-    wit_pair, _ = integrate_decaying(lambda z, t: G_fn(z, t) * witness(z, t), constants.N, wit_scheme, constants.measure)
+    wit_pair, _ = integrate_decaying(lambda z, t: G_fn(z, t) * witness(z, t), 1, wit_scheme, constants.measure)
     wit_norm = math.sqrt(dirichlet_form(witness, constants, wit_scheme))
     return {"residual_upper": float(ub_int ** (1.0 / pbar)), "residual_lower": float(abs(wit_pair) / wit_norm)}
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cryamabe.energy import BubbleParams, YamabeConstants, bubble_eval_zt, bubble_field
 from cryamabe.errors import DomainError, SingularPointError
 from cryamabe.heisenberg import (
+    KAPPA_H,
     BoxDomain,
     HaarMeasure,
     HeisPoint,
@@ -16,6 +17,7 @@ from cryamabe.heisenberg import (
     dilate_zt,
     gauge_zt,
     hermitian_im,
+    integrate_decaying,
     inv_zt,
     koranyi_ball_volume,
     mul_zt,
@@ -28,6 +30,7 @@ from cryamabe.riesz import (
     KernelSpec,
     _far_field_composition,
     _grid_symmetry_classes,
+    _horizontal_moment_constant,
     convolve,
     decay_exponent_fit,
     gaussian_bump,
@@ -40,9 +43,11 @@ from cryamabe.riesz import (
 )
 
 BOX = BoxDomain((-3.0, -3.0, -6.0), (3.0, 3.0, 6.0))
+ORIGIN = HeisPoint(0.0, 0.0)
+STANDARD = BubbleParams(1.0, ORIGIN)  # the centred unit bubble
 
 
-def fit_pv_constant(alpha: float, N: int, constants, n_points: int = 12, seed: int = 5) -> float:
+def fit_pv_constant(alpha: float, constants, n_points: int = 12, seed: int = 5) -> float:
     """Calibrate the hypersingular constant on the explicit extremal family.
 
     The fractional equation L_{2k} omega = omega^{p*-1} holds exactly for
@@ -53,32 +58,28 @@ def fit_pv_constant(alpha: float, N: int, constants, n_points: int = 12, seed: i
     if abs(constants.k - k) > 1e-12:
         raise DomainError("constants bundle must match k = alpha/2")
     rng = np.random.default_rng(seed)
-    om = bubble_field(BubbleParams.standard(N), constants)
+    om = bubble_field(STANDARD, constants)
     ratios = []
     for _ in range(n_points):
-        z = 0.8 * (rng.normal(size=N) + 1.0j * rng.normal(size=N))
+        z = 0.8 * (rng.normal() + 1.0j * rng.normal())
         t = float(rng.normal())
         pt = HeisPoint(z, t)
         raw = pv_fractional(om, alpha, pt)
-        target = float(bubble_eval_zt(BubbleParams.standard(N), z[None, :], np.asarray([t]), constants)[0]) ** (
-            constants.p_star - 1.0
-        )
+        target = float(bubble_eval_zt(STANDARD, pt.z, np.asarray(t), constants)) ** (constants.p_star - 1.0)
         if abs(raw) > 1e-14:
             ratios.append(target / raw)
     return float(np.median(ratios))
 
 
 # ---------------------------------------------------------------------------
-# dense reference (N = 1): the pair-by-pair convolution in group coordinates,
-# with loop-form sub-cell sums; full-grid output
+# dense reference: the pair-by-pair convolution in group coordinates, with
+# loop-form sub-cell sums; full-grid output
 
 
-def _ref_subcell_offsets(steps, N, subs):
+def _ref_subcell_offsets(steps, subs):
     axes = [(np.arange(s) + 0.5) / s * h - h / 2.0 for h, s in zip(steps, subs)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = [m.reshape(-1) for m in mesh]
-    z = np.stack(flat[:N], axis=-1) + 1.0j * np.stack(flat[N : 2 * N], axis=-1)
-    t = flat[2 * N]
+    x, y, t = (m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij"))
+    z = x + 1.0j * y
     return [(z[i], t[i]) for i in range(len(t))]
 
 
@@ -88,19 +89,19 @@ def _ref_power(gauge_sq, e):
 
 def _ref_sheared_diagonal(spec, steps, z_src, subs=(12, 12, 16)):
     hx, hy, ht = steps
-    a = np.abs(z_src[:, 0])
+    a = np.abs(z_src)
     rho = np.minimum(0.45 * hx, 0.45 * hy)
     rho = np.minimum(rho, -a + np.sqrt(a * a + 0.45 * ht))
-    offsets = _ref_subcell_offsets(steps, spec.N, subs)
+    offsets = _ref_subcell_offsets(steps, subs)
     subvol = hx * hy * ht / len(offsets)
     total = np.zeros(len(z_src))
     for off_z, off_t in offsets:
-        wt = -off_t - 2.0 * hermitian_im(off_z[None, :], z_src).reshape(-1)
-        gsq = np.sqrt(np.abs(off_z[0]) ** 4 + wt * wt)
+        wt = -off_t - 2.0 * hermitian_im(off_z, z_src)
+        gsq = np.sqrt(np.abs(off_z) ** 4 + wt * wt)
         outside = gsq > rho * rho
         contrib = np.where(outside, _ref_power(np.maximum(gsq, 1e-300), spec.exponent), 0.0)
         total += contrib * subvol
-    vol1 = koranyi_ball_volume(1, 1.0, HaarMeasure(1.0))
+    vol1 = koranyi_ball_volume(1.0, HaarMeasure(1.0))
     core = spec.Q * vol1 * rho ** (spec.Q + spec.exponent) / (spec.Q + spec.exponent)
     return (total + core) / (hx * hy * ht)
 
@@ -115,8 +116,8 @@ def _ref_convolve(f, spec, support_threshold=0.0):
     core_rad = max(3.5 * max(f.steps[:2]), 1.5 * sqrt_ht)
     ring_rad = max(3.2 * sqrt_ht, core_rad)
     tiers = (
-        (core_rad, _ref_subcell_offsets(f.steps, 1, (4, 4, 8))),
-        (ring_rad, _ref_subcell_offsets(f.steps, 1, (1, 1, 6))),
+        (core_rad, _ref_subcell_offsets(f.steps, (4, 4, 8))),
+        (ring_rad, _ref_subcell_offsets(f.steps, (1, 1, 6))),
     )
     sing_tol = (1e-6 * min(f.steps)) ** 2
     out = np.zeros(len(zo))
@@ -124,9 +125,9 @@ def _ref_convolve(f, spec, support_threshold=0.0):
     for c0 in range(0, len(src), chunk):
         idx = src[c0 : c0 + chunk]
         zi, ti = inv_zt(z_all[idx], t_all[idx])
-        zd = zi[:, None, :] + zo[None, :, :]
-        td = ti[:, None] + to[None, :] + 2.0 * hermitian_im(zi[:, None, :], zo[None, :, :])
-        zz = np.sum(zd.real**2 + zd.imag**2, axis=-1)
+        zd = zi[:, None] + zo[None, :]
+        td = ti[:, None] + to[None, :] + 2.0 * hermitian_im(zi[:, None], zo[None, :])
+        zz = zd.real**2 + zd.imag**2
         gsq = np.sqrt(zz * zz + td * td)
         kv = _ref_power(np.maximum(gsq, sing_tol), spec.exponent)
         lower = sing_tol
@@ -143,7 +144,7 @@ def _ref_convolve(f, spec, support_threshold=0.0):
         rows, cols = np.nonzero(gsq <= sing_tol)
         kv[rows, cols] = _ref_sheared_diagonal(spec, f.steps, z_all[idx[rows]])
         out += vals[idx] @ kv
-    return out * f.cell_volume * HaarMeasure.standard(1).kappa_H
+    return out * f.cell_volume * KAPPA_H
 
 
 def _ref_far_field(box, zo, to, mass, e_src, e_ker, measure):
@@ -157,8 +158,8 @@ def _ref_far_field(box, zo, to, mass, e_src, e_ker, measure):
     L = float(max(hw_xy, math.sqrt(max(abs(box.lo[-1]), abs(box.hi[-1])))))
     out = np.zeros(len(zo))
     chunk = max(1, _BLOCK // len(zo))
-    for _, zy, ty, cellv in shell_nodes(1, ShellScheme(2.0 * L, 7, 32, 32)):
-        xy = np.concatenate([zy.real, zy.imag], axis=-1)
+    for _, zy, ty, cellv in shell_nodes(ShellScheme(2.0 * L, 7, 32, 32)):
+        xy = np.stack([zy.real, zy.imag], axis=-1)
         inside = np.all((xy >= box.lo[:2]) & (xy <= box.hi[:2]), axis=-1) & (ty >= box.lo[-1]) & (ty <= box.hi[-1])
         zy, ty = zy[~inside], ty[~inside]
         gy = gauge_zt(zy, ty)
@@ -168,11 +169,11 @@ def _ref_far_field(box, zo, to, mass, e_src, e_ker, measure):
             xs, ys = zy[b].real, zy[b].imag
             zz = np.zeros((len(xs), len(zo)))
             for a, o in ((xs, zo.real), (ys, zo.imag)):
-                d = o[:, 0] - a
+                d = o - a[:, None]
                 d *= d
                 zz += d
-            wt = xs @ zo.imag.T
-            wt -= ys @ zo.real.T
+            wt = np.outer(xs, zo.imag)
+            wt -= np.outer(ys, zo.real)
             wt *= 2.0
             wt += to
             wt -= ty[b, None]
@@ -193,14 +194,14 @@ class TestKernels:
 
     def test_singular_point(self):
         with pytest.raises(SingularPointError):
-            kernel_eval_zt(KernelSpec(1.0, 1), np.zeros((1, 1), dtype=complex), np.zeros(1))
+            kernel_eval_zt(KernelSpec(1.0, 1), np.zeros(1, dtype=complex), np.zeros(1))
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=0.1, max_value=5.0))
     def test_homogeneity_exact(self, lam):
         spec = KernelSpec(1.5, 1, "riesz")
         rng = np.random.default_rng(0)
-        z = rng.normal(size=(10, 1)) + 1.0j * rng.normal(size=(10, 1))
+        z = rng.normal(size=10) + 1.0j * rng.normal(size=10)
         t = rng.normal(size=10)
         zl, tl = dilate_zt(lam, z, t)
         lhs = kernel_eval_zt(spec, zl, tl)
@@ -209,7 +210,7 @@ class TestKernels:
 
     def test_green_kernel_shape(self):
         spec = KernelSpec(2.0, 1)
-        assert float(kernel_eval_zt(spec, np.array([2.0 + 0j]), np.asarray(0.0))) == pytest.approx(2.0**-2, rel=1e-14)
+        assert float(kernel_eval_zt(spec, np.asarray(2.0 + 0j), np.asarray(0.0))) == pytest.approx(2.0**-2, rel=1e-14)
 
     def test_hyper_decay_slope(self):
         spec = KernelSpec(2.0, 1, "hyper")  # order 2k = 2, exponent -(Q+2k) = -6
@@ -226,7 +227,12 @@ class TestGridFields:
     def test_box_of_another_dimension_refused(self):
         # an H^2 box with an H^1 shape once took its t-axis from y_1's bounds
         with pytest.raises(DomainError):
-            gaussian_bump(BoxDomain.koranyi(2, 2.0), (8, 8, 8), 0.6)
+            gaussian_bump(BoxDomain((-2.0,) * 4 + (-4.0,), (2.0,) * 4 + (4.0,)), (8, 8, 8), 0.6)
+
+    def test_centre_of_another_group_refused(self):
+        # a centre in C^2 once broadcast against the grid: the bump summed both columns
+        with pytest.raises(DomainError):
+            gaussian_bump(BOX, (8, 8, 8), 0.5, HeisPoint([0.5, 1j], 0.0))
 
     def test_from_function_checks_its_values(self):
         # the values were assigned after the check: 256 NaN cells convolved to zeros
@@ -247,7 +253,7 @@ def _oracle_case(n, kind, field):
     if field == "centred":
         f = gaussian_bump(BOX, shape, width=0.6)
     elif field == "off_centre":
-        f = gaussian_bump(BOX, shape, width=0.5, center=HeisPoint([0.7 - 0.4j], 0.9))
+        f = gaussian_bump(BOX, shape, width=0.5, center=HeisPoint(0.7 - 0.4j, 0.9))
     else:
         vals = np.zeros(shape)
         vals[n // 2 - 1, n // 2 + 2, n // 2 + 1] = 1.0
@@ -289,7 +295,7 @@ class TestConvolution:
     def test_linearity_exact(self):
         spec = KernelSpec(1.0, 1)
         f = gaussian_bump(BOX, (12, 12, 12), width=0.8)
-        g = gaussian_bump(BOX, (12, 12, 12), width=0.5, center=HeisPoint([0.5 + 0j], 0.0))
+        g = gaussian_bump(BOX, (12, 12, 12), width=0.5, center=HeisPoint(0.5 + 0j, 0.0))
         combo = GridFieldH(BOX, 2.0 * f.values - 3.0 * g.values)
         out = convolve(combo, spec)
         ref = 2.0 * convolve(f, spec).values - 3.0 * convolve(g, spec).values
@@ -307,18 +313,19 @@ class TestConvolution:
         far = np.abs(t - src_t) > 3.0
         from cryamabe.heisenberg import dist_zt
 
-        d = dist_zt(z[far], t[far], np.full((far.sum(), 1), src_z), np.full(far.sum(), src_t))
+        d = dist_zt(z[far], t[far], np.full(far.sum(), src_z), np.full(far.sum(), src_t))
         expected = 4.0 * f.cell_volume * d**-3.0
         assert np.max(np.abs(out.values.reshape(-1)[far] - expected) / expected) < 0.05
 
     @pytest.mark.parametrize(
-        "grid_N, spec",
-        [(1, KernelSpec(1.0, 2)), (2, KernelSpec(1.0, 2)), (1, KernelSpec(1.0, 1, "hyper"))],
+        "grid_N, kernel_N, kind",
+        [(1, 2, "riesz"), (2, 1, "riesz"), (1, 1, "hyper")],
         ids=["kernel_N2", "grid_N2", "hyper"],
     )
-    def test_unsupported_kernel_refused_before_work(self, grid_N, spec, monkeypatch):
+    def test_unsupported_kernel_refused_before_work(self, grid_N, kernel_N, kind, monkeypatch):
         # the kernel tables and the sheared singular cell are written for
-        # H^1, and a hypersingular kernel is not locally integrable
+        # H^1, and a hypersingular kernel is not locally integrable.  A kernel
+        # on H^2 is refused when its spec is built, an H^2 grid when it is built
         import cryamabe.riesz as rz
 
         def no_work(*args, **kwargs):
@@ -326,9 +333,8 @@ class TestConvolution:
 
         monkeypatch.setattr(rz, "_toeplitz_sum", no_work)
         n = 2 * grid_N + 1
-        # an H^2 grid is refused when it is built
         with pytest.raises(DomainError):
-            convolve(gaussian_bump(BoxDomain((-3.0,) * n, (3.0,) * n), (8,) * n), spec)
+            convolve(gaussian_bump(BoxDomain((-3.0,) * n, (3.0,) * n), (8,) * n), KernelSpec(1.0, kernel_N, kind))
 
     def test_riesz_order_guard(self):
         # an order outside (0, Q) is refused when the spec is built, so no
@@ -378,7 +384,7 @@ class TestSemigroup:
         cols = rng.choice(n * n, n_out // 2, replace=False)
         levels = np.stack([rng.choice(n, 2, replace=False) for _ in cols])
         sub = rng.permutation((cols[:, None] * n + levels).reshape(-1))
-        args = (box, z_all[sub], t_all[sub], 1.7, -3.0, -3.0, HaarMeasure.standard(1))
+        args = (box, z_all[sub], t_all[sub], 1.7, -3.0, -3.0, HaarMeasure())
         assert np.array_equal(_far_field_composition(*args), _ref_far_field(*args))
 
     def test_small_grid_shape_agreement(self):
@@ -409,7 +415,7 @@ class TestGreenInversion:
         ht = 12.0 / shape[2]
         centered = green_inversion_check(gaussian_bump(BOX, shape, width=0.6), margin=3)
         shifted = green_inversion_check(
-            gaussian_bump(BOX, shape, width=0.6, center=HeisPoint([0.0j], 2 * ht)), margin=3
+            gaussian_bump(BOX, shape, width=0.6, center=HeisPoint(0.0j, 2 * ht)), margin=3
         )
         assert shifted["constant"] == pytest.approx(centered["constant"], rel=0.02)
 
@@ -417,7 +423,7 @@ class TestGreenInversion:
         # generic shifts break lattice alignment; agreement is limited by the
         # t-anisotropy of the cells and tightens under refinement
         shape = (32, 32, 64)
-        shifted = gaussian_bump(BOX, shape, width=0.6, center=HeisPoint([0.4 + 0.2j], 0.5))
+        shifted = gaussian_bump(BOX, shape, width=0.6, center=HeisPoint(0.4 + 0.2j, 0.5))
         rep_shift = green_inversion_check(shifted, margin=4)
         centered = green_inversion_check(
             gaussian_bump(BOX, shape, width=0.6), margin=4, centered_radial=True
@@ -433,45 +439,56 @@ class TestGreenInversion:
 class TestPrincipalValue:
     def test_constant_annihilated(self):
         const = lambda z, t: np.ones_like(t)
-        assert pv_fractional(const, 1.0, HeisPoint([0.2 + 0.1j], 0.3)) == 0.0
+        assert pv_fractional(const, 1.0, HeisPoint(0.2 + 0.1j, 0.3)) == 0.0
 
     def test_interior_maximum_sign(self):
-        bump = lambda z, t: np.exp(-(np.sum((z * np.conj(z)).real, -1) ** 2 + t * t))
-        val, sens = pv_fractional(bump, 1.0, HeisPoint.origin(1), return_sensitivity=True)
+        bump = lambda z, t: np.exp(-(np.abs(z) ** 4 + t * t))
+        val, sens = pv_fractional(bump, 1.0, ORIGIN, return_sensitivity=True)
         assert val > 0
         assert sens < 0.05 * val
 
     def test_alpha_range_guard(self):
         const = lambda z, t: np.ones_like(t)
         with pytest.raises(DomainError):
-            pv_fractional(const, 2.5, HeisPoint.origin(1))
+            pv_fractional(const, 2.5, ORIGIN)
 
     def test_other_N_refused_before_work(self, monkeypatch):
-        # the H^2 inner shell alone walks 96^5 nodes
+        # the H^2 inner shell alone walks 96^5 nodes; a point of H^2 is not a point
         import cryamabe.riesz as rz
 
         def no_work(*args, **kwargs):
             raise AssertionError("the PV operator started work before refusing N")
 
         monkeypatch.setattr(rz, "shell_nodes", no_work)
-        monkeypatch.setattr(rz, "integrate_decaying", no_work)
         const = lambda z, t: np.ones_like(t)
         with pytest.raises(DomainError):
-            pv_fractional(const, 1.0, HeisPoint.origin(2))
+            pv_fractional(const, 1.0, HeisPoint(np.zeros(2), 0.0))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+    def test_core_moment_closed_form(self, alpha):
+        # the closed form against the quadrature it replaced: one annulus
+        # 1/2 < gauge <= 1 on the 96-cell unit box, summed geometrically over
+        # the dyadic annuli (ratio 2^(alpha-2)); it reads 4e-4 to 6e-4 high
+        def annulus_density(z, t):
+            g = gauge_zt(z, t)
+            return np.where((g > 0.5) & (g <= 1.0), np.abs(z) ** 2 * g ** (-(4 + alpha)), 0.0)
+
+        annulus, _ = integrate_decaying(annulus_density, 1, ShellScheme(1.0, 1, 96, 96))
+        quadrature = annulus / (1.0 - 2.0 ** (alpha - 2.0))
+        closed = _horizontal_moment_constant(alpha)
+        assert closed == 4.0 * math.pi * KAPPA_H / (2.0 - alpha)
+        assert abs(quadrature - closed) <= 1e-3 * closed
 
     def test_extremal_family_calibration(self):
         consts = YamabeConstants.create(1, 0.5)
-        c_fit = fit_pv_constant(1.0, 1, consts, n_points=6)
+        c_fit = fit_pv_constant(1.0, consts, n_points=6)
         rng = np.random.default_rng(3)
-        om = bubble_field(BubbleParams.standard(1), consts)
+        om = bubble_field(STANDARD, consts)
         rels = []
         for _ in range(4):
-            z = 0.7 * (rng.normal(size=1) + 1.0j * rng.normal(size=1))
-            t = float(rng.normal())
-            lhs = c_fit * pv_fractional(om, 1.0, HeisPoint(z, t))
-            rhs = float(
-                bubble_eval_zt(BubbleParams.standard(1), z[None, :], np.asarray([t]), consts)[0]
-            ) ** (consts.p_star - 1.0)
+            p = HeisPoint(0.7 * (rng.normal() + 1.0j * rng.normal()), float(rng.normal()))
+            lhs = c_fit * pv_fractional(om, 1.0, p)
+            rhs = float(bubble_eval_zt(STANDARD, p.z, np.asarray(p.t), consts)) ** (consts.p_star - 1.0)
             rels.append(abs(lhs - rhs) / rhs)
         assert max(rels) < 0.05
 
@@ -479,15 +496,14 @@ class TestPrincipalValue:
         # alpha -> 2 cross-check against the local operator; low accuracy by
         # construction, so the aggregate comparison is recorded, not pinned
         consts = YamabeConstants.create(1, 0.95)
-        c_fit = fit_pv_constant(1.9, 1, consts, n_points=5)
-        bump = lambda z, t: np.exp(-(np.sum((z * np.conj(z)).real, -1) ** 2 + t * t))
+        c_fit = fit_pv_constant(1.9, consts, n_points=5)
+        bump = lambda z, t: np.exp(-(np.abs(z) ** 4 + t * t))
         rng = np.random.default_rng(4)
         lhs, rhs = [], []
         for _ in range(6):
-            z = 0.5 * (rng.normal(size=1) + 1.0j * rng.normal(size=1))
-            t = 0.5 * float(rng.normal())
-            lhs.append(c_fit * pv_fractional(bump, 1.9, HeisPoint(z, t)))
-            rhs.append(float(-sub_laplacian(bump, z[None, :], np.asarray([t]), h=1e-3)[0]))
+            p = HeisPoint(0.5 * (rng.normal() + 1.0j * rng.normal()), 0.5 * float(rng.normal()))
+            lhs.append(c_fit * pv_fractional(bump, 1.9, p))
+            rhs.append(float(-sub_laplacian(bump, p.z, np.asarray(p.t), h=1e-3)))
         lhs, rhs = np.asarray(lhs), np.asarray(rhs)
         aggregate = float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
         assert aggregate < 0.5  # regression guard only

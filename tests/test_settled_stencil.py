@@ -29,13 +29,13 @@ def test_settled_nodes_have_an_exactly_constant_cutoff(n, step):
     # the default reach of both reports on coarse grids
     scheme = replace(ShellScheme.reaching(4.0 / LADDER[n]), n_inner=24, n_shell=16)
     n_one = n_zero = 0
-    for _, z, t, _ in shell_nodes(1, scheme):
+    for _, z, t, _ in shell_nodes(scheme):
         zeta = conf.map_zt(z, t)
         h = step(z, t)
         one, zero = _settled_nodes(chart, n, zeta, h)
         assert not np.any(one & zero)
         betas = [cut.value(zeta)]
-        for _, _, (zp, tp), (zm, tm) in _flow_stencil(z, t, h):
+        for _, (zp, tp), (zm, tm) in _flow_stencil(z, t, h):
             betas += [cut.value(conf.map_zt(zp, tp)), cut.value(conf.map_zt(zm, tm))]
         for beta in betas:
             assert np.all(beta[one] == 1.0)
