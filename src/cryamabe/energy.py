@@ -85,7 +85,7 @@ def constant_solution(N: int, k: float) -> float:
 
 @dataclass(frozen=True)
 class YamabeConstants:
-    """All normalization-dependent constants for one (N, k) configuration; :attr:`measure` is that of H^1."""
+    """All normalization-dependent constants for one k on H^1; :attr:`measure` is that of H^1, so N = 1 only."""
 
     N: int
     k: float
@@ -118,6 +118,7 @@ class YamabeConstants:
         )
 
     def __post_init__(self):
+        _only_h1(self.N)
         if self.Q != 2 * self.N + 2 or not (0 < 2 * self.k < self.Q):
             raise DomainError("invalid (N, k, Q)")
         expect = (self.k / self.Q) * self.C_S ** (-self.Q / (2 * self.k))

@@ -12,16 +12,20 @@ an analytic core.  A grid field is a 3-d box of H^1 and its values, checked
 once when it is built; the grid code and the PV operator are written for H^1.
 
 The grid quadrature is written in w = y^{-1} x: every pair weight is the
-midpoint kernel K(w) or a sub-cell average of K(d^{-1} w).  Since t is the
-centre of H^1, w depends on t_x and t_y only through t_x - t_y, so on each
-pair of grid columns the weights are Toeplitz in the level difference and are
-tabulated once per (source column, output column, level difference).  The
-singular cell x = y is the only term that depends on z_y itself.
+midpoint kernel K(w) or a sub-cell average of K(d^{-1} w); on the ring around
+the core that average splits t only, so it is a mean over t_w - d_t at fixed
+|z_w|^2.  Since t is the centre of H^1, w depends on t_x and t_y only through
+t_x - t_y, so on each pair of grid columns the weights are Toeplitz in the
+level difference.  They are tabulated once per (output column, source column,
+level) in regular blocks, and each block is summed by matrix products with
+the level-reversed source field.  The singular cell x = y is the only
+term that depends on z_y itself.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +87,10 @@ class KernelSpec:
         return self.alpha - self.Q
 
 
-# Values per work array: table entries or (source, output) pairs per block,
-# and entry x offset values per block of sub-cell averaging; both keep the
-# working set of a block in cache.
+# Values per work array: table entries or Hankel-matrix entries per block of
+# the convolution, far-field (node, output) pairs per chunk, and entry x offset
+# values per block of sub-cell averaging; each keeps a block's working set in
+# cache.
 _BLOCK = 1 << 15
 _SUB = 1 << 14
 
@@ -122,6 +127,25 @@ def _offset_gauge_sq(wx: Array, wy: Array, wt: Array, sx: Array, sy: Array, offs
     tt *= tt
     tt += zz[:, :, None]
     return np.sqrt(tt, out=tt)
+
+
+def _t_mean(spec: KernelSpec, zz: Array, wt: Array, dt: Array) -> Array:
+    """Mean of the kernel at (|z_w|^2, t_w - d) over the vertical offsets d, for each entry w.
+
+    A t-only sub-cell split has no horizontal offsets, so the twist term of
+    d^{-1} w vanishes and only |z_w|^2 and t_w enter.  The work arrays are
+    laid out (offset, entry), so every operation runs along a row of entries.
+    """
+    total = np.empty(len(wt))
+    step = max(1, _SUB // len(dt))
+    for a in range(0, len(wt), step):
+        b = slice(a, a + step)
+        zz4 = zz[b] * zz[b]
+        tt = wt[b] - dt[:, None]
+        tt *= tt
+        tt += zz4
+        total[b] = _gauge_sq_power(np.sqrt(tt, out=tt), spec.exponent).sum(axis=0)
+    return total / len(dt)
 
 
 def _subcell_mean(spec: KernelSpec, wx: Array, wy: Array, wt: Array, offsets) -> Array:
@@ -283,19 +307,26 @@ def convolve(
     diagonal; the PV route handles it) is refused before any work.
     ``out_indices`` restricts the output to a flat subset of grid points, a
     1-D integer array of in-range indices; anything else is refused.
-    Only source cells with |f| > support_threshold * max|f| contribute.
+    Only source cells with |f| > support_threshold * max|f| contribute; a
+    threshold outside [0, 1) is refused, since from 1 on no cell passes.
 
     Each weight is the midpoint kernel K(w) at w = y^{-1} x or, near the
     singularity, a sub-cell average of K(d^{-1} w), since the sub-cell y . d
-    is seen from x at (y . d)^{-1} x = d^{-1} w.  As t is central, on a pair of
-    grid columns these weights are Toeplitz in the level difference: each is
-    evaluated once per (source column, output column, level difference) and
-    the sum over t reads from that table.  The singular cell x = y is the only
-    weight that depends on z_y itself (``_sheared_diagonal``), one value per
-    column.  Full-grid, subset and symmetry-class outputs share this path.
+    is seen from x at (y . d)^{-1} x = d^{-1} w; on the ring around the core
+    the split is in t only, and the average is the mean of K at
+    (|z_w|^2, t_w - d_t) (``_t_mean``).  As t is central, on a pair of grid
+    columns these weights are Toeplitz in the level difference: each is
+    evaluated once per (output column, source column, level difference), in
+    a regular table per block of columns, and the sum over t is one matrix
+    product of that table with the Hankel matrix of the level-reversed
+    source field.  The singular cell x = y is the only weight that depends
+    on z_y itself (``_sheared_diagonal``), one value per column.  Full-grid,
+    subset and symmetry-class outputs share this path.
     """
     if spec.kind != "riesz":
         raise DomainError(f"grid convolution needs a riesz kernel, got {spec.kind!r}")
+    if not 0.0 <= support_threshold < 1.0:
+        raise DomainError(f"support threshold must lie in [0, 1), got {support_threshold!r}")
     n_all = f.values.size
     if out_indices is None:
         out_idx = np.arange(n_all)
@@ -336,84 +367,130 @@ def _grid_columns(flat: Array, nt: int, n_cols: int) -> tuple[Array, Array, Arra
     return cols, ci, k, k_lo, k_hi
 
 
-def _toeplitz_sum(f: GridFieldH, spec: KernelSpec, vals: Array, src: Array, out_idx: Array, out: Array) -> None:
-    """out[o] += sum over sources s of vals[s] K(s, o), via per-column-pair tables in the level difference.
+def _near_entries(gsq: Array, zz: Array, reach: Array, ring_sq: float) -> tuple[Array, Array, Array]:
+    """The entries of a table with gsq <= ring_sq, found by scanning near column pairs only.
 
-    A block of output columns is taken at a time; for every (source column,
-    output column) pair its table covers the level differences from the
-    lowest to the highest pairing of the two columns' levels.
+    ``gsq`` is a (output column, source column, level) table of squared
+    gauges, ``zz`` the |z_w|^2 of each column pair and ``reach`` the last
+    level each pair's sums read.  The squared gauge is at least |z_w|^2, so no
+    pair with |z_w|^2 > ring_sq holds such an entry.  Returns their flat
+    table indices, their values and the flat (output, source) index of each
+    entry's column pair.
+    """
+    length = gsq.shape[-1]
+    pair = np.flatnonzero(zz <= ring_sq)
+    near = gsq.reshape(-1, length)[pair]
+    mask = near <= ring_sq
+    mask &= np.arange(length) <= reach.reshape(-1)[pair, None]
+    hit = np.flatnonzero(mask)
+    counts = np.count_nonzero(mask, axis=1)
+    e = hit + np.repeat((pair - np.arange(len(pair))) * length, counts)
+    return e, near.reshape(-1)[hit], np.repeat(pair, counts)
+
+
+def _hankel(rev: Array, n_out: int, length: int) -> Array:
+    """H[(s, i), a] = rev[s, i - a], zero where i - a is no level of rev, as a (S * length, n_out) matrix.
+
+    A table row (s, i) times H sums, for each output level a, the levels
+    a .. a + n_lev - 1 against the level-reversed source field ``rev``.  For
+    one output level H is ``rev`` itself.
+    """
+    if n_out == 1:
+        return rev.reshape(-1, 1)
+    padded = np.zeros((len(rev), length + n_out - 1))
+    padded[:, n_out - 1 : n_out - 1 + rev.shape[1]] = rev
+    return padded[:, np.add.outer(np.arange(length), np.arange(n_out - 1, -1, -1))].reshape(-1, n_out)
+
+
+def _toeplitz_sum(f: GridFieldH, spec: KernelSpec, vals: Array, src: Array, out_idx: Array, out: Array) -> None:
+    """out[o] += sum over sources s of vals[s] K(s, o), via tables in the level difference.
+
+    Output columns are taken in blocks of similar level span, widest first,
+    and source columns in chunks.  A block's table has axes (output column,
+    source column, level i): level i of the column pair (s, o) holds the
+    weight at level difference k_o - k_s = ko_lo - ks_hi + i: t_w is
+    (ko_lo - ks_hi + i) h_t, read per pair as a window of one row of level
+    differences, plus the pair's twist.  Output level ko_lo + a thus reads
+    levels a .. a + n_lev - 1 against the source column reversed in level
+    (j = ks_hi - k_s), so each chunk of the block contracts as one matrix
+    product with the Hankel matrix of the reversed field (``_hankel``).  The
+    table and that matrix each stay within _BLOCK entries.
     """
     nt, steps = f.shape[-1], f.steps
     cx, cy = (m.reshape(-1) for m in np.meshgrid(*f.axes()[:2], indexing="ij"))
     cs, s_ci, s_k, ks_lo, ks_hi = _grid_columns(src, nt, len(cx))
     co, o_ci, o_k, ko_lo, ko_hi = _grid_columns(out_idx, nt, len(cx))
     span_s, span_o = ks_hi - ks_lo, ko_hi - ko_lo
-    counts = np.bincount(o_ci, minlength=len(co))
-    order = np.argsort(o_ci, kind="stable")
-    o_start = np.concatenate(([0], np.cumsum(counts)))
+    n_s, n_lev = len(cs), int(span_s.max()) + 1
+    rev = np.zeros((n_s, n_lev))
+    rev[s_ci, ks_hi[s_ci] - s_k] = vals[src]
+    # (k_o - k_s) h_t for every level difference a table can hold, from 1 - n_t on
+    d_ht = np.arange(1 - nt, 2 * nt + n_lev) * steps[-1]
 
     # midpoint kernel values are biased near the singularity: coordinate cells
     # are tall in gauge geometry (height ~ sqrt(h_t)) and the group twist
     # shears their t-extent by ~ 2 |dz| |z|.  Two correction tiers replace the
     # midpoint by sub-cell averages with exact group displacements -- a full
     # (4,4,8) split on the core, a t-only split on the surrounding ring where
-    # only the vertical variation still matters -- and the singular cell gets
-    # the sheared average with an analytic core (_sheared_diagonal).
+    # only the vertical variation still matters (``_t_mean``) -- and the
+    # singular cell gets the sheared average with an analytic core
+    # (_sheared_diagonal).
     sqrt_ht = steps[-1] ** 0.5
     core_rad = max(3.5 * max(steps[:2]), 1.5 * sqrt_ht)
     ring_rad = max(3.2 * sqrt_ht, core_rad)
-    tiers = (
-        (core_rad, _subcell_offsets(steps, (4, 4, 8))),
-        (ring_rad, _subcell_offsets(steps, (1, 1, 6))),
-    )
+    core_sq, ring_sq = core_rad * core_rad, ring_rad * ring_rad
+    core_offsets = _subcell_offsets(steps, (4, 4, 8))
+    ring_dt = _subcell_offsets(steps, (1, 1, 6))[2]
     sing_tol = (1e-6 * min(steps)) ** 2
-    diag = np.zeros(len(cs))
+    diag = np.zeros(n_s)
     own = np.isin(cs, co)
     if np.any(own):
         diag[own] = _sheared_diagonal(spec, steps, cx[cs[own]], cy[cs[own]])
 
-    # output columns in blocks of bounded table size and pair count
-    cost = np.maximum(len(cs) * (span_o + 1) + span_s.sum(), len(src) * counts)
-    before = np.cumsum(cost) - cost
-    edges = np.concatenate(([0], np.flatnonzero(np.diff(before // _BLOCK)) + 1, [len(co)]))
-    v_src = vals[src]
-    for j0, j1 in zip(edges[:-1], edges[1:]):
-        nb = j1 - j0
-        zz, twist = _pair_w(cx[cs], cy[cs], cx[co[j0:j1]], cy[co[j0:j1]])
-        lo = ko_lo[None, j0:j1] - ks_hi[:, None]
-        length = (span_o[None, j0:j1] + span_s[:, None] + 1).ravel()
-        # table index of level difference 0 for each column pair
-        zero_at = np.cumsum(length) - length - lo.ravel()
-        pair = np.repeat(np.arange(len(length)), length)
-        wt = np.arange(len(pair)) - zero_at[pair]
-        wt = wt * steps[-1] + twist.ravel()[pair]
-        gsq = zz.ravel()[pair]
-        gsq *= gsq
-        gsq += wt * wt
-        np.sqrt(gsq, out=gsq)
-        table = _gauge_sq_power(np.maximum(gsq, sing_tol), spec.exponent)
-        lower = sing_tol
-        for rad, offsets in tiers:
-            band = np.flatnonzero((gsq > lower) & (gsq <= rad * rad))
-            lower = rad * rad
-            if len(band):
-                ps, po = np.divmod(pair[band], nb)
-                wx = cx[co[j0 + po]] - cx[cs[ps]]
-                wy = cy[co[j0 + po]] - cy[cs[ps]]
-                table[band] = _subcell_mean(spec, wx, wy, wt[band], offsets)
-        sing = np.flatnonzero(gsq <= sing_tol)
-        table[sing] = diag[pair[sing] // nb]
-        # the pair (s, o) reads its column pair's table at level difference k_o - k_s
-        zero_at = zero_at.reshape(len(cs), nb)
-        sel = order[o_start[j0] : o_start[j1]]
-        o_rel, ko = o_ci[sel] - j0, o_k[sel]
-        step = max(1, _BLOCK // len(sel))
-        for a in range(0, len(src), step):
-            b = slice(a, a + step)
-            idx = zero_at[s_ci[b]][:, o_rel]
-            idx += ko
-            idx -= s_k[b, None]
-            out[sel] += v_src[b] @ table[idx]
+    col_order = np.argsort(-span_o, kind="stable")
+    spans = span_o[col_order]
+    rank = np.empty(len(co), dtype=np.int64)
+    rank[col_order] = np.arange(len(co))
+    o_row, o_a = rank[o_ci], o_k - ko_lo[o_ci]
+    pt_order = np.argsort(o_row, kind="stable")
+    p_start = np.concatenate(([0], np.cumsum(np.bincount(o_ci, minlength=len(co))[col_order])))
+    b0 = 0
+    while b0 < len(co):
+        n_out = spans[b0] + 1
+        length = n_out + n_lev - 1
+        s_step = max(1, min(n_s, _BLOCK // (length * n_out)))
+        # a block holds columns of at least half its widest span, so that no
+        # column pays for a table much longer than its own
+        last = np.searchsorted(-spans, -(spans[b0] // 2), side="right")
+        b1 = min(last, b0 + max(1, _BLOCK // (length * s_step)))
+        cols = col_order[b0:b1]
+        d_win = np.lib.stride_tricks.as_strided(d_ht, (len(d_ht) - length + 1, length), d_ht.strides * 2)
+        res = np.zeros((len(cols), n_out))
+        for s0 in range(0, n_s, s_step):
+            sb = slice(s0, s0 + s_step)
+            zz, twist = (np.ascontiguousarray(a.T) for a in _pair_w(cx[cs[sb]], cy[cs[sb]], cx[co[cols]], cy[co[cols]]))
+            wt = d_win[ko_lo[cols, None] - ks_hi[None, sb] + (nt - 1)]
+            wt += twist[:, :, None]
+            gsq = wt * wt
+            gsq += (zz * zz)[:, :, None]
+            np.sqrt(gsq, out=gsq)
+            reach = span_o[cols, None] + span_s[None, sb]
+            e, g, of_pair = _near_entries(gsq, zz, reach, ring_sq)
+            table = _gauge_sq_power(np.maximum(gsq, sing_tol, out=gsq), spec.exponent)
+            flat, wt = table.reshape(-1), wt.reshape(-1)
+            core = (g > sing_tol) & (g <= core_sq)
+            po, ps = np.divmod(of_pair[core], zz.shape[1])
+            wx = cx[co[cols[po]]] - cx[cs[s0 + ps]]
+            wy = cy[co[cols[po]]] - cy[cs[s0 + ps]]
+            flat[e[core]] = _subcell_mean(spec, wx, wy, wt[e[core]], core_offsets)
+            ring = g > core_sq
+            flat[e[ring]] = _t_mean(spec, zz.reshape(-1)[of_pair[ring]], wt[e[ring]], ring_dt)
+            sing = g <= sing_tol
+            flat[e[sing]] = diag[s0 + of_pair[sing] % zz.shape[1]]
+            res += table.reshape(len(cols), -1) @ _hankel(rev[sb], n_out, length)
+        sel = pt_order[p_start[b0] : p_start[b1]]
+        out[sel] += res[o_row[sel] - b0, o_a[sel]]
+        b0 = b1
 
 
 def _far_field_composition(
@@ -506,6 +583,12 @@ def _grid_symmetry_classes(shape: tuple[int, ...]) -> tuple[Array, Array]:
     return first, inverse
 
 
+def _check_count(value, what: str) -> None:
+    """Refuse a count that is not an integer >= 1; a bool is no count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise DomainError(f"{what} must be an integer >= 1, got {value!r}")
+
+
 def semigroup_check(
     shape: tuple[int, ...] = (64, 64, 64),
     half_widths: tuple[float, float] = (4.0, 8.0),
@@ -525,8 +608,7 @@ def semigroup_check(
     per axis with 2 finite positive half-widths (x = y, t) is refused before
     any work.
     """
-    if n_eval < 1:
-        raise DomainError("semigroup check needs n_eval >= 1 evaluation points")
+    _check_count(n_eval, "semigroup check n_eval")
     shape, (hw, hwt) = _check_grid(shape, half_widths)
     box = BoxDomain((-hw, -hw, -hwt), (hw, hw, hwt))
     f = gaussian_bump(box, shape, width=0.85)
@@ -687,8 +769,7 @@ def mapping_bound_probe(
     (the sharp constant is not modeled); the probe reports the max and spread
     of the ratios.
     """
-    if n_bumps < 1:
-        raise DomainError("mapping bound probe needs n_bumps >= 1")
+    _check_count(n_bumps, "mapping bound probe n_bumps")
     if not (math.isfinite(q) and q >= 1.0):
         raise DomainError(f"mapping bound probe needs a finite exponent q >= 1, got {q}")
     inv_p = 1.0 / q - alpha / 4

@@ -65,6 +65,12 @@ class TestExponentsAndConstants:
         alt = (0.5 - 1.0 / consts.p_star) * consts.u0**consts.p_star * consts.total_mass
         assert consts.C_E == pytest.approx(alt, rel=1e-13)
 
+    def test_other_N_refused(self):
+        # the bundle's measure is that of H^1 (kappa_H = 4); on H^2 it would
+        # need 32, so a bundle for N = 2 is refused rather than carrying it
+        with pytest.raises(DomainError):
+            YamabeConstants.create(2, 1.0)
+
 
 class TestBubbles:
     def test_center_value(self):

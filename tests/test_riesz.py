@@ -31,6 +31,10 @@ from cryamabe.riesz import (
     _far_field_composition,
     _grid_symmetry_classes,
     _horizontal_moment_constant,
+    _pair_w,
+    _subcell_mean,
+    _subcell_offsets,
+    _t_mean,
     convolve,
     decay_exponent_fit,
     gaussian_bump,
@@ -336,6 +340,68 @@ class TestConvolution:
         with pytest.raises(DomainError):
             convolve(gaussian_bump(BoxDomain((-3.0,) * n, (3.0,) * n), (8,) * n), KernelSpec(1.0, kernel_N, kind))
 
+    @pytest.mark.parametrize("threshold", [1.0, 2.0, math.nan, -0.5])
+    def test_support_threshold_refused_before_work(self, threshold, monkeypatch):
+        # from 1 on no cell passes |v| > t max|v| and the output was all zero;
+        # a negative threshold acted as 0
+        import cryamabe.riesz as rz
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the convolution started work before refusing the threshold")
+
+        monkeypatch.setattr(rz, "_toeplitz_sum", no_work)
+        with pytest.raises(DomainError):
+            convolve(gaussian_bump(BOX, (8, 8, 8), 0.6), KernelSpec(1.0), support_threshold=threshold)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0], ids=["riesz", "green"])
+    def test_ring_is_a_t_only_average(self, alpha):
+        # the ring tier's (1, 1, 6) split has no horizontal offset, so its mean
+        # needs only |z_w|^2 and t_w; it must equal the general sub-cell mean
+        # bit for bit, including at z_w = 0 and t_w = +-0
+        spec = KernelSpec(alpha)
+        grid = GridFieldH(BOX, np.zeros((24, 24, 16)))
+        steps, axes = grid.steps, grid.axes()
+        rng = np.random.default_rng(7)
+        n = 4000
+        xs, ys, xo, yo = (rng.choice(axes[i % 2], n) for i in range(4))
+        xo[:200], yo[:200] = xs[:200], ys[:200]
+        zz, twist = (np.diagonal(a).copy() for a in _pair_w(xs, ys, xo, yo))
+        wt = rng.integers(-8, 9, n) * steps[-1] + twist
+        wt[:100], wt[100:200] = 0.0, -0.0
+        got = _t_mean(spec, zz, wt, _subcell_offsets(steps, (1, 1, 6))[2])
+        ref = _subcell_mean(spec, xo - xs, yo - ys, wt, _subcell_offsets(steps, (1, 1, 6)))
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("outputs", ["full", "subset", "classes"])
+    def test_near_pair_scan_matches_full_scan(self, outputs, monkeypatch):
+        # every table entry a tier or the singular cell can take has
+        # gsq <= ring_rad^2; scanning the near column pairs only must find
+        # exactly the entries a scan of the whole table finds
+        import cryamabe.riesz as rz
+
+        scanned, near_entries = [], rz._near_entries
+
+        def checked(gsq, zz, reach, ring_sq):
+            found = near_entries(gsq, zz, reach, ring_sq)
+            length = gsq.shape[-1]
+            full = np.flatnonzero((gsq <= ring_sq) & (np.arange(length) <= reach[:, :, None]))
+            assert np.array_equal(found[0], full)
+            assert np.array_equal(found[1], gsq.reshape(-1)[full])
+            assert np.array_equal(found[2], full // length)
+            scanned.append(len(full))
+            return found
+
+        monkeypatch.setattr(rz, "_near_entries", checked)
+        f = gaussian_bump(BOX, (16, 16, 16), width=0.5, center=HeisPoint(0.7 - 0.4j, 0.9))
+        if outputs == "full":
+            convolve(f, KernelSpec(1.0), support_threshold=1e-9)
+        else:
+            idx = np.random.default_rng(3).choice(16**3, 128, replace=False)
+            if outputs == "classes":
+                idx = _grid_symmetry_classes(f.shape)[0]
+            convolve(f, KernelSpec(2.0), out_indices=idx, support_threshold=1e-9)
+        assert sum(scanned) > 0
+
     def test_riesz_order_guard(self):
         # an order outside (0, Q) is refused when the spec is built, so no
         # convolution starts with it; the endpoints are outside for every kind
@@ -347,9 +413,17 @@ class TestConvolution:
 
 
 class TestSemigroup:
-    def test_needs_evaluation_points(self):
-        with pytest.raises(DomainError):
-            semigroup_check(shape=(16, 16, 16), n_eval=0)
+    def test_needs_evaluation_points(self, monkeypatch):
+        # 2.5 and True raised numpy's TypeError after the inner convolution
+        import cryamabe.riesz as rz
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the semigroup check started work before refusing n_eval")
+
+        monkeypatch.setattr(rz, "gaussian_bump", no_work)
+        for n_eval in (0, -3, 2.5, True, 4.0):
+            with pytest.raises(DomainError):
+                semigroup_check(shape=(16, 16, 16), n_eval=n_eval)
 
     @pytest.mark.parametrize(
         "grid",
@@ -515,9 +589,17 @@ class TestMappingBound:
         assert math.isfinite(rep["max_ratio"]) and rep["max_ratio"] > 0
         assert rep["spread"] < 3.0
 
-    def test_needs_a_bump(self):
-        with pytest.raises(DomainError):
-            mapping_bound_probe(1.0, q=2.0, n_bumps=0)
+    def test_needs_a_bump(self, monkeypatch):
+        # 2.5 raised Python's TypeError from range()
+        import cryamabe.riesz as rz
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the probe started work before refusing n_bumps")
+
+        monkeypatch.setattr(rz, "gaussian_bump", no_work)
+        for n_bumps in (0, 2.5, True, 3.0):
+            with pytest.raises(DomainError):
+                mapping_bound_probe(1.0, q=2.0, n_bumps=n_bumps)
 
     def test_exponent_relation_guard(self):
         with pytest.raises(DomainError):
