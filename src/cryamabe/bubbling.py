@@ -37,7 +37,6 @@ from .heisenberg import (
     _flow_stencil,
     _stencil_settled,
     _sum_last,
-    gauge_zt,
     integrate_decaying,
     sub_laplacian,
     vector_field,
@@ -200,10 +199,6 @@ def ps_term(spec: PSSequenceSpec, n: int, prob: YamabeProblem) -> SpectralFuncti
 
 # ---------------------------------------------------------------------------
 # transported energy bookkeeping
-
-
-def _beta_step(z, t):
-    return 0.02 * (1.0 + gauge_zt(z, t))
 
 
 def _restrict(mask: Array, *arrays: Array) -> tuple[Array, ...]:
@@ -418,7 +413,7 @@ def residual_report(
 
     def G_fn(z, t):
         zeta = conf.map_zt(z, t)
-        h = _beta_step(z, t)
+        h = _dirichlet_step(z, t, 0.02)
         one, zero = _settled_nodes(chart, n, zeta, h)
         live = ~zero
         z, t, zeta, h, one = _restrict(live, z, t, zeta, h, one)

@@ -45,11 +45,17 @@ from .errors import CRYamabeError, DomainError  # noqa: E402
 
 
 class CheckTable:
-    """Rows of (check, value, threshold, passed) with an overall verdict."""
+    """Rows of (check, value, threshold, passed) with an overall verdict.
+
+    ``files`` holds the run's other artifacts, file name -> (format, payload),
+    where the format is one of the text functions below; ``main`` formats and
+    writes them with the table's own CSV.
+    """
 
     def __init__(self, name: str):
         self.name = name
         self.rows: list[tuple[str, float, float, bool]] = []
+        self.files: dict[str, tuple] = {}
 
     def add(self, check: str, value: float, threshold: float, larger_ok: bool = False) -> bool:
         ok = value >= threshold if larger_ok else value <= threshold
@@ -63,12 +69,6 @@ class CheckTable:
     def passed(self) -> bool:
         return all(ok for _, _, _, ok in self.rows)
 
-    def write_csv(self, path: str) -> None:
-        lines = ["check,value,threshold,passed"]
-        for check, value, threshold, ok in self.rows:
-            lines.append(f"{check},{value!r},{threshold!r},{int(ok)}")
-        atomic_write(path, "\n".join(lines) + "\n")
-
     def echo(self) -> None:
         for check, value, threshold, ok in self.rows:
             flag = "PASS" if ok else "FAIL"
@@ -76,8 +76,18 @@ class CheckTable:
         print(f"{self.name}: {'PASS' if self.passed else 'FAIL'}")
 
 
-def _write_json(path: str, payload) -> None:
-    atomic_write(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+def _csv_text(rows) -> str:
+    """CSV lines of rows, the header first: a string cell as it is, any other by its repr."""
+    return "".join(",".join(c if isinstance(c, str) else repr(c) for c in row) + "\n" for row in rows)
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
+def _reports_text(reports) -> str:
+    """minimax candidate reports, in their order."""
+    return json.dumps([r.to_json_dict() for r in reports], indent=1)
 
 
 def _problem(cfg: ExperimentConfig):
@@ -290,7 +300,7 @@ def run_bubble_residual(cfg: ExperimentConfig) -> CheckTable:
     return table
 
 
-def run_ps_quantization(cfg: ExperimentConfig, n_bubbles: int = 1) -> tuple[CheckTable, list[dict]]:
+def run_ps_quantization(cfg: ExperimentConfig, n_bubbles: int = 1) -> CheckTable:
     from .bubbling import BubbleChart, PSSequenceSpec, quantization_ladder
 
     prob = _problem(cfg)
@@ -312,10 +322,13 @@ def run_ps_quantization(cfg: ExperimentConfig, n_bubbles: int = 1) -> tuple[Chec
     table.add("hk_norm_bounded", np.max([r["hk_norm_sq"] for r in rows]), 10.0 * (consts.C_E * 4 * (1 + n_bubbles)))
     mass_gaps = [abs(r["mass_gap"]) for r in rows]
     table.add("mass_quantization_final", mass_gaps[-1], 0.05 * cfg.tol_scale * consts.total_mass * consts.u0**4)
-    return table, rows
+    keys = ("n", "R_n", "E_n", "energy_gap", "mass_n", "mass_gap", "hk_norm_sq")
+    header = ("n", "R_n", "E_n", "energy_gap", "pstar_mass", "mass_gap", "hk_norm_sq")
+    table.files["ps_quantization_ladder.csv"] = (_csv_text, [header] + [tuple(r[key] for key in keys) for r in rows])
+    return table
 
 
-def run_gradient_decay(cfg: ExperimentConfig) -> tuple[CheckTable, dict]:
+def run_gradient_decay(cfg: ExperimentConfig) -> CheckTable:
     from .bubbling import BubbleChart, PSSequenceSpec, gradient_decay_check
 
     prob = _problem(cfg)
@@ -335,7 +348,13 @@ def run_gradient_decay(cfg: ExperimentConfig) -> tuple[CheckTable, dict]:
     )
     rep_bad = gradient_decay_check(bad, range(len(cfg.rn_ladder)), prob)
     table.add("negative_control_stagnates", 1.0 if rep_bad["stagnates"] else 0.0, 1.0, larger_ok=True)
-    return table, {"good": rep, "bad": rep_bad}
+    keys = ("n", "R_n", "residual_upper", "residual_lower", "residual_spectral")
+    table.files["gradient_decay_ladder.csv"] = (
+        _csv_text,
+        [("control", *keys)]
+        + [(tag, *(r[key] for key in keys)) for tag, control in (("good", rep), ("bad", rep_bad)) for r in control["rows"]],
+    )
+    return table
 
 
 def run_subcritical_flow(cfg: ExperimentConfig) -> CheckTable:
@@ -362,7 +381,7 @@ def run_subcritical_flow(cfg: ExperimentConfig) -> CheckTable:
     return table
 
 
-def run_riesz_check(cfg: ExperimentConfig) -> tuple[CheckTable, dict]:
+def run_riesz_check(cfg: ExperimentConfig) -> CheckTable:
     from . import riesz as rz
     from .heisenberg import BoxDomain, HeisPoint
 
@@ -402,7 +421,9 @@ def run_riesz_check(cfg: ExperimentConfig) -> tuple[CheckTable, dict]:
     pv_val, pv_sens = rz.pv_fractional(bump, 1.0, origin, return_sensitivity=True)
     table.add("pv_interior_max_sign", pv_val, 0.0, larger_ok=True)
     table.record("pv_delta_sensitivity", pv_sens)
-    return table, {"semigroup": sg, "green_48": g48, "green_64": g64, "mapping": probe}
+    payload = {"semigroup": sg, "green_48": g48, "green_64": g64, "mapping": probe}
+    table.files["riesz_check.json"] = (_json_text, payload)
+    return table
 
 
 def run_commutator_check(cfg: ExperimentConfig) -> CheckTable:
@@ -441,8 +462,8 @@ def run_commutator_check(cfg: ExperimentConfig) -> CheckTable:
     return table
 
 
-def run_minimax_explore(cfg: ExperimentConfig, out_dir: str | None = None) -> tuple[CheckTable, list]:
-    from .minimax import SubgroupSpec, invariance_check, minimax_search, random_unitary, write_reports
+def run_minimax_explore(cfg: ExperimentConfig) -> tuple[CheckTable, list]:
+    from .minimax import SubgroupSpec, invariance_check, minimax_search, random_unitary
     from .spectral import SpectralFunction
 
     prob = _problem(cfg)
@@ -474,12 +495,11 @@ def run_minimax_explore(cfg: ExperimentConfig, out_dir: str | None = None) -> tu
     table.record("best_energy_over_CE", best.energy / consts.C_E)
     sc_ok = all(r.residual_full <= 2.0 * max(r.residual, 1e-14) for r in reports if r.converged)
     table.add("symmetric_criticality", 0.0 if sc_ok else 1.0, 0.5)
-    if out_dir:
-        write_reports(reports + ctrl, os.path.join(out_dir, "minimax_candidates.json"))
+    table.files["minimax_candidates.json"] = (_reports_text, reports + ctrl)
     return table, reports
 
 
-def run_calibrate(cfg: ExperimentConfig) -> tuple[CheckTable, dict]:
+def run_calibrate(cfg: ExperimentConfig) -> CheckTable:
     from .energy import YamabeConstants, calibrate_normalizations
 
     consts = YamabeConstants.create(cfg.N, cfg.k)
@@ -489,26 +509,30 @@ def run_calibrate(cfg: ExperimentConfig) -> tuple[CheckTable, dict]:
     table.add("bubble_constant_rel_err", rep["bubble_constant_rel_err"], 1e-8)
     table.record("kappa_fit", rep["kappa_fit"])
     table.record("mass_closed_form", rep["mass_closed_form"])
-    return table, rep
+    table.files["calibrate_normalizations.json"] = (_json_text, rep)
+    return table
 
 
 # ---------------------------------------------------------------------------
 # driver
 
-SUBCOMMANDS = (
-    "verify-group",
-    "verify-cayley",
-    "verify-spectral",
-    "sobolev-sharpness",
-    "bubble-residual",
-    "ps-quantization",
-    "gradient-decay",
-    "subcritical-flow",
-    "riesz-check",
-    "commutator-check",
-    "minimax-explore",
-    "calibrate-normalizations",
-)
+# Each subcommand's runner, called with the config and the parsed flags.  A
+# lambda looks its run_* function up when it is called, so a patched module
+# attribute is the one that runs.
+RUNNERS = {
+    "verify-group": lambda cfg, args: run_verify_group(cfg),
+    "verify-cayley": lambda cfg, args: run_verify_cayley(cfg),
+    "verify-spectral": lambda cfg, args: run_verify_spectral(cfg),
+    "sobolev-sharpness": lambda cfg, args: run_sobolev_sharpness(cfg),
+    "bubble-residual": lambda cfg, args: run_bubble_residual(cfg),
+    "ps-quantization": lambda cfg, args: run_ps_quantization(cfg, n_bubbles=args.bubbles),
+    "gradient-decay": lambda cfg, args: run_gradient_decay(cfg),
+    "subcritical-flow": lambda cfg, args: run_subcritical_flow(cfg),
+    "riesz-check": lambda cfg, args: run_riesz_check(cfg),
+    "commutator-check": lambda cfg, args: run_commutator_check(cfg),
+    "minimax-explore": lambda cfg, args: run_minimax_explore(cfg)[0],
+    "calibrate-normalizations": lambda cfg, args: run_calibrate(cfg),
+}
 
 # Subcommands that need more of the configuration than its own ranges; checked
 # before any work.  The transported bubbling reports exist for k = 1 only, and
@@ -521,7 +545,7 @@ REQUIRES_DEGREE_1 = ("sobolev-sharpness", "minimax-explore")
 
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cryamabe", description=__doc__)
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=RUNNERS)
     parser.add_argument("--config", type=str, default=None, help="JSON config file")
     parser.add_argument("--N", type=int, default=None)
     parser.add_argument("--k", type=float, default=None)
@@ -532,6 +556,12 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--bubbles", type=int, default=1, choices=(1, 2))
     parser.add_argument("--ladder", type=str, default=None, help="comma-separated radii or 'default'")
     return parser
+
+
+def _write_files(out_dir: str, files: dict[str, tuple]) -> None:
+    """Format each artifact of a run, file name -> (format, payload), and write it atomically."""
+    for name, (text, payload) in files.items():
+        atomic_write(os.path.join(out_dir, name), text(payload))
 
 
 def main(argv=None) -> int:
@@ -555,63 +585,17 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    out = cfg.out_dir
-    extra_json = None
+    stem = args.subcommand.replace("-", "_")
     try:
-        if args.subcommand == "verify-group":
-            table = run_verify_group(cfg)
-        elif args.subcommand == "verify-cayley":
-            table = run_verify_cayley(cfg)
-        elif args.subcommand == "verify-spectral":
-            table = run_verify_spectral(cfg)
-        elif args.subcommand == "sobolev-sharpness":
-            table = run_sobolev_sharpness(cfg)
-        elif args.subcommand == "bubble-residual":
-            table = run_bubble_residual(cfg)
-        elif args.subcommand == "ps-quantization":
-            table, rows = run_ps_quantization(cfg, n_bubbles=args.bubbles)
-            lines = ["n,R_n,E_n,energy_gap,pstar_mass,mass_gap,hk_norm_sq"]
-            for r in rows:
-                lines.append(
-                    f"{r['n']},{r['R_n']!r},{r['E_n']!r},{r['energy_gap']!r},{r['mass_n']!r},{r['mass_gap']!r},{r['hk_norm_sq']!r}"
-                )
-            atomic_write(os.path.join(out, "ps_quantization_ladder.csv"), "\n".join(lines) + "\n")
-        elif args.subcommand == "gradient-decay":
-            table, reps = run_gradient_decay(cfg)
-            lines = ["control,n,R_n,residual_upper,residual_lower,residual_spectral"]
-            for tag in ("good", "bad"):
-                for r in reps[tag]["rows"]:
-                    lines.append(
-                        f"{tag},{r['n']},{r['R_n']!r},{r['residual_upper']!r},{r['residual_lower']!r},{r['residual_spectral']!r}"
-                    )
-            atomic_write(os.path.join(out, "gradient_decay_ladder.csv"), "\n".join(lines) + "\n")
-        elif args.subcommand == "subcritical-flow":
-            table = run_subcritical_flow(cfg)
-        elif args.subcommand == "riesz-check":
-            table, extra_json = run_riesz_check(cfg)
-        elif args.subcommand == "commutator-check":
-            table = run_commutator_check(cfg)
-        elif args.subcommand == "minimax-explore":
-            table, _ = run_minimax_explore(cfg, out_dir=out)
-        elif args.subcommand == "calibrate-normalizations":
-            table, extra_json = run_calibrate(cfg)
-        else:  # pragma: no cover
-            return 2
-        table.write_csv(os.path.join(out, args.subcommand.replace("-", "_") + ".csv"))
-        if extra_json is not None:
-            _write_json(os.path.join(out, args.subcommand.replace("-", "_") + ".json"), extra_json)
-        table.echo()
+        table = RUNNERS[args.subcommand](cfg, args)
+        rows = [("check", "value", "threshold", "passed")] + [(c, v, thr, int(ok)) for c, v, thr, ok in table.rows]
+        files = {f"{stem}.csv": (_csv_text, rows), **table.files}
         if not table.passed:
-            _write_json(
-                os.path.join(out, args.subcommand.replace("-", "_") + "_failures.json"),
-                [
-                    {"check": c, "value": v, "threshold": thr}
-                    for c, v, thr, ok in table.rows
-                    if not ok
-                ],
-            )
-            return 1
-        return 0
+            failures = [{"check": c, "value": v, "threshold": thr} for c, v, thr, ok in table.rows if not ok]
+            files[f"{stem}_failures.json"] = (_json_text, failures)
+        _write_files(cfg.out_dir, files)
+        table.echo()
+        return 0 if table.passed else 1
     except Exception as exc:  # the run's boundary: record what went wrong, never a raw traceback
         record = {
             "subcommand": args.subcommand,
@@ -621,7 +605,7 @@ def main(argv=None) -> int:
         }
         print(f"error: {record['type']}: {exc}", file=sys.stderr)
         try:
-            _write_json(os.path.join(out, args.subcommand.replace("-", "_") + "_error.json"), record)
+            _write_files(cfg.out_dir, {f"{stem}_error.json": (_json_text, record)})
         except OSError as write_exc:
             print(f"error record not written: {write_exc}", file=sys.stderr)
         return 3

@@ -24,12 +24,17 @@ GRID_NODE_BUDGET = 2**21
 RN_FLOOR = 1e-70
 
 
+def _integral(value) -> bool:
+    """An integer of any integral type (Python's or numpy's); a bool is no integer."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _positive_real(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
 
 
 def _check_grid(shape, half_widths) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """The riesz-check grid as tuples: 3 integers >= 8 per axis and 2 finite positive half-widths.
+    """The riesz-check grid as tuples: 3 Python ints >= 8 per axis and 2 finite positive half-widths.
 
     The half-widths are those of x = y and of t.  Anything else raises
     DomainError; ``ExperimentConfig`` and ``riesz.semigroup_check`` share
@@ -39,11 +44,11 @@ def _check_grid(shape, half_widths) -> tuple[tuple[int, ...], tuple[float, ...]]
         shape, widths = tuple(shape), tuple(half_widths)
     except TypeError:
         raise DomainError(f"grid shape and half-widths must be sequences, got {shape!r} and {half_widths!r}") from None
-    if len(shape) != 3 or any(type(n) is not int or n < 8 for n in shape):
+    if len(shape) != 3 or not all(_integral(n) and n >= 8 for n in shape):
         raise DomainError(f"grid shape must be 3 integers >= 8, got {shape!r}")
     if len(widths) != 2 or not all(_positive_real(w) for w in widths):
         raise DomainError(f"grid half-widths must be 2 finite positive numbers, got {widths!r}")
-    return shape, widths
+    return tuple(int(n) for n in shape), widths
 
 
 @dataclass(frozen=True)
@@ -66,7 +71,7 @@ class ExperimentConfig:
     flow_seeds: int = 20
 
     def __post_init__(self):
-        if type(self.N) is not int or self.N != 1:
+        if not _integral(self.N) or self.N != 1:
             raise DomainError(f"the runners support N = 1 only, got N={self.N!r}")
         for name in ("k", "tol_scale"):
             value = getattr(self, name)
@@ -79,10 +84,16 @@ class ExperimentConfig:
             raise DomainError(f"tol_scale must be finite and positive, got {self.tol_scale!r}")
         bounds = {"jmax": (0, JMAX_VERIFIED), "lmax": (0, JMAX_VERIFIED), "quad_degree": (1, math.inf)}
         bounds.update(dict.fromkeys(("minimax_seeds", "minimax_budget", "flow_seeds"), (1, math.inf)))
+        bounds["seed"] = (0, math.inf)
         for name, (low, high) in bounds.items():
             value = getattr(self, name)
-            if value is not None and (type(value) is not int or not low <= value <= high):
+            if value is None:
+                continue
+            if not (_integral(value) and low <= value <= high):
                 raise DomainError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not isinstance(self.out_dir, str):
+            raise DomainError(f"out_dir must be a string, got {self.out_dir!r}")
         shape, widths = _check_grid(self.grid_shape, self.grid_half_widths)
         if math.prod(shape) > GRID_NODE_BUDGET:
             raise DomainError(f"grid_shape must have at most {GRID_NODE_BUDGET} nodes, got {shape!r}")
@@ -93,6 +104,7 @@ class ExperimentConfig:
             )
         if any(b >= a for a, b in zip(ladder, ladder[1:])):
             raise DomainError("rn_ladder must decrease strictly")
+        object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "grid_shape", shape)
         object.__setattr__(self, "grid_half_widths", widths)
         object.__setattr__(self, "rn_ladder", ladder)

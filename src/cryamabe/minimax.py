@@ -23,14 +23,12 @@ squared Sobolev norm.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .config import atomic_write
 from .errors import DomainError, MaskEmptyError
 from .energy import YamabeProblem
 from .spectral import SpectralFunction, h_minus_k_form, norm_Hk
@@ -255,7 +253,3 @@ def minimax_search(
             )
         )
     return reports
-
-
-def write_reports(reports: Sequence[CriticalPointReport], path: str) -> None:
-    atomic_write(path, json.dumps([r.to_json_dict() for r in reports], indent=1))

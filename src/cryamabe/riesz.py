@@ -25,12 +25,11 @@ term that depends on z_y itself.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _check_grid
+from .config import _check_grid, _integral
 from .errors import DomainError, SingularPointError
 from .heisenberg import (
     KAPPA_H,
@@ -585,7 +584,7 @@ def _grid_symmetry_classes(shape: tuple[int, ...]) -> tuple[Array, Array]:
 
 def _check_count(value, what: str) -> None:
     """Refuse a count that is not an integer >= 1; a bool is no count."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+    if not _integral(value) or value < 1:
         raise DomainError(f"{what} must be an integer >= 1, got {value!r}")
 
 

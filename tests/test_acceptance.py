@@ -65,15 +65,15 @@ def test_criterion_05_bubble_solution():
 
 def test_criterion_06_bubbling_quantization():
     t0 = time.time()
-    table1, _ = run_ps_quantization(CFG, n_bubbles=1)
-    table2, _ = run_ps_quantization(CFG, n_bubbles=2)
+    table1 = run_ps_quantization(CFG, n_bubbles=1)
+    table2 = run_ps_quantization(CFG, n_bubbles=2)
     table1.rows.extend(table2.rows)
     _finish(6, "bubbling quantization", table1, t0)
 
 
 def test_criterion_07_gradient_decay():
     t0 = time.time()
-    table, _ = run_gradient_decay(CFG)
+    table = run_gradient_decay(CFG)
     _finish(7, "gradient decay", table, t0)
 
 
@@ -85,7 +85,7 @@ def test_criterion_08_subcritical_threshold():
 
 def test_criterion_09_riesz_suite():
     t0 = time.time()
-    table, _ = run_riesz_check(CFG)
+    table = run_riesz_check(CFG)
     _finish(9, "riesz suite", table, t0)
 
 
@@ -95,11 +95,13 @@ def test_criterion_10_commutator_identity():
     _finish(10, "commutator identity", table, t0)
 
 
-def test_criterion_11_symmetry_minimax(tmp_path):
+def test_criterion_11_symmetry_minimax():
     t0 = time.time()
-    table, reports = run_minimax_explore(CFG, out_dir=str(tmp_path))
-    # the run must emit candidate reports regardless of the margin
-    assert (tmp_path / "minimax_candidates.json").exists()
+    table, reports = run_minimax_explore(CFG)
+    # the run must emit candidate reports regardless of the margin: each search
+    # seed's, then the Hopf control's
+    _, candidates = table.files["minimax_candidates.json"]
+    assert len(candidates) == CFG.minimax_seeds + 1
     assert len(reports) == CFG.minimax_seeds
     _finish(11, "symmetry/minimax", table, t0)
 
@@ -107,5 +109,5 @@ def test_criterion_11_symmetry_minimax(tmp_path):
 def test_normalization_calibration():
     # shared premise of criteria 4-6: the volume normalization triple
     t0 = time.time()
-    table, _ = run_calibrate(CFG)
+    table = run_calibrate(CFG)
     _finish(0, "normalization calibration", table, t0)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from cryamabe.cli import main, run_verify_cayley
@@ -44,6 +45,7 @@ def test_flag_override_out_of_range():
         ["ps-quantization", "--ladder", "1e-1,1e-80"],  # R^4 underflows: the rung's row was all NaN
         ["ps-quantization", "--ladder", "1e-1,1e-78"],
         ["gradient-decay", "--ladder", "1e-1,1e-160"],
+        ["verify-group", "--seed", "-1"],  # exited 3 after the run had started
     ],
 )
 def test_out_of_range_flag_refused_before_work(tmp_path, argv):
@@ -84,6 +86,10 @@ def test_out_of_range_config_refused_before_work(tmp_path, field):
         ("riesz-check", '{"grid_shape": [256, 256, 256]}'),  # over the node budget
         ("riesz-check", '{"grid_half_widths": [-1, 0]}'),  # NaN grid values
         ("gradient-decay", '{"rn_ladder": [0.1]}'),  # one rung: a drop factor of 1
+        ("verify-group", '{"out_dir": 5}'),  # a raw TypeError after the run
+        ("verify-group", '{"seed": 1.5}'),  # exited 3 after the run had started
+        ("verify-group", '{"seed": -1}'),
+        ("verify-group", '{"seed": true}'),  # ran as seed 1
     ],
 )
 def test_bad_config_refused_before_work(tmp_path, sub, text):
@@ -139,6 +145,14 @@ def test_config_roundtrip(tmp_path):
         fh.write(cfg.to_json())
     loaded = ExperimentConfig.from_json(path)
     assert loaded == cfg
+
+
+def test_numpy_integers_stored_as_python_ints():
+    # one integer rule: numpy sizes pass like Python ones, and the config stays JSON-serializable
+    cfg = ExperimentConfig(jmax=np.int64(4), seed=np.int64(3), grid_shape=(np.int64(16),) * 3)
+    assert cfg == ExperimentConfig(jmax=4, seed=3, grid_shape=(16, 16, 16))
+    assert all(type(n) is int for n in (cfg.jmax, cfg.seed, *cfg.grid_shape))
+    assert json.loads(cfg.to_json())["grid_shape"] == [16, 16, 16]
 
 
 def test_ladder_validation():
@@ -239,3 +253,41 @@ def test_nan_after_the_first_iteration_fails_its_row(monkeypatch, tmp_path, modu
         failed = {rec["check"]: rec["value"] for rec in json.load(fh)}
     assert math.isnan(failed[row])
     assert len(calls) > 2
+
+
+@pytest.mark.parametrize(
+    "argv,config,code,files",
+    [
+        (["verify-group"], None, 0, ["verify_group.csv"]),
+        (["verify-group", "--tol-scale", "1e-30"], None, 1, ["verify_group.csv", "verify_group_failures.json"]),
+        (["commutator-check"], None, 0, ["commutator_check.csv"]),
+        (["calibrate-normalizations"], None, 0, ["calibrate_normalizations.csv", "calibrate_normalizations.json"]),
+        (["sobolev-sharpness", "--jmax", "4"], None, 0, ["sobolev_sharpness.csv"]),
+        (
+            ["minimax-explore"],
+            {"jmax": 2, "minimax_seeds": 1, "minimax_budget": 20},
+            0,
+            ["minimax_candidates.json", "minimax_explore.csv"],
+        ),
+    ],
+)
+def test_files_of_a_run(tmp_path, argv, config, code, files):
+    if config is not None:
+        path = os.path.join(tmp_path, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        argv = argv + ["--config", path]
+    out = os.path.join(tmp_path, "out")
+    assert main(argv + ["--out", out]) == code
+    assert sorted(os.listdir(out)) == files
+
+
+def test_runner_table_is_the_only_dispatch():
+    import cryamabe.cli as cli
+
+    (choices,) = [action.choices for action in cli.make_parser()._actions if action.dest == "subcommand"]
+    assert list(choices) == list(cli.RUNNERS)
+    # each runner is called from the table, so there is one way to run each check
+    reached = set().union(*(runner.__code__.co_names for runner in cli.RUNNERS.values()))
+    assert {name for name in vars(cli) if name.startswith("run_")} <= reached
+    assert set(cli.REQUIRES_K1) | set(cli.REQUIRES_DEGREE_1) <= set(cli.RUNNERS)

@@ -22,7 +22,6 @@ import pytest
 from cryamabe.bubbling import (
     BubbleChart,
     PSSequenceSpec,
-    _beta_step,
     bubble_piece_report,
     ps_energy_report,
     ps_term,
@@ -31,6 +30,7 @@ from cryamabe.bubbling import (
 from cryamabe.energy import (
     BubbleParams,
     _dirichlet_density,
+    _dirichlet_step,
     bubble_eval_zt,
     bubble_horizontal_gradient_zt,
     dirichlet_form,
@@ -104,7 +104,7 @@ def _separate_residual_report(spec, n, prob, scheme):
         om = bubble_eval_zt(STANDARD, z, t, constants)
         beta = beta_n(z, t)
         A = A_fn(z, t)
-        h = _beta_step(z, t)
+        h = _dirichlet_step(z, t, 0.02)
         lap_beta = sub_laplacian(beta_n, z, t, h=h)
         gx_om, gy_om = bubble_horizontal_gradient_zt(z, t, constants)
         gx_b = vector_field("X", beta_n, z, t, h=h)
@@ -181,7 +181,7 @@ def _unskipped_residual_bounds(spec, n, prob, scheme):
         zeta = conf.map_zt(z, t)
         beta = chart.cutoff.value(zeta)
         A = conf.jacobian_zt(z, t) ** (1.0 / constants.p_star) * spec.u_infty.eval(zeta)
-        h = _beta_step(z, t)
+        h = _dirichlet_step(z, t, 0.02)
         lap = np.zeros_like(beta)
         grad = {}
         for kind, (zp, tp), (zm, tm) in _flow_stencil(z, t, h):

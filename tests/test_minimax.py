@@ -1,10 +1,10 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
 
+from cryamabe.cli import _reports_text
 from cryamabe.errors import DomainError, MaskEmptyError
 from cryamabe.minimax import (
     CriticalPointReport,
@@ -14,7 +14,6 @@ from cryamabe.minimax import (
     minimax_search,
     nehari_rescale,
     random_unitary,
-    write_reports,
 )
 from cryamabe.spectral import SpectralFunction, apply_A2k, basis_element, h_minus_k_form, norm_Hk
 
@@ -184,12 +183,9 @@ class TestSearch:
         assert all("odd" in r.mask_name for r in reports)
         assert any(r.converged for r in reports)
 
-    def test_report_emission(self, prob8, tmp_path):
+    def test_report_emission(self, prob8):
         reports = minimax_search(SubgroupSpec(antipodal_odd=True), 1, prob8, budget=120, rng=np.random.default_rng(3))
-        path = os.path.join(tmp_path, "candidates.json")
-        write_reports(reports, path)
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = json.loads(_reports_text(reports))
         assert len(payload) == 1
         rec = payload[0]
         assert {"mask", "energy", "residual_full", "coefficients", "nl_tail"} <= set(rec)

@@ -446,6 +446,12 @@ class TestSemigroup:
         with pytest.raises(DomainError):
             semigroup_check(n_eval=4, **grid)
 
+    def test_numpy_integer_sizes_accepted(self):
+        # the grid took Python ints only while n_eval took any integral type
+        ref = semigroup_check(shape=(16, 16, 16), n_eval=4)
+        rep = semigroup_check(shape=(np.int64(16),) * 3, n_eval=np.int64(4))
+        assert rep == ref and all(type(n) is int for n in rep["grid"])
+
     @pytest.mark.parametrize("n_out", [128, 100])  # 100 outputs: chunks of 327 nodes end mid-column
     def test_far_field_equals_per_pair_evaluation(self, n_out):
         # the z-terms are formed once per grid column of the walk; every
