@@ -2,7 +2,7 @@
 
 Core layers: algebra and quadrature on the Heisenberg group H^1 (:mod:`heisenberg`),
 the Cayley conformal equivalence (:mod:`cayley`), bidegree harmonic analysis
-on the CR sphere (:mod:`spectral`), critical-exponent energies and bubbles
+on the CR sphere S^3 (:mod:`spectral`), critical-exponent energies and bubbles
 (:mod:`energy`), concentration/bubbling experiments (:mod:`bubbling`),
 homogeneous kernel calculus (:mod:`riesz`), and symmetry-restricted critical
 point searches (:mod:`minimax`).  The command line driver lives in

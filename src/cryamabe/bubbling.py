@@ -31,6 +31,7 @@ import numpy as np
 from .cayley import POLE, ConformalChart, cayley_inv, conformal_pushforward, sphere_dist_zeta
 from .errors import DomainError, PoleError
 from .heisenberg import (
+    Q,
     Array,
     HeisPoint,
     ShellScheme,
@@ -118,10 +119,14 @@ class BubbleChart:
 
     @staticmethod
     def standard(center, radii: Sequence[float], constants: YamabeConstants, profile_factor: float = 1.0) -> "BubbleChart":
-        """The bubble of ``constants``' configuration at the sphere point ``center``, with the default cutoff."""
+        """The bubble at the point ``center`` of S^3 in C^2, with the default cutoff.
+
+        ``constants`` is not read since S^3 is the only sphere; the benchmark
+        still passes it.
+        """
         c = np.asarray(center, dtype=np.complex128)
-        if c.shape != (constants.N + 1,):
-            raise DomainError(f"a bubble centre at N = {constants.N} is one point of C^{constants.N + 1}")
+        if c.shape != (2,):
+            raise DomainError(f"a bubble centre is one point of C^2, got shape {c.shape}")
         return BubbleChart(
             c,
             tuple(radii),
@@ -261,7 +266,7 @@ def bubble_piece_report(
     cut = chart.cutoff
     c_prof = chart.profile_factor
     p_star = constants.p_star
-    e_quad = (constants.Q + 2 * constants.k) / (2.0 * constants.Q)
+    e_quad = (Q + 2 * constants.k) / (2.0 * Q)
     # couplings with the weak limit, all pulled to the group side
     Au = apply_A2k(u_infty, constants.k)
 
@@ -291,7 +296,7 @@ def bubble_piece_report(
         rows[0, live] = _dirichlet_density(W, z, t, h)
         return rows
 
-    values, _ = integrate_decaying(integrand, 1, scheme, constants.measure)
+    values, _ = integrate_decaying(integrand, 1, scheme)
     a_n, m_n, cross_quad, coupling = values
 
     return {
@@ -404,7 +409,7 @@ def residual_report(
     conf = chart.chart(n)
     cut = chart.cutoff
     p_star = constants.p_star
-    pbar = 2.0 * constants.Q / (constants.Q + 2.0 * constants.k)
+    pbar = 2.0 * Q / (Q + 2.0 * constants.k)
     c_prof = chart.profile_factor
     expo = 1.0 / p_star
 
@@ -444,10 +449,10 @@ def residual_report(
         G[live] = A**3 + L_betaU - W**3
         return G
 
-    ub_int, _ = integrate_decaying(lambda z, t: np.abs(G_fn(z, t)) ** pbar, 1, scheme, constants.measure)
+    ub_int, _ = integrate_decaying(lambda z, t: np.abs(G_fn(z, t)) ** pbar, 1, scheme)
     upper = ub_int ** (1.0 / pbar)
 
-    wit_pair, _ = integrate_decaying(lambda z, t: G_fn(z, t) * _witness(z, t), 1, _WITNESS_SCHEME, constants.measure)
+    wit_pair, _ = integrate_decaying(lambda z, t: G_fn(z, t) * _witness(z, t), 1, _WITNESS_SCHEME)
     lower = abs(wit_pair) / _witness_norm(constants)
 
     u_n = ps_term(spec, n, prob)

@@ -93,7 +93,7 @@ def _reports_text(reports) -> str:
 def _problem(cfg: ExperimentConfig):
     from .energy import YamabeProblem
 
-    return YamabeProblem.build(cfg.N, cfg.k, cfg.jmax, cfg.lmax, cfg.quad_degree)
+    return YamabeProblem.build(k=cfg.k, jmax=cfg.jmax, lmax=cfg.lmax, quad_degree=cfg.quad_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +219,8 @@ def run_verify_spectral(cfg: ExperimentConfig) -> CheckTable:
     gram = np.stack([quad.analyze_values(quad.synthesize_values(e, basis), basis) for e in eye])
     table.add("orthonormality", float(np.max(np.abs(gram - eye))), 1e-8 * cfg.tol_scale)
     if abs(cfg.k - 1.0) < 1e-14:
-        g = rng.standard_normal((30, 2 * (cfg.N + 1)))
-        zeta = g[:, : cfg.N + 1] + 1.0j * g[:, cfg.N + 1 :]
+        g = rng.standard_normal((30, 4))
+        zeta = g[:, :2] + 1.0j * g[:, 2:]
         zeta /= np.linalg.norm(zeta, axis=1)[:, None]
         mult = basis.multipliers(1.0)
         worst = 0.0
@@ -302,11 +302,12 @@ def run_bubble_residual(cfg: ExperimentConfig) -> CheckTable:
 
 def run_ps_quantization(cfg: ExperimentConfig, n_bubbles: int = 1) -> CheckTable:
     from .bubbling import BubbleChart, PSSequenceSpec, quantization_ladder
+    from .spectral import SPHERE_MASS
 
     prob = _problem(cfg)
     consts = prob.constants
     table = CheckTable("ps-quantization")
-    center_a = np.zeros(cfg.N + 1, dtype=np.complex128)
+    center_a = np.zeros(2, dtype=np.complex128)
     center_a[0] = 1.0
     charts = [BubbleChart.standard(center_a, cfg.rn_ladder, consts)]
     if n_bubbles == 2:
@@ -321,7 +322,7 @@ def run_ps_quantization(cfg: ExperimentConfig, n_bubbles: int = 1) -> CheckTable
     table.add("final_gap", gaps[-1], 0.02 * cfg.tol_scale if n_bubbles == 1 else 0.04 * cfg.tol_scale)
     table.add("hk_norm_bounded", np.max([r["hk_norm_sq"] for r in rows]), 10.0 * (consts.C_E * 4 * (1 + n_bubbles)))
     mass_gaps = [abs(r["mass_gap"]) for r in rows]
-    table.add("mass_quantization_final", mass_gaps[-1], 0.05 * cfg.tol_scale * consts.total_mass * consts.u0**4)
+    table.add("mass_quantization_final", mass_gaps[-1], 0.05 * cfg.tol_scale * SPHERE_MASS * consts.u0**4)
     keys = ("n", "R_n", "E_n", "energy_gap", "mass_n", "mass_gap", "hk_norm_sq")
     header = ("n", "R_n", "E_n", "energy_gap", "pstar_mass", "mass_gap", "hk_norm_sq")
     table.files["ps_quantization_ladder.csv"] = (_csv_text, [header] + [tuple(r[key] for key in keys) for r in rows])
@@ -334,7 +335,7 @@ def run_gradient_decay(cfg: ExperimentConfig) -> CheckTable:
     prob = _problem(cfg)
     consts = prob.constants
     table = CheckTable("gradient-decay")
-    center = np.zeros(cfg.N + 1, dtype=np.complex128)
+    center = np.zeros(2, dtype=np.complex128)
     center[0] = 1.0
     good = PSSequenceSpec(
         prob.ground_constant(), (BubbleChart.standard(center, cfg.rn_ladder, consts),)
@@ -359,6 +360,7 @@ def run_gradient_decay(cfg: ExperimentConfig) -> CheckTable:
 
 def run_subcritical_flow(cfg: ExperimentConfig) -> CheckTable:
     from .bubbling import hk_gradient_flow, subcritical_threshold_check
+    from .heisenberg import Q
     from .spectral import SpectralFunction, norm_Hk
 
     prob = _problem(cfg)
@@ -369,7 +371,7 @@ def run_subcritical_flow(cfg: ExperimentConfig) -> CheckTable:
     for s in range(cfg.flow_seeds):
         c = rng.standard_normal(prob.basis.n_basis)
         u = SpectralFunction(c, prob.basis)
-        ball = math.sqrt(consts.C_S ** (-consts.Q / (2 * consts.k)))
+        ball = math.sqrt(consts.C_S ** (-Q / (2 * consts.k)))
         u = (rng.uniform(0.1, 0.45) * ball / norm_Hk(u, consts.k)) * u
         rep = subcritical_threshold_check(u, prob, energy_cap_frac=0.9)
         if not (rep["below_threshold"] and rep["status"] == "converged_to_zero" and rep["final_norm"] < 1e-4):
@@ -477,7 +479,7 @@ def run_minimax_explore(cfg: ExperimentConfig) -> tuple[CheckTable, list]:
     u = SpectralFunction(c, prob_inv.basis)
     worst = 0.0
     for _ in range(100):
-        worst = np.maximum(worst, invariance_check(u, random_unitary(cfg.N + 1, rng), prob_inv))
+        worst = np.maximum(worst, invariance_check(u, random_unitary(rng), prob_inv))
     table.add("energy_invariance", worst, 1e-6 * cfg.tol_scale)
     ctrl = minimax_search(SubgroupSpec(hopf_invariant=True), [prob.ground_constant()], prob, budget=60)
     table.add("hopf_control_energy", abs(ctrl[0].energy - consts.C_E), 1e-8)
@@ -502,7 +504,7 @@ def run_minimax_explore(cfg: ExperimentConfig) -> tuple[CheckTable, list]:
 def run_calibrate(cfg: ExperimentConfig) -> CheckTable:
     from .energy import YamabeConstants, calibrate_normalizations
 
-    consts = YamabeConstants.create(cfg.N, cfg.k)
+    consts = YamabeConstants.create(cfg.k)
     rep = calibrate_normalizations(consts)
     table = CheckTable("calibrate-normalizations")
     table.add("kappa_rel_err", rep["kappa_rel_err"], 5e-3)

@@ -9,6 +9,7 @@ import os
 from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import DomainError
+from .heisenberg import Q
 from .spectral import JMAX_VERIFIED
 
 
@@ -77,7 +78,6 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise DomainError(f"{name} must be a real number, got {value!r}")
-        Q = 2 * self.N + 2
         if not (0 < 2 * self.k < Q):
             raise DomainError(f"need 0 < 2k < Q = {Q}")
         if not _positive_real(self.tol_scale):
@@ -97,11 +97,12 @@ class ExperimentConfig:
         shape, widths = _check_grid(self.grid_shape, self.grid_half_widths)
         if math.prod(shape) > GRID_NODE_BUDGET:
             raise DomainError(f"grid_shape must have at most {GRID_NODE_BUDGET} nodes, got {shape!r}")
-        ladder = tuple(float(r) for r in self.rn_ladder)
-        if len(ladder) < 2 or not all(_positive_real(r) and r >= RN_FLOOR for r in ladder):
+        rungs = tuple(self.rn_ladder)
+        if len(rungs) < 2 or not all(_positive_real(r) and r >= RN_FLOOR for r in rungs):
             raise DomainError(
                 f"rn_ladder needs at least 2 rungs, each finite and at least {RN_FLOOR:g}, got {self.rn_ladder!r}"
             )
+        ladder = tuple(float(r) for r in rungs)
         if any(b >= a for a, b in zip(ladder, ladder[1:])):
             raise DomainError("rn_ladder must decrease strictly")
         object.__setattr__(self, "N", int(self.N))

@@ -25,8 +25,8 @@ from .cayley import ConformalChart, conformal_pullback, lambda_cayley_zt
 from .errors import DomainError
 from .heisenberg import (
     KAPPA_H,
+    Q,
     Array,
-    HaarMeasure,
     HeisPoint,
     ShellScheme,
     _flow_stencil,
@@ -39,6 +39,7 @@ from .heisenberg import (
     mul_zt,
 )
 from .spectral import (
+    SPHERE_MASS,
     HarmonicBasis,
     SphereQuadrature,
     SpectralFunction,
@@ -53,8 +54,7 @@ from .spectral import (
 )
 
 
-def p_star(N: int, k: float) -> float:
-    Q = 2 * N + 2
+def p_star(k: float) -> float:
     if not (0 < 2 * k < Q):
         raise DomainError(f"need 0 < 2k < Q = {Q}, got k = {k}")
     return 2.0 * Q / (Q - 2.0 * k)
@@ -78,56 +78,41 @@ def sobolev_constant(N: int, k: float) -> float:
     return gammas * total_sphere_mass(N) ** (-2.0 * k / Q)
 
 
-def constant_solution(N: int, k: float) -> float:
-    """The positive constant u0 with A_{2k} u0 = u0^{p*-1}: lam_0^{(Q-2k)/2k}."""
-    return lambda0(N, k) ** ((2 * N + 2 - 2.0 * k) / (2.0 * k))
+def constant_solution(k: float) -> float:
+    """The positive constant u0 on S^3 with A_{2k} u0 = u0^{p*-1}: lam_0^{(Q-2k)/2k}."""
+    return lambda0(1, k) ** ((Q - 2.0 * k) / (2.0 * k))
 
 
 @dataclass(frozen=True)
 class YamabeConstants:
-    """All normalization-dependent constants for one k on H^1; :attr:`measure` is that of H^1, so N = 1 only."""
+    """All normalization-dependent constants for one k, on S^3 and H^1 (Q = ``heisenberg.Q``).
 
-    N: int
+    The sphere's mass is ``spectral.SPHERE_MASS`` and the group's volume form
+    ``heisenberg.KAPPA_H`` times Lebesgue measure.
+    """
+
     k: float
-    Q: int
     p_star: float
     C_S: float
     C_E: float
     u0: float
     cQ: float
-    total_mass: float
 
     @staticmethod
-    def create(N: int, k: float) -> "YamabeConstants":
-        Q = 2 * N + 2
-        ps = p_star(N, k)
-        cs = sobolev_constant(N, k)
+    def create(k: float) -> "YamabeConstants":
+        ps = p_star(k)
+        cs = sobolev_constant(1, k)
         ce = (k / Q) * cs ** (-Q / (2.0 * k))
-        u0 = constant_solution(N, k)
+        u0 = constant_solution(k)
         cq = 2.0 ** ((Q - 2.0 * k) / 2.0) * u0
-        return YamabeConstants(
-            N=N,
-            k=float(k),
-            Q=Q,
-            p_star=ps,
-            C_S=cs,
-            C_E=ce,
-            u0=u0,
-            cQ=cq,
-            total_mass=total_sphere_mass(N),
-        )
+        return YamabeConstants(k=float(k), p_star=ps, C_S=cs, C_E=ce, u0=u0, cQ=cq)
 
     def __post_init__(self):
-        _only_h1(self.N)
-        if self.Q != 2 * self.N + 2 or not (0 < 2 * self.k < self.Q):
-            raise DomainError("invalid (N, k, Q)")
-        expect = (self.k / self.Q) * self.C_S ** (-self.Q / (2 * self.k))
+        if not (0 < 2 * self.k < Q):
+            raise DomainError(f"need 0 < 2k < Q = {Q}, got k = {self.k}")
+        expect = (self.k / Q) * self.C_S ** (-Q / (2 * self.k))
         if abs(self.C_E - expect) > 1e-12 * abs(expect):
             raise DomainError("C_E is not (k/Q) C_S^{-Q/2k}")
-
-    @property
-    def measure(self) -> HaarMeasure:
-        return HaarMeasure(KAPPA_H)
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +133,14 @@ class BubbleParams:
 
 def bubble_shape_zt(z: Array, t: Array, constants: YamabeConstants) -> Array:
     D = (1.0 + (z * np.conj(z)).real) ** 2 + t * t
-    return constants.cQ * D ** (-(constants.Q - 2.0 * constants.k) / 4.0)
+    return constants.cQ * D ** (-(Q - 2.0 * constants.k) / 4.0)
 
 
 def bubble_eval_zt(params: BubbleParams, z: Array, t: Array, constants: YamabeConstants) -> Array:
     """omega_{lam, xi}(w) = lam^{(2k-Q)/2} omega(d_{1/lam}(xi^{-1} w))."""
     zi, ti = mul_zt(*inv_zt(params.xi.z, np.asarray(params.xi.t)), z, t)
     zs, ts = dilate_zt(1.0 / params.lam, zi, ti)
-    amp = params.lam ** ((2.0 * constants.k - constants.Q) / 2.0)
+    amp = params.lam ** ((2.0 * constants.k - Q) / 2.0)
     return amp * bubble_shape_zt(zs, ts, constants)
 
 
@@ -167,7 +152,7 @@ def bubble_horizontal_gradient_zt(z: Array, t: Array, constants: YamabeConstants
     """Closed-form X omega and Y omega for the centered unit bubble, each of the shape of the points."""
     A = 1.0 + (z * np.conj(z)).real
     D = A**2 + t * t
-    expo = -(constants.Q - 2.0 * constants.k) / 4.0
+    expo = -(Q - 2.0 * constants.k) / 4.0
     pref = constants.cQ * expo * D ** (expo - 1.0)
     x, y = z.real, z.imag
     XD = 4.0 * (A * x + y * t)
@@ -179,14 +164,14 @@ def bubble_horizontal_gradient_zt(z: Array, t: Array, constants: YamabeConstants
 # the sphere-side problem bundle
 
 
-_BASIS_CACHE: dict[tuple[int, int, int], HarmonicBasis] = {}
+_BASIS_CACHE: dict[tuple[int, int], HarmonicBasis] = {}
 
 
-def cached_basis(N: int, jmax: int, lmax: int | None = None) -> HarmonicBasis:
+def cached_basis(jmax: int, lmax: int | None = None) -> HarmonicBasis:
     lmax = jmax if lmax is None else lmax
-    key = (N, jmax, lmax)
+    key = (jmax, lmax)
     if key not in _BASIS_CACHE:
-        _BASIS_CACHE[key] = build_basis(N, jmax, lmax)
+        _BASIS_CACHE[key] = build_basis(jmax, lmax)
     return _BASIS_CACHE[key]
 
 
@@ -207,18 +192,18 @@ class YamabeProblem:
         quad_degree: int | None = None,
         seed: int = 0,
     ) -> "YamabeProblem":
-        """Constants, the cached basis and the N = 1 sphere quadrature.
+        """Constants, the cached basis and the sphere quadrature of S^3.
 
         The quadrature rule is deterministic, so ``seed`` does not change the
-        problem; it is accepted so that callers can pass their run seed.  Any
-        N other than 1 is refused before any work.
+        problem, and ``N`` must be 1, refused otherwise before any work; the
+        benchmark still passes both.
         """
         _only_h1(N)
-        constants = YamabeConstants.create(N, k)
-        basis = cached_basis(N, jmax, lmax)
+        constants = YamabeConstants.create(k)
+        basis = cached_basis(jmax, lmax)
         if quad_degree is None:
             quad_degree = 4 * (basis.jmax + basis.lmax)
-        quad = SphereQuadrature.build(N, quad_degree)
+        quad = SphereQuadrature.build(quad_degree)
         return YamabeProblem(constants, basis, quad)
 
     # --- elementary spectral objects ---------------------------------------
@@ -311,7 +296,7 @@ def dirichlet_form(
     First derivatives use the exact-flow central stencil with a step that
     scales with the gauge, so far shells stay accurate.
     """
-    val, _ = integrate_decaying(lambda z, t: _dirichlet_density(U, z, t, h, h_factor), 1, scheme, constants.measure)
+    val, _ = integrate_decaying(lambda z, t: _dirichlet_density(U, z, t, h, h_factor), 1, scheme)
     return val
 
 
@@ -335,7 +320,6 @@ def energy_heis(
         lambda z, t: np.stack([_dirichlet_density(U, z, t), np.abs(np.asarray(U(z, t))) ** constants.p_star]),
         1,
         scheme or ShellScheme(),
-        constants.measure,
         center=center,
     )
     return 0.5 * quadratic - mass / constants.p_star
@@ -352,13 +336,13 @@ def calibrate_normalizations(constants: YamabeConstants) -> dict:
     integrated over 7 shells, and reports the pointwise match between the
     transported constant solution and the bubble profile.
     """
+    # the Lebesgue integral: the dv_H walk divided by KAPPA_H, exactly (a power of two)
     lam_integral, shells = integrate_decaying(
-        lambda z, t: np.ones_like(t) * lambda_cayley_zt(z, t),
-        1,
-        ShellScheme(n_shells=7),
-        HaarMeasure(1.0),
+        lambda z, t: np.ones_like(t) * lambda_cayley_zt(z, t), 1, ShellScheme(n_shells=7)
     )
-    kappa_fit = constants.total_mass / lam_integral
+    lam_integral /= KAPPA_H
+    shells = [s / KAPPA_H for s in shells]
+    kappa_fit = SPHERE_MASS / lam_integral
     origin = HeisPoint(0.0, 0.0)
     field = conformal_pullback(
         lambda zeta: np.full(zeta.shape[:-1], constants.u0), ConformalChart(origin, 1.0), constants.k
@@ -373,7 +357,7 @@ def calibrate_normalizations(constants: YamabeConstants) -> dict:
         "kappa_fit": float(kappa_fit),
         "kappa_closed_form": KAPPA_H,
         "kappa_rel_err": abs(kappa_fit - KAPPA_H) / KAPPA_H,
-        "mass_closed_form": constants.total_mass,
+        "mass_closed_form": SPHERE_MASS,
         "bubble_constant_rel_err": cq_match,
         "lambda_shells": shells,
     }

@@ -32,9 +32,13 @@ Array = np.ndarray
 # homogeneous dimension of H^1
 Q = 4
 # theta ^ dtheta = 4 dx dy dt: the contact volume form on H^1 against Lebesgue
-# measure.  The whole calibration triple (Haar constant, sphere volume mass,
-# conformal factor) is pinned by the change-of-variables identity and verified
-# numerically in the tests.
+# measure.  Haar measure on a homogeneous group is Lebesgue measure up to one
+# constant (Folland and Stein, Hardy Spaces on Homogeneous Groups, 1982, ch. 1),
+# so dv_H is this constant times Lebesgue everywhere; a Lebesgue integral is a
+# dv_H integral divided by it, exactly, since it is a power of two.  The whole
+# calibration triple (Haar constant, sphere volume mass, conformal factor) is
+# pinned by the change-of-variables identity and verified numerically in the
+# tests.
 KAPPA_H = 4.0
 
 
@@ -225,17 +229,6 @@ def sub_laplacian(f, z, t, h: float = 1e-4) -> Array:
 
 
 @dataclass(frozen=True)
-class HaarMeasure:
-    """dv_H = kappa_H * Lebesgue on R^3; the default is the contact volume of H^1."""
-
-    kappa_H: float = KAPPA_H
-
-    def __post_init__(self):
-        if not self.kappa_H > 0:
-            raise DomainError("kappa_H must be positive")
-
-
-@dataclass(frozen=True)
 class BoxDomain:
     """Axis-aligned box in (x, y, t) coordinates."""
 
@@ -273,13 +266,13 @@ def _box_grid(box: BoxDomain, resolution) -> tuple[list[Array], float]:
     return axes, cell
 
 
-def koranyi_ball_volume(radius: float, measure: HaarMeasure = HaarMeasure()) -> float:
+def koranyi_ball_volume(radius: float) -> float:
     """dv_H volume of a Koranyi ball, kappa_H (pi^2 / 2) R^Q.
 
     The Lebesgue volume of {|z|^4 + t^2 <= 1} is int_{|z| <= 1} 2 sqrt(1 - |z|^4) dz,
     which in polar coordinates and u = |z|^2 is 2 pi int_0^1 sqrt(1 - u^2) du = pi^2 / 2.
     """
-    return measure.kappa_H * (math.pi**2 / 2) * radius**Q
+    return KAPPA_H * (math.pi**2 / 2) * radius**Q
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +362,6 @@ def integrate_decaying(
     f,
     N: int,
     scheme: ShellScheme = ShellScheme(),
-    measure: HaarMeasure = HaarMeasure(),
     center: HeisPoint | None = None,
 ) -> tuple[float, list[float]] | tuple[list[float], list[list[float]]]:
     """Integrate f dv_H over H^1 by nested Koranyi boxes centered at ``center``.
@@ -395,7 +387,7 @@ def integrate_decaying(
             if vals is None:
                 vals = np.empty(v.shape[:-1] + (n,), dtype=v.dtype)
             vals[..., s : s + _SUB_BLOCK] = v
-        acc[i] = acc[i] + measure.kappa_H * cell * np.sum(vals, axis=-1)
+        acc[i] = acc[i] + KAPPA_H * cell * np.sum(vals, axis=-1)
     table = np.stack(acc, axis=-1)  # (n_shells,) or (m, n_shells)
     shells = table.reshape(-1, scheme.n_shells).tolist()
     if scheme.n_shells >= 3:

@@ -42,12 +42,15 @@ def _tangential(exps: np.ndarray, coeffs: np.ndarray, j: int, s: int) -> tuple[n
     return np.concatenate([lowered, raised])[keep], (factors * np.concatenate([coeffs, coeffs]))[keep]
 
 
-def conformal_sublaplacian(exps: np.ndarray, coeffs: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """-(1/2) sum_j (T_j Tbar_j + Tbar_j T_j) + N^2/4 of a term array, exactly.
+def conformal_sublaplacian(exps: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """-(1/2) sum_j (T_j Tbar_j + Tbar_j T_j) + N^2/4 of a term array on C^{N+1}, exactly.
 
+    N + 1 is the length of the last axis of ``exps``, as in ``poly_eval``.
     The result repeats exponent pairs; ``poly_eval`` adds them.
     """
-    exps = np.asarray(exps, dtype=np.int64).reshape(-1, 2, N + 1)
+    exps = np.asarray(exps, dtype=np.int64)
+    N = exps.shape[-1] - 1
+    exps = exps.reshape(-1, 2, N + 1)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     out_exps, out_coeffs = [exps], [N * N / 4.0 * coeffs]
     for j in range(N + 1):

@@ -36,7 +36,6 @@ from .heisenberg import (
     Q,
     Array,
     BoxDomain,
-    HaarMeasure,
     HeisPoint,
     ShellScheme,
     _gauge_sq_power,
@@ -184,7 +183,7 @@ def _sheared_diagonal(spec: KernelSpec, steps: tuple[float, ...], xs: Array, ys:
         k[gsq <= (rho[b] * rho[b])[:, None, None]] = 0.0
         total[b] = k.sum(axis=(1, 2))
     total *= hx * hy * ht / m
-    vol1 = koranyi_ball_volume(1.0, HaarMeasure(1.0))
+    vol1 = koranyi_ball_volume(1.0) / KAPPA_H  # Lebesgue volume of the unit ball
     core = spec.Q * vol1 * rho ** (spec.Q + spec.exponent) / (spec.Q + spec.exponent)
     return (total + core) / (hx * hy * ht)
 
@@ -499,7 +498,6 @@ def _far_field_composition(
     mass: float,
     exponent_src: float,
     exponent_ker: float,
-    measure: HaarMeasure,
 ) -> Array:
     """int_{y outside box} mass |y|^{e_src} |y^{-1}x|^{e_ker} dv_H(y) at points x of H^1.
 
@@ -546,7 +544,7 @@ def _far_field_composition(
             zz = zz_col[run]
             zz += wt
             gsq2 = np.sqrt(zz, out=zz)
-            out += measure.kappa_H * cellv * mass * (src_w[b] @ _gauge_sq_power(gsq2, exponent_ker))
+            out += KAPPA_H * cellv * mass * (src_w[b] @ _gauge_sq_power(gsq2, exponent_ker))
     return out
 
 
@@ -613,7 +611,6 @@ def semigroup_check(
     f = gaussian_bump(box, shape, width=0.85)
     spec_1 = KernelSpec(1.0)
     spec_2 = KernelSpec(2.0)
-    measure = HaarMeasure()
     reps, inverse = _grid_symmetry_classes(shape)
     inner_reps = convolve(f, spec_1, out_indices=reps, support_threshold=1e-6)
     inner = GridFieldH(box, inner_reps[inverse].reshape(shape))
@@ -622,10 +619,8 @@ def semigroup_check(
     z_all, t_all = f.points()
     zo, to = z_all[sub], t_all[sub]
     iterated = convolve(inner, spec_1, out_indices=sub)
-    mass_f = measure.kappa_H * f.cell_volume * float(np.sum(f.values))
-    iterated = iterated + _far_field_composition(
-        box, zo, to, mass_f, spec_1.exponent, spec_1.exponent, measure
-    )
+    mass_f = KAPPA_H * f.cell_volume * float(np.sum(f.values))
+    iterated = iterated + _far_field_composition(box, zo, to, mass_f, spec_1.exponent, spec_1.exponent)
     direct = convolve(f, spec_2, out_indices=sub, support_threshold=1e-6)
     fitted = float(iterated @ direct) / float(direct @ direct)
     resid = float(np.linalg.norm(iterated - fitted * direct) / np.linalg.norm(fitted * direct))

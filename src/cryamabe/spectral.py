@@ -3,14 +3,16 @@
 L^2 of the sphere splits into blocks H_{j,l} of restrictions of harmonic
 polynomials homogeneous of degree j in zeta and l in conj(zeta).  The basis
 built here is real-valued and orthonormal for the contact volume form dv_S,
-whose total mass is 2^{2N+2} pi^{N+1} (16 pi^2 on S^3).  It is the N = 1
-closed form: each block has one element per torus weight (p, q), a
+whose total mass is ``SPHERE_MASS`` = 16 pi^2.  It is a closed form: each
+block has one element per torus weight (p, q), a
 Jacobi polynomial in s = |zeta_1|^2 times a phase, written as a homogeneous
 polynomial with integer binomial coefficients and divided by its closed-form
 norm (``build_basis``).  So the basis is canonical, needs no linear algebra,
 and is orthonormal to rounding.  The quadrature and the transforms on it are
-the deterministic N = 1 rule on S^3 (a DFT over the two Hopf phases,
-Gauss-Legendre in |zeta_1|^2), the only sphere the runners use.
+the deterministic Hopf rule on S^3 (a DFT over the two Hopf phases,
+Gauss-Legendre in |zeta_1|^2).  S^3 is the only sphere here: the closed forms
+``surface_measure`` and ``total_sphere_mass`` alone take N, for the
+sharpness identity at N = 2.
 
 A function in the span of the blocks H_{j,l}, j, l <= 8, occupies only the
 phase bins |p|, |q| <= 8 of the 65 x 65 that the default jmax-8 rule
@@ -30,7 +32,7 @@ each coefficient vector is synthesized once.
 
 The fractional operator of order 2k acts diagonally: the element with label
 (j, l) is multiplied by lam_j(k) * lam_l(k), with Gamma-ratio multipliers
-lam_j(k) = Gamma((Q+2k)/4 + j) / Gamma((Q-2k)/4 + j).
+lam_j(k) = Gamma((Q+2k)/4 + j) / Gamma((Q-2k)/4 + j), Q = 4.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
+from .heisenberg import Q
 from .polynomials import conformal_sublaplacian, poly_eval
 
 Array = np.ndarray
@@ -64,6 +67,10 @@ def surface_measure(N: int) -> float:
 def total_sphere_mass(N: int) -> float:
     """Mass of dv_S: 2^{2N+1} N! times the surface measure, i.e. 2^{2N+2} pi^{N+1}."""
     return float(2 ** (2 * N + 1) * math.factorial(N) * surface_measure(N))
+
+
+# mass of dv_S on S^3, 16 pi^2
+SPHERE_MASS = total_sphere_mass(1)
 
 
 def lambda_jk(j: int, k: float, Q: int) -> float:
@@ -89,11 +96,10 @@ class HarmonicBasis:
     coefficients are Hermitian-symmetric, so every element is a real function.
     """
 
-    N: int
     jmax: int
     lmax: int
     term_elem: Array  # (n_terms,) int, the element of each term
-    term_exps: Array  # (n_terms, 2, N+1) int
+    term_exps: Array  # (n_terms, 2, 2) int
     term_coeff: Array  # (n_terms,) complex
     labels_j: Array
     labels_l: Array
@@ -102,10 +108,6 @@ class HarmonicBasis:
     @property
     def n_basis(self) -> int:
         return len(self.labels_j)
-
-    @property
-    def total_mass(self) -> float:
-        return total_sphere_mass(self.N)
 
     def index_of(self, j: int, l: int, m: int = 0) -> int:
         """Position of element (j, l, m); the block must be built and m lie below its size."""
@@ -116,7 +118,7 @@ class HarmonicBasis:
 
     def multipliers(self, k: float) -> Array:
         """lam_j(k) * lam_l(k) per element, from one lam per degree."""
-        lam = np.array([lambda_jk(d, k, 2 * self.N + 2) for d in range(max(self.jmax, self.lmax) + 1)])
+        lam = np.array([lambda_jk(d, k, Q) for d in range(max(self.jmax, self.lmax) + 1)])
         return lam[self.labels_j] * lam[self.labels_l]
 
 
@@ -137,10 +139,10 @@ def _weight_element(j: int, l: int, p: int) -> tuple[Array, Array]:
     ints = [(-1) ** (n - i) * math.comb(n + b, i) * math.comb(n + a, n - i) for i in range(n + 1)]
     f = math.factorial
     norm2 = Fraction(f(n + b) * f(n + a), (2 * n + a + b + 1) * f(n + a + b) * f(n))
-    return exps, np.array(ints, dtype=np.float64) / math.sqrt(total_sphere_mass(1) * norm2)
+    return exps, np.array(ints, dtype=np.float64) / math.sqrt(SPHERE_MASS * norm2)
 
 
-def build_basis(N: int, jmax: int, lmax: int | None = None) -> HarmonicBasis:
+def build_basis(jmax: int, lmax: int | None = None) -> HarmonicBasis:
     """The real orthonormal bidegree basis of S^3 up to (jmax, lmax), in closed form.
 
     On S^3 the block H_{j,l} has the orthogonal basis of its torus weights
@@ -164,11 +166,9 @@ def build_basis(N: int, jmax: int, lmax: int | None = None) -> HarmonicBasis:
     sqrt(2) Re f and sqrt(2) Im f of p = 1..j.  So (0, 0, 0) is +1/sqrt(M).
     The blocks are every (j, l) and (l, j) with j <= jmax, l <= lmax; rows
     run in label order, and each row's terms are f's monomials, then those of
-    conj(f) (f alone when it is real).  Only N = 1 has a basis here.
+    conj(f) (f alone when it is real).
     """
     lmax = jmax if lmax is None else lmax
-    if N != 1:
-        raise DomainError(f"the harmonic basis is the N = 1 closed form, got N={N!r}")
     if not (0 <= jmax <= JMAX_VERIFIED and 0 <= lmax <= JMAX_VERIFIED):
         raise DomainError(f"truncation degrees must lie in [0, {JMAX_VERIFIED}]")
     half = 1 / math.sqrt(2)
@@ -201,7 +201,7 @@ def build_basis(N: int, jmax: int, lmax: int | None = None) -> HarmonicBasis:
     term_coeff = np.concatenate([c for _, c in rows], dtype=np.complex128)
     lj = np.repeat(np.array([key[0] for key in labels], dtype=np.int64), sizes)
     ll = np.repeat(np.array([key[1] for key in labels], dtype=np.int64), sizes)
-    return HarmonicBasis(N, jmax, lmax, term_elem, term_exps, term_coeff, lj, ll, block_slices)
+    return HarmonicBasis(jmax, lmax, term_elem, term_exps, term_coeff, lj, ll, block_slices)
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +210,11 @@ def build_basis(N: int, jmax: int, lmax: int | None = None) -> HarmonicBasis:
 
 @dataclass
 class SphereQuadrature:
-    """Quadrature for dv_S on S^3 (N = 1), deterministic.
+    """Quadrature for dv_S on S^3, deterministic.
 
     Tensor-product rule in Hopf coordinates: Gauss-Legendre in s = |zeta_1|^2,
     uniform in the two phases; exact for bidegree polynomials of total degree
-    <= ``degree``.  The runners support N = 1 only, so no other rule exists.
+    <= ``degree``.
 
     The transforms evaluate the phase DFT on the occupied half-spectrum bins
     only, ring by ring, and work on the spectrum pieces of the elements (see
@@ -229,9 +229,7 @@ class SphereQuadrature:
     wrap around.
     """
 
-    N: int
     degree: int
-    total_mass: float
     s_nodes: Array
     s_weights: Array  # normalized to sum 1
     n_phi: int
@@ -240,11 +238,9 @@ class SphereQuadrature:
     _rotations: dict[int, _RotationPlan] = field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
-    def build(N: int, degree: int) -> "SphereQuadrature":
-        if N != 1:
-            raise DomainError(f"the sphere quadrature is the N = 1 Hopf rule, got N={N!r}")
+    def build(degree: int) -> "SphereQuadrature":
         x, w = np.polynomial.legendre.leggauss(degree // 4 + 1)
-        return SphereQuadrature(N, degree, total_sphere_mass(N), 0.5 * (x + 1.0), 0.5 * w, degree + 1)
+        return SphereQuadrature(degree, 0.5 * (x + 1.0), 0.5 * w, degree + 1)
 
     # --- node access --------------------------------------------------------
 
@@ -266,7 +262,7 @@ class SphereQuadrature:
 
     def _ring_weights(self) -> Array:
         """Weight of each node on the ring of each s node."""
-        return self.total_mass * self.s_weights / self.n_phi**2
+        return SPHERE_MASS * self.s_weights / self.n_phi**2
 
     def integrate(self, values: Array) -> float:
         v = np.asarray(values).reshape(self.grid_shape)
@@ -502,7 +498,7 @@ class SpectralFunction:
         return self.basis.term_exps[live], self.coeffs[elem[live]] * self.basis.term_coeff[live]
 
     def eval(self, zeta: Array) -> Array:
-        """Values at points (..., N+1): ``polynomials.poly_eval`` of the live terms.
+        """Values at points (..., 2) of S^3: ``polynomials.poly_eval`` of the live terms.
 
         That per-coordinate contraction adds up a monomial's terms and builds
         no polynomial table.
@@ -512,7 +508,7 @@ class SpectralFunction:
 
 def constant_function(value: float, basis: HarmonicBasis) -> SpectralFunction:
     c = np.zeros(basis.n_basis)
-    c[basis.index_of(0, 0, 0)] = value * math.sqrt(basis.total_mass)
+    c[basis.index_of(0, 0, 0)] = value * math.sqrt(SPHERE_MASS)
     return SpectralFunction(c, basis)
 
 
@@ -564,5 +560,5 @@ def apply_A2_differential(u: SpectralFunction, zeta) -> float | Array:
     ``polynomials.conformal_sublaplacian`` maps the live terms of ``u`` to the
     terms of A_2 u, which are evaluated at ``zeta``.
     """
-    out = poly_eval(*conformal_sublaplacian(*u._live_terms(), u.basis.N), zeta).real
+    out = poly_eval(*conformal_sublaplacian(*u._live_terms()), zeta).real
     return float(out) if out.ndim == 0 else out

@@ -17,10 +17,11 @@ by its constructor or by keyword in ``dataclasses.replace``).  A parameter
 that no program call sets has one value, and that value belongs in the code,
 not in the signature.
 
-A third guard keeps the group layer written for H^1, the only group the
-laboratory runs: no public function, method or dataclass field of
-``heisenberg``, ``cayley`` or ``riesz`` takes a parameter named ``N`` or is
-itself named ``N``, apart from the few the benchmark still calls with N = 1.
+A third guard keeps the package written for H^1 and S^3, the only group and
+sphere the laboratory runs: no public function, method or dataclass field of
+any module of ``src/cryamabe`` takes a parameter named ``N`` or is itself
+named ``N``, apart from the few the benchmark still calls with N = 1 and the
+closed forms that the sharpness check evaluates at N = 2.
 """
 
 import ast
@@ -49,13 +50,19 @@ ALLOWED_PARAMS = {
 }
 
 
-# "module.qual(N)" -> why it is still there; each accepts N = 1 and refuses any other before any work
+# "module.qual(N)" -> why it is still there.  The bench-called ones accept
+# N = 1 and refuse any other before any work.
 ALLOWED_N = {
     "heisenberg.integrate_decaying(N)": "bench/ passes 1; ROADMAP item 6",
     "heisenberg.BoxDomain.koranyi(N)": "bench/ passes 1; ROADMAP item 6",
     "riesz.KernelSpec(N)": "bench/ passes 1; ROADMAP item 6",
+    "energy.YamabeProblem.build(N)": "bench/ passes cfg.N; ROADMAP item 6",
+    "config.ExperimentConfig(N)": "bench/ reads cfg.N; --N 2 must still exit 2",
+    "energy.sobolev_constant(N)": "closed form; sobolev-sharpness checks it at N = 2",
+    "energy.lambda0(N)": "closed form; sobolev-sharpness checks it at N = 2",
+    "spectral.total_sphere_mass(N)": "closed form; sobolev-sharpness checks it at N = 2",
+    "spectral.surface_measure(N)": "closed form of total_sphere_mass, hence at N = 2",
 }
-GROUP_MODULES = ("heisenberg", "cayley", "riesz")
 
 
 def _public(name: str) -> bool:
@@ -207,7 +214,7 @@ def test_allowed_params_still_exist():
 
 
 def _n_parameters() -> set[str]:
-    """Each public function, method or dataclass field of the group modules that takes or is named ``N``."""
+    """Each public function, method or dataclass field of the package that takes or is named ``N``."""
     found = set()
 
     def check(fn, qual):
@@ -218,8 +225,9 @@ def _n_parameters() -> set[str]:
         if fn.name == "N":
             found.add(qual)
 
-    for mod in GROUP_MODULES:
-        for node in ast.parse((PACKAGE / f"{mod}.py").read_text()).body:
+    for path in sorted(PACKAGE.glob("*.py")):
+        mod = path.stem
+        for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef) and _public(node.name):
                 check(node, f"{mod}.{node.name}")
             elif isinstance(node, ast.ClassDef) and _public(node.name):
@@ -232,6 +240,7 @@ def _n_parameters() -> set[str]:
 
 
 def test_group_layer_takes_no_N():
+    # every module, the sphere layer and the constants too, not the group layer alone
     assert sorted(_n_parameters() - set(ALLOWED_N)) == []
 
 

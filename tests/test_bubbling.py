@@ -106,7 +106,7 @@ class TestSynthesis:
         from cryamabe.spectral import SphereQuadrature
 
         chart = BubbleChart.standard(CENTER, (0.3, 0.1), prob8.constants)
-        quad = SphereQuadrature.build(1, 192)  # phase resolution for the 0.3-scale profile
+        quad = SphereQuadrature.build(192)  # phase resolution for the 0.3-scale profile
         vals = vn_values(chart, 0, prob8.constants, quad.nodes())
         sphere_side = quad.integrate(np.abs(vals) ** 4)
         conf = chart.chart(0)

@@ -90,6 +90,9 @@ def test_out_of_range_config_refused_before_work(tmp_path, field):
         ("verify-group", '{"seed": 1.5}'),  # exited 3 after the run had started
         ("verify-group", '{"seed": -1}'),
         ("verify-group", '{"seed": true}'),  # ran as seed 1
+        ("gradient-decay", '{"rn_ladder": ["0.1", "0.01"]}'),  # ran as (0.1, 0.01)
+        ("gradient-decay", '{"rn_ladder": [true, 0.5]}'),  # ran as (1.0, 0.5)
+        ("gradient-decay", '{"rn_ladder": [0.1, "0.01"]}'),
     ],
 )
 def test_bad_config_refused_before_work(tmp_path, sub, text):
@@ -156,8 +159,10 @@ def test_numpy_integers_stored_as_python_ints():
 
 
 def test_ladder_validation():
-    with pytest.raises(DomainError):
-        ExperimentConfig(rn_ladder=(1e-1, 1e-1))
+    for ladder in ((1e-1, 1e-1), ("0.1", "0.01"), (True, 0.5)):
+        with pytest.raises(DomainError):
+            ExperimentConfig(rn_ladder=ladder)
+    assert ExperimentConfig(rn_ladder=(1, np.float64(0.5))).rn_ladder == (1.0, 0.5)
 
 
 def test_verify_group_artifacts_and_determinism(tmp_path):

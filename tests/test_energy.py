@@ -20,9 +20,10 @@ from cryamabe.energy import (
     sobolev_constant,
 )
 from cryamabe.errors import DivergentIntegralError, DomainError
-from cryamabe.heisenberg import HeisPoint, ShellScheme, _gauge_sq_power, integrate_decaying
+from cryamabe.heisenberg import Q, HeisPoint, ShellScheme, _gauge_sq_power, integrate_decaying
 from cryamabe.minimax import SubgroupSpec, minimax_search
 from cryamabe.spectral import (
+    SPHERE_MASS,
     SphereQuadrature,
     SpectralFunction,
     basis_element,
@@ -37,11 +38,10 @@ STANDARD = BubbleParams(1.0, ORIGIN)  # the centred unit bubble
 
 class TestExponentsAndConstants:
     def test_p_star_values(self):
-        assert p_star(1, 1.0) == pytest.approx(4.0, rel=1e-15)
-        assert p_star(1, 0.5) == pytest.approx(8.0 / 3.0, rel=1e-15)
-        assert p_star(2, 1.0) == pytest.approx(3.0, rel=1e-15)
+        assert p_star(1.0) == pytest.approx(4.0, rel=1e-15)
+        assert p_star(0.5) == pytest.approx(8.0 / 3.0, rel=1e-15)
         with pytest.raises(DomainError):
-            p_star(1, 2.0)
+            p_star(2.0)
 
     def test_sobolev_constant_closed_forms(self):
         assert sobolev_constant(1, 1.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
@@ -51,36 +51,30 @@ class TestExponentsAndConstants:
             assert abs(ident - 1.0) < 1e-12
 
     def test_constant_solution_values(self):
-        assert constant_solution(1, 1.0) == pytest.approx(0.5, rel=1e-14)
+        assert constant_solution(1.0) == pytest.approx(0.5, rel=1e-14)
         lam = lambda0(1, 0.5)
-        assert constant_solution(1, 0.5) == pytest.approx(lam**3, rel=1e-13)
+        assert constant_solution(0.5) == pytest.approx(lam**3, rel=1e-13)
 
     def test_bundle_invariants(self):
-        consts = YamabeConstants.create(1, 1.0)
-        assert consts.Q == 4 and consts.p_star == 4.0
+        consts = YamabeConstants.create(1.0)
+        assert Q == 4 and consts.p_star == 4.0
         assert consts.C_E == pytest.approx(math.pi**2 / 4.0, rel=1e-13)
-        assert consts.C_E == pytest.approx((consts.k / consts.Q) * consts.C_S ** (-consts.Q / (2 * consts.k)), rel=1e-14)
+        assert consts.C_E == pytest.approx((consts.k / Q) * consts.C_S ** (-Q / (2 * consts.k)), rel=1e-14)
         assert consts.cQ == pytest.approx(1.0, rel=1e-13)
         # exact algebraic identity for the bubble energy level
-        alt = (0.5 - 1.0 / consts.p_star) * consts.u0**consts.p_star * consts.total_mass
+        alt = (0.5 - 1.0 / consts.p_star) * consts.u0**consts.p_star * SPHERE_MASS
         assert consts.C_E == pytest.approx(alt, rel=1e-13)
-
-    def test_other_N_refused(self):
-        # the bundle's measure is that of H^1 (kappa_H = 4); on H^2 it would
-        # need 32, so a bundle for N = 2 is refused rather than carrying it
-        with pytest.raises(DomainError):
-            YamabeConstants.create(2, 1.0)
 
 
 class TestBubbles:
     def test_center_value(self):
-        consts = YamabeConstants.create(1, 1.0)
+        consts = YamabeConstants.create(1.0)
         assert float(bubble_eval_zt(STANDARD, ORIGIN.z, np.asarray(ORIGIN.t), consts)) == pytest.approx(
             consts.cQ, rel=1e-14
         )
 
     def test_scaling_identity(self):
-        consts = YamabeConstants.create(1, 1.0)
+        consts = YamabeConstants.create(1.0)
         rng = np.random.default_rng(0)
         from cryamabe.heisenberg import dilate_zt, mul_zt
 
@@ -89,24 +83,24 @@ class TestBubbles:
             w = HeisPoint(rng.normal() + 1.0j * rng.normal(), float(rng.normal()))
             zq, tq = mul_zt(params.xi.z, params.xi.t, *dilate_zt(params.lam, w.z, w.t))
             lhs = float(bubble_eval_zt(params, zq, np.asarray(tq), consts))
-            rhs = params.lam ** ((2 * consts.k - consts.Q) / 2.0) * float(
+            rhs = params.lam ** ((2 * consts.k - Q) / 2.0) * float(
                 bubble_eval_zt(STANDARD, w.z, np.asarray(w.t), consts)
             )
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_decay_envelope(self):
         # omega(d_lam p) lam^{(Q-2k)/2} stays bounded along the dilation ray
-        consts = YamabeConstants.create(1, 1.0)
+        consts = YamabeConstants.create(1.0)
         p = HeisPoint(1.0 + 0.2j, -0.5)
         vals = []
         for lam in np.geomspace(1, 1e3, 15):
             q = float(bubble_eval_zt(STANDARD, lam * p.z, np.asarray(lam * lam * p.t), consts))
-            vals.append(q * lam ** ((consts.Q - 2 * consts.k) / 2.0))
+            vals.append(q * lam ** ((Q - 2 * consts.k) / 2.0))
         assert max(vals) <= vals[0] <= consts.cQ
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
     def test_positive_everywhere(self):
-        consts = YamabeConstants.create(1, 0.5)
+        consts = YamabeConstants.create(0.5)
         rng = np.random.default_rng(1)
         z = 3 * (rng.normal(size=100) + 1.0j * rng.normal(size=100))
         t = 5 * rng.normal(size=100)
@@ -119,7 +113,7 @@ class TestBubbles:
     def test_pde_residual_closed_form(self):
         from cryamabe.heisenberg import sub_laplacian
 
-        consts = YamabeConstants.create(1, 1.0)
+        consts = YamabeConstants.create(1.0)
         om = bubble_field(STANDARD, consts)
         rng = np.random.default_rng(2)
         z = rng.normal(size=100) + 1.0j * rng.normal(size=100)
@@ -199,18 +193,18 @@ class TestLpStarMassPower:
 
 class TestHeisenbergEnergy:
     def test_zero(self):
-        consts = YamabeConstants.create(1, 1.0)
+        consts = YamabeConstants.create(1.0)
         scheme = ShellScheme(l0=1.5, n_shells=4, n_inner=32, n_shell=32)
         assert energy_heis(lambda z, t: np.zeros_like(t), consts, scheme=scheme) == 0.0
 
     def test_bubble_level_direct(self):
-        consts = YamabeConstants.create(1, 1.0)
+        consts = YamabeConstants.create(1.0)
         scheme = ShellScheme(l0=2.0, n_shells=6, n_inner=96, n_shell=48)
         U = bubble_field(STANDARD, consts)
         assert energy_heis(U, consts, scheme=scheme) == pytest.approx(consts.C_E, rel=1e-2)
 
     def test_scale_and_center_independence(self):
-        consts = YamabeConstants.create(1, 1.0)
+        consts = YamabeConstants.create(1.0)
         scheme = ShellScheme(l0=2.0, n_shells=6, n_inner=96, n_shell=48)
         xi = HeisPoint(1.0 + 0j, 1.0)
         for lam, center in ((0.5, ORIGIN), (2.0, ORIGIN), (1.0, xi)):
@@ -221,11 +215,11 @@ class TestHeisenbergEnergy:
     def test_one_walk_matches_two_walks(self):
         # the Dirichlet form and the p*-mass as stacked rows of one walk sum
         # exactly as they do in a walk each
-        consts = YamabeConstants.create(1, 1.0)
+        consts = YamabeConstants.create(1.0)
         scheme = ShellScheme(l0=1.5, n_shells=4, n_inner=32, n_shell=32)
         xi = HeisPoint(1.0 + 0j, 1.0)
         U = bubble_field(BubbleParams(0.5, xi), consts)
-        walk = lambda f: integrate_decaying(f, 1, scheme, consts.measure, center=xi)[0]
+        walk = lambda f: integrate_decaying(f, 1, scheme, center=xi)[0]
         quadratic = walk(lambda z, t: _dirichlet_density(U, z, t))
         mass = walk(lambda z, t: np.abs(U(z, t)) ** consts.p_star)
         assert energy_heis(U, consts, scheme=scheme, center=xi) == 0.5 * quadratic - mass / consts.p_star
@@ -246,7 +240,7 @@ class TestHeisenbergEnergy:
         assert sphere_energy(U2) == pytest.approx(consts.C_E, rel=1e-2)
 
     def test_fractional_order_refused_before_walk(self):
-        consts = YamabeConstants.create(1, 0.5)
+        consts = YamabeConstants.create(0.5)
 
         def U(z, t):
             raise AssertionError("evaluated before the order was checked")
@@ -259,14 +253,14 @@ class TestHeisenbergEnergy:
         # step is coarser on the far shells, hence the 1e-3
         from cryamabe.energy import dirichlet_form
 
-        consts = YamabeConstants.create(1, 1.0)
+        consts = YamabeConstants.create(1.0)
         scheme = ShellScheme(l0=1.5, n_shells=4, n_inner=32, n_shell=32)
         U = bubble_field(STANDARD, consts)
         fixed = dirichlet_form(U, consts, scheme, h=1e-3)
         assert fixed == pytest.approx(dirichlet_form(U, consts, scheme), rel=1e-3)
 
     def test_divergent_input_diagnosed(self):
-        consts = YamabeConstants.create(1, 1.0)
+        consts = YamabeConstants.create(1.0)
         scheme = ShellScheme(l0=1.5, n_shells=5, n_inner=24, n_shell=24)
         with pytest.raises(DivergentIntegralError):
             energy_heis(lambda z, t: np.ones_like(t), consts, scheme=scheme)
@@ -274,7 +268,7 @@ class TestHeisenbergEnergy:
 
 class TestCalibration:
     def test_normalization_triple(self):
-        consts = YamabeConstants.create(1, 1.0)
+        consts = YamabeConstants.create(1.0)
         rep = calibrate_normalizations(consts)
         assert rep["kappa_rel_err"] < 5e-3
         assert rep["bubble_constant_rel_err"] < 1e-10

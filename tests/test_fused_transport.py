@@ -35,7 +35,7 @@ from cryamabe.energy import (
     bubble_horizontal_gradient_zt,
     dirichlet_form,
 )
-from cryamabe.heisenberg import HeisPoint, ShellScheme, _flow_stencil, integrate_decaying, sub_laplacian, vector_field
+from cryamabe.heisenberg import Q, HeisPoint, ShellScheme, _flow_stencil, integrate_decaying, sub_laplacian, vector_field
 from cryamabe.spectral import SpectralFunction, apply_A2k
 
 CENTER = np.array([1.0 + 0j, 0.0 + 0j])
@@ -58,15 +58,15 @@ def _separate_piece_report(chart, n, u_infty, prob, scheme):
         return beta_n(z, t) * chart.profile_factor * bubble_eval_zt(STANDARD, z, t, constants)
 
     a_n = dirichlet_form(W, constants, scheme)
-    m_n, _ = integrate_decaying(lambda z, t: np.abs(W(z, t)) ** p_star, 1, scheme, constants.measure)
+    m_n, _ = integrate_decaying(lambda z, t: np.abs(W(z, t)) ** p_star, 1, scheme)
     Au = SpectralFunction(prob.basis.multipliers(constants.k) * u_infty.coeffs, prob.basis)
 
     def cross_quad_integrand(z, t):
         lam = conf.jacobian_zt(z, t)
         g = Au.eval(conf.map_zt(z, t))
-        return lam ** ((constants.Q + 2 * constants.k) / (2.0 * constants.Q)) * g * W(z, t)
+        return lam ** ((Q + 2 * constants.k) / (2.0 * Q)) * g * W(z, t)
 
-    cross_quad, _ = integrate_decaying(cross_quad_integrand, 1, scheme, constants.measure)
+    cross_quad, _ = integrate_decaying(cross_quad_integrand, 1, scheme)
 
     def coupling_integrand(z, t):
         lam = conf.jacobian_zt(z, t)
@@ -74,7 +74,7 @@ def _separate_piece_report(chart, n, u_infty, prob, scheme):
         b = lam ** (-1.0 / p_star) * W(z, t)
         return lam * (np.abs(a + b) ** p_star - np.abs(a) ** p_star - np.abs(b) ** p_star)
 
-    coupling, _ = integrate_decaying(coupling_integrand, 1, scheme, constants.measure)
+    coupling, _ = integrate_decaying(coupling_integrand, 1, scheme)
     return {
         "R_n": R,
         "a_n": a_n,
@@ -91,7 +91,7 @@ def _separate_residual_report(spec, n, prob, scheme):
     R = chart.radii[n]
     conf = chart.chart(n)
     beta_n = lambda z, t: chart.cutoff.value(conf.map_zt(z, t))
-    pbar = 2.0 * constants.Q / (constants.Q + 2.0 * constants.k)
+    pbar = 2.0 * Q / (Q + 2.0 * constants.k)
     c_prof = chart.profile_factor
     expo = 1.0 / constants.p_star
     resid_inf = prob.residual(spec.u_infty)
@@ -114,13 +114,13 @@ def _separate_residual_report(spec, n, prob, scheme):
         W = A + c_prof * beta * om
         return A**3 + L_betaU - W**3
 
-    ub_int, _ = integrate_decaying(lambda z, t: np.abs(G_fn(z, t)) ** pbar, 1, scheme, constants.measure)
+    ub_int, _ = integrate_decaying(lambda z, t: np.abs(G_fn(z, t)) ** pbar, 1, scheme)
 
     def witness(z, t):
         return np.exp(-0.5 * ((z * np.conj(z)).real ** 2 + t * t))
 
     wit_scheme = ShellScheme(l0=2.0, n_shells=5, n_inner=64, n_shell=48)
-    wit_pair, _ = integrate_decaying(lambda z, t: G_fn(z, t) * witness(z, t), 1, wit_scheme, constants.measure)
+    wit_pair, _ = integrate_decaying(lambda z, t: G_fn(z, t) * witness(z, t), 1, wit_scheme)
     wit_norm = math.sqrt(dirichlet_form(witness, constants, wit_scheme))
     return {
         "n": n,
@@ -136,7 +136,7 @@ def _unskipped_piece_report(chart, n, u_infty, prob, scheme):
     constants = prob.constants
     conf = chart.chart(n)
     p_star = constants.p_star
-    e_quad = (constants.Q + 2 * constants.k) / (2.0 * constants.Q)
+    e_quad = (Q + 2 * constants.k) / (2.0 * Q)
     Au = apply_A2k(u_infty, constants.k)
 
     def W_at(z, t, zeta):
@@ -157,7 +157,7 @@ def _unskipped_piece_report(chart, n, u_infty, prob, scheme):
             ]
         )
 
-    (a_n, m_n, cross_quad, coupling), _ = integrate_decaying(integrand, 1, scheme, constants.measure)
+    (a_n, m_n, cross_quad, coupling), _ = integrate_decaying(integrand, 1, scheme)
     return {
         "R_n": chart.radii[n],
         "a_n": a_n,
@@ -173,7 +173,7 @@ def _unskipped_residual_bounds(spec, n, prob, scheme):
     chart = spec.bubbles[0]
     conf = chart.chart(n)
     beta_n = lambda z, t: chart.cutoff.value(conf.map_zt(z, t))
-    pbar = 2.0 * constants.Q / (constants.Q + 2.0 * constants.k)
+    pbar = 2.0 * Q / (Q + 2.0 * constants.k)
     c_prof = chart.profile_factor
 
     def G_fn(z, t):
@@ -194,13 +194,13 @@ def _unskipped_residual_bounds(spec, n, prob, scheme):
         W = A + c_prof * beta * om
         return A**3 + L_betaU - W**3
 
-    ub_int, _ = integrate_decaying(lambda z, t: np.abs(G_fn(z, t)) ** pbar, 1, scheme, constants.measure)
+    ub_int, _ = integrate_decaying(lambda z, t: np.abs(G_fn(z, t)) ** pbar, 1, scheme)
 
     def witness(z, t):
         return np.exp(-0.5 * ((z * np.conj(z)).real ** 2 + t * t))
 
     wit_scheme = ShellScheme(l0=2.0, n_shells=5, n_inner=64, n_shell=48)
-    wit_pair, _ = integrate_decaying(lambda z, t: G_fn(z, t) * witness(z, t), 1, wit_scheme, constants.measure)
+    wit_pair, _ = integrate_decaying(lambda z, t: G_fn(z, t) * witness(z, t), 1, wit_scheme)
     wit_norm = math.sqrt(dirichlet_form(witness, constants, wit_scheme))
     return {"residual_upper": float(ub_int ** (1.0 / pbar)), "residual_lower": float(abs(wit_pair) / wit_norm)}
 

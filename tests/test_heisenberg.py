@@ -10,7 +10,6 @@ from cryamabe.heisenberg import (
     KAPPA_H,
     _WALK_BLOCK,
     BoxDomain,
-    HaarMeasure,
     HeisPoint,
     ShellScheme,
     _box_grid,
@@ -26,6 +25,7 @@ from cryamabe.heisenberg import (
     sub_laplacian,
     vector_field,
 )
+from cryamabe.spectral import SPHERE_MASS
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -212,13 +212,13 @@ class TestHaarQuadrature:
         # which collapses to pi^2 for N = 1, k = 1
         from cryamabe.energy import BubbleParams, YamabeConstants, bubble_eval_zt
 
-        consts = YamabeConstants.create(1, 1.0)
+        consts = YamabeConstants.create(1.0)
         val, shells = integrate_decaying(
             lambda z, t: bubble_eval_zt(BubbleParams(1.0, ORIGIN), z, t, consts) ** 4,
             1,
             ShellScheme(l0=2.0, n_shells=7, n_inner=96, n_shell=48),
         )
-        exact = consts.u0**4 * consts.total_mass
+        exact = consts.u0**4 * SPHERE_MASS
         assert exact == pytest.approx(math.pi**2, rel=1e-12)
         assert val == pytest.approx(exact, rel=2e-3)
         assert abs(shells[-1]) < 1e-5 * abs(val)
@@ -228,7 +228,7 @@ class TestHaarQuadrature:
             integrate_decaying(lambda z, t: np.ones_like(t), 1, ShellScheme(n_shells=5))
 
     def test_ball_volume_closed_form(self):
-        assert koranyi_ball_volume(1.0, HaarMeasure(1.0)) == pytest.approx(math.pi**2 / 2.0, rel=1e-15)
+        assert koranyi_ball_volume(1.0) / KAPPA_H == pytest.approx(math.pi**2 / 2.0, rel=1e-15)
         assert koranyi_ball_volume(2.0) == pytest.approx(KAPPA_H * 8.0 * math.pi**2, rel=1e-15)
         # midpoint rule on the (x, y) square with the t-extent 2 sqrt(1 - |z|^4)
         # of the unit gauge ball integrated exactly
@@ -237,12 +237,12 @@ class TestHaarQuadrature:
         c = -1.0 + h * (np.arange(n) + 0.5)
         r2 = c[:, None] ** 2 + c[None, :] ** 2
         box = h**2 * float(np.sum(2.0 * np.sqrt(np.clip(1.0 - r2 * r2, 0.0, None))))
-        assert koranyi_ball_volume(1.0, HaarMeasure(1.0)) == pytest.approx(box, rel=5e-4)
+        assert koranyi_ball_volume(1.0) / KAPPA_H == pytest.approx(box, rel=5e-4)
 
     def test_haar_measure_validation(self):
-        with pytest.raises(DomainError):
-            HaarMeasure(0.0)
-        assert HaarMeasure().kappa_H == KAPPA_H == 4.0
+        # dv_H is KAPPA_H times Lebesgue measure: the box [-1, 1]^3 has dv_H volume 8 KAPPA_H
+        val, _ = integrate_decaying(lambda z, t: np.ones_like(t), 1, ShellScheme(l0=1.0, n_shells=1, n_inner=4, n_shell=4))
+        assert KAPPA_H == 4.0 and val == 8.0 * KAPPA_H
         with pytest.raises(DomainError):
             _box_grid(BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), 0)
 
@@ -323,7 +323,7 @@ class TestShellWalker:
     def test_stacked_integrand_equals_scalar_calls(self):
         from cryamabe.energy import BubbleParams, YamabeConstants, bubble_eval_zt
 
-        consts = YamabeConstants.create(1, 1.0)
+        consts = YamabeConstants.create(1.0)
         rows = (
             lambda z, t: bubble_eval_zt(BubbleParams(1.0, ORIGIN), z, t, consts) ** 4,
             lambda z, t: np.exp(-(np.abs(z) ** 4 + t * t)),
@@ -351,7 +351,7 @@ class TestShellWalker:
     def test_sub_blocks_sum_as_whole_walk_blocks(self, stacked):
         from cryamabe.energy import BubbleParams, YamabeConstants, bubble_eval_zt
 
-        consts = YamabeConstants.create(1, 1.0)
+        consts = YamabeConstants.create(1.0)
 
         def f(z, t):
             rows = [

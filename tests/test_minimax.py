@@ -83,7 +83,7 @@ class TestInvariance:
     def test_random_unitaries(self, prob4):
         rng = np.random.default_rng(4)
         u = SpectralFunction(rng.standard_normal(prob4.basis.n_basis), prob4.basis)
-        worst = max(invariance_check(u, random_unitary(2, rng), prob4) for _ in range(10))
+        worst = max(invariance_check(u, random_unitary(rng), prob4) for _ in range(10))
         assert worst < 1e-6
 
     def test_non_unitary_rejected(self, prob4):
@@ -115,7 +115,7 @@ class TestRotationDifferential:
         rng = np.random.default_rng(40)
         u = SpectralFunction(rng.standard_normal(prob.basis.n_basis), prob.basis)
         special = [np.eye(2), np.exp(0.77j) * np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])]
-        for g in [random_unitary(2, rng) for _ in range(5)] + special:
+        for g in [random_unitary(rng) for _ in range(5)] + special:
             ref = u.eval(prob.quad.nodes() @ g.T)
             got = prob.quad.rotated_values(u.coeffs, u.basis, g)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -124,7 +124,7 @@ class TestRotationDifferential:
         rng = np.random.default_rng(41)
         u = SpectralFunction(rng.standard_normal(prob4.basis.n_basis), prob4.basis)
         for _ in range(10):
-            g = random_unitary(2, rng)
+            g = random_unitary(rng)
             assert abs(invariance_check(u, g, prob4) - _invariance_by_eval(u, g, prob4)) <= 1e-12
 
 

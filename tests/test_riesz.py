@@ -10,7 +10,6 @@ from cryamabe.errors import DomainError, SingularPointError
 from cryamabe.heisenberg import (
     KAPPA_H,
     BoxDomain,
-    HaarMeasure,
     HeisPoint,
     ShellScheme,
     _gauge_sq_power,
@@ -19,7 +18,6 @@ from cryamabe.heisenberg import (
     hermitian_im,
     integrate_decaying,
     inv_zt,
-    koranyi_ball_volume,
     mul_zt,
     shell_nodes,
     sub_laplacian,
@@ -105,7 +103,7 @@ def _ref_sheared_diagonal(spec, steps, z_src, subs=(12, 12, 16)):
         outside = gsq > rho * rho
         contrib = np.where(outside, _ref_power(np.maximum(gsq, 1e-300), spec.exponent), 0.0)
         total += contrib * subvol
-    vol1 = koranyi_ball_volume(1.0, HaarMeasure(1.0))
+    vol1 = math.pi**2 / 2  # Lebesgue volume of the unit Koranyi ball
     core = spec.Q * vol1 * rho ** (spec.Q + spec.exponent) / (spec.Q + spec.exponent)
     return (total + core) / (hx * hy * ht)
 
@@ -151,7 +149,7 @@ def _ref_convolve(f, spec, support_threshold=0.0):
     return out * f.cell_volume * KAPPA_H
 
 
-def _ref_far_field(box, zo, to, mass, e_src, e_ker, measure):
+def _ref_far_field(box, zo, to, mass, e_src, e_ker):
     """The far field of the iterated convolution evaluated per (node, output) pair.
 
     The same shells, outside-the-box mask and chunks of _BLOCK // n_out nodes
@@ -185,7 +183,7 @@ def _ref_far_field(box, zo, to, mass, e_src, e_ker, measure):
             wt *= wt
             zz += wt
             np.sqrt(zz, out=zz)
-            out += measure.kappa_H * cellv * mass * (src_w[b] @ _gauge_sq_power(zz, e_ker))
+            out += KAPPA_H * cellv * mass * (src_w[b] @ _gauge_sq_power(zz, e_ker))
     return out
 
 
@@ -464,7 +462,7 @@ class TestSemigroup:
         cols = rng.choice(n * n, n_out // 2, replace=False)
         levels = np.stack([rng.choice(n, 2, replace=False) for _ in cols])
         sub = rng.permutation((cols[:, None] * n + levels).reshape(-1))
-        args = (box, z_all[sub], t_all[sub], 1.7, -3.0, -3.0, HaarMeasure())
+        args = (box, z_all[sub], t_all[sub], 1.7, -3.0, -3.0)
         assert np.array_equal(_far_field_composition(*args), _ref_far_field(*args))
 
     def test_small_grid_shape_agreement(self):
@@ -560,7 +558,7 @@ class TestPrincipalValue:
         assert abs(quadrature - closed) <= 1e-3 * closed
 
     def test_extremal_family_calibration(self):
-        consts = YamabeConstants.create(1, 0.5)
+        consts = YamabeConstants.create(0.5)
         c_fit = fit_pv_constant(1.0, consts, n_points=6)
         rng = np.random.default_rng(3)
         om = bubble_field(STANDARD, consts)
@@ -575,7 +573,7 @@ class TestPrincipalValue:
     def test_local_limit_recorded(self):
         # alpha -> 2 cross-check against the local operator; low accuracy by
         # construction, so the aggregate comparison is recorded, not pinned
-        consts = YamabeConstants.create(1, 0.95)
+        consts = YamabeConstants.create(0.95)
         c_fit = fit_pv_constant(1.9, consts, n_points=5)
         bump = lambda z, t: np.exp(-(np.abs(z) ** 4 + t * t))
         rng = np.random.default_rng(4)

@@ -24,7 +24,7 @@ CENTER = np.array([1.0 + 0j, 0.0 + 0j])
 @pytest.mark.parametrize("h_factor", [0.01, 0.02], ids=["dirichlet", "residual"])
 @pytest.mark.parametrize("n", range(len(LADDER)))
 def test_settled_nodes_have_an_exactly_constant_cutoff(n, h_factor):
-    chart = BubbleChart.standard(CENTER, LADDER, YamabeConstants.create(1, 1.0))
+    chart = BubbleChart.standard(CENTER, LADDER, YamabeConstants.create(1.0))
     conf, cut = chart.chart(n), chart.cutoff
     # the default reach of both reports on coarse grids
     scheme = replace(ShellScheme.reaching(4.0 / LADDER[n]), n_inner=24, n_shell=16)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cryamabe.energy import cached_basis
+from cryamabe.energy import YamabeProblem, cached_basis
 from cryamabe.errors import DomainError
 from cryamabe.polynomials import _tangential, conformal_sublaplacian, poly_eval
 from cryamabe.spectral import (
+    SPHERE_MASS,
     HarmonicBasis,
     SphereQuadrature,
     SpectralFunction,
@@ -69,10 +70,10 @@ def _dense(basis):
     return hit[1:]
 
 
-def _from_dense(N, jmax, lmax, exps, coeff, lj, ll, block_slices):
+def _from_dense(jmax, lmax, exps, coeff, lj, ll, block_slices):
     """A basis whose terms are the nonzero entries of a dense coefficient matrix, row by row."""
     rows, cols = np.nonzero(coeff)
-    return HarmonicBasis(N, jmax, lmax, rows, exps[cols], coeff[rows, cols], lj, ll, block_slices)
+    return HarmonicBasis(jmax, lmax, rows, exps[cols], coeff[rows, cols], lj, ll, block_slices)
 
 
 def _mon_keys(basis):
@@ -313,19 +314,7 @@ class TestBasisConstruction:
     def test_truncation_guard(self):
         for jmax, lmax in ((40, None), (9, None), (-1, None), (2, 9), (2, -1)):
             with pytest.raises(DomainError):
-                build_basis(1, jmax, lmax)
-
-    def test_non_n1_refused_before_work(self, monkeypatch):
-        # the basis is the N = 1 closed form; other N are refused before any element is built
-        import cryamabe.spectral as spectral
-
-        def no_work(*args):
-            raise AssertionError("an element was built")
-
-        monkeypatch.setattr(spectral, "_weight_element", no_work)
-        for N in (0, 2, 3):
-            with pytest.raises(DomainError):
-                build_basis(N, 1)
+                build_basis(jmax, lmax)
 
     def test_index_of_refuses_elements_outside_the_basis(self, prob4):
         basis = prob4.basis
@@ -372,12 +361,7 @@ class TestTransforms:
             mono = nodes[:, 0] ** alpha[0] * nodes[:, 1] ** alpha[1]
             mono = mono * np.conj(nodes[:, 0]) ** beta[0] * np.conj(nodes[:, 1]) ** beta[1]
             quad_val = quad.integrate(mono.real)
-            assert quad_val == pytest.approx(monomial_moment(alpha, beta, 1), abs=1e-8 * quad.total_mass)
-
-    def test_quadrature_is_n1_only(self):
-        # the runners support N = 1 only; there is no other sphere rule
-        with pytest.raises(DomainError):
-            SphereQuadrature.build(2, 8)
+            assert quad_val == pytest.approx(monomial_moment(alpha, beta, 1), abs=1e-8 * SPHERE_MASS)
 
 
 class TestDiagonalOperator:
@@ -404,7 +388,7 @@ class TestDiagonalOperator:
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=-3, max_value=3), st.floats(min_value=-3, max_value=3))
     def test_linearity_exact(self, a, b):
-        basis = build_basis(1, 2)
+        basis = build_basis(2)
         u = basis_element(basis, 1, 0, 0)
         v = basis_element(basis, 2, 2, 3)
         lhs = apply_A2k(a * u + b * v, 1.0).coeffs
@@ -663,7 +647,7 @@ class TestSublaplacianDifferential:
 
     @staticmethod
     def _both(exps, coeffs, N, zeta):
-        new = _ref_poly_eval(_ref_table(*conformal_sublaplacian(exps, coeffs, N)), zeta)
+        new = _ref_poly_eval(_ref_table(*conformal_sublaplacian(exps, coeffs)), zeta)
         return new, _ref_poly_eval(_ref_conformal_sublaplacian(_ref_table(exps, coeffs), N), zeta)
 
     def test_every_jmax4_element(self, prob4):
@@ -691,7 +675,7 @@ class TestSublaplacianDifferential:
     @pytest.mark.parametrize("N", [1, 2])
     def test_constant_is_scaled_by_n_squared_over_4(self, N):
         exps, coeffs = np.zeros((1, 2, N + 1), dtype=np.int64), np.array([0.37 - 1.5j])
-        out_exps, out_coeffs = conformal_sublaplacian(exps, coeffs, N)
+        out_exps, out_coeffs = conformal_sublaplacian(exps, coeffs)
         assert np.array_equal(out_exps, exps) and np.array_equal(out_coeffs, N * N / 4.0 * coeffs)
 
     def test_tangential_drops_zero_factors(self):
@@ -755,8 +739,9 @@ def _ref_poly_conj(p):
 
 
 @functools.lru_cache(maxsize=None)
-def _ref_build_basis(N, jmax, lmax=None):
-    """build_basis as it was: every element a dict polynomial, realified term by term."""
+def _ref_build_basis(jmax, lmax=None):
+    """build_basis as it was: every element a dict polynomial on S^3, realified term by term."""
+    N = 1
     lmax = jmax if lmax is None else lmax
     moments = _RefMomentTable(N, total_sphere_mass(N))
     mon_index, rows, labels, elements, done = {}, [], [], {}, set()
@@ -832,12 +817,12 @@ def _ref_build_basis(N, jmax, lmax=None):
             coeff[r, cidx] = c
     lj = np.array([j for j, _ in labels], dtype=np.int64)
     ll = np.array([l for _, l in labels], dtype=np.int64)
-    return _from_dense(N, jmax, lmax, np.array(list(mon_index)), coeff, lj, ll, block_slices)
+    return _from_dense(jmax, lmax, np.array(list(mon_index)), coeff, lj, ll, block_slices)
 
 
 def _exact_rule(jmax, lmax):
     """The runner's rule for (jmax, lmax): exact for the product of two elements."""
-    return SphereQuadrature.build(1, max(4 * (jmax + lmax), 1))
+    return SphereQuadrature.build(max(4 * (jmax + lmax), 1))
 
 
 def _coordinates(basis, other, quad):
@@ -855,7 +840,7 @@ class TestBasisDifferential:
     # at 5, 6.5e-12 at 6, 4.2e-9 at 8) and bounds the comparison from jmax 6 on.
     @pytest.mark.parametrize("jmax,lmax", BASIS_CASES)
     def test_blocks_span_the_reference(self, jmax, lmax):
-        new, ref = build_basis(1, jmax, lmax), _ref_build_basis(1, jmax, lmax)
+        new, ref = build_basis(jmax, lmax), _ref_build_basis(jmax, lmax)
         assert np.array_equal(new.labels_j, ref.labels_j) and np.array_equal(new.labels_l, ref.labels_l)
         assert new.block_slices == ref.block_slices
         quad = _exact_rule(jmax, lmax)
@@ -872,7 +857,7 @@ class TestBasisDifferential:
         # analysis and synthesis unchanged; its block energies agree up to the
         # reference's own orthonormality error (4.2e-9 at jmax 8)
         quad, basis = prob8.quad, prob8.basis
-        ref = _ref_build_basis(1, 8)
+        ref = _ref_build_basis(8)
         nodes = quad.nodes()[::29]
         for seed in range(3):
             c = np.random.default_rng(40 + seed).standard_normal(basis.n_basis)
@@ -883,11 +868,18 @@ class TestBasisDifferential:
             for sl in basis.block_slices.values():
                 assert abs(np.linalg.norm(a[sl]) - np.linalg.norm(c[sl])) <= 1e-8
 
-    # the N = 2 build that the reference was compared with is deleted
+    # the N = 2 build that the reference was compared with is deleted: S^3 is
+    # the only sphere, and a problem on S^5 is refused before any basis is built
     @pytest.mark.parametrize("jmax", [0, 1, 2])
-    def test_n2_refused(self, jmax):
+    def test_n2_refused(self, jmax, monkeypatch):
+        import cryamabe.energy as energy
+
+        def no_work(*args):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr(energy, "cached_basis", no_work)
         with pytest.raises(DomainError):
-            build_basis(2, jmax)
+            YamabeProblem.build(2, 1.0, jmax)
 
 
 def _jacobi(n, a, b, x):
@@ -906,7 +898,7 @@ def _jacobi(n, a, b, x):
 class TestClosedFormBasis:
     @pytest.mark.parametrize("jmax,lmax", BASIS_CASES)
     def test_orthonormal(self, jmax, lmax):
-        basis = build_basis(1, jmax, lmax)
+        basis = build_basis(jmax, lmax)
         G = _coordinates(basis, basis, _exact_rule(jmax, lmax))
         assert np.max(np.abs(G - np.eye(basis.n_basis))) <= 1e-12
 
@@ -917,11 +909,11 @@ class TestClosedFormBasis:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         monkeypatch.setattr(np.linalg, "lstsq", refuse)
         for jmax, lmax in ((8, 8), (5, 2), (1, 4)):
-            build_basis(1, jmax, lmax)
+            build_basis(jmax, lmax)
 
     @pytest.mark.parametrize("jmax,lmax", [(8, 8), (5, 2), (1, 4)])
     def test_one_weight_per_element_and_m_orders_p(self, jmax, lmax):
-        basis = build_basis(1, jmax, lmax)
+        basis = build_basis(jmax, lmax)
         exps, coeff = _dense(basis)
         weights = exps[:, 0] - exps[:, 1]  # torus weight (p, q) of each monomial
         for (j, l), sl in basis.block_slices.items():
@@ -1012,8 +1004,8 @@ class TestHalfSpectrumTransforms:
     @pytest.mark.parametrize("jmax", [2, 4, 8])
     @pytest.mark.parametrize("rule", sorted(DEGREES))
     def test_matches_full_spectrum(self, jmax, rule):
-        basis = cached_basis(1, jmax)
-        quad = SphereQuadrature.build(1, self.DEGREES[rule](jmax))
+        basis = cached_basis(jmax)
+        quad = SphereQuadrature.build(self.DEGREES[rule](jmax))
         assert (quad.n_phi % 2 == 0) == (rule in ("nyquist", "alias_even", "one"))
         for seed in range(2):
             rng = np.random.default_rng(50 + seed)
@@ -1033,8 +1025,8 @@ class TestHalfSpectrumTransforms:
 
         monkeypatch.setattr(np.fft, "rfft2", refuse)
         monkeypatch.setattr(np.fft, "irfft2", refuse)
-        basis = cached_basis(1, 4)
-        quad = SphereQuadrature.build(1, 32)
+        basis = cached_basis(4)
+        quad = SphereQuadrature.build(32)
         rng = np.random.default_rng(4)
         c = rng.standard_normal(basis.n_basis)
         vals = quad.synthesize_values(c, basis)
@@ -1047,8 +1039,8 @@ class TestHalfSpectrumTransforms:
         [(8, 64, 17, 9), (2, 1, 2, 2)],  # the default jmax-8 rule; the n_phi = 2 rule, every bin folded
     )
     def test_compact_plan_holds_the_occupied_bins(self, jmax, degree, n_p, n_q):
-        basis = cached_basis(1, jmax)
-        quad = SphereQuadrature.build(1, degree)
+        basis = cached_basis(jmax)
+        quad = SphereQuadrature.build(degree)
         plan = quad._plan_for(basis)
         n = quad.n_phi
         assert plan.ana_p.shape == (n_p, n) and plan.syn_p.shape == (n, n_p)
@@ -1066,19 +1058,19 @@ class TestHalfSpectrumTransforms:
             assert len(plan.src) == 801
 
     def test_plan_follows_the_basis(self):
-        quad = SphereQuadrature.build(1, 16)
-        c2, c4 = (np.random.default_rng(2).standard_normal(cached_basis(1, j).n_basis) for j in (2, 4))
-        first = quad.synthesize_values(c2, cached_basis(1, 2))
-        quad.synthesize_values(c4, cached_basis(1, 4))
-        assert np.array_equal(quad.synthesize_values(c2, cached_basis(1, 2)), first)
+        quad = SphereQuadrature.build(16)
+        c2, c4 = (np.random.default_rng(2).standard_normal(cached_basis(j).n_basis) for j in (2, 4))
+        first = quad.synthesize_values(c2, cached_basis(2))
+        quad.synthesize_values(c4, cached_basis(4))
+        assert np.array_equal(quad.synthesize_values(c2, cached_basis(2)), first)
 
     def test_alternating_bases_build_each_plan_once(self, monkeypatch):
-        quad = SphereQuadrature.build(1, 16)
-        bases = [cached_basis(1, j) for j in (2, 4)]
+        quad = SphereQuadrature.build(16)
+        bases = [cached_basis(j) for j in (2, 4)]
         coeffs = [np.random.default_rng(7 + i).standard_normal(b.n_basis) for i, b in enumerate(bases)]
         fresh = []
         for b, c in zip(bases, coeffs):  # each basis on a quadrature of its own
-            own = SphereQuadrature.build(1, 16)
+            own = SphereQuadrature.build(16)
             vals = own.synthesize_values(c, b)
             fresh.append((vals, own.analyze_values(vals**3, b)))
         built = []
@@ -1145,7 +1137,7 @@ def test_poly_eval_bounds_its_intermediates(prob8, monkeypatch):
 
 def test_basis_holds_only_its_terms():
     # the dense layout was a 729 x 2025 complex matrix, 22.5 MiB at jmax 8
-    basis = build_basis(1, 8)
+    basis = build_basis(8)
     arrays = [v for v in vars(basis).values() if isinstance(v, np.ndarray)]
     assert sum(a.nbytes for a in arrays) < 2**20
     assert all(a.ndim == 1 or a.shape[0] == len(basis.term_elem) for a in arrays)
@@ -1162,7 +1154,7 @@ def test_poly_eval_adds_repeated_pairs():
 
 @pytest.mark.parametrize("jmax,lmax", [(2, 2), (4, 4), (8, 8), (5, 2), (1, 4)])
 def test_terms_match_the_dense_layout(jmax, lmax):
-    basis = cached_basis(1, jmax, lmax)
+    basis = cached_basis(jmax, lmax)
     quad = _exact_rule(jmax, lmax)
     zeta = _sphere_points(200, 24)
     rng = np.random.default_rng(60 + jmax)
