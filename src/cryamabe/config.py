@@ -1,4 +1,10 @@
-"""Experiment configuration: one JSON-serializable dataclass plus flag overrides."""
+"""Experiment configuration: one JSON-serializable dataclass plus flag overrides.
+
+``_RULES`` maps each field to its one refusal rule, which returns the value to
+store (a Python int; a list or tuple as a tuple) or raises DomainError naming
+the field.  A str, a dict or a scalar is refused before it is iterated, and only
+``lmax`` and ``quad_degree`` take None ("derive from jmax").
+"""
 
 from __future__ import annotations
 
@@ -25,31 +31,63 @@ GRID_NODE_BUDGET = 2**21
 RN_FLOOR = 1e-70
 
 
-def _integral(value) -> bool:
-    """An integer of any integral type (Python's or numpy's); a bool is no integer."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _positive_real(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
 
 
-def _check_grid(shape, half_widths) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """The riesz-check grid as tuples: 3 Python ints >= 8 per axis and 2 finite positive half-widths.
+def _where(ok: bool, value, name: str, what: str):
+    """The value itself if ok, else a DomainError naming the field."""
+    if not ok:
+        raise DomainError(f"{name} must be {what}, got {value!r}")
+    return value
 
-    The half-widths are those of x = y and of t.  Anything else raises
-    DomainError; ``ExperimentConfig`` and ``riesz.semigroup_check`` share
-    this rule.
-    """
-    try:
-        shape, widths = tuple(shape), tuple(half_widths)
-    except TypeError:
-        raise DomainError(f"grid shape and half-widths must be sequences, got {shape!r} and {half_widths!r}") from None
-    if len(shape) != 3 or not all(_integral(n) and n >= 8 for n in shape):
-        raise DomainError(f"grid shape must be 3 integers >= 8, got {shape!r}")
-    if len(widths) != 2 or not all(_positive_real(w) for w in widths):
-        raise DomainError(f"grid half-widths must be 2 finite positive numbers, got {widths!r}")
-    return tuple(int(n) for n in shape), widths
+
+def _count(value, name: str, low: int = 1, high: float = math.inf) -> int:
+    """An integer in [low, high] of any integral type (Python's or numpy's; a bool is none), as a Python int."""
+    ok = isinstance(value, numbers.Integral) and not isinstance(value, bool) and low <= value <= high
+    return int(_where(ok, value, name, f"an integer in [{low}, {high}]"))
+
+
+def _sequence(value, name: str, low: int, high: float = math.inf) -> tuple:
+    ok = isinstance(value, (list, tuple)) and low <= len(value) <= high
+    return tuple(_where(ok, value, name, f"a list or tuple of length in [{low}, {high}]"))
+
+
+def _grid_shape(value, name: str, budget: float = math.inf) -> tuple[int, ...]:
+    """3 integers >= 8 per axis, with at most budget nodes in all."""
+    shape = tuple(_count(n, f"{name} axis", 8) for n in _sequence(value, name, 3, 3))
+    return _where(math.prod(shape) <= budget, shape, name, f"a grid of at most {budget} nodes")
+
+
+def _half_widths(value, name: str) -> tuple:
+    """The half-widths of x = y and of t: 2 finite positive numbers."""
+    widths = _sequence(value, name, 2, 2)
+    return tuple(_where(_positive_real(w), w, f"{name} entry", "finite and positive") for w in widths)
+
+
+def _ladder(value, name: str) -> tuple[float, ...]:
+    for r in _sequence(value, name, 2):
+        _where(_positive_real(r) and r >= RN_FLOOR, r, f"{name} rung", f"finite and at least {RN_FLOOR:g}")
+    ladder = tuple(float(r) for r in value)
+    return _where(all(b < a for a, b in zip(ladder, ladder[1:])), ladder, name, "strictly decreasing")
+
+
+_RULES = {
+    "N": lambda v, name: _count(v, name, 1, 1),  # the group layer is written for H^1 only
+    "k": lambda v, name: _where(_positive_real(v) and 2 * v < Q, v, name, f"a real number with 0 < 2k < Q = {Q}"),
+    "jmax": lambda v, name: _count(v, name, 0, JMAX_VERIFIED),
+    "lmax": lambda v, name: None if v is None else _count(v, name, 0, JMAX_VERIFIED),
+    "quad_degree": lambda v, name: None if v is None else _count(v, name),
+    "rn_ladder": _ladder,
+    "seed": lambda v, name: _count(v, name, 0),
+    "tol_scale": lambda v, name: _where(_positive_real(v), v, name, "a finite positive number"),
+    "out_dir": lambda v, name: _where(isinstance(v, str), v, name, "a string"),
+    "grid_shape": lambda v, name: _grid_shape(v, name, GRID_NODE_BUDGET),
+    "grid_half_widths": _half_widths,
+    "minimax_seeds": _count,
+    "minimax_budget": _count,
+    "flow_seeds": _count,
+}
 
 
 @dataclass(frozen=True)
@@ -72,43 +110,8 @@ class ExperimentConfig:
     flow_seeds: int = 20
 
     def __post_init__(self):
-        if not _integral(self.N) or self.N != 1:
-            raise DomainError(f"the runners support N = 1 only, got N={self.N!r}")
-        for name in ("k", "tol_scale"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise DomainError(f"{name} must be a real number, got {value!r}")
-        if not (0 < 2 * self.k < Q):
-            raise DomainError(f"need 0 < 2k < Q = {Q}")
-        if not _positive_real(self.tol_scale):
-            raise DomainError(f"tol_scale must be finite and positive, got {self.tol_scale!r}")
-        bounds = {"jmax": (0, JMAX_VERIFIED), "lmax": (0, JMAX_VERIFIED), "quad_degree": (1, math.inf)}
-        bounds.update(dict.fromkeys(("minimax_seeds", "minimax_budget", "flow_seeds"), (1, math.inf)))
-        bounds["seed"] = (0, math.inf)
-        for name, (low, high) in bounds.items():
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not (_integral(value) and low <= value <= high):
-                raise DomainError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if not isinstance(self.out_dir, str):
-            raise DomainError(f"out_dir must be a string, got {self.out_dir!r}")
-        shape, widths = _check_grid(self.grid_shape, self.grid_half_widths)
-        if math.prod(shape) > GRID_NODE_BUDGET:
-            raise DomainError(f"grid_shape must have at most {GRID_NODE_BUDGET} nodes, got {shape!r}")
-        rungs = tuple(self.rn_ladder)
-        if len(rungs) < 2 or not all(_positive_real(r) and r >= RN_FLOOR for r in rungs):
-            raise DomainError(
-                f"rn_ladder needs at least 2 rungs, each finite and at least {RN_FLOOR:g}, got {self.rn_ladder!r}"
-            )
-        ladder = tuple(float(r) for r in rungs)
-        if any(b >= a for a, b in zip(ladder, ladder[1:])):
-            raise DomainError("rn_ladder must decrease strictly")
-        object.__setattr__(self, "N", int(self.N))
-        object.__setattr__(self, "grid_shape", shape)
-        object.__setattr__(self, "grid_half_widths", widths)
-        object.__setattr__(self, "rn_ladder", ladder)
+        for name, rule in _RULES.items():
+            object.__setattr__(self, name, rule(getattr(self, name), name))
 
     @staticmethod
     def from_json(path: str) -> "ExperimentConfig":
@@ -119,9 +122,6 @@ class ExperimentConfig:
         unknown = sorted(set(data) - {f.name for f in fields(ExperimentConfig)})
         if unknown:
             raise DomainError(f"unknown configuration keys: {', '.join(unknown)}")
-        for key in ("rn_ladder", "grid_shape", "grid_half_widths"):
-            if key in data and isinstance(data[key], list):
-                data[key] = tuple(data[key])
         return ExperimentConfig(**data)
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _check_grid, _integral
+from .config import _count, _grid_shape, _half_widths
 from .errors import DomainError, SingularPointError
 from .heisenberg import (
     KAPPA_H,
@@ -580,12 +580,6 @@ def _grid_symmetry_classes(shape: tuple[int, ...]) -> tuple[Array, Array]:
     return first, inverse
 
 
-def _check_count(value, what: str) -> None:
-    """Refuse a count that is not an integer >= 1; a bool is no count."""
-    if not _integral(value) or value < 1:
-        raise DomainError(f"{what} must be an integer >= 1, got {value!r}")
-
-
 def semigroup_check(
     shape: tuple[int, ...] = (64, 64, 64),
     half_widths: tuple[float, float] = (4.0, 8.0),
@@ -605,8 +599,8 @@ def semigroup_check(
     per axis with 2 finite positive half-widths (x = y, t) is refused before
     any work.
     """
-    _check_count(n_eval, "semigroup check n_eval")
-    shape, (hw, hwt) = _check_grid(shape, half_widths)
+    _count(n_eval, "n_eval")
+    shape, (hw, hwt) = _grid_shape(shape, "shape"), _half_widths(half_widths, "half_widths")
     box = BoxDomain((-hw, -hw, -hwt), (hw, hw, hwt))
     f = gaussian_bump(box, shape, width=0.85)
     spec_1 = KernelSpec(1.0)
@@ -763,7 +757,7 @@ def mapping_bound_probe(
     (the sharp constant is not modeled); the probe reports the max and spread
     of the ratios.
     """
-    _check_count(n_bumps, "mapping bound probe n_bumps")
+    _count(n_bumps, "n_bumps")
     if not (math.isfinite(q) and q >= 1.0):
         raise DomainError(f"mapping bound probe needs a finite exponent q >= 1, got {q}")
     inv_p = 1.0 / q - alpha / 4

@@ -46,6 +46,8 @@ def test_flag_override_out_of_range():
         ["ps-quantization", "--ladder", "1e-1,1e-78"],
         ["gradient-decay", "--ladder", "1e-1,1e-160"],
         ["verify-group", "--seed", "-1"],  # exited 3 after the run had started
+        ["gradient-decay", "--ladder", ""],  # ran the default ladder
+        ["ps-quantization", "--ladder", "a,b"],  # refused with a message naming neither flag nor field
     ],
 )
 def test_out_of_range_flag_refused_before_work(tmp_path, argv):
@@ -93,6 +95,11 @@ def test_out_of_range_config_refused_before_work(tmp_path, field):
         ("gradient-decay", '{"rn_ladder": ["0.1", "0.01"]}'),  # ran as (0.1, 0.01)
         ("gradient-decay", '{"rn_ladder": [true, 0.5]}'),  # ran as (1.0, 0.5)
         ("gradient-decay", '{"rn_ladder": [0.1, "0.01"]}'),
+        ("gradient-decay", '{"rn_ladder": 5}'),  # a raw TypeError
+        ("verify-group", '{"seed": null}'),  # ran on OS entropy: two runs wrote different CSVs
+        ("verify-spectral", '{"jmax": null}'),  # exited 3 with a TypeError in build_basis
+        ("subcritical-flow", '{"flow_seeds": null, "jmax": 2}'),  # exited 3
+        ("minimax-explore", '{"seed": null, "jmax": 2, "minimax_seeds": 1, "minimax_budget": 20}'),  # exited 3
     ],
 )
 def test_bad_config_refused_before_work(tmp_path, sub, text):
