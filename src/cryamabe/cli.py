@@ -577,11 +577,13 @@ def main(argv=None) -> int:
         cfg = cfg.with_overrides(
             N=args.N, k=args.k, jmax=args.jmax, seed=args.seed, out_dir=args.out, tol_scale=args.tol_scale
         )
-        if args.ladder not in (None, "default"):
+        # argparse drops a value that is exactly "--" (as in --ladder=--) and hands over []
+        ladder = "--" if args.ladder == [] else args.ladder
+        if ladder not in (None, "default"):
             try:
-                cfg = cfg.with_overrides(rn_ladder=[float(x) for x in args.ladder.split(",")])
+                cfg = cfg.with_overrides(rn_ladder=[float(x) for x in ladder.split(",")])
             except ValueError as exc:  # a rung that is no number, or a ladder the config refuses
-                raise DomainError(f"--ladder {args.ladder!r}: {exc}") from None
+                raise DomainError(f"--ladder {ladder!r}: {exc}") from None
         if args.subcommand in REQUIRES_K1 and abs(cfg.k - 1.0) > 1e-14:
             raise DomainError(f"{args.subcommand} requires k = 1, got k={cfg.k!r}")
         if args.subcommand in REQUIRES_DEGREE_1 and max(cfg.jmax, cfg.lmax or 0) < 1:

@@ -48,6 +48,7 @@ def test_flag_override_out_of_range():
         ["verify-group", "--seed", "-1"],  # exited 3 after the run had started
         ["gradient-decay", "--ladder", ""],  # ran the default ladder
         ["ps-quantization", "--ladder", "a,b"],  # refused with a message naming neither flag nor field
+        ["gradient-decay", "--ladder=--"],  # argparse handed over [], and .split raised AttributeError
     ],
 )
 def test_out_of_range_flag_refused_before_work(tmp_path, argv):
