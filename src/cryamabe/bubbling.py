@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cayley import POLE, ConformalChart, cayley_inv, conformal_pushforward, sphere_dist_zeta
+from .cayley import POLE, ConformalChart, cayley_inv, cayley_zt, conformal_pushforward, sphere_dist_zeta
 from .errors import DomainError, PoleError
 from .heisenberg import (
     Q,
@@ -38,6 +38,7 @@ from .heisenberg import (
     _flow_stencil,
     _stencil_settled,
     _sum_last,
+    gauge_zt,
     integrate_decaying,
     sub_laplacian,
     vector_field,
@@ -46,7 +47,6 @@ from .energy import (
     YamabeConstants,
     YamabeProblem,
     _dirichlet_density,
-    _dirichlet_step,
     bubble_horizontal_gradient_zt,
     bubble_shape_zt,
     dirichlet_form,
@@ -108,6 +108,8 @@ class BubbleChart:
         c = np.asarray(self.center, dtype=np.complex128)
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
+        if not np.array_equal(self.cutoff.center, c):
+            raise DomainError("the cutoff must be centred at the chart's centre")
         r = tuple(float(x) for x in self.radii)
         object.__setattr__(self, "radii", r)
         if len(r) == 0 or any(x <= 0 for x in r):
@@ -211,20 +213,51 @@ def _restrict(mask: Array, *arrays: Array) -> tuple[Array, ...]:
     return arrays if mask.all() else tuple(a[mask] for a in arrays)
 
 
-def _settled_nodes(chart: BubbleChart, n: int, zeta: Array, h: Array) -> tuple[Array, Array]:
+def _settled_nodes(chart: BubbleChart, conf: ConformalChart, g: Array, D: Array, h: Array) -> tuple[Array, Array]:
     """Masks (one, zero) of the nodes where the cutoff is exactly 1, or exactly 0, on the whole flow stencil of step h.
 
-    ``zeta`` holds the chart images of the base nodes.  The chart
-    rho_n = C o tau o d_R scales Koranyi distances by R, and the Cayley
-    transform stretches them into the sphere distance d_S by
-    fac(a) fac(b) <= 2, with fac = (4 / ((1 + |z|^2)^2 + t^2))^{1/4} (the
-    ``distance_relation`` row of verify-cayley), so :func:`_stencil_settled`
-    gets the reach 2 R h.  The cutoff is 1 for d_S <= r_inner and 0 for
-    d_S >= r_outer from its centre.
+    ``conf`` is the chart rho_n(w) = C(c . d_R w) of a rung, ``g`` holds the
+    gauges |w| of the base nodes and ``D`` the D_m = |P_m|^2 of their
+    m = c . d_R(w).  As d_H(m, c) = R |w| (dilations are automorphisms;
+    Folland and Stein 1982, ch. 1), verify-cayley's distance relation
+    d_S(C a, C b) = d_H(a, b) fac(a) fac(b), fac = (4 / |P|^2)^{1/4} <= sqrt 2,
+    puts rho_n(w) at d_S = R |w| fac(m) fac(c) from the cutoff's centre C(c)
+    (:class:`BubbleChart` refuses any other) and its stencil within 2 R h of
+    it; d_S is a metric (Rudin 1980, Prop. 5.1.2), hence the reach 2 R h.
     """
-    cut = chart.cutoff
-    d = sphere_dist_zeta(zeta, cut.center)
-    return _stencil_settled(d, 2.0 * chart.radii[n] * h, cut.r_inner, cut.r_outer)
+    cut, R, c = chart.cutoff, conf.scale, conf.center
+    fac_c = (4.0 / ((1.0 + abs(c.z) ** 2) ** 2 + c.t**2)) ** 0.25
+    d = R * g * (4.0 / D) ** 0.25 * fac_c
+    return _stencil_settled(d, 2.0 * R * h, cut.r_inner, cut.r_outer)
+
+
+def _transported_nodes(chart: BubbleChart, conf: ConformalChart, z: Array, t: Array, h_factor: float, weak: tuple) -> tuple:
+    """The node prologue of both transported integrands through ``conf``: one group product m = c . d_R(w) per node.
+
+    D_m = (1 + |z_m|^2)^2 + t_m^2 gives Lambda_rho = 2^Q R^Q / D_m^2 (as
+    ``jacobian_zt``) and :func:`_settled_nodes`; zeta = C(m) is formed at the
+    moving nodes, or at all live ones if a ``weak`` entry is not a constant.
+    Returns the mask ``live`` (cutoff not 0 on the stencil of step
+    h = h_factor (1 + |w|)), then z, t, h, the mask ``moving`` (cutoff not 1
+    on it), beta, Lambda_rho and ``weak``'s values at the live nodes.
+    """
+    g = gauge_zt(z, t)
+    h = h_factor * (1.0 + g)
+    zm, tm = conf.group_point_zt(z, t)
+    D = (1.0 + (zm * np.conj(zm)).real) ** 2 + tm * tm
+    one, zero = _settled_nodes(chart, conf, g, D, h)
+    live = ~zero
+    z, t, h, one, zm, tm, D = _restrict(live, z, t, h, one, zm, tm, D)
+    moving = ~one
+    lam = (2.0**Q) / D**2 * conf.scale**Q
+    beta = np.ones(t.shape)
+    if any(map(callable, weak)):
+        zeta = cayley_zt(zm, tm)
+        weak = [v(zeta) if callable(v) else v for v in weak]
+        beta[moving] = chart.cutoff.value(zeta[moving])
+    elif moving.any():
+        beta[moving] = chart.cutoff.value(cayley_zt(zm[moving], tm[moving]))
+    return live, z, t, h, moving, beta, lam, weak
 
 
 def bubble_piece_report(
@@ -241,21 +274,10 @@ def bubble_piece_report(
     L^2-against-smooth pairing used for the weak-convergence diagnostic.
     Only the local case k = 1 supports the Dirichlet-form route.
 
-    The four integrals share one shell walk: per node the transported bubble
-    W is evaluated at the base point and at the four Dirichlet stencil
-    points, and the chart map and Jacobian of the base point serve both
-    couplings.
-
-    Each stencil point lies within 2 R h of its base point in the sphere
-    distance d_S: verify-cayley's distance relation d_S(C a, C b) =
-    d_H(a, b) fac(a) fac(b) has fac <= sqrt 2, and d_S obeys the triangle
-    inequality (Rudin, Function Theory in the Unit Ball of C^n, 1980,
-    Prop. 5.1.2).  So only the base point of a node is mapped through the
-    chart before :func:`_settled_nodes` reads the bound.  Where
-    d_S(base, centre) + 2 R h <= r_inner, W = c U on the whole stencil with no
-    chart map; where d_S - 2 R h >= r_outer, all four densities are exactly 0
-    and nothing else is evaluated.  The values are scattered back into
-    full-length rows, so every integral is bitwise that of the unskipped walk.
+    The four integrals share one shell walk and its node prologue
+    :func:`_transported_nodes`.  W is evaluated at the base point and the four
+    Dirichlet stencil points of each live node, with a cutoff at moving nodes
+    only, so every integral is bitwise that of the unskipped walk.
     """
     constants = prob.constants
     if abs(constants.k - 1.0) > 1e-14:
@@ -267,30 +289,22 @@ def bubble_piece_report(
     c_prof = chart.profile_factor
     p_star = constants.p_star
     e_quad = (Q + 2 * constants.k) / (2.0 * Q)
-    # couplings with the weak limit, all pulled to the group side
-    Au = apply_A2k(u_infty, constants.k)
+    # couplings with the weak limit pulled to the group side, live terms taken once per report
+    weak = (u_infty.evaluator(), apply_A2k(u_infty, constants.k).evaluator())
 
     def integrand(z, t):
-        zeta = conf.map_zt(z, t)
-        h = _dirichlet_step(z, t)
-        one, zero = _settled_nodes(chart, n, zeta, h)
         rows = np.zeros((4, t.shape[0]))
-        live = ~zero
-        z, t, zeta, h, one = _restrict(live, z, t, zeta, h, one)
-        moving = ~one
+        live, z, t, h, moving, beta, lam, (a, Au) = _transported_nodes(chart, conf, z, t, 0.01, weak)
 
         def W(zs, ts):  # transported bubble with cutoff at the stencil points of the live nodes
             beta = np.ones(ts.shape)
-            beta[moving] = cut.value(conf.map_zt(*_restrict(moving, zs, ts)))
+            if moving.any():
+                beta[moving] = cut.value(conf.map_zt(*_restrict(moving, zs, ts)))
             return beta * c_prof * bubble_shape_zt(zs, ts, constants)
 
-        beta = np.ones(t.shape)
-        beta[moving] = cut.value(zeta[moving])
         w = beta * c_prof * bubble_shape_zt(z, t, constants)
-        lam = conf.jacobian_zt(z, t)
         rows[1, live] = np.abs(w) ** p_star
-        rows[2, live] = lam**e_quad * Au.eval(zeta) * w
-        a = u_infty.eval(zeta)
+        rows[2, live] = lam**e_quad * Au * w
         b = lam ** (-1.0 / p_star) * w
         rows[3, live] = lam * (np.abs(a + b) ** p_star - np.abs(a) ** p_star - np.abs(b) ** p_star)
         rows[0, live] = _dirichlet_density(W, z, t, h)
@@ -388,15 +402,10 @@ def residual_report(
     pairing with the chart-adapted witness, divided by its H^k norm.  Also
     reports the naive spectral residual of the band-limited projection.
 
-    The cutoff's flow stencil is evaluated only where the cutoff can change.
-    Each stencil point lies within 2 R h of its base point in d_S, by
-    verify-cayley's distance relation (fac <= sqrt 2) and the triangle
-    inequality of d_S (Rudin, Function Theory in the Unit Ball of C^n, 1980,
-    Prop. 5.1.2); see :func:`_settled_nodes`.  Where
-    d_S(base, centre) + 2 R h <= r_inner the derivatives of beta are exactly 0;
-    where d_S - 2 R h >= r_outer, G_n = A^3 - A^3 is exactly 0 and nothing is
-    evaluated past the base point's chart map.  Both bounds are bitwise those
-    of the unskipped evaluation.
+    G_n opens with the node prologue :func:`_transported_nodes`; the cutoff's
+    flow stencil is evaluated at moving nodes only, and G_n = A^3 - A^3 = 0 at
+    nodes that are not live, so both bounds are bitwise those of the
+    unskipped evaluation.
     """
     constants = prob.constants
     if abs(constants.k - 1.0) > 1e-14:
@@ -415,29 +424,24 @@ def residual_report(
 
     # the weak limit must be an exact critical point for L(A) = A^{p*-1}
     resid_inf = prob.residual(spec.u_infty)
+    weak = (spec.u_infty.evaluator(),)  # its live terms, taken once per report
 
     def G_fn(z, t):
-        zeta = conf.map_zt(z, t)
-        h = _dirichlet_step(z, t, 0.02)
-        one, zero = _settled_nodes(chart, n, zeta, h)
-        live = ~zero
-        z, t, zeta, h, one = _restrict(live, z, t, zeta, h, one)
-        moving = ~one
-        beta = np.ones(t.shape)
-        beta[moving] = cut.value(zeta[moving])
-        A = conf.jacobian_zt(z, t) ** expo * spec.u_infty.eval(zeta)
+        live, z, t, h, moving, beta, lam, (u,) = _transported_nodes(chart, conf, z, t, 0.02, weak)
+        A = lam**expo * u
         # L(beta c om) = beta c om^3 + c om L(beta) + c H(beta, om), L = -Delta_b;
         # one flow stencil gives Delta_b beta and the X/Y derivatives of beta,
         # all exactly 0 where beta = 1 on the whole stencil
         grad = {"X": np.zeros(t.shape), "Y": np.zeros(t.shape)}
-        zs, ts, hm, bm0 = _restrict(moving, z, t, h, beta)
-        lap = np.zeros(hm.shape)
-        for kind, (zp, tp), (zm, tm) in _flow_stencil(zs, ts, hm):
-            bp, bm = cut.value(conf.map_zt(zp, tp)), cut.value(conf.map_zt(zm, tm))
-            lap = lap + (bp + bm - 2.0 * bm0)
-            grad[kind][moving] = (bp - bm) / (2.0 * hm)
         lap_beta = np.zeros(t.shape)
-        lap_beta[moving] = lap / (4.0 * hm * hm)
+        if moving.any():
+            zs, ts, hm, bm0 = _restrict(moving, z, t, h, beta)
+            lap = np.zeros(hm.shape)
+            for kind, (zp, tp), (zm, tm) in _flow_stencil(zs, ts, hm):
+                bp, bm = cut.value(conf.map_zt(zp, tp)), cut.value(conf.map_zt(zm, tm))
+                lap = lap + (bp + bm - 2.0 * bm0)
+                grad[kind][moving] = (bp - bm) / (2.0 * hm)
+            lap_beta[moving] = lap / (4.0 * hm * hm)
         om = bubble_shape_zt(z, t, constants)
         gx_om, gy_om = bubble_horizontal_gradient_zt(z, t, constants)
         cross = -0.5 * (grad["X"] * gx_om + grad["Y"] * gy_om)

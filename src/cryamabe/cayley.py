@@ -94,16 +94,17 @@ class ConformalChart:
 
     # --- forward map and jacobian -----------------------------------------
 
-    def map_zt(self, z: Array, t: Array) -> Array:
+    def group_point_zt(self, z: Array, t: Array) -> tuple[Array, Array]:
+        """m = center . d_scale(w), the group point with rho(w) = C(m)."""
         zd, td = dilate_zt(self.scale, z, t)
-        zm, tm = mul_zt(self.center.z, self.center.t, zd, td)
-        return cayley_zt(zm, tm)
+        return mul_zt(self.center.z, self.center.t, zd, td)
+
+    def map_zt(self, z: Array, t: Array) -> Array:
+        return cayley_zt(*self.group_point_zt(z, t))
 
     def jacobian_zt(self, z: Array, t: Array) -> Array:
         """Lambda_rho = Lambda_C(center . d_R w) * R^Q by the chain rule."""
-        zd, td = dilate_zt(self.scale, z, t)
-        zm, tm = mul_zt(self.center.z, self.center.t, zd, td)
-        return lambda_cayley_zt(zm, tm) * self.scale**Q
+        return lambda_cayley_zt(*self.group_point_zt(z, t)) * self.scale**Q
 
     # --- inverse map --------------------------------------------------------
 

@@ -332,26 +332,27 @@ def shell_nodes(scheme: ShellScheme, center: HeisPoint | None = None) -> Iterato
     size.  t is the fastest axis: within a block the nodes of one grid
     column (fixed z) are consecutive, with t increasing.
     ``cell_weight`` is the Lebesgue volume of the shell's cells, and with
-    ``center`` the nodes are left-translated to center . (z, t).
+    ``center`` the nodes are left-translated to center . (z, t).  A block is
+    cut from the broadcast of the shell's z = x + i y plane over t on the
+    x-slabs it touches, so no node index is formed.
     """
     L = scheme.l0
     for i in range(scheme.n_shells):
         n = scheme.n_inner if i == 0 else scheme.n_shell
-        axes, cell = _box_grid(BoxDomain.koranyi(1, L), n)
+        (x, y, t_ax), cell = _box_grid(BoxDomain.koranyi(1, L), n)
+        plane = (x[:, None] + 1.0j * y)[:, :, None]
+        if i > 0:
+            Lin = L / 2.0
+            inner = (np.abs(x) <= Lin)[:, None, None] & (np.abs(y) <= Lin)[:, None] & (np.abs(t_ax) <= Lin * Lin)
         for start in range(0, n**3, _WALK_BLOCK):
-            idx = np.unravel_index(np.arange(start, min(start + _WALK_BLOCK, n**3)), (n,) * 3)
-            coords = [ax[k] for ax, k in zip(axes, idx)]  # x, y, t
-            del idx  # block temporaries are freed before the caller allocates its work arrays
+            stop = min(start + _WALK_BLOCK, n**3)
+            a, b = start // (n * n), -(-stop // (n * n))  # the x-slabs of the block
+            cut = slice(start - a * n * n, stop - a * n * n)
+            z = np.broadcast_to(plane[a:b], (b - a, n, n)).reshape(-1)[cut]
+            t = np.broadcast_to(t_ax, (b - a, n, n)).reshape(-1)[cut]
             if i > 0:
-                Lin = L / 2.0
-                inner = np.abs(coords[-1]) <= Lin * Lin
-                for c in coords[:-1]:
-                    inner &= np.abs(c) <= Lin
-                coords = [c[~inner] for c in coords]
-            x, y, t = coords
-            del coords
-            z = x + 1.0j * y
-            del x, y
+                outer = ~np.broadcast_to(inner[a:b], (b - a, n, n)).reshape(-1)[cut]
+                z, t = z[outer], t[outer]
             if center is not None:
                 z, t = mul_zt(center.z, center.t, z, t)
             yield i, z, t, cell

@@ -505,6 +505,18 @@ class SpectralFunction:
         """
         return poly_eval(*self._live_terms(), zeta).real
 
+    def evaluator(self):
+        """:meth:`eval` of the live terms as they are now; a later in-place change of ``coeffs`` does not reach it.
+
+        If every live term is constant it is the value, bitwise that of
+        :meth:`eval` (``_contract`` multiplies by exact ones at d = 1), as a
+        length-1 array: numpy's scalar power rounds unlike its array loop.
+        """
+        exps, coeffs = self._live_terms()
+        if not exps.any():
+            return poly_eval(exps, coeffs, np.ones((1, 2))).real
+        return lambda zeta: poly_eval(exps, coeffs, zeta).real
+
 
 def constant_function(value: float, basis: HarmonicBasis) -> SpectralFunction:
     c = np.zeros(basis.n_basis)

@@ -4,16 +4,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cryamabe import bubbling
 from cryamabe.bubbling import (
     BubbleChart,
     CutoffSpec,
     PSSequenceSpec,
+    bubble_piece_report,
     commutator_identity_value,
     gradient_decay_check,
     hk_gradient_flow,
     ps_energy_report,
     ps_term,
     quantization_ladder,
+    residual_report,
     subcritical_threshold_check,
     synthesize_vn,
     three_commutator,
@@ -22,6 +25,8 @@ from cryamabe.bubbling import (
 from cryamabe.errors import DomainError, PoleError
 from cryamabe.heisenberg import HeisPoint
 from cryamabe.spectral import SpectralFunction, norm_Hk
+
+from test_fused_transport import _coarse, _perturbed_weak_limit, _unskipped_piece_report, _unskipped_residual_bounds
 
 CENTER = np.array([1.0 + 0j, 0.0 + 0j])
 LADDER = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -70,6 +75,23 @@ class TestChartsAndSpecs:
         with pytest.raises(PoleError):
             BubbleChart.standard(pole_center, LADDER, prob8.constants)
 
+    @pytest.mark.parametrize(
+        "chart_centre, cutoff_centre",
+        [
+            (CENTER, np.array([math.cos(1e-3), math.sin(1e-3)], dtype=np.complex128)),  # near the chart's centre
+            (CENTER, -CENTER),
+            (np.array([0.0j, -1.0 + 0j]), CENTER),  # a chart at the pole, its cutoff away from it
+        ],
+        ids=["near", "antipodal", "chart_at_pole"],
+    )
+    def test_cutoff_centred_elsewhere_refused_before_work(self, monkeypatch, chart_centre, cutoff_centre):
+        def no_work(*args):
+            raise AssertionError("a distance was measured before the refusal")
+
+        monkeypatch.setattr(bubbling, "sphere_dist_zeta", no_work)
+        with pytest.raises(DomainError, match="centred at the chart's centre"):
+            BubbleChart(chart_centre, (1e-1, 1e-2), CutoffSpec(cutoff_centre))
+
     def test_centre_dimension_matches_constants(self, prob8):
         with pytest.raises(DomainError):
             BubbleChart.standard(np.array([1.0 + 0j, 0.0j, 0.0j]), LADDER, prob8.constants)
@@ -83,6 +105,25 @@ class TestChartsAndSpecs:
         a = BubbleChart.standard(CENTER, LADDER, prob8.constants)
         b = BubbleChart.standard(-CENTER, LADDER, prob8.constants)
         assert PSSequenceSpec(prob8.ground_constant(), (a, b)).disjoint_supports()
+
+
+class TestWeakLimitEvaluator:
+    def test_no_state_survives_a_report(self, prob8):
+        # each report takes the weak limit's live terms afresh: an in-place
+        # change of its coefficients between two reports reaches the second
+        chart = BubbleChart.standard(CENTER, (1e-1, 1e-3), prob8.constants)
+        u_inf = SpectralFunction(prob8.ground_constant().coeffs.copy(), prob8.basis)
+        spec = PSSequenceSpec(u_inf, (chart,))
+        scheme = _coarse(1e-3)
+        got = []
+        for coeffs in (prob8.ground_constant().coeffs, _perturbed_weak_limit(prob8).coeffs):
+            u_inf.coeffs[:] = coeffs
+            piece = bubble_piece_report(chart, 1, u_inf, prob8, scheme)
+            assert piece == _unskipped_piece_report(chart, 1, u_inf, prob8, scheme)
+            bounds = _unskipped_residual_bounds(spec, 1, prob8, scheme)
+            assert {key: residual_report(spec, 1, prob8, scheme)[key] for key in bounds} == bounds
+            got.append(piece)
+        assert got[0]["coupling_pstar"] != got[1]["coupling_pstar"]
 
 
 class TestSynthesis:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -280,7 +281,51 @@ def _unblocked_shells(scheme, center=None):
     return out
 
 
+def _unravel_shell_nodes(scheme, center=None):
+    """The block walker as written with np.unravel_index over each block's flat node indices."""
+    L = scheme.l0
+    for i in range(scheme.n_shells):
+        n = scheme.n_inner if i == 0 else scheme.n_shell
+        axes, cell = _box_grid(BoxDomain.koranyi(1, L), n)
+        for start in range(0, n**3, _WALK_BLOCK):
+            idx = np.unravel_index(np.arange(start, min(start + _WALK_BLOCK, n**3)), (n,) * 3)
+            coords = [ax[k] for ax, k in zip(axes, idx)]  # x, y, t
+            if i > 0:
+                Lin = L / 2.0
+                inner = np.abs(coords[-1]) <= Lin * Lin
+                for c in coords[:-1]:
+                    inner &= np.abs(c) <= Lin
+                coords = [c[~inner] for c in coords]
+            x, y, t = coords
+            z = x + 1.0j * y
+            if center is not None:
+                z, t = mul_zt(center.z, center.t, z, t)
+            yield i, z, t, cell
+        L *= 2.0
+
+
 class TestShellWalker:
+    @pytest.mark.parametrize(
+        "scheme, center",
+        [
+            (ShellScheme.reaching(4000.0), None),  # 48^3 shells end in partial blocks
+            (ShellScheme(2.0 * 1.3, 7, 32, 32), None),  # the far field's scheme in riesz
+            (ShellScheme(l0=0.7, n_shells=3, n_inner=36, n_shell=80), HeisPoint(0.3 - 0.8j, 1.7)),
+        ],
+        ids=["reaching_4000", "riesz_far_field", "centred"],
+    )
+    def test_blocks_equal_the_unravel_index_walker(self, scheme, center):
+        ref = _unravel_shell_nodes(scheme, center)
+        n_blocks = 0
+        for (i, z, t, cell), (i_ref, z_ref, t_ref, cell_ref) in itertools.zip_longest(
+            shell_nodes(scheme, center), ref, fillvalue=(None,) * 4
+        ):
+            assert (i, cell) == (i_ref, cell_ref)
+            assert z.dtype == z_ref.dtype and t.dtype == t_ref.dtype
+            assert z.tobytes() == z_ref.tobytes() and t.tobytes() == t_ref.tobytes()
+            n_blocks += 1
+        assert n_blocks >= scheme.n_shells
+
     # the ids keep the "1" of the N = 1 cases from when the walker took N
     @pytest.mark.parametrize(
         "scheme",

@@ -582,6 +582,25 @@ class TestEvaluatorDifferential:
         f = apply_A2k(constant_function(0.37, prob8.basis), 1.0)
         assert np.array_equal(f.eval(1.3 * nodes[:500]), _ref_eval(f, 1.3 * nodes[:500]))
 
+    def test_evaluator_takes_the_live_terms_once(self, prob8):
+        # a constant (the zero function too) is its value as a length-1 array,
+        # bitwise eval's at every point; any other function is eval of the
+        # live terms as they were when the evaluator was taken
+        nodes = prob8.quad.nodes()
+        constants = (
+            constant_function(0.37, prob8.basis),
+            apply_A2k(constant_function(0.37, prob8.basis), 1.0),
+            SpectralFunction(np.zeros(prob8.basis.n_basis), prob8.basis),
+        )
+        for f in constants:
+            value = f.evaluator()
+            assert isinstance(value, np.ndarray) and value.shape == (1,)
+            assert np.array_equal(np.broadcast_to(value, len(nodes)), f.eval(nodes))
+        f = SpectralFunction(np.random.default_rng(3).standard_normal(prob8.basis.n_basis), prob8.basis)
+        ev, before = f.evaluator(), f.eval(nodes)
+        f.coeffs[:] = 0.0
+        assert np.array_equal(ev(nodes), before)
+
     def test_poly_eval_three_variables(self):
         rng = np.random.default_rng(20)
         p = {}
